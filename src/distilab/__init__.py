@@ -15,8 +15,8 @@ from .distill import (AEKDConfig, DistillConfig, aekd_weights, distill_aekd,
 from .metrics import (MetricsReport, accuracy, calibrated_metrics, diversity,
                       ece, entropy_histogram, evaluate_model, fit_temperature,
                       nll)
-from .nets import (BEMLP, MLP, ModelSpec, average_rank_one, build_be,
-                   build_plain, checkpoint_load, checkpoint_save)
+from .nets import (MLP, ModelSpec, average_rank_one, build_be, build_plain,
+                   checkpoint_load, checkpoint_save)
 from .optim import OptimConfig, lr_at, train_teachers
 from .perturb import (Perturbation, conf_ods_perturb, div_estimate,
                       diversity_shift, gaussian_perturb, ods_perturb,

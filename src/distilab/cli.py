@@ -18,15 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NumericsError
+from .autodiff import DomainError, NumericsError
 from .data import Dataset, DataFormatError, corrupt, load_csv, make_mixture, make_ood
 from .distill import (AEKDConfig, DegenerateEnsembleError, DistillConfig,
                       distill_aekd, distill_be, distill_kd, distill_latentbe,
                       distill_proxy_end2)
 from .metrics import (MetricsReport, entropy_histogram, evaluate_model,
-                      softmax_np, _model_eval_logits)
-from .nets import (BEMLP, MLP, CheckpointError, ModelSpec, average_rank_one,
-                   build_be, checkpoint_load, checkpoint_save)
+                      _mean_probs, _model_eval_logits)
+from .nets import (MLP, CheckpointError, ModelSpec, average_rank_one, build_be,
+                   checkpoint_load, checkpoint_save)
 from .optim import OptimConfig, steps_per_epoch, train_teachers
 from .perturb import KINDS, build_perturbation, default_gamma, diversity_shift_values
 from .seeding import rng_stream
@@ -72,10 +72,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: invalid JSON: {e}") from e
     data = dict(_require(doc, "data", str(p)))
-    if data.get("kind", "mixture") != "mixture":
-        raise ConfigError(f"{p}: experiment data must be a mixture generator")
-    for key in ("num_classes", "dim", "n_per_class", "spread", "seed"):
-        _require(data, key, f"{p}: data")
+    _check_mixture(data, str(p))
     model = doc.get("model", {})
     hidden = tuple(model.get("hidden", (64, 64)))
     try:
@@ -102,7 +99,16 @@ def load_run_config(path: str | Path) -> RunConfig:
                      aekd_c=float(doc.get("aekd_c", 0.6)), seeds=seeds, raw=doc)
 
 
+def _check_mixture(data: dict, where: str) -> None:
+    if data.get("kind", "mixture") != "mixture":
+        raise ConfigError(f"{where}: data must be a mixture generator, "
+                          f"got kind '{data.get('kind')}'")
+    for key in ("num_classes", "dim", "n_per_class", "spread", "seed"):
+        _require(data, key, f"{where}: data")
+
+
 def build_datasets(data_cfg: dict) -> tuple[Dataset, Dataset, Dataset]:
+    _check_mixture(data_cfg, "data spec")
     return make_mixture(int(data_cfg["num_classes"]), int(data_cfg["dim"]),
                         int(data_cfg["n_per_class"]), float(data_cfg["spread"]),
                         int(data_cfg["seed"]))
@@ -165,7 +171,7 @@ def _load_teachers(teachers_dir: Path, seed: int, count: int | None = None) -> l
     for m in range(count):
         path = seed_dir / f"teacher{m}.json"
         model = checkpoint_load(path)
-        if not isinstance(model, MLP):
+        if model.factored:
             raise ConfigError(f"{path}: teacher checkpoints must be plain models")
         teachers.append(model)
     return teachers
@@ -284,8 +290,7 @@ def cmd_evaluate(args) -> int:
 def _write_entropy_csv(path: Path, model, in_dist: Dataset, ood: Dataset) -> None:
     lines = ["tag,bin_lo,bin_hi,count"]
     for tag, ds in (("in", in_dist), ("ood", ood)):
-        logits = _model_eval_logits(model, ds.x)
-        probs = softmax_np(logits).mean(axis=0) if logits.ndim == 3 else softmax_np(logits)
+        probs = _mean_probs(_model_eval_logits(model, ds.x), 1.0)
         hist = entropy_histogram(probs, tag=tag)
         for lo, hi, count in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
             lines.append(f"{tag},{_fmt(lo)},{_fmt(hi)},{int(count)}")
@@ -294,8 +299,6 @@ def _write_entropy_csv(path: Path, model, in_dist: Dataset, ood: Dataset) -> Non
 
 def cmd_line_scan(args) -> int:
     model = checkpoint_load(args.model)
-    if not isinstance(model, BEMLP) or model.members != 2:
-        raise ConfigError("line-scan requires a factored checkpoint with M=2")
     spec = load_data_spec(args.data)
     train, _, test = build_datasets(spec)
     scan = line_scan(model, train, test)
@@ -316,19 +319,18 @@ def cmd_perturb_diag(args) -> int:
     train, _, _ = build_datasets(spec)
     teachers = _load_teachers(Path(args.teachers), int(args.seed))
     student = checkpoint_load(args.student)
-    if args.kind == "tdiv_sdiv" and not isinstance(student, BEMLP):
+    if args.kind == "tdiv_sdiv" and len(student) < 2:
         raise ConfigError("tdiv_sdiv diagnostics require a factored student checkpoint")
     gamma = float(args.gamma) if args.gamma is not None else default_gamma(train.x)
     noise_rng = rng_stream(int(args.seed), "guidance-vectors")
     index_rng = rng_stream(int(args.seed), "pair-sampling")
-    students = student if isinstance(student, BEMLP) else [student, student]
+    students = student if len(student) > 1 else [student, student]
     lines = ["step,kind,mean_dT,mean_dS,frac_ascent"]
     batch = 128
     for step, start in enumerate(range(0, len(train), batch)):
         xb = train.x[start:start + batch]
-        pert = build_perturbation(args.kind, teachers,
-                                  student if isinstance(student, BEMLP) else None,
-                                  xb, gamma, args.tau, noise_rng, index_rng)
+        pert = build_perturbation(args.kind, teachers, student, xb, gamma, args.tau,
+                                  noise_rng, index_rng)
         d_t, d_s = diversity_shift_values(teachers, students, xb, pert.epsilon)
         moved = np.linalg.norm(pert.epsilon, axis=1) > 0
         frac = float(((d_t - d_s) > 0)[moved].mean()) if moved.any() else 0.0
@@ -341,12 +343,10 @@ def cmd_perturb_diag(args) -> int:
 
 
 def cmd_average(args) -> int:
-    model = checkpoint_load(args.model)
-    if not isinstance(model, BEMLP):
-        raise ConfigError("average requires a factored checkpoint")
+    averaged = average_rank_one(checkpoint_load(args.model))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    checkpoint_save(average_rank_one(model), out)
+    checkpoint_save(averaged, out)
     print(f"wrote averaged checkpoint to {out}")
     return 0
 
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (NumericsError, DegenerateEnsembleError, FloatingPointError) as e:
+    except (NumericsError, DomainError, DegenerateEnsembleError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except (ConfigError, CheckpointError, DataFormatError, ValueError, OSError) as e:

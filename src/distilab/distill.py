@@ -31,7 +31,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .metrics import PROB_FLOOR, softmax_np
-from .nets import BEMLP, MLP, ModelSpec, average_rank_one, build_be, build_plain
+from .nets import MLP, ModelSpec, average_rank_one, build_be, build_plain
 from .optim import SGD, OptimConfig, lr_at, minibatches, one_hot, steps_per_epoch
 from .perturb import KINDS, build_perturbation, default_gamma
 from .seeding import rng_stream
@@ -46,7 +46,7 @@ class DistillConfig:
     tau: float = 4.0
     alpha: float = 1.0
     rank_decay: float = 1e-3        # pull of rank-one factors toward ones
-    gamma: float | None = None      # perturbation step; None = 0.05 sqrt(D) std
+    gamma: float | None = None      # perturbation step; None = 0.15 sqrt(D) std
     perturbation: str = "none"
     num_teachers: int = 2
     optim: OptimConfig = field(default_factory=OptimConfig)
@@ -324,7 +324,7 @@ def distill_kd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
                cfg: DistillConfig, step_hook=None) -> MLP:
     """Vanilla ensemble distillation into a plain student."""
     _check_teacher_count(teachers, cfg)
-    student = build_plain(spec.as_plain(), rng_stream(cfg.optim.seed, "init"))
+    student = build_plain(spec, rng_stream(cfg.optim.seed, "init"))
     k = spec.num_classes
 
     def loss_fn(xb, yb, logits):
@@ -345,7 +345,7 @@ def distill_aekd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
     m = len(teachers)
     if aekd.c < 1.0 / m - 1e-9 or aekd.c > 1.0 + 1e-9:
         raise ValueError(f"aekd tolerance must lie in [1/M, 1], got {aekd.c}")
-    student = build_plain(spec.as_plain(), rng_stream(cfg.optim.seed, "init"))
+    student = build_plain(spec, rng_stream(cfg.optim.seed, "init"))
     k = spec.num_classes
 
     def loss_fn(xb, yb, logits):
@@ -376,7 +376,7 @@ def distill_proxy_end2(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
     _check_teacher_count(teachers, cfg)
     if len(teachers) < 2:
         raise ValueError("proxy distillation needs at least two teachers")
-    student = build_plain(spec.as_plain(), rng_stream(cfg.optim.seed, "init"),
+    student = build_plain(spec, rng_stream(cfg.optim.seed, "init"),
                           head="dirichlet")
 
     def loss_fn(xb, yb, logits):
@@ -392,13 +392,13 @@ def _check_teacher_count(teachers, cfg: DistillConfig) -> None:
                          f"got {len(teachers)}")
 
 
-def _one_to_one_loop(teachers: Sequence[MLP], student: BEMLP, train: Dataset,
+def _one_to_one_loop(teachers: Sequence[MLP], student: MLP, train: Dataset,
                      cfg: DistillConfig, rank_decay: float,
-                     step_hook=None) -> BEMLP:
+                     step_hook=None) -> MLP:
     """One-to-one member losses; rank factors follow their own gradient,
     the shared weight follows the member mean, plus an optional pull of the
     rank factors toward ones and an optional input perturbation per step."""
-    m_count = student.members
+    m_count = len(student)
     if len(teachers) != m_count:
         raise ValueError(f"student has {m_count} members but {len(teachers)} "
                          "teachers were given")
@@ -424,7 +424,7 @@ def _one_to_one_loop(teachers: Sequence[MLP], student: BEMLP, train: Dataset,
             total: Tensor | None = None
             for m in range(m_count):
                 probs = softmax_np(teachers[m].predict_logits(xb), cfg.tau)
-                log_p = ad.log_softmax_temp(student.forward_member(m, x_in), cfg.tau)
+                log_p = ad.log_softmax_temp(student[m].forward(x_in), cfg.tau)
                 member_loss = ad.scale(ad.sum(ad.mul(Tensor(probs), log_p)),
                                        -tau_sq / batch)
                 total = member_loss if total is None else ad.add(total, member_loss)
@@ -442,8 +442,8 @@ def _one_to_one_loop(teachers: Sequence[MLP], student: BEMLP, train: Dataset,
     return student
 
 
-def distill_be(teachers: Sequence[MLP], student: BEMLP, train: Dataset,
-               cfg: DistillConfig, step_hook=None) -> BEMLP:
+def distill_be(teachers: Sequence[MLP], student: MLP, train: Dataset,
+               cfg: DistillConfig, step_hook=None) -> MLP:
     """One-to-one distillation into a pre-built factored student.
 
     No pull toward ones is applied (rank_decay in the config is ignored
@@ -453,18 +453,14 @@ def distill_be(teachers: Sequence[MLP], student: BEMLP, train: Dataset,
 
 
 def distill_latentbe(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
-                     cfg: DistillConfig, step_hook=None) -> tuple[MLP, BEMLP]:
+                     cfg: DistillConfig, step_hook=None) -> tuple[MLP, MLP]:
     """One-to-one distillation from all-ones factors, then weight averaging.
 
     Returns (averaged plain student, factored student). With perturbation
     "none" and rank_decay 0 the factored student's trajectory is
     bit-identical to ``distill_be`` started from ones under the same seed.
     """
-    members = spec.members if spec.kind == "batch_ensemble" else len(teachers)
-    if members != len(teachers):
-        raise ValueError(f"spec declares {members} members but {len(teachers)} "
-                         "teachers were given")
     student = build_be(spec, rng_stream(cfg.optim.seed, "init"),
-                       rank_init="ones", members=members)
+                       rank_init="ones", members=len(teachers))
     _one_to_one_loop(teachers, student, train, cfg, cfg.rank_decay, step_hook)
     return average_rank_one(student), student

@@ -11,19 +11,12 @@ widening the bracket when the optimum hits an edge.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 PROB_FLOOR = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def eval_threads() -> int:
-    """Intra-run evaluation parallelism cap; 1 (fully serial) by default."""
-    return max(1, int(os.environ.get("DISTILAB_THREADS", "1")))
 
 
 @dataclass
@@ -114,10 +107,15 @@ def ece(probs: np.ndarray, labels: np.ndarray, bins: int = 15) -> float:
 
 
 def _mean_probs(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Probabilities at temperature tau; member axis (M, N, K) is averaged."""
-    if logits.ndim == 3:
-        return softmax_np(logits, tau).mean(axis=0)
-    return softmax_np(logits, tau)
+    """Probabilities at temperature tau; member axis (M, N, K) is averaged.
+
+    A single member is its own mean, taken without the reduction pass that
+    the temperature search would otherwise repeat on every call.
+    """
+    probs = softmax_np(logits, tau)
+    if probs.ndim == 3:
+        probs = probs[0] if len(probs) == 1 else probs.mean(axis=0)
+    return probs
 
 
 def fit_temperature(val_logits: np.ndarray, val_labels: np.ndarray,
@@ -195,10 +193,15 @@ def diversity_from_probs(probs: np.ndarray) -> float:
     return float(pairwise_divergence_values(probs).mean())
 
 
-def diversity(models: list, x: np.ndarray, tau: float = 1.0) -> float:
-    """Functional diversity of a model list at inputs x (callable .predict_logits)."""
-    probs = np.stack([softmax_np(m.predict_logits(x), tau) for m in models])
-    return diversity_from_probs(probs)
+def member_probs(ensemble, x: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    """(M, N, K) member probabilities of an ensemble at inputs x: a list of
+    one-member nets or a factored net."""
+    return np.stack([softmax_np(member.predict_logits(x), tau) for member in ensemble])
+
+
+def diversity(models, x: np.ndarray, tau: float = 1.0) -> float:
+    """Functional diversity of an ensemble at inputs x."""
+    return diversity_from_probs(member_probs(models, x, tau))
 
 
 def entropy_values(probs: np.ndarray) -> np.ndarray:
@@ -217,50 +220,27 @@ def entropy_histogram(probs: np.ndarray, bins: int = 30, tag: str = "in") -> Ent
 
 
 def batched_logits(model, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    """Evaluate logits in fixed-size chunks, optionally across threads.
-
-    Chunks are reduced in input order, so results do not depend on the
-    DISTILAB_THREADS setting.
-    """
-    starts = list(range(0, len(x), chunk))
-    pieces = [x[s:s + chunk] for s in starts]
-    threads = eval_threads()
-    if threads == 1 or len(pieces) == 1:
-        outs = [model.predict_logits(p) for p in pieces]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(model.predict_logits, pieces))
-    return np.concatenate(outs, axis=0)
+    """Logits of a one-member net, evaluated in fixed-size chunks in input order."""
+    return np.concatenate([model.predict_logits(x[s:s + chunk])
+                           for s in range(0, len(x), chunk)], axis=0)
 
 
 def _model_eval_logits(model, x: np.ndarray) -> np.ndarray:
-    """(N, K) or (M, N, K) logits with any dirichlet head already folded in."""
-    if hasattr(model, "predict_all_member_logits"):
-        logits = np.stack([batched_logits(_MemberView(model, m), x)
-                           for m in range(model.members)])
-    else:
-        logits = batched_logits(model, x)
-    if getattr(model, "head", "softmax") == "dirichlet":
+    """(M, N, K) member logits with any dirichlet head already folded in."""
+    logits = np.stack([batched_logits(member, x) for member in model])
+    if model.head == "dirichlet":
         # predictive probabilities are normalized shifted concentrations;
         # log(exp(z) + 1) turns that into an ordinary softmax readout
         logits = np.log1p(np.exp(logits))
     return logits
 
 
-class _MemberView:
-    def __init__(self, model, m: int):
-        self._model = model
-        self._m = m
-
-    def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        return self._model.predict_member_logits(self._m, x)
-
-
 def evaluate_model(model, test, val, bins: int = 15) -> MetricsReport:
     """Full metric set for one model on one (test, val) dataset pair.
 
-    Factored students are evaluated as the mean of member probabilities and
-    additionally report the member diversity averaged over the test split.
+    A model is evaluated as the mean of its member probabilities; one with
+    several members additionally reports the member diversity averaged over
+    the test split.
     """
     test_logits = _model_eval_logits(model, test.x)
     val_logits = _model_eval_logits(model, val.x)
@@ -271,7 +251,7 @@ def evaluate_model(model, test, val, bins: int = 15) -> MetricsReport:
     tau_star = fit_temperature(val_logits, val.y)
     cnll_sum, cece = calibrated_metrics(test_logits, test.y, tau_star, bins)
     mean_div = None
-    if test_logits.ndim == 3:
+    if len(test_logits) > 1:
         mean_div = diversity_from_probs(softmax_np(test_logits, 1.0))
     return MetricsReport(acc=acc, nll_sum=nll_sum, nll_mean=nll_mean, ece=raw_ece,
                          tau_star=tau_star, cnll_mean=cnll_sum / len(test.y),

@@ -1,4 +1,9 @@
-"""Multilayer perceptrons: plain dense teachers and rank-one-factored students.
+"""Relu MLPs with a member axis: plain nets and rank-one-factored students.
+
+An ``MLP`` has ``len(net)`` members and ``net[m]`` is member m as a one-member
+net that shares net's parameter tensors. A plain net is a one-member MLP; a
+teacher ensemble is a list of them, which answers the same ``len()`` / ``[m]``
+protocol as a factored student.
 
 A factored ("batch ensemble") dense layer stores one shared weight matrix
 plus M pairs of rank-one factor vectors; member m's effective weight is the
@@ -16,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +45,6 @@ class ModelSpec:
     num_classes: int
     hidden: tuple[int, ...] = (64, 64)
     activation: str = "relu"
-    kind: str = PLAIN
-    members: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
@@ -53,244 +56,168 @@ class ModelSpec:
             raise ValueError("at least one hidden layer is required")
         if self.activation != "relu":
             raise ValueError(f"unsupported activation '{self.activation}'")
-        if self.kind not in (PLAIN, BATCH_ENSEMBLE):
-            raise ValueError(f"unknown model kind '{self.kind}'")
-        if self.kind == BATCH_ENSEMBLE and (self.members is None or self.members < 1):
-            raise ValueError("batch_ensemble models need members >= 1")
-        if self.kind == PLAIN and self.members is not None:
-            raise ValueError("plain models must not declare members")
 
     @property
     def widths(self) -> tuple[int, ...]:
         return (self.in_dim, *self.hidden, self.num_classes)
-
-    def as_plain(self) -> "ModelSpec":
-        return ModelSpec(self.in_dim, self.num_classes, self.hidden,
-                         self.activation, PLAIN, None)
 
     def to_dict(self) -> dict:
         return {"in_dim": self.in_dim, "num_classes": self.num_classes,
                 "hidden": list(self.hidden), "activation": self.activation}
 
 
-class DenseLayer:
-    """Plain dense layer: weight of shape (out, in) and bias of shape (out,)."""
+class Layer:
+    """Dense layer: a weight (out, in) and one bias (out,) per member; when
+    factored, also one rank-one factor pair r_m (out,), s_m (in,) per member.
+    A plain layer has exactly one member."""
 
-    def __init__(self, weight: Tensor, bias: Tensor):
-        if weight.data.ndim != 2 or bias.data.ndim != 1 \
-                or weight.shape[0] != bias.shape[0]:
-            raise ShapeError(f"inconsistent dense layer shapes {weight.shape} / {bias.shape}")
+    def __init__(self, weight: Tensor, bias: list[Tensor],
+                 r: Sequence[Tensor] = (), s: Sequence[Tensor] = ()):
+        r, s = list(r), list(s)
+        if weight.data.ndim != 2 or not bias:
+            raise ShapeError(f"inconsistent dense layer: weight {weight.shape}, "
+                             f"{len(bias)} biases")
+        if r or s:
+            if not len(r) == len(s) == len(bias):
+                raise ShapeError("factored layer needs one factor pair per member bias")
+        elif len(bias) != 1:
+            raise ShapeError("a plain layer has exactly one bias")
+        out_dim, in_dim = weight.shape
+        if any(b.shape != (out_dim,) for b in bias) or any(t.shape != (out_dim,) for t in r) \
+                or any(t.shape != (in_dim,) for t in s):
+            raise ShapeError(f"bias or rank-one factor shapes inconsistent with weight "
+                             f"{weight.shape}")
         self.weight = weight
         self.bias = bias
-
-
-class BEDenseLayer:
-    """Dense layer with a shared weight and M rank-one factor pairs."""
-
-    def __init__(self, shared: Tensor, r: list[Tensor], s: list[Tensor],
-                 bias: list[Tensor]):
-        m = len(r)
-        if not (len(s) == len(bias) == m) or m < 1:
-            raise ShapeError("factored layer needs matching factor lists with M >= 1")
-        out_dim, in_dim = shared.shape
-        for rm, sm, bm in zip(r, s, bias):
-            if rm.shape != (out_dim,) or sm.shape != (in_dim,) or bm.shape != (out_dim,):
-                raise ShapeError("rank-one factor shapes inconsistent with shared weight")
-        self.shared = shared
         self.r = r
         self.s = s
-        self.bias = bias
 
-    @property
-    def members(self) -> int:
-        return len(self.r)
+    def member(self, m: int) -> "Layer":
+        return Layer(self.weight, [self.bias[m]], self.r[m:m + 1], self.s[m:m + 1])
 
-    def member_weight(self, m: int) -> Tensor:
-        """Effective weight of member m: shared ∘ (r_m s_m^T), graph-tracked."""
-        return ad.mul(self.shared, ad.outer(self.r[m], self.s[m]))
+    def effective_weight(self) -> Tensor:
+        """Graph-tracked weight of a one-member layer: W, or W ∘ (r s^T)."""
+        if self.r:
+            return ad.mul(self.weight, ad.outer(self.r[0], self.s[0]))
+        return self.weight
 
-
-def _forward_dense(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
-    h = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = ad.add_bias(ad.matmul(h, ad.transpose(w)), b)
-        if i != last:
-            h = ad.relu(h)
-    return h
-
-
-def _forward_dense_np(x: np.ndarray, weights: Sequence[np.ndarray],
-                      biases: Sequence[np.ndarray]) -> np.ndarray:
-    h = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ np.ascontiguousarray(w.T) + b
-        if i != last:
-            h = np.maximum(h, 0.0)
-    return h
+    def effective_weight_data(self) -> np.ndarray:
+        if self.r:
+            return self.weight.data * np.outer(self.r[0].data, self.s[0].data)
+        return self.weight.data
 
 
 class MLP:
-    """Plain relu MLP producing K logits.
+    """Relu MLP producing K logits per member.
 
     ``head`` records how logits map to probabilities at evaluation time:
     "softmax" for ordinary classifiers, "dirichlet" for students whose
-    logits are log concentration parameters.
+    logits are log concentration parameters. ``forward`` and
+    ``predict_logits`` run a one-member net; index a member first.
     """
 
-    kind = PLAIN
-
-    def __init__(self, spec: ModelSpec, layers: list[DenseLayer], head: str = "softmax"):
-        if spec.kind != PLAIN:
-            raise ValueError("MLP requires a plain spec")
+    def __init__(self, spec: ModelSpec, layers: list[Layer], head: str = "softmax"):
         if head not in ("softmax", "dirichlet"):
             raise ValueError(f"unknown head '{head}'")
+        if len({(len(l.bias), bool(l.r)) for l in layers}) != 1:
+            raise ShapeError("layers disagree on member count or factoring")
         self.spec = spec
         self.layers = layers
         self.head = head
 
+    def __len__(self) -> int:
+        return len(self.layers[0].bias)
+
+    def __getitem__(self, m: int) -> "MLP":
+        """Member m as a one-member net sharing this net's tensors."""
+        if not 0 <= m < len(self):
+            raise IndexError(f"member index {m} out of range for M={len(self)}")
+        return MLP(self.spec, [l.member(m) for l in self.layers], self.head)
+
+    def __iter__(self):
+        return (self[m] for m in range(len(self)))
+
+    @property
+    def factored(self) -> bool:
+        return bool(self.layers[0].r)
+
+    def _check_input(self, shape: tuple[int, ...]) -> None:
+        if len(self) != 1:
+            raise ValueError(f"a net with {len(self)} members has no single output; "
+                             "run a member net[m]")
+        if len(shape) != 2 or shape[1] != self.spec.in_dim:
+            raise ShapeError(f"expected input (B, {self.spec.in_dim}), got {shape}")
+
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.shape[1] != self.spec.in_dim:
-            raise ShapeError(f"expected input (B, {self.spec.in_dim}), got {x.shape}")
-        return _forward_dense(x, [l.weight for l in self.layers],
-                              [l.bias for l in self.layers])
+        self._check_input(x.shape)
+        h = x
+        last = len(self.layers) - 1
+        for i, l in enumerate(self.layers):
+            h = ad.add_bias(ad.matmul(h, ad.transpose(l.effective_weight())), l.bias[0])
+            if i != last:
+                h = ad.relu(h)
+        return h
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         """Graph-free forward pass for evaluation loops."""
-        if x.ndim != 2 or x.shape[1] != self.spec.in_dim:
-            raise ShapeError(f"expected input (B, {self.spec.in_dim}), got {x.shape}")
-        return _forward_dense_np(x, [l.weight.data for l in self.layers],
-                                 [l.bias.data for l in self.layers])
+        self._check_input(x.shape)
+        h = x
+        last = len(self.layers) - 1
+        for i, l in enumerate(self.layers):
+            h = h @ np.ascontiguousarray(l.effective_weight_data().T) + l.bias[0].data
+            if i != last:
+                h = np.maximum(h, 0.0)
+        return h
 
     def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for l in self.layers:
-            out.extend((l.weight, l.bias))
-        return out
-
-    def copy(self) -> "MLP":
-        layers = [DenseLayer(Tensor(l.weight.data, requires_grad=True),
-                             Tensor(l.bias.data, requires_grad=True))
-                  for l in self.layers]
-        return MLP(self.spec, layers, head=self.head)
-
-
-class BEMLP:
-    """Factored relu MLP with M subnetworks sharing one weight per layer."""
-
-    kind = BATCH_ENSEMBLE
-
-    def __init__(self, spec: ModelSpec, layers: list[BEDenseLayer]):
-        if spec.kind != BATCH_ENSEMBLE:
-            raise ValueError("BEMLP requires a batch_ensemble spec")
-        for l in layers:
-            if l.members != spec.members:
-                raise ShapeError("layer member count disagrees with spec")
-        self.spec = spec
-        self.layers = layers
-        self.head = "softmax"
-
-    @property
-    def members(self) -> int:
-        return int(self.spec.members)  # type: ignore[arg-type]
-
-    def _check_member(self, m: int) -> None:
-        if not 0 <= m < self.members:
-            raise IndexError(f"member index {m} out of range for M={self.members}")
-
-    def forward_member(self, m: int, x: Tensor) -> Tensor:
-        self._check_member(m)
-        if x.data.ndim != 2 or x.shape[1] != self.spec.in_dim:
-            raise ShapeError(f"expected input (B, {self.spec.in_dim}), got {x.shape}")
-        return _forward_dense(x, [l.member_weight(m) for l in self.layers],
-                              [l.bias[m] for l in self.layers])
-
-    def member_fn(self, m: int) -> Callable[[Tensor], Tensor]:
-        self._check_member(m)
-        return lambda x: self.forward_member(m, x)
-
-    def predict_member_logits(self, m: int, x: np.ndarray) -> np.ndarray:
-        self._check_member(m)
-        weights = [l.shared.data * np.outer(l.r[m].data, l.s[m].data)
-                   for l in self.layers]
-        return _forward_dense_np(x, weights, [l.bias[m].data for l in self.layers])
-
-    def predict_all_member_logits(self, x: np.ndarray) -> np.ndarray:
-        """Stacked member logits, shape (M, B, K)."""
-        return np.stack([self.predict_member_logits(m, x) for m in range(self.members)])
-
-    def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for l in self.layers:
-            out.append(l.shared)
-            out.extend(l.r)
-            out.extend(l.s)
-            out.extend(l.bias)
-        return out
+        return [p for l in self.layers for p in (l.weight, *l.r, *l.s, *l.bias)]
 
     def shared_parameters(self) -> list[Tensor]:
-        return [l.shared for l in self.layers]
+        return [l.weight for l in self.layers]
 
     def rank_parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for l in self.layers:
-            out.extend(l.r)
-            out.extend(l.s)
-        return out
+        return [t for l in self.layers for t in (*l.r, *l.s)]
 
     def member_bias_parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for l in self.layers:
-            out.extend(l.bias)
-        return out
+        return [b for l in self.layers for b in l.bias]
 
-    def copy(self) -> "BEMLP":
-        layers = []
-        for l in self.layers:
-            layers.append(BEDenseLayer(
-                Tensor(l.shared.data, requires_grad=True),
-                [Tensor(t.data, requires_grad=True) for t in l.r],
-                [Tensor(t.data, requires_grad=True) for t in l.s],
-                [Tensor(t.data, requires_grad=True) for t in l.bias]))
-        return BEMLP(self.spec, layers)
+    def copy(self) -> "MLP":
+        def fresh(ts: Sequence[Tensor]) -> list[Tensor]:
+            return [Tensor(t.data, requires_grad=True) for t in ts]
+
+        layers = [Layer(Tensor(l.weight.data, requires_grad=True), fresh(l.bias),
+                        fresh(l.r), fresh(l.s)) for l in self.layers]
+        return MLP(self.spec, layers, head=self.head)
 
 
 # -- construction -------------------------------------------------------------
 
 def build_plain(spec: ModelSpec, rng: np.random.Generator, head: str = "softmax") -> MLP:
     """He-normal weights, zero biases."""
-    spec = spec.as_plain()
     layers = []
-    widths = spec.widths
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-        layers.append(DenseLayer(Tensor(w, requires_grad=True),
-                                 Tensor(np.zeros(fan_out), requires_grad=True)))
+        layers.append(Layer(Tensor(w, requires_grad=True),
+                            [Tensor(np.zeros(fan_out), requires_grad=True)]))
     return MLP(spec, layers, head=head)
 
 
 def build_be(spec: ModelSpec, rng: np.random.Generator,
-             rank_init: str = "ones", members: int | None = None) -> BEMLP:
+             rank_init: str = "ones", *, members: int) -> MLP:
     """Factored MLP with all-ones or random-sign rank factors.
 
     Ones initialization makes every member identical to the shared network;
     random signs start the members in genuinely different weight patterns.
-    A plain spec may be passed together with an explicit member count.
     """
-    if spec.kind != BATCH_ENSEMBLE:
-        if members is None:
-            raise ValueError("member count required when building from a plain spec")
-        spec = ModelSpec(spec.in_dim, spec.num_classes, spec.hidden,
-                         spec.activation, BATCH_ENSEMBLE, int(members))
     if rank_init not in ("ones", "random_sign"):
         raise ValueError(f"unknown rank_init '{rank_init}'")
-    m_count = int(spec.members)  # type: ignore[arg-type]
+    if members < 1:
+        raise ValueError(f"a factored net needs members >= 1, got {members}")
     layers = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         shared = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
         r, s, b = [], [], []
-        for _ in range(m_count):
+        for _ in range(members):
             if rank_init == "ones":
                 rv, sv = np.ones(fan_out), np.ones(fan_in)
             else:
@@ -299,32 +226,23 @@ def build_be(spec: ModelSpec, rng: np.random.Generator,
             r.append(Tensor(rv, requires_grad=True))
             s.append(Tensor(sv, requires_grad=True))
             b.append(Tensor(np.zeros(fan_out), requires_grad=True))
-        layers.append(BEDenseLayer(Tensor(shared, requires_grad=True), r, s, b))
-    return BEMLP(spec, layers)
+        layers.append(Layer(Tensor(shared, requires_grad=True), b, r, s))
+    return MLP(spec, layers)
 
 
-def materialize_member(model: BEMLP, m: int) -> MLP:
-    """Plain network equal to member m (weights shared ∘ r_m s_m^T, bias b_m)."""
-    model._check_member(m)
-    layers = []
-    for l in model.layers:
-        w = l.shared.data * np.outer(l.r[m].data, l.s[m].data)
-        layers.append(DenseLayer(Tensor(w, requires_grad=True),
-                                 Tensor(l.bias[m].data, requires_grad=True)))
-    return MLP(model.spec.as_plain(), layers)
-
-
-def average_rank_one(model: BEMLP) -> MLP:
+def average_rank_one(model: MLP) -> MLP:
     """Collapse a factored student into one plain network.
 
     Per layer the plain weight is shared ∘ (mean over members of r_m s_m^T)
     and the bias is the member mean, so inference afterwards costs exactly
     one forward pass.
     """
+    if not model.factored:
+        raise ValueError("rank-one averaging needs a factored net")
     layers = []
-    m_count = model.members
+    m_count = len(model)
     for l in model.layers:
-        rank_mean = np.zeros_like(l.shared.data)
+        rank_mean = np.zeros_like(l.weight.data)
         for m in range(m_count):
             rank_mean += np.outer(l.r[m].data, l.s[m].data)
         rank_mean /= m_count
@@ -332,9 +250,9 @@ def average_rank_one(model: BEMLP) -> MLP:
         for m in range(m_count):
             bias += l.bias[m].data
         bias /= m_count
-        layers.append(DenseLayer(Tensor(l.shared.data * rank_mean, requires_grad=True),
-                                 Tensor(bias, requires_grad=True)))
-    return MLP(model.spec.as_plain(), layers)
+        layers.append(Layer(Tensor(l.weight.data * rank_mean, requires_grad=True),
+                            [Tensor(bias, requires_grad=True)]))
+    return MLP(model.spec, layers)
 
 
 # -- checkpoint round trip -----------------------------------------------------
@@ -351,37 +269,34 @@ def _parse_values(text: str, shape: Sequence[int], name: str) -> np.ndarray:
     return vals.reshape(tuple(shape))
 
 
-def _tensor_map(model: MLP | BEMLP) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    if isinstance(model, MLP):
-        for i, l in enumerate(model.layers):
-            out[f"layer{i}.W"] = l.weight.data
-            out[f"layer{i}.b"] = l.bias.data
-    else:
-        for i, l in enumerate(model.layers):
-            out[f"layer{i}.shared"] = l.shared.data
-            for m in range(l.members):
-                out[f"layer{i}.r{m}"] = l.r[m].data
-                out[f"layer{i}.s{m}"] = l.s[m].data
-                out[f"layer{i}.b{m}"] = l.bias[m].data
-    return out
+def _tensor_names(i: int, factored: bool, members: int) -> tuple[str, list, list, list]:
+    """Format-v1 names of layer i's weight, biases, r and s factors."""
+    if not factored:
+        return f"layer{i}.W", [f"layer{i}.b"], [], []
+    return (f"layer{i}.shared", [f"layer{i}.b{m}" for m in range(members)],
+            [f"layer{i}.r{m}" for m in range(members)],
+            [f"layer{i}.s{m}" for m in range(members)])
 
 
-def checkpoint_save(model: MLP | BEMLP, path: str | Path) -> None:
+def checkpoint_save(model: MLP, path: str | Path) -> None:
     """Serialize to deterministic JSON; values carry 17 significant digits."""
+    tensors = {}
+    for i, l in enumerate(model.layers):
+        w, b, r, s = _tensor_names(i, model.factored, len(model))
+        for name, t in zip([w, *b, *r, *s], [l.weight, *l.bias, *l.r, *l.s]):
+            tensors[name] = {"shape": list(t.shape), "values": _fmt_values(t.data)}
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "kind": model.kind,
-        "M": model.spec.members,
+        "kind": BATCH_ENSEMBLE if model.factored else PLAIN,
+        "M": len(model) if model.factored else None,
         "head": model.head,
         "spec": model.spec.to_dict(),
-        "tensors": {name: {"shape": list(arr.shape), "values": _fmt_values(arr)}
-                    for name, arr in _tensor_map(model).items()},
+        "tensors": tensors,
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) -> MLP | BEMLP:
+def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) -> MLP:
     p = Path(path)
     if not p.exists():
         raise CheckpointError(f"checkpoint not found: {p}")
@@ -391,12 +306,16 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
         raise CheckpointError(f"unparseable checkpoint {p}: {e}") from e
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')}")
-    sd = doc["spec"]
     kind = doc["kind"]
-    members = doc.get("M")
+    if kind not in (PLAIN, BATCH_ENSEMBLE):
+        raise CheckpointError(f"unknown model kind '{kind}'")
+    factored = kind == BATCH_ENSEMBLE
+    members = doc.get("M") if factored else 1
+    if not isinstance(members, int) or members < 1:
+        raise CheckpointError(f"factored checkpoint needs M >= 1, got {members!r}")
+    sd = doc["spec"]
     spec = ModelSpec(int(sd["in_dim"]), int(sd["num_classes"]),
-                     tuple(sd["hidden"]), sd["activation"], kind,
-                     int(members) if members is not None else None)
+                     tuple(sd["hidden"]), sd["activation"])
     if expected_spec is not None:
         if spec.num_classes != expected_spec.num_classes:
             raise CheckpointError(
@@ -415,16 +334,9 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
             raise CheckpointError(f"tensor '{name}' shape {arr.shape} != expected {shape}")
         return Tensor(arr, requires_grad=True)
 
-    widths = spec.widths
-    if kind == PLAIN:
-        layers_p = [DenseLayer(load(f"layer{i}.W", (o, i_)), load(f"layer{i}.b", (o,)))
-                    for i, (i_, o) in enumerate(zip(widths[:-1], widths[1:]))]
-        return MLP(spec, layers_p, head=doc.get("head", "softmax"))
-    layers_b = []
-    for i, (i_, o) in enumerate(zip(widths[:-1], widths[1:])):
-        shared = load(f"layer{i}.shared", (o, i_))
-        r = [load(f"layer{i}.r{m}", (o,)) for m in range(spec.members)]  # type: ignore[arg-type]
-        s = [load(f"layer{i}.s{m}", (i_,)) for m in range(spec.members)]  # type: ignore[arg-type]
-        b = [load(f"layer{i}.b{m}", (o,)) for m in range(spec.members)]  # type: ignore[arg-type]
-        layers_b.append(BEDenseLayer(shared, r, s, b))
-    return BEMLP(spec, layers_b)
+    layers = []
+    for i, (fan_in, fan_out) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):
+        w, b, r, s = _tensor_names(i, factored, members)
+        layers.append(Layer(load(w, (fan_out, fan_in)), [load(n, (fan_out,)) for n in b],
+                            [load(n, (fan_out,)) for n in r], [load(n, (fan_in,)) for n in s]))
+    return MLP(spec, layers, head=doc.get("head", "softmax"))

@@ -154,7 +154,7 @@ def train_teachers(spec: ModelSpec, data, m: int,
     teachers = []
     for i in range(m):
         sub = replace(config, seed=config.seed + i)
-        model = build_plain(spec.as_plain(), rng_stream(sub.seed, "init"))
+        model = build_plain(spec, rng_stream(sub.seed, "init"))
         train_classifier(model, data, sub)
         teachers.append(model)
     return teachers

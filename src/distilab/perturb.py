@@ -5,6 +5,9 @@ gamma (rows with a vanishing gradient stay at zero). The pair-based kinds
 draw one ordered member pair per sample, shared between the teacher and
 student divergence terms, and block the gradient through the first KL
 argument so that only the second distribution steers the input gradient.
+
+An ensemble is anything with ``len()`` and ``[m]`` returning one-member nets:
+a list of teachers or a factored student.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .metrics import pairwise_divergence_values, softmax_np
-from .nets import BEMLP, MLP
+from .metrics import member_probs, pairwise_divergence_values, softmax_np
+from .nets import MLP
 
 DEGENERATE_NORM = 1e-12
 KINDS = ("none", "gaussian", "ods", "conf_ods", "tdiv", "tdiv_sdiv")
@@ -143,22 +146,17 @@ def div_estimate(model_i: Callable[[Tensor], Tensor],
     return ad.sum(ad.mul(pi, ad.sub(log_pi, log_pj)), axis=-1)
 
 
-def _member_fns(ensemble) -> list[Callable[[Tensor], Tensor]]:
-    if isinstance(ensemble, BEMLP):
-        return [ensemble.member_fn(m) for m in range(ensemble.members)]
-    return [model.forward for model in ensemble]
-
-
-def _masked_pair_gap(fns_t, fns_s, x: Tensor, pairs: np.ndarray,
+def _masked_pair_gap(teachers, student, x: Tensor, pairs: np.ndarray,
                      tau: float, stop_first: bool) -> Tensor:
     """sum_b [KL_T(i_b, j_b) - KL_S(i_b, j_b)] with the pair draw shared
     between the teacher and student terms of each sample."""
     total: Tensor | None = None
     for i, j in sorted({(int(a), int(b)) for a, b in pairs}):
         mask = Tensor(((pairs[:, 0] == i) & (pairs[:, 1] == j)).astype(np.float64))
-        gap = div_estimate(fns_t[i], fns_t[j], x, tau, stop_first=stop_first)
-        if fns_s is not None:
-            gap = ad.sub(gap, div_estimate(fns_s[i], fns_s[j], x, tau,
+        gap = div_estimate(teachers[i].forward, teachers[j].forward, x, tau,
+                           stop_first=stop_first)
+        if student is not None:
+            gap = ad.sub(gap, div_estimate(student[i].forward, student[j].forward, x, tau,
                                            stop_first=stop_first))
         masked = ad.sum(ad.mul(mask, gap))
         total = masked if total is None else ad.add(total, masked)
@@ -182,11 +180,11 @@ def tdiv_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: floa
     if pairs is None:
         pairs = draw_pairs(rng, len(teachers), len(x))
     xt = Tensor(x, requires_grad=True)
-    _masked_pair_gap(_member_fns(teachers), None, xt, pairs, tau, stop_first).backward()
+    _masked_pair_gap(teachers, None, xt, pairs, tau, stop_first).backward()
     return Perturbation(_normalize_rows(xt.grad, gamma), "tdiv", gamma, pairs=pairs)
 
 
-def tdiv_sdiv_perturb(teachers: Sequence[MLP], student: BEMLP, x: np.ndarray,
+def tdiv_sdiv_perturb(teachers: Sequence[MLP], student: MLP, x: np.ndarray,
                       tau: float, gamma: float, rng: np.random.Generator,
                       pairs: np.ndarray | None = None,
                       stop_first: bool = False) -> Perturbation:
@@ -200,47 +198,39 @@ def tdiv_sdiv_perturb(teachers: Sequence[MLP], student: BEMLP, x: np.ndarray,
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    if len(teachers) < 2 or student.members < 2:
+    if len(teachers) < 2 or len(student) < 2:
         raise ValueError("diversity gap needs at least two members on both sides")
-    if len(teachers) != student.members:
+    if len(teachers) != len(student):
         raise ValueError("teacher count and student member count must match")
     if pairs is None:
         pairs = draw_pairs(rng, len(teachers), len(x))
     xt = Tensor(x, requires_grad=True)
-    _masked_pair_gap(_member_fns(teachers), _member_fns(student), xt, pairs, tau,
-                     stop_first).backward()
+    _masked_pair_gap(teachers, student, xt, pairs, tau, stop_first).backward()
     return Perturbation(_normalize_rows(xt.grad, gamma), "tdiv_sdiv", gamma, pairs=pairs)
 
 
-def pair_gap_values(teachers: Sequence[MLP], student: BEMLP | None, x: np.ndarray,
+def pair_gap_values(teachers: Sequence[MLP], student: MLP | None, x: np.ndarray,
                     pairs: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """Values (no gradients) of the per-sample stochastic diversity gap."""
-    logs_t = np.stack([np.log(softmax_np(t.predict_logits(x), tau)) for t in teachers])
-    out = np.einsum("bk,bk->b", np.exp(logs_t[pairs[:, 0], np.arange(len(x))]),
-                    logs_t[pairs[:, 0], np.arange(len(x))]
-                    - logs_t[pairs[:, 1], np.arange(len(x))])
-    if student is not None:
-        logs_s = np.log(softmax_np(student.predict_all_member_logits(x), tau))
-        out = out - np.einsum("bk,bk->b", np.exp(logs_s[pairs[:, 0], np.arange(len(x))]),
-                              logs_s[pairs[:, 0], np.arange(len(x))]
-                              - logs_s[pairs[:, 1], np.arange(len(x))])
-    return out
+    rows = np.arange(len(x))
 
+    def pair_kl(ensemble) -> np.ndarray:
+        logs = np.log(member_probs(ensemble, x, tau))
+        log_i, log_j = logs[pairs[:, 0], rows], logs[pairs[:, 1], rows]
+        return np.einsum("bk,bk->b", np.exp(log_i), log_i - log_j)
 
-def _ensemble_probs(models, x: np.ndarray) -> np.ndarray:
-    if isinstance(models, BEMLP):
-        return softmax_np(models.predict_all_member_logits(x))
-    return np.stack([softmax_np(m.predict_logits(x)) for m in models])
+    out = pair_kl(teachers)
+    return out if student is None else out - pair_kl(student)
 
 
 def diversity_shift_values(teachers, students, x: np.ndarray,
                            eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample change of the full pairwise diversity under x -> x + eps."""
     x_new = x + eps
-    d_t = (pairwise_divergence_values(_ensemble_probs(teachers, x_new))
-           - pairwise_divergence_values(_ensemble_probs(teachers, x)))
-    d_s = (pairwise_divergence_values(_ensemble_probs(students, x_new))
-           - pairwise_divergence_values(_ensemble_probs(students, x)))
+    d_t = (pairwise_divergence_values(member_probs(teachers, x_new))
+           - pairwise_divergence_values(member_probs(teachers, x)))
+    d_s = (pairwise_divergence_values(member_probs(students, x_new))
+           - pairwise_divergence_values(member_probs(students, x)))
     return d_t, d_s
 
 
@@ -255,7 +245,7 @@ def diversity_shift(teachers, students, x: np.ndarray,
     return float(d_t.mean()), float(d_s.mean())
 
 
-def build_perturbation(kind: str, teachers: Sequence[MLP], student: BEMLP | None,
+def build_perturbation(kind: str, teachers: Sequence[MLP], student: MLP | None,
                        x: np.ndarray, gamma: float, tau: float,
                        noise_rng: np.random.Generator,
                        index_rng: np.random.Generator) -> Perturbation:

@@ -1,7 +1,8 @@
 """Loss-landscape analysis along the line through two subnetwork parameters.
 
-For a two-member factored student the line is
-theta_t = (1-t) (shared ∘ r1 s1^T) + t (shared ∘ r2 s2^T), biases likewise.
+For a two-member ensemble (a factored student or a list of two nets) the
+line is theta_t = (1-t) theta_1 + t theta_2 over the members' effective
+weights, e.g. (1-t) (shared ∘ r1 s1^T) + t (shared ∘ r2 s2^T), biases likewise.
 The scan reports train/test error and test NLL over a t grid and the train
 loss barrier: the worst excess of the interpolated train cross-entropy over
 the endpoint losses, floored at zero. Cross-entropy to labels stands in for
@@ -16,9 +17,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data import Dataset
-from .metrics import (accuracy, batched_logits, nll_with_stats,
-                      pairwise_divergence_values, softmax_np)
-from .nets import BEDenseLayer, BEMLP, DenseLayer, MLP, ModelSpec, average_rank_one
+from .metrics import accuracy, batched_logits, diversity, nll_with_stats, softmax_np
+from .nets import Layer, MLP, average_rank_one
 
 
 def default_grid() -> np.ndarray:
@@ -45,23 +45,21 @@ class LineScan:
     barrier: float
 
 
-def _require_two_members(model: BEMLP) -> None:
-    if not isinstance(model, BEMLP) or model.members != 2:
-        raise ValueError("line analysis requires a factored student with M=2")
+def _require_two_members(model) -> None:
+    if len(model) != 2:
+        raise ValueError(f"line analysis requires exactly two members, got {len(model)}")
 
 
-def interpolate(model: BEMLP, t: float) -> MLP:
+def interpolate(model, t: float) -> MLP:
     """Plain network at position t on the member-1 / member-2 line."""
     _require_two_members(model)
+    first, second = model[0], model[1]
     layers = []
-    for l in model.layers:
-        w0 = l.shared.data * np.outer(l.r[0].data, l.s[0].data)
-        w1 = l.shared.data * np.outer(l.r[1].data, l.s[1].data)
-        w = (1.0 - t) * w0 + t * w1
-        b = (1.0 - t) * l.bias[0].data + t * l.bias[1].data
-        layers.append(DenseLayer(Tensor(w, requires_grad=True),
-                                 Tensor(b, requires_grad=True)))
-    return MLP(model.spec.as_plain(), layers)
+    for l0, l1 in zip(first.layers, second.layers):
+        w = (1.0 - t) * l0.effective_weight_data() + t * l1.effective_weight_data()
+        b = (1.0 - t) * l0.bias[0].data + t * l1.bias[0].data
+        layers.append(Layer(Tensor(w, requires_grad=True), [Tensor(b, requires_grad=True)]))
+    return MLP(first.spec, layers)
 
 
 def _eval_point(net: MLP, train: Dataset, test: Dataset) -> tuple[float, float, float, float]:
@@ -74,7 +72,7 @@ def _eval_point(net: MLP, train: Dataset, test: Dataset) -> tuple[float, float, 
     return train_err, test_err, test_nll_mean, train_loss
 
 
-def line_scan(model: BEMLP, train: Dataset, test: Dataset,
+def line_scan(model, train: Dataset, test: Dataset,
               grid: np.ndarray | None = None) -> LineScan:
     """Evaluate the member line on a t grid and quantify the train barrier."""
     _require_two_members(model)
@@ -94,33 +92,22 @@ def line_scan(model: BEMLP, train: Dataset, test: Dataset,
                     test_nll=arr[:, 2], train_loss=train_loss, barrier=barrier)
 
 
-def pairwise_barriers(model: BEMLP, train: Dataset, test: Dataset) -> dict:
+def pairwise_barriers(model: MLP, train: Dataset, test: Dataset) -> dict:
     """Barriers of every member pair for M > 2; reports the max.
 
     This extends the two-member line picture to all M(M-1)/2 pairs and is
     labeled as such in the returned record.
     """
-    members = model.members
+    members = len(model)
     out: dict = {"pairs": {}, "note": "max over member-pair barriers (M>2 extension)"}
     worst = 0.0
     for i in range(members):
         for j in range(i + 1, members):
-            pair = _member_pair_view(model, i, j)
-            b = line_scan(pair, train, test).barrier
+            b = line_scan([model[i], model[j]], train, test).barrier
             out["pairs"][f"{i}-{j}"] = b
             worst = max(worst, b)
     out["max_barrier"] = worst
     return out
-
-
-def _member_pair_view(model: BEMLP, i: int, j: int) -> BEMLP:
-    spec = ModelSpec(model.spec.in_dim, model.spec.num_classes, model.spec.hidden,
-                     model.spec.activation, "batch_ensemble", 2)
-    layers = []
-    for l in model.layers:
-        layers.append(BEDenseLayer(l.shared, [l.r[i], l.r[j]], [l.s[i], l.s[j]],
-                                   [l.bias[i], l.bias[j]]))
-    return BEMLP(spec, layers)
 
 
 @dataclass
@@ -136,20 +123,16 @@ class EndpointTrace:
     every: int
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
 
-    def hook(self, step: int, student: BEMLP) -> None:
+    def hook(self, step: int, student: MLP) -> None:
         if step % self.every != 0:
             return
         self.record(step, student)
 
-    def record(self, step: int, student: BEMLP) -> None:
-        div_train = _member_diversity(student, self.train.x)
-        div_test = _member_diversity(student, self.test.x)
+    def record(self, step: int, student: MLP) -> None:
+        div_train = diversity(student, self.train.x)
+        div_test = diversity(student, self.test.x)
         averaged = average_rank_one(student)
         probs = softmax_np(batched_logits(averaged, self.test.x))
         avg_nll = nll_with_stats(probs, self.test.y)[1]
         self.rows.append((step, div_train, div_test, avg_nll))
 
-
-def _member_diversity(student: BEMLP, x: np.ndarray) -> float:
-    probs = softmax_np(student.predict_all_member_logits(x))
-    return float(pairwise_divergence_values(probs).mean())

@@ -13,7 +13,7 @@ import pytest
 
 from distilab.data import Dataset, make_mixture
 from distilab.distill import DistillConfig, distill_be, distill_latentbe
-from distilab.nets import BEMLP, MLP, ModelSpec, build_be
+from distilab.nets import MLP, ModelSpec, build_be
 from distilab.optim import OptimConfig, steps_per_epoch, train_teachers
 from distilab.seeding import rng_stream
 
@@ -50,12 +50,12 @@ def tiny_teachers(tiny_task, tiny_spec, tiny_optim):
 @dataclass
 class SeedRun:
     teachers: list[MLP]
-    be_student: BEMLP
+    be_student: MLP
     latent_avg_none: MLP
-    latent_be_none: BEMLP
+    latent_be_none: MLP
     latent_avg_tdiv: MLP
-    latent_be_tdiv: BEMLP
-    mid_snapshot: BEMLP
+    latent_be_tdiv: MLP
+    mid_snapshot: MLP
 
 
 @dataclass

@@ -18,11 +18,11 @@ from distilab.data import corrupt, load_csv, make_ood, save_csv
 from distilab.distill import (DistillConfig, ProxyDirichlet, aekd_weights,
                               dirichlet_kl_np, distill_be, distill_latentbe,
                               proxy_dirichlet_target, proxy_end2_loss)
-from distilab.metrics import (accuracy, diversity_from_probs, ece, entropy_values,
+from distilab.metrics import (accuracy, diversity, diversity_from_probs, ece, entropy_values,
                               fit_temperature, nll, nll_with_stats,
                               pairwise_divergence_values, softmax_np)
 from distilab.nets import (ModelSpec, build_be, build_plain, checkpoint_load,
-                           checkpoint_save, materialize_member)
+                           checkpoint_save)
 from distilab.optim import OptimConfig, train_teachers
 from distilab.perturb import (default_gamma, diversity_shift, gaussian_perturb,
                               pair_gap_values, tdiv_sdiv_perturb)
@@ -204,7 +204,7 @@ def test_criterion_4_algorithm_reductions(tiny_task, tiny_teachers, tiny_spec):
     be = build_be(tiny_spec, rng_stream(4, "init"), "ones", members=2)
     distill_be(tiny_teachers, be, train, cfg)
     bit_identical = all(
-        la.shared.data.tobytes() == lb.shared.data.tobytes()
+        la.weight.data.tobytes() == lb.weight.data.tobytes()
         and all(la.r[m].data.tobytes() == lb.r[m].data.tobytes() for m in range(2))
         and all(la.s[m].data.tobytes() == lb.s[m].data.tobytes() for m in range(2))
         and all(la.bias[m].data.tobytes() == lb.bias[m].data.tobytes() for m in range(2))
@@ -282,7 +282,7 @@ def test_criterion_7_averaging_soundness(bundle):
         def mean_nll(model):
             probs = softmax_np(model.predict_logits(bundle.test.x))
             return nll_with_stats(probs, bundle.test.y)[1]
-        endpoints = min(mean_nll(materialize_member(run.latent_be_none, m))
+        endpoints = min(mean_nll(run.latent_be_none[m])
                         for m in range(2))
         gap = mean_nll(run.latent_avg_none) - endpoints
         worst_gap = max(worst_gap, gap)
@@ -323,10 +323,8 @@ def test_criterion_9_diversity_transfer(bundle):
     div_gap, div_none, nll_gap, nll_none = [], [], [], []
     for seed in SEEDS:
         run = bundle.runs[seed]
-        div_gap.append(pairwise_divergence_values(
-            softmax_np(run.latent_be_tdiv.predict_all_member_logits(bundle.train.x))).mean())
-        div_none.append(pairwise_divergence_values(
-            softmax_np(run.latent_be_none.predict_all_member_logits(bundle.train.x))).mean())
+        div_gap.append(diversity(run.latent_be_tdiv, bundle.train.x))
+        div_none.append(diversity(run.latent_be_none, bundle.train.x))
         def mean_nll(model):
             probs = softmax_np(model.predict_logits(bundle.test.x))
             return nll_with_stats(probs, bundle.test.y)[1]
@@ -447,8 +445,6 @@ class TestSupportingEmpirics:
         gap, none = [], []
         for seed in SEEDS:
             run = bundle.runs[seed]
-            gap.append(pairwise_divergence_values(softmax_np(
-                run.latent_be_tdiv.predict_all_member_logits(bundle.train.x))).mean())
-            none.append(pairwise_divergence_values(softmax_np(
-                run.latent_be_none.predict_all_member_logits(bundle.train.x))).mean())
+            gap.append(diversity(run.latent_be_tdiv, bundle.train.x))
+            none.append(diversity(run.latent_be_none, bundle.train.x))
         assert np.mean(gap) > np.mean(none)

@@ -2,10 +2,16 @@
 reruns, and the cross-command averaging equivalence."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import distilab
+from distilab import cli
+from distilab.autodiff import DomainError
 from distilab.cli import METRIC_COLUMNS, main
 
 TINY = {
@@ -34,6 +40,12 @@ def write_config(tmp_path, **overrides):
 def write_data_spec(tmp_path):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(TINY["data"]))
+    return path
+
+
+def write_csv_spec(tmp_path):
+    path = tmp_path / "csv.json"
+    path.write_text(json.dumps({"kind": "csv", "path": str(tmp_path / "test.csv")}))
     return path
 
 
@@ -198,19 +210,30 @@ class TestEvaluate:
                      "--out", str(out)]) == 0
         assert out.read_bytes() == first
 
-    def test_thread_cap_does_not_change_results(self, trained, tmp_path,
-                                                monkeypatch):
-        _, teachers = trained
-        data = write_data_spec(tmp_path)
-        model = str(teachers / "seed0" / "teacher0.json")
-        out1 = tmp_path / "serial.csv"
-        assert main(["evaluate", "--model", model, "--data", str(data),
-                     "--out", str(out1)]) == 0
-        monkeypatch.setenv("DISTILAB_THREADS", "4")
-        out4 = tmp_path / "threaded.csv"
-        assert main(["evaluate", "--model", model, "--data", str(data),
-                     "--out", str(out4)]) == 0
-        assert out1.read_bytes() == out4.read_bytes()
+
+
+class TestDeterminism:
+    def test_checkpoints_identical_at_any_blas_thread_count(self, tmp_path):
+        cfg = write_config(tmp_path, optim={"epochs": 3, "warmup_epochs": 1,
+                                            "batch_size": 32},
+                           distill={"num_teachers": 2, "perturbation": "tdiv_sdiv"})
+        src = str(Path(distilab.__file__).resolve().parent.parent)
+        runs = []
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads}"
+            for argv in (["train-teachers", "--config", str(cfg), "--out", str(out / "t")],
+                         ["distill", "--config", str(cfg), "--teachers", str(out / "t"),
+                          "--out", str(out / "s")]):
+                subprocess.run([sys.executable, "-m", "distilab.cli", *argv], env=env,
+                               check=True, capture_output=True, timeout=300)
+            runs.append({str(f.relative_to(out)): f.read_bytes()
+                         for f in sorted(out.rglob("*.json"))})
+        assert "s/seed0/student_be.json" in runs[0] and "t/seed0/teacher1.json" in runs[0]
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestExitCodes:
@@ -221,6 +244,14 @@ class TestExitCodes:
         out = tmp_path / "boom"
         assert main(["train-teachers", "--config", str(cfg),
                      "--out", str(out)]) == 3
+
+    def test_domain_error_exits_3(self, tmp_path, monkeypatch):
+        def fails(args):
+            raise DomainError("digamma undefined at non-positive integers")
+
+        monkeypatch.setattr(cli, "cmd_average", fails)
+        assert main(["average", "--model", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "a.json")]) == 3
 
 
 class TestLineScan:
@@ -243,6 +274,16 @@ class TestLineScan:
         data = write_data_spec(tmp_path)
         assert main(["line-scan", "--model", str(teachers / "seed0" / "teacher0.json"),
                      "--data", str(data), "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_csv_data_spec_exits_2(self, trained, tmp_path, capsys):
+        cfg, teachers = trained
+        out_l = tmp_path / "latent"
+        main(["distill", "--config", str(cfg), "--teachers", str(teachers),
+              "--out", str(out_l)])
+        assert main(["line-scan", "--model", str(out_l / "seed0" / "student_be.json"),
+                     "--data", str(write_csv_spec(tmp_path)),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert "mixture" in capsys.readouterr().err
 
 
 class TestPerturbDiag:
@@ -278,6 +319,14 @@ class TestPerturbDiag:
                      "--student", str(out_l / "seed0" / "student_be.json"),
                      "--data", str(data), "--kind", "warp",
                      "--out", str(tmp_path / "d.csv")]) == 2
+
+    def test_csv_data_spec_exits_2(self, trained, tmp_path, capsys):
+        _, teachers = trained
+        assert main(["perturb-diag", "--teachers", str(teachers),
+                     "--student", str(teachers / "seed0" / "teacher0.json"),
+                     "--data", str(write_csv_spec(tmp_path)), "--kind", "gaussian",
+                     "--out", str(tmp_path / "d.csv")]) == 2
+        assert "mixture" in capsys.readouterr().err
 
     def test_tdiv_sdiv_requires_factored_student(self, trained, tmp_path):
         _, teachers = trained

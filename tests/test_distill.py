@@ -146,7 +146,7 @@ def hand_one_to_one_step(x, teacher_probs, layers, tau, lr):
 
 class TestOneToOne:
     def _toy(self, m_count=2):
-        spec = ModelSpec(2, 2, (2,), kind="batch_ensemble", members=m_count)
+        spec = ModelSpec(2, 2, (2,))
         student = build_be(spec, rng_stream(42, "init"), "ones", members=m_count)
         rng = np.random.default_rng(3)
         for l in student.layers:
@@ -163,7 +163,7 @@ class TestOneToOne:
         tau, lr = 2.0, 0.25
         t_probs = [np.tile([0.8, 0.2], (2, 1)), np.tile([0.35, 0.65], (2, 1))]
         teachers = [stub_teacher([0.8, 0.2], tau), stub_teacher([0.35, 0.65], tau)]
-        layers = [(l.shared.data.copy(), [r.data.copy() for r in l.r],
+        layers = [(l.weight.data.copy(), [r.data.copy() for r in l.r],
                    [s.data.copy() for s in l.s], [b.data.copy() for b in l.bias])
                   for l in student.layers]
         expected = hand_one_to_one_step(
@@ -176,8 +176,8 @@ class TestOneToOne:
                                               warmup_epochs=0, batch_size=4, seed=0))
         distill_be(teachers, student, train, cfg)
         got0, got1 = student.layers
-        np.testing.assert_allclose(got0.shared.data, expected["w0"], atol=1e-10)
-        np.testing.assert_allclose(got1.shared.data, expected["w1"], atol=1e-10)
+        np.testing.assert_allclose(got0.weight.data, expected["w0"], atol=1e-10)
+        np.testing.assert_allclose(got1.weight.data, expected["w1"], atol=1e-10)
         for m in range(2):
             np.testing.assert_allclose(got0.r[m].data, expected[f"r0_{m}"], atol=1e-10)
             np.testing.assert_allclose(got0.s[m].data, expected[f"s0_{m}"], atol=1e-10)
@@ -188,7 +188,7 @@ class TestOneToOne:
 
     def test_member_count_mismatch_rejected(self, tiny_task, tiny_teachers):
         train, _, _ = tiny_task
-        spec = ModelSpec(2, 3, (16, 16), kind="batch_ensemble", members=3)
+        spec = ModelSpec(2, 3, (16, 16))
         student = build_be(spec, rng_stream(0, "init"), "ones", members=3)
         cfg = DistillConfig(num_teachers=2, optim=OptimConfig(epochs=1, warmup_epochs=0))
         with pytest.raises(ValueError, match="members"):
@@ -200,13 +200,13 @@ class TestOneToOne:
         x = np.array([[0.4, -0.2]])
         tau = 3.0
         teacher = stub_teacher([0.3, 0.7], tau)
-        log_p = ad.log_softmax_temp(student.forward_member(0, Tensor(x)), tau)
+        log_p = ad.log_softmax_temp(student[0].forward(Tensor(x)), tau)
         member_loss = ad.scale(ad.sum(ad.mul(Tensor(np.tile([0.3, 0.7], (1, 1))),
                                              log_p)), -tau * tau)
         cfg = DistillConfig(tau=tau, alpha=1.0, num_teachers=1,
                             optim=OptimConfig(epochs=2, warmup_epochs=1))
-        from distilab.nets import materialize_member
-        plain = materialize_member(student, 0)
+        from distilab.nets import average_rank_one
+        plain = average_rank_one(student)  # a one-member average is that member
         kd = kd_loss([teacher], plain.forward(Tensor(x)), x,
                      one_hot(np.array([0]), 2), cfg)
         assert member_loss.item() == pytest.approx(kd.item(), rel=1e-12)
@@ -223,7 +223,7 @@ class TestLatentBE:
         be_student = build_be(tiny_spec, rng_stream(3, "init"), "ones", members=2)
         distill_be(tiny_teachers, be_student, train, cfg)
         for la, lb in zip(latent_student.layers, be_student.layers):
-            assert la.shared.data.tobytes() == lb.shared.data.tobytes()
+            assert la.weight.data.tobytes() == lb.weight.data.tobytes()
             for m in range(2):
                 assert la.r[m].data.tobytes() == lb.r[m].data.tobytes()
                 assert la.s[m].data.tobytes() == lb.s[m].data.tobytes()
@@ -255,17 +255,18 @@ class TestLatentBE:
         _, s_none = distill_latentbe(tiny_teachers, tiny_spec, train, cfg_none)
         _, s_zero = distill_latentbe(tiny_teachers, tiny_spec, train, cfg_zero)
         for la, lb in zip(s_none.layers, s_zero.layers):
-            assert la.shared.data.tobytes() == lb.shared.data.tobytes()
+            assert la.weight.data.tobytes() == lb.weight.data.tobytes()
 
     def test_returns_average_and_factored_student(self, tiny_task, tiny_teachers,
                                                   tiny_spec):
-        from distilab.nets import BEMLP, MLP, average_rank_one
+        from distilab.nets import average_rank_one
         train, _, _ = tiny_task
         cfg = DistillConfig(num_teachers=2,
                             optim=OptimConfig(epochs=2, warmup_epochs=1,
                                               batch_size=32, seed=0))
         averaged, student = distill_latentbe(tiny_teachers, tiny_spec, train, cfg)
-        assert isinstance(averaged, MLP) and isinstance(student, BEMLP)
+        assert (len(averaged), averaged.factored) == (1, False)
+        assert (len(student), student.factored) == (2, True)
         rebuilt = average_rank_one(student)
         x = train.x[:8]
         np.testing.assert_array_equal(averaged.predict_logits(x),

@@ -1,17 +1,21 @@
-"""Plain and factored MLPs: forward semantics, member isolation, rank-one
-averaging against a per-element loop oracle, and checkpoint round trips."""
+"""Plain and factored MLPs: forward semantics, member views and isolation,
+rank-one averaging against a per-element loop oracle, checkpoint round trips
+and committed format-v1 files."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import distilab.autodiff as ad
 from distilab.autodiff import Tensor
-from distilab.nets import (BATCH_ENSEMBLE, BEMLP, CheckpointError, DenseLayer,
-                           MLP, ModelSpec, average_rank_one, build_be,
-                           build_plain, checkpoint_load, checkpoint_save,
-                           materialize_member)
+from distilab.nets import (CheckpointError, Layer, MLP, ModelSpec, average_rank_one,
+                           build_be, build_plain, checkpoint_load, checkpoint_save)
 from distilab.seeding import rng_stream
 from test_autodiff import check_grad
+
+DATA = Path(__file__).parent / "data"
 
 
 def _spec(hidden=(16,)):
@@ -27,7 +31,7 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(2, 3, ())
         with pytest.raises(ValueError):
-            ModelSpec(2, 3, (8,), kind=BATCH_ENSEMBLE)  # members missing
+            build_be(ModelSpec(2, 3, (8,)), rng_stream(0, "init"), members=0)
 
 
 class TestForwardPlain:
@@ -35,7 +39,7 @@ class TestForwardPlain:
         model = build_plain(_spec(), rng_stream(0, "init"))
         for layer in model.layers:
             layer.weight.data[:] = 0.0
-            layer.bias.data[:] = 0.0
+            layer.bias[0].data[:] = 0.0
         out = model.forward(Tensor(np.ones((4, 2))))
         assert np.array_equal(out.data, np.zeros((4, 3)))
 
@@ -45,11 +49,11 @@ class TestForwardPlain:
         rng = np.random.default_rng(0)
         model = build_plain(ModelSpec(3, 2, (3,)), rng_stream(1, "init"))
         model.layers[0].weight.data[:] = np.eye(3)
-        model.layers[0].bias.data[:] = 10.0  # keep relu inactive region away
+        model.layers[0].bias[0].data[:] = 10.0  # keep relu inactive region away
         w = rng.normal(size=(2, 3))
         b = rng.normal(size=2)
         model.layers[1].weight.data[:] = w
-        model.layers[1].bias.data[:] = b
+        model.layers[1].bias[0].data[:] = b
         x = np.abs(rng.normal(size=(5, 3)))
         expected = (x + 10.0) @ w.T + b
         np.testing.assert_allclose(model.forward(Tensor(x)).data, expected, atol=1e-12)
@@ -79,13 +83,13 @@ class TestForwardMember:
     def test_ones_factors_match_shared_network(self):
         spec = _spec()
         be = build_be(spec, rng_stream(3, "init"), "ones", members=3)
-        plain = MLP(spec.as_plain(), [DenseLayer(Tensor(l.shared.data, requires_grad=True),
-                                                 Tensor(l.bias[0].data, requires_grad=True))
-                                      for l in be.layers])
+        plain = MLP(spec, [Layer(Tensor(l.weight.data, requires_grad=True),
+                                 [Tensor(l.bias[0].data, requires_grad=True)])
+                           for l in be.layers])
         x = np.random.default_rng(5).normal(size=(6, 2))
         ref = plain.predict_logits(x)
         for m in range(3):
-            np.testing.assert_array_equal(be.predict_member_logits(m, x), ref)
+            np.testing.assert_array_equal(be[m].predict_logits(x), ref)
 
     def test_zero_r_leaves_only_biases(self):
         be = build_be(_spec(), rng_stream(4, "init"), "ones", members=2)
@@ -93,7 +97,7 @@ class TestForwardMember:
             l.r[0].data[:] = 0.0
             l.bias[0].data[:] = np.arange(l.bias[0].data.shape[0], dtype=float)
         x = np.random.default_rng(6).normal(size=(4, 2))
-        out = be.predict_member_logits(0, x)
+        out = be[0].predict_logits(x)
         # every row identical: input influence is annihilated
         assert np.ptp(out, axis=0).max() == 0.0
 
@@ -104,19 +108,41 @@ class TestForwardMember:
                 l.r[m].data[:] += np.random.default_rng(m).normal(size=l.r[m].data.shape) * 0.1
         x = np.random.default_rng(8).normal(size=(10, 2))
         for m in range(2):
-            direct = be.predict_member_logits(m, x)
-            materialized = materialize_member(be, m).predict_logits(x)
-            assert np.abs(direct - materialized).max() < 1e-12
+            direct = be[m].predict_logits(x)
+            materialized = MLP(be.spec, [
+                Layer(Tensor(l.weight.data * np.outer(l.r[m].data, l.s[m].data)),
+                      [Tensor(l.bias[m].data)]) for l in be.layers])
+            assert np.abs(direct - materialized.predict_logits(x)).max() < 1e-12
 
     def test_member_index_range(self):
         be = build_be(_spec(), rng_stream(9, "init"), "ones", members=2)
-        with pytest.raises(IndexError):
-            be.forward_member(2, Tensor(np.ones((1, 2))))
+        for m in (2, -1):
+            with pytest.raises(IndexError):
+                be[m]
+        assert len(list(be)) == 2
+
+    def test_member_views_share_parameter_tensors(self):
+        be = build_be(_spec(), rng_stream(9, "init"), "random_sign", members=3)
+        view = be[2]
+        assert len(view) == 1 and view.factored
+        for lv, lb in zip(view.layers, be.layers):
+            assert lv.weight is lb.weight
+            assert lv.r[0] is lb.r[2] and lv.s[0] is lb.s[2] and lv.bias[0] is lb.bias[2]
+        plain = build_plain(_spec(), rng_stream(9, "init"))
+        assert len(plain) == 1 and not plain.factored
+        assert plain[0].layers[0].weight is plain.layers[0].weight
+
+    def test_multi_member_net_has_no_single_forward(self):
+        be = build_be(_spec(), rng_stream(9, "init"), "ones", members=2)
+        with pytest.raises(ValueError):
+            be.forward(Tensor(np.ones((1, 2))))
+        with pytest.raises(ValueError):
+            be.predict_logits(np.ones((1, 2)))
 
     def test_member_isolation_in_backward(self):
         be = build_be(_spec(), rng_stream(10, "init"), "random_sign", members=3)
         x = Tensor(np.random.default_rng(11).normal(size=(5, 2)))
-        loss = ad.sum(be.forward_member(1, x))
+        loss = ad.sum(be[1].forward(x))
         loss.backward()
         for l in be.layers:
             for m in (0, 2):
@@ -129,15 +155,15 @@ class TestForwardMember:
         x_np = np.random.default_rng(13).normal(size=(4, 2))
         separate = []
         for m in range(2):
-            ad.sum(be.forward_member(m, Tensor(x_np))).backward()
-            separate.append([l.shared.grad.copy() for l in be.layers])
+            ad.sum(be[m].forward(Tensor(x_np))).backward()
+            separate.append([l.weight.grad.copy() for l in be.layers])
             for p in be.parameters():
                 p.zero_grad()
         x = Tensor(x_np)
-        total = ad.add(ad.sum(be.forward_member(0, x)), ad.sum(be.forward_member(1, x)))
+        total = ad.add(ad.sum(be[0].forward(x)), ad.sum(be[1].forward(x)))
         total.backward()
         for i, l in enumerate(be.layers):
-            np.testing.assert_allclose(l.shared.grad, separate[0][i] + separate[1][i],
+            np.testing.assert_allclose(l.weight.grad, separate[0][i] + separate[1][i],
                                        atol=1e-12)
 
 
@@ -153,13 +179,13 @@ class TestAverageRankOne:
                 l.s[m].data[:] = sv
         x = rng.normal(size=(5, 2))
         np.testing.assert_allclose(average_rank_one(be).predict_logits(x),
-                                   be.predict_member_logits(0, x), atol=1e-12)
+                                   be[0].predict_logits(x), atol=1e-12)
 
     def test_ones_init_average_is_shared_network(self):
         be = build_be(_spec(), rng_stream(16, "init"), "ones", members=3)
         avg = average_rank_one(be)
         for l_avg, l_be in zip(avg.layers, be.layers):
-            np.testing.assert_array_equal(l_avg.weight.data, l_be.shared.data)
+            np.testing.assert_array_equal(l_avg.weight.data, l_be.weight.data)
 
     def test_elementwise_loop_oracle(self):
         be = build_be(_spec((8,)), rng_stream(17, "init"), "random_sign", members=3)
@@ -170,21 +196,25 @@ class TestAverageRankOne:
                 l.s[m].data[:] += 0.3 * rng.normal(size=l.s[m].data.shape)
         avg = average_rank_one(be)
         for l_avg, l_be in zip(avg.layers, be.layers):
-            out_dim, in_dim = l_be.shared.data.shape
+            out_dim, in_dim = l_be.weight.data.shape
             expect = np.zeros((out_dim, in_dim))
             for i in range(out_dim):
                 for j in range(in_dim):
                     acc = 0.0
                     for m in range(3):
                         acc += l_be.r[m].data[i] * l_be.s[m].data[j]
-                    expect[i, j] = l_be.shared.data[i, j] * acc / 3
+                    expect[i, j] = l_be.weight.data[i, j] * acc / 3
             np.testing.assert_allclose(l_avg.weight.data, expect, atol=1e-15)
 
     def test_single_member_average_is_that_member(self):
         be = build_be(_spec(), rng_stream(19, "init"), "random_sign", members=1)
         x = np.random.default_rng(20).normal(size=(3, 2))
         np.testing.assert_allclose(average_rank_one(be).predict_logits(x),
-                                   be.predict_member_logits(0, x), atol=1e-14)
+                                   be[0].predict_logits(x), atol=1e-14)
+
+    def test_plain_net_is_rejected(self):
+        with pytest.raises(ValueError):
+            average_rank_one(build_plain(_spec(), rng_stream(19, "init")))
 
 
 class TestCheckpoints:
@@ -202,11 +232,11 @@ class TestCheckpoints:
         p1 = tmp_path / "a.json"
         checkpoint_save(model, p1)
         loaded = checkpoint_load(p1)
-        assert isinstance(loaded, BEMLP)
+        assert loaded.factored and len(loaded) == 2
         x = np.random.default_rng(23).normal(size=(4, 2))
         for m in range(2):
-            np.testing.assert_array_equal(loaded.predict_member_logits(m, x),
-                                          model.predict_member_logits(m, x))
+            np.testing.assert_array_equal(loaded[m].predict_logits(x),
+                                          model[m].predict_logits(x))
 
     def test_forward_identical_after_load(self, tmp_path):
         model = build_plain(_spec(), rng_stream(24, "init"))
@@ -241,3 +271,51 @@ class TestCheckpoints:
         path = tmp_path / "m.json"
         checkpoint_save(model, path)
         assert checkpoint_load(path).head == "dirichlet"
+
+
+def _json_member_forwards(doc: dict, x: np.ndarray) -> list[np.ndarray]:
+    """Logits of every member, computed straight from a checkpoint's JSON."""
+    def value(name):
+        rec = doc["tensors"][name]
+        return np.array([float(v) for v in rec["values"].split()]).reshape(rec["shape"])
+
+    n_layers = len(doc["spec"]["hidden"]) + 1
+    out = []
+    for m in range(doc["M"] or 1):
+        h = x
+        for i in range(n_layers):
+            if doc["kind"] == "plain":
+                w, b = value(f"layer{i}.W"), value(f"layer{i}.b")
+            else:
+                w = value(f"layer{i}.shared") * np.outer(value(f"layer{i}.r{m}"),
+                                                         value(f"layer{i}.s{m}"))
+                b = value(f"layer{i}.b{m}")
+            h = h @ w.T + b
+            if i < n_layers - 1:
+                h = np.maximum(h, 0.0)
+        out.append(h)
+    return out
+
+
+class TestFormatV1Files:
+    """Checkpoints written by an earlier version of the program keep loading,
+    predicting and re-saving byte for byte."""
+
+    @pytest.mark.parametrize("name, members, factored, head", [
+        ("v1_plain_teacher.json", 1, False, "softmax"),
+        ("v1_dirichlet_student.json", 1, False, "dirichlet"),
+        ("v1_factored_m2_student.json", 2, True, "softmax"),
+    ])
+    def test_load_predict_and_resave(self, tmp_path, name, members, factored, head):
+        path = DATA / name
+        model = checkpoint_load(path)
+        assert (len(model), model.factored, model.head) == (members, factored, head)
+        x = np.random.default_rng(29).normal(size=(7, model.spec.in_dim))
+        expected = _json_member_forwards(json.loads(path.read_text()), x)
+        assert len(expected) == members
+        for member, logits in zip(model, expected):
+            np.testing.assert_allclose(member.predict_logits(x), logits,
+                                       rtol=1e-13, atol=1e-13)
+        out = tmp_path / name
+        checkpoint_save(model, out)
+        assert out.read_bytes() == path.read_bytes()

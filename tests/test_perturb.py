@@ -33,7 +33,7 @@ def teachers():
 
 @pytest.fixture(scope="module")
 def student():
-    spec = ModelSpec(2, 3, (16,), kind="batch_ensemble", members=2)
+    spec = ModelSpec(2, 3, (16,))
     model = build_be(spec, rng_stream(9, "init"), "ones", members=2)
     rng = np.random.default_rng(10)
     for l in model.layers:
@@ -115,7 +115,7 @@ class TestConfOds:
         teacher = build_plain(spec, rng_stream(12, "init"))
         for l in teacher.layers:
             l.weight.data[:] = 0.0
-            l.bias.data[:] = 0.0
+            l.bias[0].data[:] = 0.0
         # zero network emits uniform probabilities; confidence = 1/K
         x = np.random.default_rng(13).normal(size=(5, 2))
         pert = conf_ods_perturb([teacher], x, 1.0, 0.4, rng_stream(14, "w"))
@@ -164,12 +164,9 @@ class TestDivEstimate:
     def test_pair_average_reproduces_full_diversity(self, teachers, student):
         # mean over all ordered pairs / (M(M-1)) equals the full measure
         x_np = np.random.default_rng(20).normal(size=(6, 2))
-        for models, probs in ((teachers,
-                               np.stack([softmax_np(t.predict_logits(x_np))
-                                         for t in teachers])),
-                              ([student.member_fn(0), student.member_fn(1)],
-                               softmax_np(student.predict_all_member_logits(x_np)))):
-            fns = [m.forward if hasattr(m, "forward") else m for m in models]
+        for models in (teachers, student):
+            probs = np.stack([softmax_np(m.predict_logits(x_np)) for m in models])
+            fns = [m.forward for m in models]
             total = np.zeros(len(x_np))
             m_count = len(fns)
             for i in range(m_count):
@@ -183,7 +180,7 @@ class TestDivEstimate:
 
 class TestPairPerturbations:
     def test_identical_ensembles_give_zero_step(self, teachers):
-        spec = ModelSpec(2, 3, (16,), kind="batch_ensemble", members=2)
+        spec = ModelSpec(2, 3, (16,))
         ones_student = build_be(spec, rng_stream(21, "init"), "ones", members=2)
         same_teachers = [teachers[0], teachers[0]]
         x = np.random.default_rng(22).normal(size=(6, 2))
@@ -199,13 +196,12 @@ class TestPairPerturbations:
         np.testing.assert_allclose(norms[moved], 0.25, atol=1e-12)
 
     def test_direction_parallel_to_recomputed_gradient(self, teachers, student):
-        from distilab.perturb import _masked_pair_gap, _member_fns
+        from distilab.perturb import _masked_pair_gap
         x_np = np.random.default_rng(26).normal(size=(20, 2))
         pert = tdiv_sdiv_perturb(teachers, student, x_np, 1.0, 0.1,
                                  rng_stream(27, "p"))
         xt = Tensor(x_np, requires_grad=True)
-        _masked_pair_gap(_member_fns(teachers), _member_fns(student), xt,
-                         pert.pairs, 1.0, False).backward()
+        _masked_pair_gap(teachers, student, xt, pert.pairs, 1.0, False).backward()
         g = xt.grad
         for b in range(len(x_np)):
             gn = np.linalg.norm(g[b])

@@ -6,7 +6,7 @@ import pytest
 
 from distilab.data import make_mixture
 from distilab.metrics import softmax_np
-from distilab.nets import ModelSpec, average_rank_one, build_be, materialize_member
+from distilab.nets import ModelSpec, average_rank_one, build_be
 from distilab.seeding import rng_stream
 from distilab.subspace import (EndpointTrace, default_grid, interpolate,
                                line_scan, pairwise_barriers)
@@ -14,7 +14,7 @@ from distilab.subspace import (EndpointTrace, default_grid, interpolate,
 
 @pytest.fixture(scope="module")
 def pair_student():
-    spec = ModelSpec(2, 3, (16,), kind="batch_ensemble", members=2)
+    spec = ModelSpec(2, 3, (16,))
     model = build_be(spec, rng_stream(1, "init"), "ones", members=2)
     rng = np.random.default_rng(2)
     for l in model.layers:
@@ -43,16 +43,16 @@ class TestInterpolate:
     def test_endpoints_are_members_exactly(self, pair_student):
         x = np.random.default_rng(3).normal(size=(7, 2))
         np.testing.assert_array_equal(interpolate(pair_student, 0.0).predict_logits(x),
-                                      materialize_member(pair_student, 0).predict_logits(x))
+                                      pair_student[0].predict_logits(x))
         np.testing.assert_array_equal(interpolate(pair_student, 1.0).predict_logits(x),
-                                      materialize_member(pair_student, 1).predict_logits(x))
+                                      pair_student[1].predict_logits(x))
 
     def test_midpoint_equals_rank_one_average(self, pair_student):
         mid = interpolate(pair_student, 0.5)
         avg = average_rank_one(pair_student)
         for la, lb in zip(mid.layers, avg.layers):
             assert np.abs(la.weight.data - lb.weight.data).max() < 1e-12
-            assert np.abs(la.bias.data - lb.bias.data).max() < 1e-12
+            assert np.abs(la.bias[0].data - lb.bias[0].data).max() < 1e-12
 
     def test_affine_in_t(self, pair_student):
         a, b = 0.15, 0.85
@@ -65,7 +65,7 @@ class TestInterpolate:
                                        atol=1e-15)
 
     def test_requires_two_members(self):
-        spec = ModelSpec(2, 3, (8,), kind="batch_ensemble", members=3)
+        spec = ModelSpec(2, 3, (8,))
         model = build_be(spec, rng_stream(4, "init"), "ones", members=3)
         with pytest.raises(ValueError):
             interpolate(model, 0.5)
@@ -76,7 +76,7 @@ class TestLineScan:
         # the interpolation arithmetic (1-t) W + t W rounds per grid point,
         # so "exactly zero" means zero up to last-ulp noise in the losses
         train, _, test = small_task
-        spec = ModelSpec(2, 3, (16,), kind="batch_ensemble", members=2)
+        spec = ModelSpec(2, 3, (16,))
         model = build_be(spec, rng_stream(5, "init"), "ones", members=2)
         scan = line_scan(model, train, test)
         assert scan.barrier < 1e-12
@@ -85,7 +85,7 @@ class TestLineScan:
     def test_endpoint_rows_match_member_evaluation(self, pair_student, small_task):
         train, _, test = small_task
         scan = line_scan(pair_student, train, test)
-        member0 = materialize_member(pair_student, 0)
+        member0 = pair_student[0]
         probs = softmax_np(member0.predict_logits(test.x))
         err0 = 1.0 - (probs.argmax(axis=1) == test.y).mean()
         assert scan.test_err[scan.ts == 0.0][0] == err0
@@ -101,7 +101,7 @@ class TestLineScan:
 
     def test_pairwise_barriers_extension(self, small_task):
         train, _, test = small_task
-        spec = ModelSpec(2, 3, (8,), kind="batch_ensemble", members=3)
+        spec = ModelSpec(2, 3, (8,))
         model = build_be(spec, rng_stream(6, "init"), "random_sign", members=3)
         report = pairwise_barriers(model, train, test)
         assert len(report["pairs"]) == 3
@@ -112,7 +112,7 @@ class TestLineScan:
 class TestEndpointTrace:
     def test_ones_init_has_exactly_zero_diversity(self, small_task):
         train, _, test = small_task
-        spec = ModelSpec(2, 3, (16,), kind="batch_ensemble", members=2)
+        spec = ModelSpec(2, 3, (16,))
         model = build_be(spec, rng_stream(7, "init"), "ones", members=2)
         trace = EndpointTrace(train, test, every=1)
         trace.record(0, model)
