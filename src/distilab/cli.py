@@ -187,30 +187,18 @@ def cmd_distill(args) -> int:
         out_dir = Path(args.out) / f"seed{seed}"
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
-        trace = None
-        if cfg.method == "latentbe" and cfg.distill.num_teachers == 2:
-            total = dcfg.optim.epochs * steps_per_epoch(len(train), dcfg.optim.batch_size)
-            trace = EndpointTrace(train, test, every=max(1, total // 40))
-        if cfg.method == "kd":
-            student = distill_kd(teachers, spec, train, dcfg)
-            checkpoint_save(student, out_dir / "student.json")
-            outputs.append("student.json")
-        elif cfg.method == "aekd":
-            student = distill_aekd(teachers, spec, train, dcfg, AEKDConfig(cfg.aekd_c))
-            checkpoint_save(student, out_dir / "student.json")
-            outputs.append("student.json")
-        elif cfg.method == "proxy_end2":
-            student = distill_proxy_end2(teachers, spec, train, dcfg)
-            checkpoint_save(student, out_dir / "student.json")
-            outputs.append("student.json")
-        elif cfg.method == "be":
+        if cfg.method == "be":
             be_student = build_be(spec, rng_stream(seed, "init"),
                                   rank_init=cfg.student_init,
                                   members=cfg.distill.num_teachers)
             distill_be(teachers, be_student, train, dcfg)
             checkpoint_save(be_student, out_dir / "student_be.json")
             outputs.append("student_be.json")
-        else:  # latentbe
+        elif cfg.method == "latentbe":
+            trace = None
+            if cfg.distill.num_teachers == 2:
+                total = dcfg.optim.epochs * steps_per_epoch(len(train), dcfg.optim.batch_size)
+                trace = EndpointTrace(train, test, every=max(1, total // 40))
             averaged, be_student = distill_latentbe(
                 teachers, spec, train, dcfg,
                 step_hook=trace.hook if trace is not None else None)
@@ -220,6 +208,13 @@ def cmd_distill(args) -> int:
             if trace is not None:
                 _write_trace_csv(out_dir / "trace.csv", trace)
                 outputs.append("trace.csv")
+        else:
+            distiller = {"kd": distill_kd, "aekd": distill_aekd,
+                         "proxy_end2": distill_proxy_end2}[cfg.method]
+            extra = (AEKDConfig(cfg.aekd_c),) if cfg.method == "aekd" else ()
+            checkpoint_save(distiller(teachers, spec, train, dcfg, *extra),
+                            out_dir / "student.json")
+            outputs.append("student.json")
         _write_manifest(out_dir, f"distill:{cfg.method}", cfg.raw, seed,
                         {"train": train.digest(), "val": val.digest(),
                          "test": test.digest()}, outputs)

@@ -1,4 +1,4 @@
-"""Distillation objectives and training loops.
+"""Distillation objectives and the distillers, which train with ``optim.fit``.
 
 Five ways to compress an ensemble of teachers into a student:
 
@@ -30,9 +30,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
-from .metrics import PROB_FLOOR, softmax_np
+from .metrics import PROB_FLOOR, member_probs, softmax_np
 from .nets import MLP, ModelSpec, average_rank_one, build_be, build_plain
-from .optim import SGD, OptimConfig, lr_at, minibatches, one_hot, steps_per_epoch
+from .optim import OptimConfig, fit, one_hot
 from .perturb import KINDS, build_perturbation, default_gamma
 from .seeding import rng_stream
 
@@ -73,34 +73,49 @@ class AEKDConfig:
 
 @dataclass
 class ProxyDirichlet:
-    """Concentration targets, already shifted by +1 (so strictly above 1)."""
+    """Concentration targets, already shifted by +1 (so strictly above 1).
+
+    ``defined`` marks the samples whose target exists; the others carry a
+    placeholder and get no weight in ``proxy_end2_loss``.
+    """
 
     beta: np.ndarray
+    defined: np.ndarray | None = None
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=np.float64)
         if np.any(self.beta <= 1.0):
             raise ValueError("shifted concentrations must all exceed 1")
+        if self.defined is None:
+            self.defined = np.ones(self.beta.shape[:-1], dtype=bool)
 
 
 # -- losses -------------------------------------------------------------------
 
-def kd_loss(teachers: Sequence[MLP], student_logits: Tensor, x: np.ndarray,
-            y_onehot: np.ndarray, cfg: DistillConfig) -> Tensor:
-    """(1 - alpha) H[y, p_S] + alpha tau^2 mean_m H[p_Tm, p_S], batch-averaged.
+def kd_loss(teacher_logits: np.ndarray, student_logits: Tensor,
+            y_onehot: np.ndarray, cfg: DistillConfig,
+            weights: np.ndarray | None = None) -> Tensor:
+    """(1 - alpha) H[y, p_S] + alpha tau^2 sum_m w_m H[p_Tm, p_S], batch-averaged.
 
-    Teacher probabilities are constants; both cross-entropies use the
-    temperature-softened student distribution.
+    teacher_logits is (M, N, K). Without weights every teacher counts 1/M
+    (KD); (N, M) per-sample weights give AE-KD. Teacher probabilities are
+    constants; both cross-entropies use the temperature-softened student
+    distribution.
     """
     n = student_logits.shape[0] if student_logits.data.ndim == 2 else 1
     log_p = ad.log_softmax_temp(student_logits, cfg.tau)
     terms: Tensor | None = None
     if cfg.alpha > 0.0:
-        for teacher in teachers:
-            probs = softmax_np(teacher.predict_logits(x), cfg.tau)
+        for m, logits in enumerate(teacher_logits):
+            probs = softmax_np(logits, cfg.tau)
+            if weights is not None:
+                probs = probs * weights[:, m][:, None]
             h = ad.scale(ad.sum(ad.mul(Tensor(probs), log_p)), -1.0 / n)
             terms = h if terms is None else ad.add(terms, h)
-        kd = ad.scale(terms, cfg.alpha * cfg.tau ** 2 / len(teachers))
+        scale = cfg.alpha * cfg.tau ** 2
+        if weights is None:
+            scale /= len(teacher_logits)
+        kd = ad.scale(terms, scale)
         if cfg.alpha == 1.0:
             return kd
     label_ce = ad.scale(ad.sum(ad.mul(Tensor(y_onehot), log_p)),
@@ -219,7 +234,9 @@ def proxy_dirichlet_target(teacher_probs: np.ndarray) -> ProxyDirichlet:
 
     beta_k is the mean teacher probability scaled by (K-1)/2 over the mean
     pointwise disagreement sum_j pbar_j (log pbar_j - mean_m log p_mj).
-    Numerically identical teachers make that denominator vanish.
+    Numerically identical teachers make that denominator vanish; such
+    samples are marked undefined and get the placeholder beta = 2. Raises
+    DegenerateEnsembleError when no sample is defined.
     """
     P = np.asarray(teacher_probs, dtype=np.float64)
     squeeze = P.ndim == 2
@@ -231,11 +248,13 @@ def proxy_dirichlet_target(teacher_probs: np.ndarray) -> ProxyDirichlet:
     pbar = P.mean(axis=0)
     logs = np.log(np.maximum(P, PROB_FLOOR))
     denom = (pbar * (np.log(np.maximum(pbar, PROB_FLOOR)) - logs.mean(axis=0))).sum(axis=-1)
-    if np.any(denom <= 1e-12):
+    defined = denom > 1e-12
+    if not defined.any():
         raise DegenerateEnsembleError(
             "teachers numerically identical; concentration estimate undefined")
-    beta = pbar * ((k - 1) / 2.0) / denom[:, None] + 1.0
-    return ProxyDirichlet(beta[0] if squeeze else beta)
+    beta = pbar * ((k - 1) / 2.0) / np.where(defined, denom, 1.0)[:, None] + 1.0
+    beta[~defined] = 2.0
+    return ProxyDirichlet(beta[0], defined[0]) if squeeze else ProxyDirichlet(beta, defined)
 
 
 def dirichlet_kl_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,78 +287,62 @@ def dirichlet_kl(conc: Tensor, target_beta: np.ndarray) -> Tensor:
 
 def proxy_end2_loss(student_logits: Tensor, target: ProxyDirichlet) -> Tensor:
     """Reverse Dirichlet KL with student concentrations exp(logits) + 1,
-    divided per sample by the target concentration total, batch-averaged."""
+    divided per sample by the target concentration total, batch-averaged.
+    Samples without a defined target count as zero."""
     conc = ad.add_scalar(ad.exp(student_logits), 1.0)
     kl = dirichlet_kl(conc, target.beta)
-    weights = Tensor(1.0 / target.beta.sum(axis=-1))
+    weights = Tensor(np.where(target.defined, 1.0 / target.beta.sum(axis=-1), 0.0))
     return ad.mean(ad.mul(kl, weights))
 
 
 # -- training loops -----------------------------------------------------------
 
-def _streams(seed: int):
-    return (rng_stream(seed, "batch-shuffle"),
-            rng_stream(seed, "guidance-vectors"),
-            rng_stream(seed, "pair-sampling"))
-
-
-def _perturbed(kind: str, teachers, student, xb: np.ndarray, gamma: float,
-               tau: float, noise_rng, index_rng) -> np.ndarray:
-    if kind == "none":
-        return xb
-    pert = build_perturbation(kind, teachers, student, xb, gamma, tau,
-                              noise_rng, index_rng)
-    return pert.apply(xb)
-
-
-def _plain_distill_loop(teachers: Sequence[MLP], student: MLP, train: Dataset,
-                        cfg: DistillConfig,
-                        loss_fn: Callable[[np.ndarray, np.ndarray, Tensor], Tensor],
-                        step_hook=None) -> MLP:
-    if cfg.perturbation == "tdiv_sdiv":
+def _with_perturbation(teachers, student: MLP, train: Dataset, cfg: DistillConfig,
+                       loss: Callable[[np.ndarray, np.ndarray], Tensor]):
+    """The batch loss for ``optim.fit``: loss(x_batch, y_batch) after the
+    batch is perturbed by cfg.perturbation, with guidance/noise and
+    index/pair draws from their own streams."""
+    if cfg.perturbation == "tdiv_sdiv" and not student.factored:
         raise ValueError("tdiv_sdiv perturbation requires a factored student")
-    n = len(train)
-    shuffle, noise_rng, index_rng = _streams(cfg.optim.seed)
     gamma = cfg.gamma if cfg.gamma is not None else default_gamma(train.x)
-    opt = SGD(student.parameters(), cfg.optim.momentum, cfg.optim.weight_decay)
-    spe = steps_per_epoch(n, cfg.optim.batch_size)
-    step = 0
-    for _ in range(cfg.optim.epochs):
-        order = shuffle.permutation(n)
-        for idx in minibatches(n, cfg.optim.batch_size, order):
-            xb = _perturbed(cfg.perturbation, teachers, None, train.x[idx],
-                            gamma, cfg.tau, noise_rng, index_rng)
-            logits = student.forward(Tensor(xb))
-            loss = loss_fn(xb, train.y[idx], logits)
-            loss.backward()
-            opt.step(lr_at(cfg.optim, step, spe))
-            opt.zero_grad()
-            step += 1
-            if step_hook is not None:
-                step_hook(step, student)
-    return student
+    noise_rng = rng_stream(cfg.optim.seed, "guidance-vectors")
+    index_rng = rng_stream(cfg.optim.seed, "pair-sampling")
+
+    def batch_loss(xb, yb):
+        if cfg.perturbation != "none":
+            xb = build_perturbation(cfg.perturbation, teachers, student, xb, gamma,
+                                    cfg.tau, noise_rng, index_rng).apply(xb)
+        return loss(xb, yb)
+
+    return batch_loss
+
+
+def _teacher_logits(teachers, x: np.ndarray) -> np.ndarray:
+    return np.stack([t.predict_logits(x) for t in teachers])
 
 
 def distill_kd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
-               cfg: DistillConfig, step_hook=None) -> MLP:
+               cfg: DistillConfig) -> MLP:
     """Vanilla ensemble distillation into a plain student."""
     _check_teacher_count(teachers, cfg)
     student = build_plain(spec, rng_stream(cfg.optim.seed, "init"))
     k = spec.num_classes
 
-    def loss_fn(xb, yb, logits):
-        return kd_loss(teachers, logits, xb, one_hot(yb, k), cfg)
+    def loss(xb, yb):
+        logits = student.forward(Tensor(xb))
+        return kd_loss(_teacher_logits(teachers, xb), logits, one_hot(yb, k), cfg)
 
-    return _plain_distill_loop(teachers, student, train, cfg, loss_fn, step_hook)
+    return fit(student, train, cfg.optim,
+               _with_perturbation(teachers, student, train, cfg, loss))
 
 
 def distill_aekd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
-                 cfg: DistillConfig, aekd: AEKDConfig, step_hook=None) -> MLP:
+                 cfg: DistillConfig, aekd: AEKDConfig) -> MLP:
     """Distillation with per-sample adaptive teacher weights.
 
     The weights solve the box-constrained matching problem on untempered
-    probabilities and are treated as constants; the distillation term
-    replaces the uniform teacher mean of ``kd_loss``.
+    probabilities and are treated as constants in ``kd_loss``, where they
+    replace the uniform teacher mean.
     """
     _check_teacher_count(teachers, cfg)
     m = len(teachers)
@@ -348,30 +351,19 @@ def distill_aekd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
     student = build_plain(spec, rng_stream(cfg.optim.seed, "init"))
     k = spec.num_classes
 
-    def loss_fn(xb, yb, logits):
-        n = len(yb)
-        log_p = ad.log_softmax_temp(logits, cfg.tau)
-        probs1 = np.stack([softmax_np(t.predict_logits(xb), 1.0) for t in teachers])
-        weights = _aekd_weights_batch(probs1, softmax_np(logits.data, 1.0),
-                                      cfg.tau, aekd.c)
-        terms: Tensor | None = None
-        for i, teacher in enumerate(teachers):
-            probs_tau = softmax_np(teacher.predict_logits(xb), cfg.tau)
-            weighted = probs_tau * weights[:, i][:, None]
-            h = ad.scale(ad.sum(ad.mul(Tensor(weighted), log_p)), -1.0 / n)
-            terms = h if terms is None else ad.add(terms, h)
-        kd = ad.scale(terms, cfg.alpha * cfg.tau ** 2)
-        if cfg.alpha == 1.0:
-            return kd
-        label_ce = ad.scale(ad.sum(ad.mul(Tensor(one_hot(yb, k)), log_p)),
-                            -(1.0 - cfg.alpha) / n)
-        return label_ce if cfg.alpha == 0.0 else ad.add(label_ce, kd)
+    def loss(xb, yb):
+        logits = student.forward(Tensor(xb))
+        t_logits = _teacher_logits(teachers, xb)
+        weights = _aekd_weights_batch(softmax_np(t_logits, 1.0),
+                                      softmax_np(logits.data, 1.0), cfg.tau, aekd.c)
+        return kd_loss(t_logits, logits, one_hot(yb, k), cfg, weights)
 
-    return _plain_distill_loop(teachers, student, train, cfg, loss_fn, step_hook)
+    return fit(student, train, cfg.optim,
+               _with_perturbation(teachers, student, train, cfg, loss))
 
 
 def distill_proxy_end2(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
-                       cfg: DistillConfig, step_hook=None) -> MLP:
+                       cfg: DistillConfig) -> MLP:
     """Dirichlet distribution distillation against the teacher proxy target."""
     _check_teacher_count(teachers, cfg)
     if len(teachers) < 2:
@@ -379,11 +371,12 @@ def distill_proxy_end2(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
     student = build_plain(spec, rng_stream(cfg.optim.seed, "init"),
                           head="dirichlet")
 
-    def loss_fn(xb, yb, logits):
-        probs = np.stack([softmax_np(t.predict_logits(xb), 1.0) for t in teachers])
-        return proxy_end2_loss(logits, proxy_dirichlet_target(probs))
+    def loss(xb, yb):
+        logits = student.forward(Tensor(xb))
+        return proxy_end2_loss(logits, proxy_dirichlet_target(member_probs(teachers, xb)))
 
-    return _plain_distill_loop(teachers, student, train, cfg, loss_fn, step_hook)
+    return fit(student, train, cfg.optim,
+               _with_perturbation(teachers, student, train, cfg, loss))
 
 
 def _check_teacher_count(teachers, cfg: DistillConfig) -> None:
@@ -392,69 +385,43 @@ def _check_teacher_count(teachers, cfg: DistillConfig) -> None:
                          f"got {len(teachers)}")
 
 
-def _one_to_one_loop(teachers: Sequence[MLP], student: MLP, train: Dataset,
-                     cfg: DistillConfig, rank_decay: float,
-                     step_hook=None) -> MLP:
-    """One-to-one member losses; rank factors follow their own gradient,
-    the shared weight follows the member mean, plus an optional pull of the
-    rank factors toward ones and an optional input perturbation per step."""
-    m_count = len(student)
-    if len(teachers) != m_count:
-        raise ValueError(f"student has {m_count} members but {len(teachers)} "
+def _one_to_one_loss(teachers: Sequence[MLP], student: MLP, tau: float):
+    """Member m mimics teacher m; the member losses are summed, each
+    tau^2-scaled and batch-averaged."""
+    if len(teachers) != len(student):
+        raise ValueError(f"student has {len(student)} members but {len(teachers)} "
                          "teachers were given")
-    n = len(train)
-    shuffle, noise_rng, index_rng = _streams(cfg.optim.seed)
-    gamma = cfg.gamma if cfg.gamma is not None else default_gamma(train.x)
-    shared = student.shared_parameters()
-    rank = student.rank_parameters()
-    biases = student.member_bias_parameters()
-    params = shared + rank + biases
-    mask = [True] * len(shared) + [False] * (len(rank) + len(biases))
-    opt = SGD(params, cfg.optim.momentum, cfg.optim.weight_decay, decay_mask=mask)
-    spe = steps_per_epoch(n, cfg.optim.batch_size)
-    tau_sq = cfg.tau ** 2
-    step = 0
-    for _ in range(cfg.optim.epochs):
-        order = shuffle.permutation(n)
-        for idx in minibatches(n, cfg.optim.batch_size, order):
-            xb = _perturbed(cfg.perturbation, teachers, student, train.x[idx],
-                            gamma, cfg.tau, noise_rng, index_rng)
-            x_in = Tensor(xb)
-            batch = len(idx)
-            total: Tensor | None = None
-            for m in range(m_count):
-                probs = softmax_np(teachers[m].predict_logits(xb), cfg.tau)
-                log_p = ad.log_softmax_temp(student[m].forward(x_in), cfg.tau)
-                member_loss = ad.scale(ad.sum(ad.mul(Tensor(probs), log_p)),
-                                       -tau_sq / batch)
-                total = member_loss if total is None else ad.add(total, member_loss)
-            total.backward()
-            for t in shared:
-                t.grad /= m_count
-            if rank_decay > 0.0:
-                for t in rank:
-                    t.grad += rank_decay * (t.data - 1.0)
-            opt.step(lr_at(cfg.optim, step, spe))
-            opt.zero_grad()
-            step += 1
-            if step_hook is not None:
-                step_hook(step, student)
-    return student
+    tau_sq = tau ** 2
+
+    def loss(xb, yb):
+        x_in = Tensor(xb)
+        total: Tensor | None = None
+        for teacher, member in zip(teachers, student):
+            probs = softmax_np(teacher.predict_logits(xb), tau)
+            log_p = ad.log_softmax_temp(member.forward(x_in), tau)
+            member_loss = ad.scale(ad.sum(ad.mul(Tensor(probs), log_p)), -tau_sq / len(xb))
+            total = member_loss if total is None else ad.add(total, member_loss)
+        return total
+
+    return loss
 
 
 def distill_be(teachers: Sequence[MLP], student: MLP, train: Dataset,
-               cfg: DistillConfig, step_hook=None) -> MLP:
+               cfg: DistillConfig) -> MLP:
     """One-to-one distillation into a pre-built factored student.
 
     No pull toward ones is applied (rank_decay in the config is ignored
     here); the perturbation kind from the config is honored.
     """
-    return _one_to_one_loop(teachers, student, train, cfg, 0.0, step_hook)
+    loss = _one_to_one_loss(teachers, student, cfg.tau)
+    return fit(student, train, cfg.optim,
+               _with_perturbation(teachers, student, train, cfg, loss))
 
 
 def distill_latentbe(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
                      cfg: DistillConfig, step_hook=None) -> tuple[MLP, MLP]:
-    """One-to-one distillation from all-ones factors, then weight averaging.
+    """One-to-one distillation from all-ones factors with a pull of the
+    factors toward ones, then weight averaging.
 
     Returns (averaged plain student, factored student). With perturbation
     "none" and rank_decay 0 the factored student's trajectory is
@@ -462,5 +429,7 @@ def distill_latentbe(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
     """
     student = build_be(spec, rng_stream(cfg.optim.seed, "init"),
                        rank_init="ones", members=len(teachers))
-    _one_to_one_loop(teachers, student, train, cfg, cfg.rank_decay, step_hook)
+    loss = _one_to_one_loss(teachers, student, cfg.tau)
+    fit(student, train, cfg.optim, _with_perturbation(teachers, student, train, cfg, loss),
+        cfg.rank_decay, step_hook)
     return average_rank_one(student), student

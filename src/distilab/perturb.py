@@ -111,22 +111,15 @@ def ods_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float
 def conf_ods_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float,
                      rng: np.random.Generator,
                      members: np.ndarray | None = None) -> Perturbation:
-    """ODS direction with the per-sample step scaled by the selected
-    teacher's confidence max_k p^(k)(x; tau)."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    k = teachers[0].spec.num_classes
-    guidance = rng.uniform(-1.0, 1.0, size=(len(x), k))
-    if members is None:
-        members = rng.integers(0, len(teachers), size=len(x))
-    grads = _ods_gradients(teachers, x, tau, guidance, members)
-    eps = _normalize_rows(grads, gamma)
+    """ODS step with each row scaled by the selected teacher's confidence
+    max_k p^(k)(x; tau)."""
+    ods = ods_perturb(teachers, x, tau, gamma, rng, members)
     conf = np.zeros(len(x))
-    for m in np.unique(members):
-        rows = np.nonzero(members == m)[0]
+    for m in np.unique(ods.members):
+        rows = np.nonzero(ods.members == m)[0]
         probs = softmax_np(teachers[int(m)].predict_logits(x[rows]), tau)
         conf[rows] = probs.max(axis=1)
-    return Perturbation(eps * conf[:, None], "conf_ods", gamma, members=members)
+    return Perturbation(ods.epsilon * conf[:, None], "conf_ods", gamma, members=ods.members)
 
 
 def div_estimate(model_i: Callable[[Tensor], Tensor],

@@ -41,6 +41,12 @@ def stub_teacher(probs, tau=1.0):
                            spec=SimpleNamespace(num_classes=logits.shape[-1]))
 
 
+def stub_logits(teacher_probs, n, tau=1.0):
+    """(M, n, K) teacher logits whose tau-softened rows equal each teacher's probs."""
+    return np.stack([np.tile(tau * np.log(np.asarray(p, dtype=np.float64)), (n, 1))
+                     for p in teacher_probs])
+
+
 class TestKdLoss:
     def _cfg(self, tau=1.0, alpha=1.0, m=2):
         return DistillConfig(tau=tau, alpha=alpha, num_teachers=m,
@@ -50,7 +56,7 @@ class TestKdLoss:
         p = np.array([0.7, 0.3])
         cfg = self._cfg(tau=2.0, m=1)
         student_logits = Tensor(2.0 * np.log(p)[None, :], requires_grad=True)
-        loss = kd_loss([stub_teacher(p, tau=2.0)], student_logits, np.zeros((1, 2)),
+        loss = kd_loss(stub_logits([p], 1, tau=2.0), student_logits,
                        one_hot(np.array([0]), 2), cfg)
         floor = 4.0 * -(p * np.log(p)).sum()
         assert loss.item() == pytest.approx(floor, abs=1e-12)
@@ -58,7 +64,7 @@ class TestKdLoss:
     def test_alpha_zero_is_plain_cross_entropy(self):
         logits = Tensor(np.array([[2.0, 0.0, -1.0]]), requires_grad=True)
         cfg = self._cfg(alpha=0.0, m=1)
-        loss = kd_loss([stub_teacher([0.2, 0.5, 0.3])], logits, np.zeros((1, 3)),
+        loss = kd_loss(stub_logits([[0.2, 0.5, 0.3]], 1), logits,
                        one_hot(np.array([1]), 3), cfg)
         expected = -math.log(softmax_np(logits.data)[0, 1])
         assert loss.item() == pytest.approx(expected, abs=1e-12)
@@ -70,9 +76,9 @@ class TestKdLoss:
         h2 = -(0.5 * math.log(0.7) + 0.5 * math.log(0.3))
         expected = 0.5 * (h1 + h2)  # = 0.610864 (also H of the mean teacher)
         cfg = self._cfg()
-        loss = kd_loss([stub_teacher([0.9, 0.1]), stub_teacher([0.5, 0.5])],
+        loss = kd_loss(stub_logits([[0.9, 0.1], [0.5, 0.5]], 1),
                        Tensor(np.log(p_s)[None, :], requires_grad=True),
-                       np.zeros((1, 2)), one_hot(np.array([0]), 2), cfg)
+                       one_hot(np.array([0]), 2), cfg)
         assert loss.item() == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.610864, abs=1e-6)
 
@@ -83,22 +89,32 @@ class TestKdLoss:
         probs /= probs.sum(axis=1, keepdims=True)
         student = rng.normal(size=(5, 4))
         cfg = self._cfg(tau=1.0, m=3)
-        loss = kd_loss([stub_teacher(p) for p in probs],
-                       Tensor(student, requires_grad=True),
-                       np.zeros((5, 4)), one_hot(np.zeros(5, dtype=int), 4), cfg)
+        loss = kd_loss(stub_logits(probs, 5), Tensor(student, requires_grad=True),
+                       one_hot(np.zeros(5, dtype=int), 4), cfg)
         log_q = np.log(softmax_np(student))
         expected = -(probs.mean(axis=0)[None, :] * log_q).sum(axis=1).mean()
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        teachers = [stub_teacher([0.6, 0.3, 0.1]), stub_teacher([0.2, 0.3, 0.5])]
+        teacher_logits = stub_logits([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]], 4)
         y = one_hot(rng.integers(0, 3, size=4), 3)
         cfg = DistillConfig(tau=3.0, alpha=0.7, num_teachers=2,
                             optim=OptimConfig(epochs=2, warmup_epochs=1))
         logits = rng.normal(size=(4, 3))
-        check_grad(lambda t: kd_loss(teachers, t, np.zeros((4, 3)), y, cfg),
-                   [logits], rel_tol=1e-5)
+        check_grad(lambda t: kd_loss(teacher_logits, t, y, cfg), [logits], rel_tol=1e-5)
+
+    def test_explicit_uniform_weights_match_kd(self):
+        rng = np.random.default_rng(2)
+        teacher_logits = rng.normal(size=(3, 6, 4))
+        student = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        y = one_hot(rng.integers(0, 4, size=6), 4)
+        for alpha in (1.0, 0.4):
+            cfg = DistillConfig(tau=2.5, alpha=alpha, num_teachers=3,
+                                optim=OptimConfig(epochs=2, warmup_epochs=1))
+            uniform = kd_loss(teacher_logits, student, y, cfg, np.full((6, 3), 1.0 / 3))
+            plain = kd_loss(teacher_logits, student, y, cfg)
+            assert uniform.item() == pytest.approx(plain.item(), abs=1e-12)
 
 
 def hand_one_to_one_step(x, teacher_probs, layers, tau, lr):
@@ -199,7 +215,6 @@ class TestOneToOne:
         spec, student = self._toy(m_count=1)
         x = np.array([[0.4, -0.2]])
         tau = 3.0
-        teacher = stub_teacher([0.3, 0.7], tau)
         log_p = ad.log_softmax_temp(student[0].forward(Tensor(x)), tau)
         member_loss = ad.scale(ad.sum(ad.mul(Tensor(np.tile([0.3, 0.7], (1, 1))),
                                              log_p)), -tau * tau)
@@ -207,7 +222,7 @@ class TestOneToOne:
                             optim=OptimConfig(epochs=2, warmup_epochs=1))
         from distilab.nets import average_rank_one
         plain = average_rank_one(student)  # a one-member average is that member
-        kd = kd_loss([teacher], plain.forward(Tensor(x)), x,
+        kd = kd_loss(stub_logits([[0.3, 0.7]], 1, tau), plain.forward(Tensor(x)),
                      one_hot(np.array([0]), 2), cfg)
         assert member_loss.item() == pytest.approx(kd.item(), rel=1e-12)
 
@@ -396,6 +411,8 @@ class TestProxyDirichlet:
         probs = np.tile([0.4, 0.6], (3, 1))
         with pytest.raises(DegenerateEnsembleError):
             proxy_dirichlet_target(probs)
+        with pytest.raises(DegenerateEnsembleError):
+            proxy_dirichlet_target(np.tile([0.4, 0.6], (3, 5, 1)))
 
     def test_matches_loop_oracle_and_class_count_scaling(self):
         rng = np.random.default_rng(7)
@@ -447,6 +464,21 @@ class TestProxyEnd2Loss:
                                ProxyDirichlet(beta))
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
+    def test_degenerate_row_gets_no_weight(self):
+        good = np.array([[0.9, 0.1], [0.5, 0.5]])   # two teachers that disagree
+        agree = np.array([[0.4, 0.6], [0.4, 0.6]])  # two teachers that agree
+        target = proxy_dirichlet_target(np.stack([good, agree], axis=1))
+        assert target.defined.tolist() == [True, False]
+        logits = Tensor(np.array([[0.4, -0.3], [0.2, 0.1]]), requires_grad=True)
+        loss = proxy_end2_loss(logits, target)
+        good_loss = proxy_end2_loss(Tensor(logits.data[:1], requires_grad=True),
+                                    proxy_dirichlet_target(good[:, None, :]))
+        assert np.isfinite(loss.item())
+        assert loss.item() == pytest.approx(good_loss.item() / 2, rel=1e-12)
+        loss.backward()
+        np.testing.assert_array_equal(logits.grad[1], 0.0)
+        assert np.all(logits.grad[0] != 0.0)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         beta = rng.uniform(1.2, 4.0, size=(3, 3))
@@ -479,6 +511,21 @@ class TestPlainLoops:
                                               batch_size=32, seed=0))
         student = distill_aekd(tiny_teachers, tiny_spec, train, cfg, AEKDConfig(0.6))
         assert student.head == "softmax"
+
+    def test_aekd_step_runs_each_teacher_once(self, tiny_task, tiny_teachers, tiny_spec):
+        train, _, _ = tiny_task
+        calls = []
+        teachers = [t.copy() for t in tiny_teachers]
+        for i, t in enumerate(teachers):
+            def counted(x, _i=i, _predict=t.predict_logits):
+                calls.append(_i)
+                return _predict(x)
+            t.predict_logits = counted
+        cfg = DistillConfig(num_teachers=2,
+                            optim=OptimConfig(epochs=1, warmup_epochs=0,
+                                              batch_size=len(train), seed=0))
+        distill_aekd(teachers, tiny_spec, train, cfg, AEKDConfig(0.6))
+        assert sorted(calls) == [0, 1]
 
     def test_proxy_loop_produces_dirichlet_head(self, tiny_task, tiny_teachers,
                                                 tiny_spec):

@@ -5,11 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from distilab.autodiff import ShapeError
-from distilab.nets import build_plain, checkpoint_save
-from distilab.optim import (OptimConfig, lr_at, sgd_update, train_classifier,
-                            train_teachers)
+import distilab.autodiff as ad
+from distilab.autodiff import ShapeError, Tensor
+from distilab.metrics import softmax_np
+from distilab.nets import build_be, build_plain, checkpoint_save
+from distilab.optim import OptimConfig, fit, lr_at, one_hot, sgd_update, train_teachers
 from distilab.seeding import rng_stream
+
+
+def cross_entropy(model, num_classes):
+    def loss(xb, yb):
+        log_probs = ad.log_softmax_temp(model.forward(Tensor(xb)), 1.0)
+        return ad.scale(ad.sum(ad.mul(Tensor(one_hot(yb, num_classes)), log_probs)),
+                        -1.0 / len(yb))
+    return loss
+
+
+def train_ce_and_accuracy(model, data):
+    probs = softmax_np(model.predict_logits(data.x))
+    ce = -np.log(probs[np.arange(len(data)), data.y]).mean()
+    return ce, (probs.argmax(axis=1) == data.y).mean()
 
 
 class TestSchedule:
@@ -102,7 +117,7 @@ class TestTraining:
         train, _, _ = tiny_task
         teachers = train_teachers(tiny_spec, train, 1, tiny_optim)
         solo = build_plain(tiny_spec, rng_stream(tiny_optim.seed, "init"))
-        train_classifier(solo, train, tiny_optim)
+        fit(solo, train, tiny_optim, cross_entropy(solo, tiny_spec.num_classes))
         x = train.x[:10]
         np.testing.assert_array_equal(teachers[0].predict_logits(x),
                                       solo.predict_logits(x))
@@ -129,6 +144,37 @@ class TestTraining:
         train, _, _ = tiny_task
         cfg = OptimConfig(epochs=30, warmup_epochs=2, batch_size=32, seed=1)
         model = build_plain(tiny_spec, rng_stream(1, "init"))
-        history = train_classifier(model, train, cfg)
-        assert history[-1][0] < history[0][0]
-        assert history[-1][1] > 0.5
+        ce_before, acc_before = train_ce_and_accuracy(model, train)
+        fit(model, train, cfg, cross_entropy(model, tiny_spec.num_classes))
+        ce_after, acc_after = train_ce_and_accuracy(model, train)
+        assert ce_after < ce_before
+        assert acc_after > max(acc_before, 0.5)
+
+    def test_zero_gradient_decays_plain_biases_only(self, tiny_task, tiny_spec):
+        train, _, _ = tiny_task
+        cfg = OptimConfig(epochs=2, warmup_epochs=1, batch_size=32, seed=0)
+        plain = build_plain(tiny_spec, rng_stream(0, "init"))
+        factored = build_be(tiny_spec, rng_stream(0, "init"), "random_sign", members=2)
+        for net in (plain, factored):
+            for b in net.member_bias_parameters():
+                b.data[:] = 1.0
+            shared = [t.data.copy() for t in net.shared_parameters()]
+            rank = [t.data.copy() for t in net.rank_parameters()]
+
+            def zero_loss(xb, yb, net=net):
+                total = None
+                for member in net:
+                    out = ad.sum(member.forward(Tensor(xb)))
+                    total = out if total is None else ad.add(total, out)
+                return ad.scale(total, 0.0)
+
+            fit(net, train, cfg, zero_loss)
+            for before, t in zip(shared, net.shared_parameters()):
+                assert np.linalg.norm(t.data) < np.linalg.norm(before)
+            for before, t in zip(rank, net.rank_parameters()):
+                np.testing.assert_array_equal(t.data, before)
+            biases = np.concatenate([b.data for b in net.member_bias_parameters()])
+            if net.factored:
+                np.testing.assert_array_equal(biases, 1.0)
+            else:
+                assert biases.max() < 1.0
