@@ -5,6 +5,10 @@ gamma (rows with a vanishing gradient stay at zero). The pair-based kinds
 draw one ordered member pair per sample, shared between the teacher and
 student divergence terms, and block the gradient through the first KL
 argument so that only the second distribution steers the input gradient.
+Each teacher and student member runs once per step, on an input leaf of its
+own, and each row's gradient is summed in the order teacher i, teacher j,
+student i, student j of its pair: that order is kept on purpose, because it
+makes the step bit-equal to building the gap one pair at a time.
 
 An ensemble is anything with ``len()`` and ``[m]`` returning one-member nets:
 a list of teachers or a factored student.
@@ -122,6 +126,19 @@ def conf_ods_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: 
     return Perturbation(ods.epsilon * conf[:, None], "conf_ods", gamma, members=ods.members)
 
 
+def _pair_kl(log_pi: Tensor, log_pj: Tensor, stop_first: bool) -> Tensor:
+    """Per-row KL(p_i || p_j) from two (B, K) log-probability tensors.
+
+    With stop_first the first argument is wrapped in stop_grad, so
+    gradients flow only through log_pj.
+    """
+    pi = ad.exp(log_pi)
+    if stop_first:
+        pi = ad.stop_grad(pi)
+        log_pi = ad.stop_grad(log_pi)
+    return ad.sum(ad.mul(pi, ad.sub(log_pi, log_pj)), axis=-1)
+
+
 def div_estimate(model_i: Callable[[Tensor], Tensor],
                  model_j: Callable[[Tensor], Tensor],
                  x: Tensor, tau: float = 1.0, stop_first: bool = True) -> Tensor:
@@ -130,31 +147,52 @@ def div_estimate(model_i: Callable[[Tensor], Tensor],
     With stop_first (the default) the first argument is wrapped in
     stop_grad, so gradients with respect to x flow only through p_j.
     """
-    log_pi = ad.log_softmax_temp(model_i(x), tau)
-    log_pj = ad.log_softmax_temp(model_j(x), tau)
-    pi = ad.exp(log_pi)
-    if stop_first:
-        pi = ad.stop_grad(pi)
-        log_pi = ad.stop_grad(log_pi)
-    return ad.sum(ad.mul(pi, ad.sub(log_pi, log_pj)), axis=-1)
+    return _pair_kl(ad.log_softmax_temp(model_i(x), tau),
+                    ad.log_softmax_temp(model_j(x), tau), stop_first)
 
 
-def _masked_pair_gap(teachers, student, x: Tensor, pairs: np.ndarray,
-                     tau: float, stop_first: bool) -> Tensor:
-    """sum_b [KL_T(i_b, j_b) - KL_S(i_b, j_b)] with the pair draw shared
-    between the teacher and student terms of each sample."""
-    total: Tensor | None = None
-    for i, j in sorted({(int(a), int(b)) for a, b in pairs}):
-        mask = Tensor(((pairs[:, 0] == i) & (pairs[:, 1] == j)).astype(np.float64))
-        gap = div_estimate(teachers[i].forward, teachers[j].forward, x, tau,
-                           stop_first=stop_first)
-        if student is not None:
-            gap = ad.sub(gap, div_estimate(student[i].forward, student[j].forward, x, tau,
-                                           stop_first=stop_first))
-        masked = ad.sum(ad.mul(mask, gap))
-        total = masked if total is None else ad.add(total, masked)
-    assert total is not None
-    return total
+def _member_rows(log_p: Sequence[Tensor], members: np.ndarray) -> Tensor:
+    """Row b of log_p[members[b]], as a sum of one-hot-masked members.
+
+    Masking by exact 0/1 keeps every picked value and every gradient row
+    bit-equal to indexing the member directly.
+    """
+    picked: Tensor | None = None
+    for m, lp in enumerate(log_p):
+        onehot = np.broadcast_to((members == m)[:, None], lp.shape)
+        term = ad.mul(Tensor(onehot), lp)
+        picked = term if picked is None else ad.add(picked, term)
+    assert picked is not None
+    return picked
+
+
+def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
+                   tau: float, stop_first: bool) -> np.ndarray:
+    """d/dx of sum_b [KL_T(i_b, j_b) - KL_S(i_b, j_b)], with the pair draw
+    shared between the teacher and student terms of each sample.
+
+    Every member runs once, on an input leaf of its own. Row b's gradient
+    is then summed as teacher i, teacher j, student i, student j for its
+    pair (i, j): the order in which one shared input leaf accumulates the
+    per-pair formulation (four forwards per ordered pair), so the result
+    is bit-equal to it.
+    """
+    ensembles = [teachers] if student is None else [teachers, student]
+    leaves = [[Tensor(x, requires_grad=True) for _ in e] for e in ensembles]
+    gap: Tensor | None = None
+    for ensemble, xs in zip(ensembles, leaves):
+        log_p = [ad.log_softmax_temp(net.forward(xm), tau) for net, xm in zip(ensemble, xs)]
+        kl = ad.sum(_pair_kl(_member_rows(log_p, pairs[:, 0]),
+                             _member_rows(log_p, pairs[:, 1]), stop_first))
+        gap = kl if gap is None else ad.sub(gap, kl)
+    assert gap is not None
+    gap.backward()
+    rows = np.arange(len(x))
+    grad = np.zeros_like(x)
+    for xs in leaves:
+        g = np.stack([np.zeros_like(x) if xm.grad is None else xm.grad for xm in xs])
+        grad = grad + g[pairs[:, 0], rows] + g[pairs[:, 1], rows]
+    return grad
 
 
 def tdiv_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float,
@@ -172,9 +210,8 @@ def tdiv_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: floa
         raise ValueError("teacher diversity needs at least two teachers")
     if pairs is None:
         pairs = draw_pairs(rng, len(teachers), len(x))
-    xt = Tensor(x, requires_grad=True)
-    _masked_pair_gap(teachers, None, xt, pairs, tau, stop_first).backward()
-    return Perturbation(_normalize_rows(xt.grad, gamma), "tdiv", gamma, pairs=pairs)
+    grad = _pair_gap_grad(teachers, None, x, pairs, tau, stop_first)
+    return Perturbation(_normalize_rows(grad, gamma), "tdiv", gamma, pairs=pairs)
 
 
 def tdiv_sdiv_perturb(teachers: Sequence[MLP], student: MLP, x: np.ndarray,
@@ -197,9 +234,8 @@ def tdiv_sdiv_perturb(teachers: Sequence[MLP], student: MLP, x: np.ndarray,
         raise ValueError("teacher count and student member count must match")
     if pairs is None:
         pairs = draw_pairs(rng, len(teachers), len(x))
-    xt = Tensor(x, requires_grad=True)
-    _masked_pair_gap(teachers, student, xt, pairs, tau, stop_first).backward()
-    return Perturbation(_normalize_rows(xt.grad, gamma), "tdiv_sdiv", gamma, pairs=pairs)
+    grad = _pair_gap_grad(teachers, student, x, pairs, tau, stop_first)
+    return Perturbation(_normalize_rows(grad, gamma), "tdiv_sdiv", gamma, pairs=pairs)
 
 
 def pair_gap_values(teachers: Sequence[MLP], student: MLP | None, x: np.ndarray,

@@ -8,10 +8,11 @@ import pytest
 import distilab.autodiff as ad
 from distilab.autodiff import Tensor
 from distilab.metrics import diversity_from_probs, softmax_np
-from distilab.nets import ModelSpec, build_be, build_plain
-from distilab.perturb import (conf_ods_perturb, div_estimate, diversity_shift,
-                              draw_pairs, gaussian_perturb, ods_perturb,
-                              pair_gap_values, tdiv_perturb, tdiv_sdiv_perturb)
+from distilab.nets import MLP, ModelSpec, build_be, build_plain
+from distilab.perturb import (_normalize_rows, _pair_gap_grad, conf_ods_perturb,
+                              div_estimate, diversity_shift, draw_pairs,
+                              gaussian_perturb, ods_perturb, pair_gap_values,
+                              tdiv_perturb, tdiv_sdiv_perturb)
 from distilab.seeding import rng_stream
 
 
@@ -23,6 +24,35 @@ class ZeroUniformRng:
 
     def integers(self, lo, hi, size=None):
         return np.zeros(size, dtype=np.int64)
+
+
+def per_pair_gap_grad(teachers, student, x, pairs, tau, stop_first):
+    """Oracle: d/dx of the masked pair gap built one ordered pair at a time,
+    four forwards per pair, all on one shared input leaf."""
+    xt = Tensor(x, requires_grad=True)
+    total = None
+    for i, j in sorted({(int(a), int(b)) for a, b in pairs}):
+        mask = Tensor(((pairs[:, 0] == i) & (pairs[:, 1] == j)).astype(np.float64))
+        gap = div_estimate(teachers[i].forward, teachers[j].forward, xt, tau,
+                           stop_first=stop_first)
+        if student is not None:
+            gap = ad.sub(gap, div_estimate(student[i].forward, student[j].forward, xt,
+                                           tau, stop_first=stop_first))
+        masked = ad.sum(ad.mul(mask, gap))
+        total = masked if total is None else ad.add(total, masked)
+    total.backward()
+    return xt.grad
+
+
+def pair_ensembles(members, hidden=(16,)):
+    spec = ModelSpec(2, 3, hidden)
+    teachers = [build_plain(spec, rng_stream(40 + s, "init")) for s in range(members)]
+    student = build_be(spec, rng_stream(50, "init"), "random_sign", members=members)
+    rng = np.random.default_rng(51)
+    for l in student.layers:
+        for m in range(members):
+            l.r[m].data[:] += 0.3 * rng.normal(size=l.r[m].data.shape)
+    return teachers, student
 
 
 @pytest.fixture(scope="module")
@@ -196,13 +226,10 @@ class TestPairPerturbations:
         np.testing.assert_allclose(norms[moved], 0.25, atol=1e-12)
 
     def test_direction_parallel_to_recomputed_gradient(self, teachers, student):
-        from distilab.perturb import _masked_pair_gap
         x_np = np.random.default_rng(26).normal(size=(20, 2))
         pert = tdiv_sdiv_perturb(teachers, student, x_np, 1.0, 0.1,
                                  rng_stream(27, "p"))
-        xt = Tensor(x_np, requires_grad=True)
-        _masked_pair_gap(teachers, student, xt, pert.pairs, 1.0, False).backward()
-        g = xt.grad
+        g = per_pair_gap_grad(teachers, student, x_np, pert.pairs, 1.0, False)
         for b in range(len(x_np)):
             gn = np.linalg.norm(g[b])
             en = np.linalg.norm(pert.epsilon[b])
@@ -210,6 +237,42 @@ class TestPairPerturbations:
                 continue
             cos = float(g[b] @ pert.epsilon[b] / (gn * en))
             assert abs(cos - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("members", [2, 3])
+    @pytest.mark.parametrize("stop_first", [False, True])
+    @pytest.mark.parametrize("with_student", [False, True])
+    def test_gradient_bitwise_equals_per_pair_oracle(self, members, stop_first,
+                                                     with_student):
+        teachers, student = pair_ensembles(members, hidden=(64, 64))
+        student = student if with_student else None
+        rng = np.random.default_rng(52)
+        for _ in range(3):
+            x = 2.0 * rng.normal(size=(128, 2))
+            pairs = draw_pairs(rng, members, len(x))
+            oracle = per_pair_gap_grad(teachers, student, x, pairs, 1.0, stop_first)
+            got = _pair_gap_grad(teachers, student, x, pairs, 1.0, stop_first)
+            assert np.array_equal(got, oracle)
+            if student is None:
+                pert = tdiv_perturb(teachers, x, 1.0, 0.3, rng, pairs=pairs,
+                                    stop_first=stop_first)
+            else:
+                pert = tdiv_sdiv_perturb(teachers, student, x, 1.0, 0.3, rng,
+                                         pairs=pairs, stop_first=stop_first)
+            assert np.array_equal(pert.epsilon, _normalize_rows(oracle, 0.3))
+
+    @pytest.mark.parametrize("members", [2, 3, 4])
+    def test_each_member_runs_once(self, members, monkeypatch):
+        teachers, student = pair_ensembles(members)
+        calls = []
+        forward = MLP.forward
+        monkeypatch.setattr(MLP, "forward",
+                            lambda net, x: calls.append(net) or forward(net, x))
+        x = np.random.default_rng(53).normal(size=(64, 2))
+        tdiv_sdiv_perturb(teachers, student, x, 1.0, 0.2, rng_stream(54, "p"))
+        assert len(calls) == 2 * members
+        calls.clear()
+        tdiv_perturb(teachers, x, 1.0, 0.2, rng_stream(55, "p"))
+        assert len(calls) == members
 
     def test_first_order_ascent(self, teachers, student):
         x = np.random.default_rng(28).normal(size=(400, 2))
