@@ -9,13 +9,14 @@ every in-distribution class mean in the same standardized coordinates.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .seeding import fnv1a64, rng_stream
+from .seeding import rng_stream
 
 RING_RADIUS = 1.4
 
@@ -50,13 +51,14 @@ class Dataset:
         return self.x.shape[1]
 
     def digest(self) -> str:
-        """FNV-1a 64 over the serialized content; stable across runs."""
+        """16 hex characters of BLAKE2b over the serialized content; stable
+        across runs."""
         blob = (self.split.encode() +
                 np.int64(self.num_classes).tobytes() +
                 np.asarray(self.x.shape, dtype=np.int64).tobytes() +
                 np.ascontiguousarray(self.x).tobytes() +
                 np.ascontiguousarray(self.y).tobytes())
-        return f"{fnv1a64(blob):016x}"
+        return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
 
 def _split_sizes(n: int) -> tuple[int, int, int]:

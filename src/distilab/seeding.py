@@ -1,4 +1,4 @@
-"""Deterministic RNG streams and stable content digests.
+"""Deterministic RNG streams, one per (seed, consumer label).
 
 Every consumer of randomness (weight init, batch shuffling, guidance
 vectors, pair sampling, ...) gets its own generator derived from the

@@ -63,6 +63,12 @@ class TestMixture:
         assert train.digest() == again.digest()
         assert len(train.digest()) == 16
 
+    def test_digest_sees_one_changed_value(self):
+        train, _, _ = make_mixture(3, 2, 20, 0.6, seed=5)
+        before = train.digest()
+        train.x[7, 1] = np.nextafter(train.x[7, 1], np.inf)
+        assert train.digest() != before
+
 
 class TestCorrupt:
     def test_intensity_range_enforced(self):
