@@ -190,7 +190,7 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
     rows = np.arange(len(x))
     grad = np.zeros_like(x)
     for xs in leaves:
-        g = np.stack([np.zeros_like(x) if xm.grad is None else xm.grad for xm in xs])
+        g = np.stack([xm.grad for xm in xs])
         grad = grad + g[pairs[:, 0], rows] + g[pairs[:, 1], rows]
     return grad
 
