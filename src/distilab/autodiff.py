@@ -500,8 +500,3 @@ def digamma(x):
     out = _digamma_arr(np.asarray(x, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
 
-
-def trigamma(x):
-    """Trigamma for positive floats/arrays (no graph participation needed)."""
-    out = _trigamma_arr(np.asarray(x, dtype=np.float64))
-    return float(out) if out.ndim == 0 else out

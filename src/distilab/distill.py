@@ -5,7 +5,8 @@ Five ways to compress an ensemble of teachers into a student:
 * ``distill_kd``          -- match the mean teacher distribution (plus an
                              optional label cross-entropy term),
 * ``distill_aekd``        -- per-sample teacher weights from a small box-
-                             constrained quadratic program,
+                             constrained quadratic program, solved exactly
+                             for the whole batch at any number of teachers,
 * ``distill_proxy_end2``  -- reverse KL between Dirichlet distributions whose
                              concentrations come from teacher disagreement,
 * ``distill_be``          -- one-to-one distillation into a factored student:
@@ -22,7 +23,7 @@ Five ways to compress an ensemble of teachers into a student:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,110 +124,87 @@ def kd_loss(teacher_logits: np.ndarray, student_logits: Tensor,
     return label_ce if cfg.alpha == 0.0 else ad.add(label_ce, kd)
 
 
-def _project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {w : sum w = 1, 0 <= w <= cap} by bisection."""
-    lo, hi = v.min() - cap - 1.0, v.max()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, 0.0, cap).sum() > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi), 0.0, cap)
-
-
-def _aekd_objective(w: np.ndarray, teacher_probs: np.ndarray,
-                    student_probs: np.ndarray, tau: float) -> float:
-    resid = student_probs - teacher_probs.T @ w
-    return float(resid @ resid) / (2.0 * tau * tau)
-
-
 def aekd_weights(teacher_probs: np.ndarray, student_probs: np.ndarray,
                  tau: float, c: float) -> np.ndarray:
     """Teacher weights minimizing ||p_S - sum_m w_m p_Tm||^2 / (2 tau^2)
-    over the simplex intersected with the box [0, c].
-
-    Solved exactly by active-set enumeration for M <= 3, otherwise by
-    projected gradient descent to 1e-10 stationarity. c = 1/M forces the
-    uniform weighting (the feasible set is a single point).
+    over the simplex intersected with the box [0, c], for one sample:
+    ``_aekd_weights_batch`` on a single row. teacher_probs is (M, K) and
+    student_probs (K,).
     """
     P = np.asarray(teacher_probs, dtype=np.float64)
     s = np.asarray(student_probs, dtype=np.float64)
-    m = P.shape[0]
-    if c < 1.0 / m - 1e-9 or c > 1.0 + 1e-9:
-        raise ValueError(f"tolerance c={c} infeasible for M={m}")
-    if c <= 1.0 / m + 1e-12:
-        return np.full(m, 1.0 / m)
-    if m <= 3:
-        return _aekd_enumerate(P, s, tau, c)
-    return _aekd_pgd(P, s, tau, c)
-
-
-def _aekd_enumerate(P: np.ndarray, s: np.ndarray, tau: float, c: float) -> np.ndarray:
-    m = P.shape[0]
-    best_w, best_f = None, np.inf
-    for statuses in product(("free", "zero", "cap"), repeat=m):
-        w = np.zeros(m)
-        free = [i for i, st in enumerate(statuses) if st == "free"]
-        for i, st in enumerate(statuses):
-            if st == "cap":
-                w[i] = c
-        budget = 1.0 - w.sum()
-        if budget < -1e-12:
-            continue
-        if free:
-            # equality-constrained least squares on the free block via KKT
-            pf = P[free]
-            size = len(free)
-            kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = 2.0 * (pf @ pf.T)
-            kkt[:size, size] = 1.0
-            kkt[size, :size] = 1.0
-            rhs = np.zeros(size + 1)
-            rhs[:size] = 2.0 * (pf @ (s - P.T @ w))
-            rhs[size] = budget
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            if np.any(sol[:size] < -1e-10) or np.any(sol[:size] > c + 1e-10):
-                continue
-            w[free] = np.clip(sol[:size], 0.0, c)
-        elif abs(budget) > 1e-12:
-            continue
-        f = _aekd_objective(w, P, s, tau)
-        if f < best_f - 1e-15:
-            best_f, best_w = f, w
-    assert best_w is not None
-    return best_w
-
-
-def _aekd_pgd(P: np.ndarray, s: np.ndarray, tau: float, c: float) -> np.ndarray:
-    m = P.shape[0]
-    w = np.full(m, 1.0 / m)
-    lipschitz = float(np.linalg.eigvalsh(P @ P.T).max()) / (tau * tau)
-    step = 1.0 / max(lipschitz, 1e-12)
-    for _ in range(200_000):
-        grad = -(P @ (s - P.T @ w)) / (tau * tau)
-        w_new = _project_capped_simplex(w - step * grad, c)
-        if np.abs(w_new - w).max() < 1e-12:
-            return w_new
-        w = w_new
-    return w
+    return _aekd_weights_batch(P[:, None, :], s[None, :], tau, c)[0]
 
 
 def _aekd_weights_batch(teacher_probs: np.ndarray, student_probs: np.ndarray,
                         tau: float, c: float) -> np.ndarray:
-    """Per-sample weights; closed form for M=2, generic solver otherwise."""
-    m, n = teacher_probs.shape[0], teacher_probs.shape[1]
+    """Exact per-sample AE-KD weights, (N, M), from (M, N, K) teacher and
+    (N, K) student probabilities, at any M.
+
+    At the optimum each weight is free, at 0 or at c. Every such split is
+    tried on all rows at once, one free-set size f at a time: one batched
+    SVD factors the KKT matrices of the F free sets of that size, and the S
+    zero/cap splits of the other weights whose caps fit the budget are
+    solved from those factors, with lstsq's cutoff for zero singular values.
+    Of its feasible candidates within 1e-15 of the lowest objective, each
+    row keeps the first in the order free < zero < capped, weight by weight.
+    Time and memory grow as 3^M. c = 1/M forces the uniform weighting (the
+    feasible set is a single point).
+    """
+    P = np.asarray(teacher_probs, dtype=np.float64)
+    s = np.asarray(student_probs, dtype=np.float64)
+    m, n = P.shape[:2]
+    if c < 1.0 / m - 1e-9 or c > 1.0 + 1e-9:
+        raise ValueError(f"tolerance c={c} infeasible for M={m}")
     if c <= 1.0 / m + 1e-12:
         return np.full((n, m), 1.0 / m)
-    if m == 2:
-        diff = teacher_probs[0] - teacher_probs[1]
-        denom = np.einsum("bk,bk->b", diff, diff)
-        num = np.einsum("bk,bk->b", student_probs - teacher_probs[1], diff)
-        w0 = np.where(denom > 1e-18, num / np.maximum(denom, 1e-18), 0.5)
-        w0 = np.clip(w0, max(0.0, 1.0 - c), min(c, 1.0))
-        return np.stack([w0, 1.0 - w0], axis=1)
-    return np.stack([aekd_weights(teacher_probs[:, b], student_probs[b], tau, c)
-                     for b in range(n)])
+    rows = P.transpose(1, 0, 2)
+    weights, objective, order = [], [], []
+    for size in range(m + 1):
+        # every free set of this size, and the zero/cap splits of the other
+        # weights whose caps fit the budget (all of it when none is free)
+        splits = list(product((0.0, c), repeat=m - size))
+        caps = np.array(splits).reshape(len(splits), m - size)
+        budget = 1.0 - caps.sum(axis=1)
+        fits = budget >= -1e-12 if size else np.abs(budget) <= 1e-12
+        caps, budget = caps[fits], budget[fits]
+        if not len(caps):
+            continue
+        subsets = list(combinations(range(m), size))
+        free = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
+        rest = np.array([[i for i in range(m) if i not in f] for f in subsets],
+                        dtype=np.intp).reshape(len(subsets), m - size)
+        pf = rows[:, free].transpose(1, 0, 2, 3)                        # (F, N, f, K)
+        resid = s[:, None] - caps @ rows[:, rest].transpose(1, 0, 2, 3)  # (F, N, S, K)
+        kkt = np.ones((len(subsets), n, size + 1, size + 1))
+        kkt[..., :size, :size] = 2.0 * (pf @ pf.transpose(0, 1, 3, 2))
+        kkt[..., size, size] = 0.0
+        u, sv, vt = np.linalg.svd(kkt)
+        keep = sv > np.finfo(np.float64).eps * (size + 1) * sv[..., :1]
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+        rhs = np.empty(resid.shape[:3] + (size + 1,))
+        rhs[..., :size] = 2.0 * (resid @ pf.transpose(0, 1, 3, 2))
+        rhs[..., size] = budget
+        # Applying the factors to each right-hand side, not forming the
+        # pseudo-inverse first, keeps nearly singular rows on the simplex.
+        sol = ((rhs @ u) * inv[:, :, None]) @ vt[..., :size]           # (F, N, S, f)
+        feasible = np.all((sol >= -1e-10) & (sol <= c + 1e-10), axis=-1)
+        sol = np.clip(sol, 0.0, c)
+        resid -= sol @ pf
+        f = np.where(feasible, (resid * resid).sum(axis=-1) / (2.0 * tau * tau), np.inf)
+        w = np.zeros(sol.shape[:3] + (m,))
+        np.put_along_axis(w, free[:, None, None], sol, axis=-1)
+        np.put_along_axis(w, rest[:, None, None], caps, axis=-1)
+        # each weight's status (0 free, 1 zero, 2 capped) as a base-3 digit
+        status = np.zeros((len(subsets), len(caps), m))
+        np.put_along_axis(status, rest[:, None], 1.0 + (caps > 0.0), axis=-1)
+        weights.append(w.transpose(0, 2, 1, 3).reshape(-1, n, m))
+        objective.append(f.transpose(0, 2, 1).reshape(-1, n))
+        order.append(status.reshape(-1, m) @ 3.0 ** np.arange(m - 1, -1, -1))
+    weights, objective, order = (np.concatenate(a) for a in (weights, objective, order))
+    near_best = objective <= objective.min(axis=0) + 1e-15
+    pick = np.where(near_best, order[:, None], np.inf).argmin(axis=0)
+    return weights[pick, np.arange(n)]
 
 
 def proxy_dirichlet_target(teacher_probs: np.ndarray) -> ProxyDirichlet:
@@ -345,9 +323,6 @@ def distill_aekd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
     replace the uniform teacher mean.
     """
     _check_teacher_count(teachers, cfg)
-    m = len(teachers)
-    if aekd.c < 1.0 / m - 1e-9 or aekd.c > 1.0 + 1e-9:
-        raise ValueError(f"aekd tolerance must lie in [1/M, 1], got {aekd.c}")
     student = build_plain(spec, rng_stream(cfg.optim.seed, "init"))
     k = spec.num_classes
 
