@@ -16,7 +16,7 @@ from .metrics import (MetricsReport, accuracy, calibrated_metrics, diversity,
                       ece, entropy_histogram, evaluate_model, fit_temperature,
                       nll)
 from .nets import (MLP, ModelSpec, average_rank_one, build_be, build_plain,
-                   checkpoint_load, checkpoint_save)
+                   checkpoint_load, checkpoint_save, join)
 from .optim import OptimConfig, lr_at, train_teachers
 from .perturb import (Perturbation, conf_ods_perturb, div_estimate,
                       diversity_shift, gaussian_perturb, ods_perturb,

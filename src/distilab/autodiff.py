@@ -11,7 +11,7 @@ Design constraints honored throughout:
 * everything is float64; no silent downcasts,
 * any op producing NaN/Inf raises ``NumericsError`` immediately,
 * broadcasting is restricted to identical shapes or tensor-vs-scalar
-  (bias addition gets its own dedicated op),
+  (the dense layer adds its biases itself),
 * gradients flow to inputs as well as parameters, which the perturbation
   strategies rely on.
 """
@@ -19,7 +19,6 @@ Design constraints honored throughout:
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,33 +118,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, numbers.Number):
-            return add_scalar(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, numbers.Number):
-            return add_scalar(self, -float(other))
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Number):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], op: str,
           backward: Callable[[np.ndarray], None] | None) -> Tensor:
@@ -168,59 +140,73 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-# -- linear algebra ---------------------------------------------------------
+# -- member-stacked dense layer ---------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} vs {b.shape}")
+def _stack(ts: Sequence[Tensor]) -> np.ndarray:
+    """(M, ...) read-only stack of the tensors' data; a view for one tensor."""
+    return ts[0].data[None] if len(ts) == 1 else np.stack([t.data for t in ts])
+
+
+def _rank_one(r: Sequence[Tensor], s: Sequence[Tensor]) -> np.ndarray:
+    return _stack(r)[:, :, None] * _stack(s)[:, None, :]
+
+
+def member_weights(weights: Sequence[Tensor], r: Sequence[Tensor],
+                   s: Sequence[Tensor]) -> np.ndarray:
+    """(M, out, in) member weights: one (out, in) weight per member, or one
+    shared weight Hadamard-multiplied by each member's r_m s_m^T."""
+    return _stack(weights) * _rank_one(r, s) if r else _stack(weights)
+
+
+def dense(x: Tensor, weights: Sequence[Tensor], r: Sequence[Tensor],
+          s: Sequence[Tensor], bias: Sequence[Tensor], relu: bool) -> Tensor:
+    """x_m W_m^T + b_m for every member m in one node, (M, B, out), followed
+    by a relu when relu is true.
+
+    W_m is ``member_weights(weights, r, s)[m]``. x is a (B, in) input shared
+    by every member or an (M, B, in) input with one slice per member. Each
+    member runs the same float operations as a one-member layer would, and
+    the gradients of a shared weight, and of a shared input, sum the
+    members in order 0..M-1.
+    """
+    if x.data.ndim not in (2, 3) or x.shape[-1] != weights[0].shape[1] \
+            or (x.data.ndim == 3 and x.shape[0] != len(bias)):
+        raise ShapeError(f"dense layer of {len(bias)} members with weight "
+                         f"{weights[0].shape} got input {x.shape}")
+    w_t = np.ascontiguousarray(member_weights(weights, r, s).transpose(0, 2, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        out_data = a.data @ b.data
+        out_data = np.matmul(x.data, w_t)
+    out_data += _stack(bias)[:, None, :]
+    if relu:
+        # checked before the relu, which would hide a -inf; done in place,
+        # so the graph holds one array per layer and out > 0 marks pre > 0
+        _ensure_finite(out_data, "dense")
+        np.maximum(out_data, 0.0, out=out_data)
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if relu:
+            g = g * (out_data > 0.0)
+        x_t = x.data.T if x.data.ndim == 2 else x.data.transpose(0, 2, 1)
+        g_w = np.matmul(x_t, g).transpose(0, 2, 1)          # d/dW_m, (M, out, in)
+        if r:
+            _accum(weights[0], (g_w * _rank_one(r, s)).sum(axis=0))
+            g_rank = g_w * weights[0].data
+            for t, gm in zip(r, np.matmul(g_rank, _stack(s)[:, :, None])[..., 0]):
+                _accum(t, gm)
+            for t, gm in zip(s, np.matmul(g_rank.transpose(0, 2, 1),
+                                          _stack(r)[:, :, None])[..., 0]):
+                _accum(t, gm)
+        else:
+            for t, gm in zip(weights, g_w):
+                _accum(t, gm)
+        for t, gm in zip(bias, g.sum(axis=1)):
+            _accum(t, gm)
+        if x.requires_grad:
+            g_x = np.matmul(g, w_t.transpose(0, 2, 1))
+            _accum(x, g_x if x.data.ndim == 3 else g_x.sum(axis=0))
 
-    return _node(out_data, (a, b), "matmul", backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-    out_data = np.ascontiguousarray(a.data.T)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, g.T)
-
-    return _node(out_data, (a,), "transpose", backward)
-
-
-def outer(u: Tensor, v: Tensor) -> Tensor:
-    """Rank-one matrix u v^T from two 1-D tensors."""
-    if u.data.ndim != 1 or v.data.ndim != 1:
-        raise ShapeError(f"outer expects 1-D operands, got {u.shape} and {v.shape}")
-    out_data = np.outer(u.data, v.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(u, g @ v.data)
-        _accum(v, g.T @ u.data)
-
-    return _node(out_data, (u, v), "outer", backward)
-
-
-def add_bias(mat: Tensor, vec: Tensor) -> Tensor:
-    """Row-wise addition of a length-K vector to a B-by-K matrix."""
-    if mat.data.ndim != 2 or vec.data.ndim != 1 or mat.shape[1] != vec.shape[0]:
-        raise ShapeError(f"add_bias expects (B,K)+(K,), got {mat.shape} and {vec.shape}")
-    out_data = mat.data + vec.data
-
-    def backward(g: np.ndarray) -> None:
-        _accum(mat, g)
-        _accum(vec, g.sum(axis=0))
-
-    return _node(out_data, (mat, vec), "add_bias", backward)
+    return _node(out_data, (x, *weights, *r, *s, *bias), "dense_relu" if relu else "dense",
+                 backward)
 
 
 # -- elementwise suite -------------------------------------------------------
@@ -312,15 +298,6 @@ def log(a: Tensor) -> Tensor:
     return _node(out_data, (a,), "log", backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, g * (a.data > 0.0))
-
-    return _node(out_data, (a,), "relu", backward)
-
-
 def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - numpy-style name
     out_data = np.array(a.data.sum(axis=axis))
 
@@ -383,19 +360,6 @@ def log_softmax_temp(logits: Tensor, tau: float) -> Tensor:
         _accum(logits, (g - p * g.sum(axis=-1, keepdims=True)) / tau)
 
     return _node(out_data, (logits,), "log_softmax_temp", backward)
-
-
-def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized log-sum-exp along one axis."""
-    amax = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - amax)
-    out_data = (np.log(e.sum(axis=axis)) + np.squeeze(amax, axis=axis))
-    soft = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, np.expand_dims(g, axis) * soft)
-
-    return _node(np.array(out_data), (a,), "logsumexp", backward)
 
 
 # -- gamma-family special functions ------------------------------------------

@@ -26,7 +26,7 @@ from .distill import (AEKDConfig, DegenerateEnsembleError, DistillConfig,
 from .metrics import (MetricsReport, entropy_histogram, evaluate_model,
                       _mean_probs, _model_eval_logits)
 from .nets import (MLP, CheckpointError, ModelSpec, average_rank_one, build_be,
-                   checkpoint_load, checkpoint_save)
+                   checkpoint_load, checkpoint_save, join)
 from .optim import OptimConfig, steps_per_epoch, train_teachers
 from .perturb import KINDS, build_perturbation, default_gamma, diversity_shift_values
 from .seeding import rng_stream
@@ -160,8 +160,9 @@ def cmd_train_teachers(args) -> int:
     return 0
 
 
-def _load_teachers(teachers_dir: Path, seed: int, count: int | None = None) -> list[MLP]:
-    """Load teacher<m>.json checkpoints; count defaults to all present."""
+def _load_teachers(teachers_dir: Path, seed: int, count: int | None = None) -> MLP:
+    """Load teacher<m>.json checkpoints, joined as one net; count defaults to
+    all present."""
     seed_dir = teachers_dir / f"seed{seed}"
     if count is None:
         count = len(sorted(seed_dir.glob("teacher*.json")))
@@ -174,7 +175,7 @@ def _load_teachers(teachers_dir: Path, seed: int, count: int | None = None) -> l
         if model.factored:
             raise ConfigError(f"{path}: teacher checkpoints must be plain models")
         teachers.append(model)
-    return teachers
+    return join(teachers)
 
 
 def cmd_distill(args) -> int:

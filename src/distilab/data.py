@@ -207,9 +207,13 @@ def load_csv(path: str | Path, num_classes: int | None = None,
             raise DataFormatError(f"{p}: line {lineno}: expected {dim + 1} fields, "
                                   f"got {len(cells)}")
         try:
-            xs.append([float(c) for c in cells[:-1]])
+            row = [float(c) for c in cells[:-1]]
         except ValueError as e:
             raise DataFormatError(f"{p}: line {lineno}: bad float: {e}") from e
+        for cell, value in zip(cells, row):
+            if not math.isfinite(value):
+                raise DataFormatError(f"{p}: line {lineno}: non-finite feature '{cell}'")
+        xs.append(row)
         try:
             label = int(cells[-1])
         except ValueError as e:

@@ -31,8 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
-from .metrics import PROB_FLOOR, member_probs, softmax_np
-from .nets import MLP, ModelSpec, average_rank_one, build_be, build_plain
+from .metrics import PROB_FLOOR, batched_logits, member_probs, softmax_np
+from .nets import MLP, ModelSpec, average_rank_one, build_be, build_plain, join
 from .optim import OptimConfig, fit, one_hot
 from .perturb import KINDS, build_perturbation, default_gamma
 from .seeding import rng_stream
@@ -98,20 +98,21 @@ def kd_loss(teacher_logits: np.ndarray, student_logits: Tensor,
             weights: np.ndarray | None = None) -> Tensor:
     """(1 - alpha) H[y, p_S] + alpha tau^2 sum_m w_m H[p_Tm, p_S], batch-averaged.
 
-    teacher_logits is (M, N, K). Without weights every teacher counts 1/M
-    (KD); (N, M) per-sample weights give AE-KD. Teacher probabilities are
-    constants; both cross-entropies use the temperature-softened student
-    distribution.
+    teacher_logits is (M, N, K) and student_logits holds the N rows of a
+    plain student, (1, N, K) or (N, K). Without weights every teacher counts
+    1/M (KD); (N, M) per-sample weights give AE-KD. Teacher probabilities
+    are constants; both cross-entropies use the temperature-softened
+    student distribution.
     """
-    n = student_logits.shape[0] if student_logits.data.ndim == 2 else 1
     log_p = ad.log_softmax_temp(student_logits, cfg.tau)
+    n = log_p.data.size // log_p.shape[-1]
     terms: Tensor | None = None
     if cfg.alpha > 0.0:
         for m, logits in enumerate(teacher_logits):
             probs = softmax_np(logits, cfg.tau)
             if weights is not None:
                 probs = probs * weights[:, m][:, None]
-            h = ad.scale(ad.sum(ad.mul(Tensor(probs), log_p)), -1.0 / n)
+            h = ad.scale(ad.sum(ad.mul(Tensor(probs.reshape(log_p.shape)), log_p)), -1.0 / n)
             terms = h if terms is None else ad.add(terms, h)
         scale = cfg.alpha * cfg.tau ** 2
         if weights is None:
@@ -119,7 +120,7 @@ def kd_loss(teacher_logits: np.ndarray, student_logits: Tensor,
         kd = ad.scale(terms, scale)
         if cfg.alpha == 1.0:
             return kd
-    label_ce = ad.scale(ad.sum(ad.mul(Tensor(y_onehot), log_p)),
+    label_ce = ad.scale(ad.sum(ad.mul(Tensor(y_onehot.reshape(log_p.shape)), log_p)),
                         -(1.0 - cfg.alpha) / n)
     return label_ce if cfg.alpha == 0.0 else ad.add(label_ce, kd)
 
@@ -266,10 +267,12 @@ def dirichlet_kl(conc: Tensor, target_beta: np.ndarray) -> Tensor:
 def proxy_end2_loss(student_logits: Tensor, target: ProxyDirichlet) -> Tensor:
     """Reverse Dirichlet KL with student concentrations exp(logits) + 1,
     divided per sample by the target concentration total, batch-averaged.
-    Samples without a defined target count as zero."""
+    Samples without a defined target count as zero. student_logits holds
+    the rows of a plain student, (1, N, K) or (N, K)."""
     conc = ad.add_scalar(ad.exp(student_logits), 1.0)
-    kl = dirichlet_kl(conc, target.beta)
-    weights = Tensor(np.where(target.defined, 1.0 / target.beta.sum(axis=-1), 0.0))
+    kl = dirichlet_kl(conc, target.beta.reshape(conc.shape))
+    weights = Tensor(np.where(target.defined, 1.0 / target.beta.sum(axis=-1),
+                              0.0).reshape(kl.shape))
     return ad.mean(ad.mul(kl, weights))
 
 
@@ -295,20 +298,16 @@ def _with_perturbation(teachers, student: MLP, train: Dataset, cfg: DistillConfi
     return batch_loss
 
 
-def _teacher_logits(teachers, x: np.ndarray) -> np.ndarray:
-    return np.stack([t.predict_logits(x) for t in teachers])
-
-
 def distill_kd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
                cfg: DistillConfig) -> MLP:
     """Vanilla ensemble distillation into a plain student."""
-    _check_teacher_count(teachers, cfg)
+    teachers = _teacher_net(teachers, cfg)
     student = build_plain(spec, rng_stream(cfg.optim.seed, "init"))
     k = spec.num_classes
 
     def loss(xb, yb):
         logits = student.forward(Tensor(xb))
-        return kd_loss(_teacher_logits(teachers, xb), logits, one_hot(yb, k), cfg)
+        return kd_loss(batched_logits(teachers, xb), logits, one_hot(yb, k), cfg)
 
     return fit(student, train, cfg.optim,
                _with_perturbation(teachers, student, train, cfg, loss))
@@ -322,15 +321,15 @@ def distill_aekd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
     probabilities and are treated as constants in ``kd_loss``, where they
     replace the uniform teacher mean.
     """
-    _check_teacher_count(teachers, cfg)
+    teachers = _teacher_net(teachers, cfg)
     student = build_plain(spec, rng_stream(cfg.optim.seed, "init"))
     k = spec.num_classes
 
     def loss(xb, yb):
         logits = student.forward(Tensor(xb))
-        t_logits = _teacher_logits(teachers, xb)
+        t_logits = batched_logits(teachers, xb)
         weights = _aekd_weights_batch(softmax_np(t_logits, 1.0),
-                                      softmax_np(logits.data, 1.0), cfg.tau, aekd.c)
+                                      softmax_np(logits.data[0], 1.0), cfg.tau, aekd.c)
         return kd_loss(t_logits, logits, one_hot(yb, k), cfg, weights)
 
     return fit(student, train, cfg.optim,
@@ -340,7 +339,7 @@ def distill_aekd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
 def distill_proxy_end2(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
                        cfg: DistillConfig) -> MLP:
     """Dirichlet distribution distillation against the teacher proxy target."""
-    _check_teacher_count(teachers, cfg)
+    teachers = _teacher_net(teachers, cfg)
     if len(teachers) < 2:
         raise ValueError("proxy distillation needs at least two teachers")
     student = build_plain(spec, rng_stream(cfg.optim.seed, "init"),
@@ -354,29 +353,27 @@ def distill_proxy_end2(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
                _with_perturbation(teachers, student, train, cfg, loss))
 
 
-def _check_teacher_count(teachers, cfg: DistillConfig) -> None:
+def _teacher_net(teachers, cfg: DistillConfig) -> MLP:
     if len(teachers) != cfg.num_teachers:
         raise ValueError(f"config expects {cfg.num_teachers} teachers, "
                          f"got {len(teachers)}")
+    return join(teachers)
 
 
-def _one_to_one_loss(teachers: Sequence[MLP], student: MLP, tau: float):
+def _one_to_one_loss(teachers, student: MLP, tau: float):
     """Member m mimics teacher m; the member losses are summed, each
-    tau^2-scaled and batch-averaged."""
+    tau^2-scaled and batch-averaged, in one sum over all members whose value
+    rounds unlike a member-by-member sum but whose gradients are the same bits."""
+    teachers = join(teachers)
     if len(teachers) != len(student):
         raise ValueError(f"student has {len(student)} members but {len(teachers)} "
                          "teachers were given")
-    tau_sq = tau ** 2
+    scale = -tau ** 2
 
     def loss(xb, yb):
-        x_in = Tensor(xb)
-        total: Tensor | None = None
-        for teacher, member in zip(teachers, student):
-            probs = softmax_np(teacher.predict_logits(xb), tau)
-            log_p = ad.log_softmax_temp(member.forward(x_in), tau)
-            member_loss = ad.scale(ad.sum(ad.mul(Tensor(probs), log_p)), -tau_sq / len(xb))
-            total = member_loss if total is None else ad.add(total, member_loss)
-        return total
+        probs = softmax_np(batched_logits(teachers, xb), tau)
+        log_p = ad.log_softmax_temp(student.forward(Tensor(xb)), tau)
+        return ad.scale(ad.sum(ad.mul(Tensor(probs), log_p)), scale / len(xb))
 
     return loss
 

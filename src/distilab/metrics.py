@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
+from .nets import join
+
 PROB_FLOOR = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -194,9 +197,9 @@ def diversity_from_probs(probs: np.ndarray) -> float:
 
 
 def member_probs(ensemble, x: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """(M, N, K) member probabilities of an ensemble at inputs x: a list of
-    one-member nets or a factored net."""
-    return np.stack([softmax_np(member.predict_logits(x), tau) for member in ensemble])
+    """(M, N, K) member probabilities of an ensemble at inputs x: a net or a
+    list of one-member nets."""
+    return softmax_np(batched_logits(join(ensemble), x), tau)
 
 
 def diversity(models, x: np.ndarray, tau: float = 1.0) -> float:
@@ -219,15 +222,17 @@ def entropy_histogram(probs: np.ndarray, bins: int = 30, tag: str = "in") -> Ent
     return EntropyHistogram(edges, counts, tag)
 
 
-def batched_logits(model, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    """Logits of a one-member net, evaluated in fixed-size chunks in input order."""
-    return np.concatenate([model.predict_logits(x[s:s + chunk])
-                           for s in range(0, len(x), chunk)], axis=0)
+def batched_logits(model, x: np.ndarray) -> np.ndarray:
+    """(M, N, K) logits of every member of a net, in input order, one forward
+    per chunk of 1024 // M rows: larger stacked temporaries page-fault."""
+    chunk = max(1, 1024 // len(model))
+    return np.concatenate([model.forward(Tensor(x[s:s + chunk])).data
+                           for s in range(0, len(x), chunk)], axis=1)
 
 
 def _model_eval_logits(model, x: np.ndarray) -> np.ndarray:
     """(M, N, K) member logits with any dirichlet head already folded in."""
-    logits = np.stack([batched_logits(member, x) for member in model])
+    logits = batched_logits(model, x)
     if model.head == "dirichlet":
         # predictive probabilities are normalized shifted concentrations;
         # log(exp(z) + 1) turns that into an ordinary softmax readout

@@ -1,9 +1,11 @@
 """Relu MLPs with a member axis: plain nets and rank-one-factored students.
 
-An ``MLP`` has ``len(net)`` members and ``net[m]`` is member m as a one-member
-net that shares net's parameter tensors. A plain net is a one-member MLP; a
-teacher ensemble is a list of them, which answers the same ``len()`` / ``[m]``
-protocol as a factored student.
+An ``MLP`` has ``len(net)`` members, ``net[m]`` is member m as a one-member
+net that shares net's parameter tensors, and ``net.forward`` runs every
+member at once, one autodiff node per layer, for training and evaluation
+alike. A plain net keeps one weight per member: a trained teacher is a
+one-member net, and ``join`` makes one net of a list of them, the teacher
+ensemble.
 
 A factored ("batch ensemble") dense layer stores one shared weight matrix
 plus M pairs of rank-one factor vectors; member m's effective weight is the
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,44 +69,43 @@ class ModelSpec:
 
 
 class Layer:
-    """Dense layer: a weight (out, in) and one bias (out,) per member; when
-    factored, also one rank-one factor pair r_m (out,), s_m (in,) per member.
-    A plain layer has exactly one member."""
+    """Dense layer with M members and one bias (out,) per member. A plain
+    layer has one weight (out, in) per member; a factored one has a single
+    shared weight and one rank-one factor pair r_m (out,), s_m (in,) per
+    member."""
 
-    def __init__(self, weight: Tensor, bias: list[Tensor],
+    def __init__(self, weights: Sequence[Tensor], bias: Sequence[Tensor],
                  r: Sequence[Tensor] = (), s: Sequence[Tensor] = ()):
-        r, s = list(r), list(s)
-        if weight.data.ndim != 2 or not bias:
-            raise ShapeError(f"inconsistent dense layer: weight {weight.shape}, "
-                             f"{len(bias)} biases")
-        if r or s:
-            if not len(r) == len(s) == len(bias):
-                raise ShapeError("factored layer needs one factor pair per member bias")
-        elif len(bias) != 1:
-            raise ShapeError("a plain layer has exactly one bias")
-        out_dim, in_dim = weight.shape
-        if any(b.shape != (out_dim,) for b in bias) or any(t.shape != (out_dim,) for t in r) \
+        weights, bias, r, s = list(weights), list(bias), list(r), list(s)
+        if not bias or any(w.data.ndim != 2 for w in weights) \
+                or len(weights) != (1 if r or s else len(bias)) \
+                or (r or s) and not len(r) == len(s) == len(bias):
+            raise ShapeError(f"a dense layer has one bias per member and one weight per "
+                             f"member, or one shared weight and one factor pair per "
+                             f"member; got {len(weights)} weights, {len(bias)} biases, "
+                             f"{len(r)} r and {len(s)} s factors")
+        out_dim, in_dim = weights[0].shape
+        if any(w.shape != (out_dim, in_dim) for w in weights) \
+                or any(t.shape != (out_dim,) for t in (*bias, *r)) \
                 or any(t.shape != (in_dim,) for t in s):
-            raise ShapeError(f"bias or rank-one factor shapes inconsistent with weight "
-                             f"{weight.shape}")
-        self.weight = weight
+            raise ShapeError(f"weight, bias or rank-one factor shapes inconsistent with "
+                             f"weight {weights[0].shape}")
+        self.weights = weights
         self.bias = bias
         self.r = r
         self.s = s
 
+    @property
+    def weight(self) -> Tensor:
+        """The shared weight of a factored layer, or a one-member layer's weight."""
+        if len(self.weights) != 1:
+            raise ValueError(f"a plain layer of {len(self.weights)} members has one "
+                             "weight per member; index a member first")
+        return self.weights[0]
+
     def member(self, m: int) -> "Layer":
-        return Layer(self.weight, [self.bias[m]], self.r[m:m + 1], self.s[m:m + 1])
-
-    def effective_weight(self) -> Tensor:
-        """Graph-tracked weight of a one-member layer: W, or W ∘ (r s^T)."""
-        if self.r:
-            return ad.mul(self.weight, ad.outer(self.r[0], self.s[0]))
-        return self.weight
-
-    def effective_weight_data(self) -> np.ndarray:
-        if self.r:
-            return self.weight.data * np.outer(self.r[0].data, self.s[0].data)
-        return self.weight.data
+        weights = self.weights if self.r else self.weights[m:m + 1]
+        return Layer(weights, [self.bias[m]], self.r[m:m + 1], self.s[m:m + 1])
 
 
 class MLP:
@@ -112,8 +113,7 @@ class MLP:
 
     ``head`` records how logits map to probabilities at evaluation time:
     "softmax" for ordinary classifiers, "dirichlet" for students whose
-    logits are log concentration parameters. ``forward`` and
-    ``predict_logits`` run a one-member net; index a member first.
+    logits are log concentration parameters.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer], head: str = "softmax"):
@@ -141,36 +141,17 @@ class MLP:
     def factored(self) -> bool:
         return bool(self.layers[0].r)
 
-    def _check_input(self, shape: tuple[int, ...]) -> None:
-        if len(self) != 1:
-            raise ValueError(f"a net with {len(self)} members has no single output; "
-                             "run a member net[m]")
-        if len(shape) != 2 or shape[1] != self.spec.in_dim:
-            raise ShapeError(f"expected input (B, {self.spec.in_dim}), got {shape}")
-
     def forward(self, x: Tensor) -> Tensor:
-        self._check_input(x.shape)
+        """(M, B, K) logits of every member, from a (B, in) input shared by the
+        members or an (M, B, in) input with one slice per member."""
         h = x
         last = len(self.layers) - 1
         for i, l in enumerate(self.layers):
-            h = ad.add_bias(ad.matmul(h, ad.transpose(l.effective_weight())), l.bias[0])
-            if i != last:
-                h = ad.relu(h)
-        return h
-
-    def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free forward pass for evaluation loops."""
-        self._check_input(x.shape)
-        h = x
-        last = len(self.layers) - 1
-        for i, l in enumerate(self.layers):
-            h = h @ np.ascontiguousarray(l.effective_weight_data().T) + l.bias[0].data
-            if i != last:
-                h = np.maximum(h, 0.0)
+            h = ad.dense(h, l.weights, l.r, l.s, l.bias, i != last)
         return h
 
     def parameters(self) -> list[Tensor]:
-        return [p for l in self.layers for p in (l.weight, *l.r, *l.s, *l.bias)]
+        return [p for l in self.layers for p in (*l.weights, *l.r, *l.s, *l.bias)]
 
     def shared_parameters(self) -> list[Tensor]:
         return [l.weight for l in self.layers]
@@ -185,9 +166,30 @@ class MLP:
         def fresh(ts: Sequence[Tensor]) -> list[Tensor]:
             return [Tensor(t.data, requires_grad=True) for t in ts]
 
-        layers = [Layer(Tensor(l.weight.data, requires_grad=True), fresh(l.bias),
-                        fresh(l.r), fresh(l.s)) for l in self.layers]
+        layers = [Layer(fresh(l.weights), fresh(l.bias), fresh(l.r), fresh(l.s))
+                  for l in self.layers]
         return MLP(self.spec, layers, head=self.head)
+
+
+def join(nets: "MLP | Iterable[MLP]") -> MLP:
+    """One net whose members are those of nets, in order.
+
+    A net is returned as it is. A list of plain nets becomes one plain net
+    with one weight per member; factored nets join only when they share
+    their weight, as the member views of one factored net do.
+    """
+    if isinstance(nets, MLP):
+        return nets
+    nets = list(nets)
+    layers = []
+    for parts in zip(*(n.layers for n in nets)):
+        weights = [w for p in parts for w in p.weights]
+        if parts[0].r and all(w is weights[0] for w in weights):
+            weights = weights[:1]
+        layers.append(Layer(weights, [b for p in parts for b in p.bias],
+                            [t for p in parts for t in p.r],
+                            [t for p in parts for t in p.s]))
+    return MLP(nets[0].spec, layers, nets[0].head)
 
 
 # -- construction -------------------------------------------------------------
@@ -197,7 +199,7 @@ def build_plain(spec: ModelSpec, rng: np.random.Generator, head: str = "softmax"
     layers = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-        layers.append(Layer(Tensor(w, requires_grad=True),
+        layers.append(Layer([Tensor(w, requires_grad=True)],
                             [Tensor(np.zeros(fan_out), requires_grad=True)]))
     return MLP(spec, layers, head=head)
 
@@ -226,7 +228,7 @@ def build_be(spec: ModelSpec, rng: np.random.Generator,
             r.append(Tensor(rv, requires_grad=True))
             s.append(Tensor(sv, requires_grad=True))
             b.append(Tensor(np.zeros(fan_out), requires_grad=True))
-        layers.append(Layer(Tensor(shared, requires_grad=True), b, r, s))
+        layers.append(Layer([Tensor(shared, requires_grad=True)], b, r, s))
     return MLP(spec, layers)
 
 
@@ -242,15 +244,11 @@ def average_rank_one(model: MLP) -> MLP:
     layers = []
     m_count = len(model)
     for l in model.layers:
-        rank_mean = np.zeros_like(l.weight.data)
-        for m in range(m_count):
-            rank_mean += np.outer(l.r[m].data, l.s[m].data)
-        rank_mean /= m_count
-        bias = np.zeros_like(l.bias[0].data)
-        for m in range(m_count):
-            bias += l.bias[m].data
-        bias /= m_count
-        layers.append(Layer(Tensor(l.weight.data * rank_mean, requires_grad=True),
+        r = np.stack([t.data for t in l.r])
+        s = np.stack([t.data for t in l.s])
+        rank_mean = (r[:, :, None] * s[:, None, :]).sum(axis=0) / m_count
+        bias = np.stack([b.data for b in l.bias]).sum(axis=0) / m_count
+        layers.append(Layer([Tensor(l.weight.data * rank_mean, requires_grad=True)],
                             [Tensor(bias, requires_grad=True)]))
     return MLP(model.spec, layers)
 
@@ -279,7 +277,9 @@ def _tensor_names(i: int, factored: bool, members: int) -> tuple[str, list, list
 
 
 def checkpoint_save(model: MLP, path: str | Path) -> None:
-    """Serialize to deterministic JSON; values carry 17 significant digits."""
+    """Serialize to deterministic JSON; values carry 17 significant digits.
+    Format v1 stores plain nets of one member, so save a joined teacher
+    ensemble one member at a time."""
     tensors = {}
     for i, l in enumerate(model.layers):
         w, b, r, s = _tensor_names(i, model.factored, len(model))
@@ -337,6 +337,6 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):
         w, b, r, s = _tensor_names(i, factored, members)
-        layers.append(Layer(load(w, (fan_out, fan_in)), [load(n, (fan_out,)) for n in b],
+        layers.append(Layer([load(w, (fan_out, fan_in))], [load(n, (fan_out,)) for n in b],
                             [load(n, (fan_out,)) for n in r], [load(n, (fan_in,)) for n in s]))
     return MLP(spec, layers, head=doc.get("head", "softmax"))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .nets import MLP, ModelSpec, build_plain
+from .nets import MLP, ModelSpec, build_plain, join
 from .seeding import rng_stream
 
 
@@ -163,9 +163,9 @@ def fit(net: MLP, data, config: OptimConfig,
     return net
 
 
-def train_teachers(spec: ModelSpec, data, m: int,
-                   config: OptimConfig) -> list[MLP]:
-    """Train M independent cross-entropy models, sub-seeded seed + index."""
+def train_teachers(spec: ModelSpec, data, m: int, config: OptimConfig) -> MLP:
+    """Train M independent cross-entropy models, sub-seeded seed + index, and
+    return them joined as one M-member net."""
     if m < 1:
         raise ValueError("teacher count must be >= 1")
     teachers = []
@@ -175,8 +175,8 @@ def train_teachers(spec: ModelSpec, data, m: int,
 
         def cross_entropy(xb, yb, model=model):
             log_probs = ad.log_softmax_temp(model.forward(Tensor(xb)), 1.0)
-            y_hot = Tensor(one_hot(yb, spec.num_classes))
+            y_hot = Tensor(one_hot(yb, spec.num_classes)[None])
             return ad.scale(ad.sum(ad.mul(y_hot, log_probs)), -1.0 / len(yb))
 
         teachers.append(fit(model, data, sub, cross_entropy))
-    return teachers
+    return join(teachers)

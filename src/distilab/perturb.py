@@ -3,15 +3,16 @@
 All directional kinds are normalized per sample to an exact step length
 gamma (rows with a vanishing gradient stay at zero). The pair-based kinds
 draw one ordered member pair per sample, shared between the teacher and
-student divergence terms, and block the gradient through the first KL
-argument so that only the second distribution steers the input gradient.
-Each teacher and student member runs once per step, on an input leaf of its
-own, and each row's gradient is summed in the order teacher i, teacher j,
-student i, student j of its pair: that order is kept on purpose, because it
-makes the step bit-equal to building the gap one pair at a time.
+student divergence terms. By default (``stop_first=False``, which training
+uses) each pair KL is differentiated through both of its members, so the
+step is a first-order ascent direction of the diversity gap;
+``stop_first=True`` blocks the gradient through the first KL argument
+instead. Each ensemble runs one forward per step, on an input leaf with one
+slice per member, and each row's gradient is summed in the order teacher i,
+teacher j, student i, student j of its pair: that order is kept on purpose,
+because it makes the step bit-equal to building the gap one pair at a time.
 
-An ensemble is anything with ``len()`` and ``[m]`` returning one-member nets:
-a list of teachers or a factored student.
+An ensemble is a net or a list of one-member nets (see ``nets.join``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .metrics import member_probs, pairwise_divergence_values, softmax_np
-from .nets import MLP
+from .metrics import member_probs, pairwise_divergence_values
+from .nets import MLP, join
 
 DEGENERATE_NORM = 1e-12
 KINDS = ("none", "gaussian", "ods", "conf_ods", "tdiv", "tdiv_sdiv")
@@ -80,17 +81,35 @@ def gaussian_perturb(x: np.ndarray, gamma: float,
 
 
 def _ods_gradients(teachers: Sequence[MLP], x: np.ndarray, tau: float,
-                   guidance: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """d/dx of w^T p_teacher(x; tau), rows grouped by the selected teacher."""
+                   guidance: np.ndarray, members: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """d/dx of w^T p_teacher(x; tau), and the confidence max_k p_teacher(x; tau),
+    with the rows grouped by the selected teacher."""
     grads = np.zeros_like(x)
+    conf = np.zeros(len(x))
     for m in np.unique(members):
         rows = np.nonzero(members == m)[0]
         xt = Tensor(x[rows], requires_grad=True)
         probs = ad.softmax_temp(teachers[int(m)].forward(xt), tau)
-        objective = ad.sum(ad.mul(Tensor(guidance[rows]), probs))
+        objective = ad.sum(ad.mul(Tensor(guidance[rows][None]), probs))
         objective.backward()
         grads[rows] = xt.grad
-    return grads
+        conf[rows] = probs.data[0].max(axis=1)
+    return grads, conf
+
+
+def _ods_step(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float,
+              rng: np.random.Generator, members: np.ndarray | None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(normalized ODS step, teacher confidence, teacher index) per row."""
+    if gamma < 0:
+        raise ValueError("gamma must be non-negative")
+    k = teachers[0].spec.num_classes
+    guidance = rng.uniform(-1.0, 1.0, size=(len(x), k))
+    if members is None:
+        members = rng.integers(0, len(teachers), size=len(x))
+    grads, conf = _ods_gradients(teachers, x, tau, guidance, members)
+    return _normalize_rows(grads, gamma), conf, members
 
 
 def ods_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float,
@@ -102,14 +121,8 @@ def ods_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float
     The guidance vector is uniform on [-1, 1]^K per sample; the teacher
     index is drawn uniformly per sample when not supplied.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    k = teachers[0].spec.num_classes
-    guidance = rng.uniform(-1.0, 1.0, size=(len(x), k))
-    if members is None:
-        members = rng.integers(0, len(teachers), size=len(x))
-    grads = _ods_gradients(teachers, x, tau, guidance, members)
-    return Perturbation(_normalize_rows(grads, gamma), "ods", gamma, members=members)
+    eps, _, members = _ods_step(teachers, x, tau, gamma, rng, members)
+    return Perturbation(eps, "ods", gamma, members=members)
 
 
 def conf_ods_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float,
@@ -117,13 +130,8 @@ def conf_ods_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: 
                      members: np.ndarray | None = None) -> Perturbation:
     """ODS step with each row scaled by the selected teacher's confidence
     max_k p^(k)(x; tau)."""
-    ods = ods_perturb(teachers, x, tau, gamma, rng, members)
-    conf = np.zeros(len(x))
-    for m in np.unique(ods.members):
-        rows = np.nonzero(ods.members == m)[0]
-        probs = softmax_np(teachers[int(m)].predict_logits(x[rows]), tau)
-        conf[rows] = probs.max(axis=1)
-    return Perturbation(ods.epsilon * conf[:, None], "conf_ods", gamma, members=ods.members)
+    eps, conf, members = _ods_step(teachers, x, tau, gamma, rng, members)
+    return Perturbation(eps * conf[:, None], "conf_ods", gamma, members=members)
 
 
 def _pair_kl(log_pi: Tensor, log_pj: Tensor, stop_first: bool) -> Tensor:
@@ -151,19 +159,12 @@ def div_estimate(model_i: Callable[[Tensor], Tensor],
                     ad.log_softmax_temp(model_j(x), tau), stop_first)
 
 
-def _member_rows(log_p: Sequence[Tensor], members: np.ndarray) -> Tensor:
-    """Row b of log_p[members[b]], as a sum of one-hot-masked members.
-
-    Masking by exact 0/1 keeps every picked value and every gradient row
-    bit-equal to indexing the member directly.
-    """
-    picked: Tensor | None = None
-    for m, lp in enumerate(log_p):
-        onehot = np.broadcast_to((members == m)[:, None], lp.shape)
-        term = ad.mul(Tensor(onehot), lp)
-        picked = term if picked is None else ad.add(picked, term)
-    assert picked is not None
-    return picked
+def _member_rows(log_p: Tensor, members: np.ndarray) -> Tensor:
+    """Row b of member members[b] of an (M, B, K) tensor, as the member sum
+    of one-hot-masked members: exact 0/1 masks keep every picked value and
+    every gradient row bit-equal to indexing the member directly."""
+    onehot = np.arange(log_p.shape[0])[:, None, None] == members[None, :, None]
+    return ad.sum(ad.mul(Tensor(np.broadcast_to(onehot, log_p.shape)), log_p), axis=0)
 
 
 def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
@@ -171,17 +172,18 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
     """d/dx of sum_b [KL_T(i_b, j_b) - KL_S(i_b, j_b)], with the pair draw
     shared between the teacher and student terms of each sample.
 
-    Every member runs once, on an input leaf of its own. Row b's gradient
-    is then summed as teacher i, teacher j, student i, student j for its
-    pair (i, j): the order in which one shared input leaf accumulates the
-    per-pair formulation (four forwards per ordered pair), so the result
-    is bit-equal to it.
+    Each ensemble runs one forward, on an input leaf with one slice per
+    member. Row b's gradient is then summed as teacher i, teacher j,
+    student i, student j for its pair (i, j): the order in which one shared
+    input leaf accumulates the per-pair formulation (four forwards per
+    ordered pair), so the result is bit-equal to it.
     """
-    ensembles = [teachers] if student is None else [teachers, student]
-    leaves = [[Tensor(x, requires_grad=True) for _ in e] for e in ensembles]
+    ensembles = [join(teachers)] + ([] if student is None else [student])
+    leaves = [Tensor(np.broadcast_to(x, (len(e),) + x.shape), requires_grad=True)
+              for e in ensembles]
     gap: Tensor | None = None
-    for ensemble, xs in zip(ensembles, leaves):
-        log_p = [ad.log_softmax_temp(net.forward(xm), tau) for net, xm in zip(ensemble, xs)]
+    for ensemble, leaf in zip(ensembles, leaves):
+        log_p = ad.log_softmax_temp(ensemble.forward(leaf), tau)
         kl = ad.sum(_pair_kl(_member_rows(log_p, pairs[:, 0]),
                              _member_rows(log_p, pairs[:, 1]), stop_first))
         gap = kl if gap is None else ad.sub(gap, kl)
@@ -189,9 +191,8 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
     gap.backward()
     rows = np.arange(len(x))
     grad = np.zeros_like(x)
-    for xs in leaves:
-        g = np.stack([xm.grad for xm in xs])
-        grad = grad + g[pairs[:, 0], rows] + g[pairs[:, 1], rows]
+    for leaf in leaves:
+        grad = grad + leaf.grad[pairs[:, 0], rows] + leaf.grad[pairs[:, 1], rows]
     return grad
 
 

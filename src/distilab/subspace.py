@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .metrics import accuracy, batched_logits, diversity, nll_with_stats, softmax_np
-from .nets import Layer, MLP, average_rank_one
+from .nets import Layer, MLP, average_rank_one, join
 
 
 def default_grid() -> np.ndarray:
@@ -53,18 +54,19 @@ def _require_two_members(model) -> None:
 def interpolate(model, t: float) -> MLP:
     """Plain network at position t on the member-1 / member-2 line."""
     _require_two_members(model)
-    first, second = model[0], model[1]
+    net = join(model)
     layers = []
-    for l0, l1 in zip(first.layers, second.layers):
-        w = (1.0 - t) * l0.effective_weight_data() + t * l1.effective_weight_data()
-        b = (1.0 - t) * l0.bias[0].data + t * l1.bias[0].data
-        layers.append(Layer(Tensor(w, requires_grad=True), [Tensor(b, requires_grad=True)]))
-    return MLP(first.spec, layers)
+    for l in net.layers:
+        w = ad.member_weights(l.weights, l.r, l.s)
+        w = (1.0 - t) * w[0] + t * w[1]
+        b = (1.0 - t) * l.bias[0].data + t * l.bias[1].data
+        layers.append(Layer([Tensor(w, requires_grad=True)], [Tensor(b, requires_grad=True)]))
+    return MLP(net.spec, layers)
 
 
 def _eval_point(net: MLP, train: Dataset, test: Dataset) -> tuple[float, float, float, float]:
-    train_probs = softmax_np(batched_logits(net, train.x))
-    test_probs = softmax_np(batched_logits(net, test.x))
+    train_probs = softmax_np(batched_logits(net, train.x)[0])
+    test_probs = softmax_np(batched_logits(net, test.x)[0])
     train_err = 1.0 - accuracy(train_probs, train.y)
     test_err = 1.0 - accuracy(test_probs, test.y)
     test_nll_mean = nll_with_stats(test_probs, test.y)[1]
@@ -132,7 +134,7 @@ class EndpointTrace:
         div_train = diversity(student, self.train.x)
         div_test = diversity(student, self.test.x)
         averaged = average_rank_one(student)
-        probs = softmax_np(batched_logits(averaged, self.test.x))
+        probs = softmax_np(batched_logits(averaged, self.test.x)[0])
         avg_nll = nll_with_stats(probs, self.test.y)[1]
         self.rows.append((step, div_train, div_test, avg_nll))
 

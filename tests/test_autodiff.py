@@ -41,32 +41,120 @@ def check_grad(build, arrays, rel_tol=1e-6, h=1e-5):
         assert rel.max() < rel_tol, f"max rel err {rel.max():.3e}"
 
 
-class TestMatmul:
+def dense_reference(x, weights, r, s, bias, relu, upstream):
+    """Per-member numpy reference of ``ad.dense``: each member runs the float
+    operations of the one-member op chain (W ∘ r s^T, contiguous transpose,
+    matmul, bias, relu) and the gradients accumulate as that chain's graph
+    did, from zeros and in member order. Returns (output, input gradient,
+    weight gradients, r, s and bias gradients)."""
+    members = len(bias)
+    outs, g_x, g_w = [], np.zeros_like(x), [np.zeros_like(w) for w in weights]
+    g_r, g_s, g_b = [], [], []
+    for m in range(members):
+        x_m = x if x.ndim == 2 else x[m]
+        w = weights[0] * np.outer(r[m], s[m]) if r else weights[m]
+        w_t = np.ascontiguousarray(w.T)
+        pre = x_m @ w_t + bias[m]
+        outs.append(np.maximum(pre, 0.0) if relu else pre)
+        g = upstream[m] * (pre > 0.0) if relu else upstream[m]
+        g_eff = np.zeros_like(w) + (x_m.T @ g).T
+        if r:
+            g_w[0] += g_eff * np.outer(r[m], s[m])
+            g_rank = np.zeros_like(w) + g_eff * weights[0]
+            g_r.append(np.zeros_like(r[m]) + g_rank @ s[m])
+            g_s.append(np.zeros_like(s[m]) + g_rank.T @ r[m])
+        else:
+            g_w[m] += g_eff
+        g_b.append(np.zeros_like(bias[m]) + g.sum(axis=0))
+        if x.ndim == 2:
+            g_x += g @ w_t.T
+        else:
+            g_x[m] += g @ w_t.T
+    return np.stack(outs), g_x, g_w, g_r, g_s, g_b
+
+
+def dense_case(rng, members, factored, shared_input, batch=5, in_dim=4, out_dim=3):
+    x = rng.normal(size=(batch, in_dim) if shared_input else (members, batch, in_dim))
+    weights = [rng.normal(size=(out_dim, in_dim)) for _ in range(1 if factored else members)]
+    r = [rng.normal(size=out_dim) for _ in range(members)] if factored else []
+    s = [rng.normal(size=in_dim) for _ in range(members)] if factored else []
+    bias = [rng.normal(size=out_dim) for _ in range(members)]
+    return x, weights, r, s, bias
+
+
+class TestDense:
     def test_identity(self):
-        a = Tensor(np.eye(2))
-        b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(ad.matmul(a, b).data, [[1.0, 2.0], [3.0, 4.0]])
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        out = ad.dense(x, [Tensor(np.eye(2))], [], [], [Tensor(np.zeros(2))], False)
+        assert np.array_equal(out.data, [[[1.0, 2.0], [3.0, 4.0]]])
 
     def test_projector(self):
+        # rows of x times the transposed projector keep the first coordinate
+        x = Tensor([[5.0, 6.0], [7.0, 8.0]])
         p = Tensor([[1.0, 0.0], [0.0, 0.0]])
-        b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(ad.matmul(p, b).data, [[5.0, 6.0], [0.0, 0.0]])
+        out = ad.dense(x, [p], [], [], [Tensor(np.zeros(2))], False)
+        assert np.array_equal(out.data, [[[5.0, 0.0], [7.0, 0.0]]])
+
+    def test_relu_values(self):
+        out = ad.dense(Tensor([[-1.0, 0.0, 2.0]]), [Tensor(np.eye(3))], [], [],
+                       [Tensor(np.zeros(3))], True)
+        assert np.array_equal(out.data, [[[0.0, 0.0, 2.0]]])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        check_grad(lambda x, y: ad.sum(ad.matmul(x, y)), [a, b], rel_tol=1e-6)
+        x, weights, r, s, bias = dense_case(rng, 2, True, False)
+        upstream = rng.normal(size=(2, 5, 3))
+
+        def build(xt, w, r0, r1, s0, s1, b0, b1):
+            out = ad.dense(xt, [w], [r0, r1], [s0, s1], [b0, b1], False)
+            return ad.sum(ad.mul(Tensor(upstream), out))
+
+        check_grad(build, [x, *weights, *r, *s, *bias], rel_tol=1e-6)
 
     def test_shape_mismatch(self):
+        w, b = [Tensor(np.ones((2, 3)))], [Tensor(np.zeros(2))]
         with pytest.raises(ShapeError):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            ad.dense(Tensor(np.ones((4, 2))), w, [], [], b, True)
+        with pytest.raises(ShapeError):
+            ad.dense(Tensor(np.ones((2, 4, 3))), w, [], [], b, True)
+
+    @pytest.mark.parametrize("members", [1, 2, 3, 4])
+    @pytest.mark.parametrize("factored", [False, True])
+    @pytest.mark.parametrize("shared_input", [False, True])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_bitwise_equals_per_member_reference(self, members, factored, shared_input,
+                                                 relu):
+        # a plain layer of several members is a teacher ensemble: one weight each
+        rng = np.random.default_rng(100 + members)
+        x, weights, r, s, bias = dense_case(rng, members, factored, shared_input,
+                                            batch=33, in_dim=17, out_dim=9)
+        upstream = rng.normal(size=(members, 33, 9))
+        tensors = [[Tensor(a, requires_grad=True) for a in group]
+                   for group in ([x], weights, r, s, bias)]
+        (xt,), wt, rt, st, bt = tensors
+        out = ad.dense(xt, wt, rt, st, bt, relu)
+        ad.sum(ad.mul(Tensor(upstream), out)).backward()
+        ref = dense_reference(x, weights, r, s, bias, relu, upstream)
+        assert out.data.tobytes() == ref[0].tobytes()
+        assert xt.grad.tobytes() == ref[1].tobytes()
+        for group, expected in zip((wt, rt, st, bt), ref[2:]):
+            assert len(group) == len(expected)
+            for t, e in zip(group, expected):
+                assert t.grad.tobytes() == e.tobytes()
+
+    def test_member_weights(self):
+        rng = np.random.default_rng(12)
+        _, weights, r, s, _ = dense_case(rng, 3, True, True)
+        got = ad.member_weights([Tensor(w) for w in weights], [Tensor(v) for v in r],
+                                [Tensor(v) for v in s])
+        for m in range(3):
+            assert got[m].tobytes() == (weights[0] * np.outer(r[m], s[m])).tobytes()
+        plain = [Tensor(w) for w in dense_case(rng, 3, False, True)[1]]
+        assert np.array_equal(ad.member_weights(plain, [], []),
+                              np.stack([t.data for t in plain]))
 
 
 class TestElementwise:
-    def test_relu_values(self):
-        assert np.array_equal(ad.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
-
     def test_exp_log_inverse_pair(self):
         x = Tensor([0.5, 1.5])
         np.testing.assert_allclose(ad.exp(ad.log(x)).data, x.data, rtol=1e-15)
@@ -95,7 +183,6 @@ class TestElementwise:
             check_grad(build, [a, b])
         check_grad(lambda x: ad.sum(ad.exp(x)), [rng.normal(size=(2, 3))])
         check_grad(lambda x: ad.sum(ad.log(x)), [rng.uniform(0.5, 2.0, size=(2, 3))])
-        check_grad(lambda x: ad.sum(ad.relu(x)), [rng.normal(size=(4, 4)) + 0.1])
         check_grad(lambda x: ad.scale(ad.sum(x), 2.5), [rng.normal(size=(5,))])
         check_grad(lambda x: ad.mean(ad.mul(x, x)), [rng.normal(size=(6,))])
 
@@ -140,7 +227,6 @@ class TestSoftmaxTemp:
         w = rng.normal(size=(3, 4))
         check_grad(lambda x: ad.sum(ad.mul(Tensor(w), ad.softmax_temp(x, 2.0))), [z])
         check_grad(lambda x: ad.sum(ad.mul(Tensor(w), ad.log_softmax_temp(x, 0.5))), [z])
-        check_grad(lambda x: ad.sum(ad.logsumexp(x)), [z])
 
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(8)
@@ -177,8 +263,8 @@ class TestGraphSemantics:
     def test_backward_after_reset_is_bit_identical(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        out = ad.sum(ad.relu(ad.matmul(x, w)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        out = ad.sum(ad.exp(ad.mul(ad.mul(x, w), x)))
         out.backward()
         first = (x.grad.copy(), w.grad.copy())
         x.zero_grad()

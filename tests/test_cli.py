@@ -193,6 +193,15 @@ class TestEvaluate:
         row = out.read_text().splitlines()[1].split(",")
         assert row[METRIC_COLUMNS.index("mean_div")] != ""
 
+    def test_non_finite_csv_feature_exits_2(self, trained, tmp_path, capsys):
+        _, teachers = trained
+        (tmp_path / "test.csv").write_text("x0,x1,y\n0.5,1.0,0\nnan,0.2,1\n1.0,0.3,2\n")
+        out = tmp_path / "m.csv"
+        assert main(["evaluate", "--model", str(teachers / "seed0" / "teacher0.json"),
+                     "--data", str(write_csv_spec(tmp_path)), "--out", str(out)]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_model_exits_2(self, tmp_path):
         data = write_data_spec(tmp_path)
         assert main(["evaluate", "--model", str(tmp_path / "none.json"),

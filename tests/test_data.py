@@ -155,6 +155,13 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="line 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,x1,y\n0.0,1.0,0\n0.5,{value},1\n")
+        with pytest.raises(DataFormatError, match="line 3"):
+            load_csv(path)
+
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,x1,y\n0.0,1.0,7\n")

@@ -8,7 +8,6 @@ Dirichlet reverse KL against numerical integration over the simplex.
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,22 +21,22 @@ from distilab.distill import (AEKDConfig, DegenerateEnsembleError, DistillConfig
                               distill_be, distill_kd, distill_latentbe,
                               distill_proxy_end2, kd_loss,
                               proxy_dirichlet_target, proxy_end2_loss)
-from distilab.metrics import softmax_np
-from distilab.nets import ModelSpec, build_be
+from distilab.metrics import batched_logits, softmax_np
+from distilab.nets import MLP, ModelSpec, build_be, build_plain
 from distilab.optim import OptimConfig, one_hot
 from distilab.seeding import rng_stream
 from test_autodiff import check_grad
 
 
 def stub_teacher(probs, tau=1.0):
-    """Model-like object whose tau-softened outputs equal probs exactly."""
+    """Plain net whose tau-softened outputs equal probs exactly at any
+    two-dimensional input: zero weights, and the logits as the last bias."""
     logits = tau * np.log(np.asarray(probs, dtype=np.float64))
-
-    def predict(x):
-        return np.tile(logits, (len(x), 1))
-
-    return SimpleNamespace(predict_logits=predict,
-                           spec=SimpleNamespace(num_classes=logits.shape[-1]))
+    net = build_plain(ModelSpec(2, len(logits), (1,)), rng_stream(0, "init"))
+    for l in net.layers:
+        l.weight.data[:] = 0.0
+    net.layers[-1].bias[0].data[:] = logits
+    return net
 
 
 def stub_logits(teacher_probs, n, tau=1.0):
@@ -215,7 +214,7 @@ class TestOneToOne:
         x = np.array([[0.4, -0.2]])
         tau = 3.0
         log_p = ad.log_softmax_temp(student[0].forward(Tensor(x)), tau)
-        member_loss = ad.scale(ad.sum(ad.mul(Tensor(np.tile([0.3, 0.7], (1, 1))),
+        member_loss = ad.scale(ad.sum(ad.mul(Tensor(np.tile([0.3, 0.7], (1, 1, 1))),
                                              log_p)), -tau * tau)
         cfg = DistillConfig(tau=tau, alpha=1.0, num_teachers=1,
                             optim=OptimConfig(epochs=2, warmup_epochs=1))
@@ -283,8 +282,7 @@ class TestLatentBE:
         assert (len(student), student.factored) == (2, True)
         rebuilt = average_rank_one(student)
         x = train.x[:8]
-        np.testing.assert_array_equal(averaged.predict_logits(x),
-                                      rebuilt.predict_logits(x))
+        np.testing.assert_array_equal(batched_logits(averaged, x), batched_logits(rebuilt, x))
 
     def test_plain_methods_reject_tdiv_sdiv(self, tiny_task, tiny_teachers, tiny_spec):
         train, _, _ = tiny_task
@@ -562,7 +560,7 @@ class TestPlainLoops:
                             optim=OptimConfig(epochs=25, warmup_epochs=2,
                                               batch_size=32, seed=0))
         student = distill_kd(tiny_teachers, tiny_spec, train, cfg)
-        preds = softmax_np(student.predict_logits(test.x)).argmax(axis=1)
+        preds = softmax_np(batched_logits(student, test.x)[0]).argmax(axis=1)
         assert (preds == test.y).mean() > 0.6
 
     def test_aekd_loop_runs(self, tiny_task, tiny_teachers, tiny_spec):
@@ -573,20 +571,19 @@ class TestPlainLoops:
         student = distill_aekd(tiny_teachers, tiny_spec, train, cfg, AEKDConfig(0.6))
         assert student.head == "softmax"
 
-    def test_aekd_step_runs_each_teacher_once(self, tiny_task, tiny_teachers, tiny_spec):
+    def test_aekd_step_runs_each_teacher_once(self, tiny_task, tiny_teachers, tiny_spec,
+                                              monkeypatch):
+        # one step: both teachers run in one stacked forward, the student in one
         train, _, _ = tiny_task
         calls = []
-        teachers = [t.copy() for t in tiny_teachers]
-        for i, t in enumerate(teachers):
-            def counted(x, _i=i, _predict=t.predict_logits):
-                calls.append(_i)
-                return _predict(x)
-            t.predict_logits = counted
+        forward = MLP.forward
+        monkeypatch.setattr(MLP, "forward",
+                            lambda net, x: calls.append(len(net)) or forward(net, x))
         cfg = DistillConfig(num_teachers=2,
                             optim=OptimConfig(epochs=1, warmup_epochs=0,
                                               batch_size=len(train), seed=0))
-        distill_aekd(teachers, tiny_spec, train, cfg, AEKDConfig(0.6))
-        assert sorted(calls) == [0, 1]
+        distill_aekd(tiny_teachers, tiny_spec, train, cfg, AEKDConfig(0.6))
+        assert sorted(calls) == [1, 2]
 
     def test_proxy_loop_produces_dirichlet_head(self, tiny_task, tiny_teachers,
                                                 tiny_spec):

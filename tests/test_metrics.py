@@ -248,7 +248,8 @@ class TestDiversity:
                   for s in (0, 1)]
         x = np.random.default_rng(15).normal(size=(12, 2))
         assert diversity([models[0], models[0]], x) == pytest.approx(0.0, abs=1e-15)
-        probs = np.stack([softmax_np(m.predict_logits(x)) for m in models])
+        from distilab.metrics import batched_logits
+        probs = np.stack([softmax_np(batched_logits(m, x)[0]) for m in models])
         assert diversity(models, x) == pytest.approx(diversity_from_probs(probs),
                                                      abs=1e-15)
 

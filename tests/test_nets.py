@@ -9,13 +9,19 @@ import numpy as np
 import pytest
 
 import distilab.autodiff as ad
-from distilab.autodiff import Tensor
+from distilab.autodiff import ShapeError, Tensor
+from distilab.metrics import batched_logits
 from distilab.nets import (CheckpointError, Layer, MLP, ModelSpec, average_rank_one,
-                           build_be, build_plain, checkpoint_load, checkpoint_save)
+                           build_be, build_plain, checkpoint_load, checkpoint_save, join)
 from distilab.seeding import rng_stream
 from test_autodiff import check_grad
 
 DATA = Path(__file__).parent / "data"
+
+
+def logits(net, x):
+    """(B, K) logits of a one-member net."""
+    return batched_logits(net, x)[0]
 
 
 def _spec(hidden=(16,)):
@@ -41,7 +47,7 @@ class TestForwardPlain:
             layer.weight.data[:] = 0.0
             layer.bias[0].data[:] = 0.0
         out = model.forward(Tensor(np.ones((4, 2))))
-        assert np.array_equal(out.data, np.zeros((4, 3)))
+        assert np.array_equal(out.data, np.zeros((1, 4, 3)))
 
     def test_single_linear_layer_composition(self):
         # relu hidden set to identity passthrough makes the net affine:
@@ -56,7 +62,7 @@ class TestForwardPlain:
         model.layers[1].bias[0].data[:] = b
         x = np.abs(rng.normal(size=(5, 3)))
         expected = (x + 10.0) @ w.T + b
-        np.testing.assert_allclose(model.forward(Tensor(x)).data, expected, atol=1e-12)
+        np.testing.assert_allclose(model.forward(Tensor(x)).data[0], expected, atol=1e-12)
 
     def test_input_gradient_finite_difference(self):
         model = build_plain(ModelSpec(2, 3, (16,)), rng_stream(2, "init"))
@@ -65,7 +71,7 @@ class TestForwardPlain:
             return ad.sum(ad.softmax_temp(model.forward(x), 2.0))
 
         # softmax rows sum to one so perturb a weighted readout instead
-        w = np.random.default_rng(3).normal(size=(4, 3))
+        w = np.random.default_rng(3).normal(size=(1, 4, 3))
 
         def build_weighted(x):
             return ad.sum(ad.mul(Tensor(w), ad.softmax_temp(model.forward(x), 2.0)))
@@ -83,13 +89,13 @@ class TestForwardMember:
     def test_ones_factors_match_shared_network(self):
         spec = _spec()
         be = build_be(spec, rng_stream(3, "init"), "ones", members=3)
-        plain = MLP(spec, [Layer(Tensor(l.weight.data, requires_grad=True),
+        plain = MLP(spec, [Layer([Tensor(l.weight.data, requires_grad=True)],
                                  [Tensor(l.bias[0].data, requires_grad=True)])
                            for l in be.layers])
         x = np.random.default_rng(5).normal(size=(6, 2))
-        ref = plain.predict_logits(x)
+        ref = logits(plain, x)
         for m in range(3):
-            np.testing.assert_array_equal(be[m].predict_logits(x), ref)
+            np.testing.assert_array_equal(logits(be[m], x), ref)
 
     def test_zero_r_leaves_only_biases(self):
         be = build_be(_spec(), rng_stream(4, "init"), "ones", members=2)
@@ -97,7 +103,7 @@ class TestForwardMember:
             l.r[0].data[:] = 0.0
             l.bias[0].data[:] = np.arange(l.bias[0].data.shape[0], dtype=float)
         x = np.random.default_rng(6).normal(size=(4, 2))
-        out = be[0].predict_logits(x)
+        out = logits(be[0], x)
         # every row identical: input influence is annihilated
         assert np.ptp(out, axis=0).max() == 0.0
 
@@ -108,11 +114,11 @@ class TestForwardMember:
                 l.r[m].data[:] += np.random.default_rng(m).normal(size=l.r[m].data.shape) * 0.1
         x = np.random.default_rng(8).normal(size=(10, 2))
         for m in range(2):
-            direct = be[m].predict_logits(x)
+            direct = logits(be[m], x)
             materialized = MLP(be.spec, [
-                Layer(Tensor(l.weight.data * np.outer(l.r[m].data, l.s[m].data)),
+                Layer([Tensor(l.weight.data * np.outer(l.r[m].data, l.s[m].data))],
                       [Tensor(l.bias[m].data)]) for l in be.layers])
-            assert np.abs(direct - materialized.predict_logits(x)).max() < 1e-12
+            assert np.abs(direct - logits(materialized, x)).max() < 1e-12
 
     def test_member_index_range(self):
         be = build_be(_spec(), rng_stream(9, "init"), "ones", members=2)
@@ -132,12 +138,43 @@ class TestForwardMember:
         assert len(plain) == 1 and not plain.factored
         assert plain[0].layers[0].weight is plain.layers[0].weight
 
-    def test_multi_member_net_has_no_single_forward(self):
-        be = build_be(_spec(), rng_stream(9, "init"), "ones", members=2)
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_multi_member_forward_stacks_the_members(self, factored):
+        spec = _spec((8, 8))
+        if factored:
+            net = build_be(spec, rng_stream(9, "init"), "random_sign", members=3)
+        else:
+            net = join([build_plain(spec, rng_stream(s, "init")) for s in range(3)])
+        x = np.random.default_rng(10).normal(size=(5, 2))
+        stacked = net.forward(Tensor(x)).data
+        assert stacked.shape == (3, 5, 3)
+        per_member = np.random.default_rng(11).normal(size=(3, 5, 2))
+        sliced = net.forward(Tensor(per_member)).data
+        for m in range(3):
+            assert stacked[m].tobytes() == net[m].forward(Tensor(x)).data[0].tobytes()
+            assert sliced[m].tobytes() == logits(net[m], per_member[m]).tobytes()
+        with pytest.raises(ShapeError):
+            net.forward(Tensor(np.ones((2, 5, 2))))
+
+    def test_join_keeps_member_tensors(self, tmp_path):
+        spec = _spec()
+        plains = [build_plain(spec, rng_stream(s, "init")) for s in range(2)]
+        joined = join(plains)
+        assert (len(joined), joined.factored) == (2, False)
+        for m, plain in enumerate(plains):
+            for lj, lp in zip(joined[m].layers, plain.layers):
+                assert lj.weight is lp.weight and lj.bias[0] is lp.bias[0]
+        be = build_be(spec, rng_stream(9, "init"), "random_sign", members=3)
+        assert join(be) is be
+        pair = join([be[2], be[0]])
+        assert pair.factored and pair.layers[0].weight is be.layers[0].weight
+        assert pair.layers[0].r == [be.layers[0].r[2], be.layers[0].r[0]]
+        with pytest.raises(ShapeError):
+            join([be[0], build_be(spec, rng_stream(8, "init"), "ones", members=1)])
         with pytest.raises(ValueError):
-            be.forward(Tensor(np.ones((1, 2))))
+            joined.layers[0].weight
         with pytest.raises(ValueError):
-            be.predict_logits(np.ones((1, 2)))
+            checkpoint_save(joined, tmp_path / "joined.json")
 
     def test_member_isolation_in_backward(self):
         be = build_be(_spec(), rng_stream(10, "init"), "random_sign", members=3)
@@ -178,8 +215,8 @@ class TestAverageRankOne:
                 l.r[m].data[:] = rv
                 l.s[m].data[:] = sv
         x = rng.normal(size=(5, 2))
-        np.testing.assert_allclose(average_rank_one(be).predict_logits(x),
-                                   be[0].predict_logits(x), atol=1e-12)
+        np.testing.assert_allclose(logits(average_rank_one(be), x), logits(be[0], x),
+                                   atol=1e-12)
 
     def test_ones_init_average_is_shared_network(self):
         be = build_be(_spec(), rng_stream(16, "init"), "ones", members=3)
@@ -209,8 +246,8 @@ class TestAverageRankOne:
     def test_single_member_average_is_that_member(self):
         be = build_be(_spec(), rng_stream(19, "init"), "random_sign", members=1)
         x = np.random.default_rng(20).normal(size=(3, 2))
-        np.testing.assert_allclose(average_rank_one(be).predict_logits(x),
-                                   be[0].predict_logits(x), atol=1e-14)
+        np.testing.assert_allclose(logits(average_rank_one(be), x), logits(be[0], x),
+                                   atol=1e-14)
 
     def test_plain_net_is_rejected(self):
         with pytest.raises(ValueError):
@@ -235,16 +272,14 @@ class TestCheckpoints:
         assert loaded.factored and len(loaded) == 2
         x = np.random.default_rng(23).normal(size=(4, 2))
         for m in range(2):
-            np.testing.assert_array_equal(loaded[m].predict_logits(x),
-                                          model[m].predict_logits(x))
+            np.testing.assert_array_equal(logits(loaded[m], x), logits(model[m], x))
 
     def test_forward_identical_after_load(self, tmp_path):
         model = build_plain(_spec(), rng_stream(24, "init"))
         path = tmp_path / "m.json"
         checkpoint_save(model, path)
         x = np.random.default_rng(25).normal(size=(6, 2))
-        np.testing.assert_array_equal(checkpoint_load(path).predict_logits(x),
-                                      model.predict_logits(x))
+        np.testing.assert_array_equal(logits(checkpoint_load(path), x), logits(model, x))
 
     def test_class_count_mismatch_rejected(self, tmp_path):
         model = build_plain(_spec(), rng_stream(26, "init"))
@@ -313,9 +348,8 @@ class TestFormatV1Files:
         x = np.random.default_rng(29).normal(size=(7, model.spec.in_dim))
         expected = _json_member_forwards(json.loads(path.read_text()), x)
         assert len(expected) == members
-        for member, logits in zip(model, expected):
-            np.testing.assert_allclose(member.predict_logits(x), logits,
-                                       rtol=1e-13, atol=1e-13)
+        for member, want in zip(model, expected):
+            np.testing.assert_allclose(logits(member, x), want, rtol=1e-13, atol=1e-13)
         out = tmp_path / name
         checkpoint_save(model, out)
         assert out.read_bytes() == path.read_bytes()

@@ -7,7 +7,7 @@ import pytest
 
 import distilab.autodiff as ad
 from distilab.autodiff import ShapeError, Tensor
-from distilab.metrics import softmax_np
+from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import build_be, build_plain, checkpoint_save
 from distilab.optim import OptimConfig, fit, lr_at, one_hot, sgd_update, train_teachers
 from distilab.seeding import rng_stream
@@ -16,13 +16,13 @@ from distilab.seeding import rng_stream
 def cross_entropy(model, num_classes):
     def loss(xb, yb):
         log_probs = ad.log_softmax_temp(model.forward(Tensor(xb)), 1.0)
-        return ad.scale(ad.sum(ad.mul(Tensor(one_hot(yb, num_classes)), log_probs)),
+        return ad.scale(ad.sum(ad.mul(Tensor(one_hot(yb, num_classes)[None]), log_probs)),
                         -1.0 / len(yb))
     return loss
 
 
 def train_ce_and_accuracy(model, data):
-    probs = softmax_np(model.predict_logits(data.x))
+    probs = softmax_np(batched_logits(model, data.x)[0])
     ce = -np.log(probs[np.arange(len(data)), data.y]).mean()
     return ce, (probs.argmax(axis=1) == data.y).mean()
 
@@ -119,8 +119,8 @@ class TestTraining:
         solo = build_plain(tiny_spec, rng_stream(tiny_optim.seed, "init"))
         fit(solo, train, tiny_optim, cross_entropy(solo, tiny_spec.num_classes))
         x = train.x[:10]
-        np.testing.assert_array_equal(teachers[0].predict_logits(x),
-                                      solo.predict_logits(x))
+        np.testing.assert_array_equal(batched_logits(teachers, x),
+                                      batched_logits(solo, x))
 
     def test_same_seed_bit_identical_checkpoints(self, tiny_task, tiny_spec,
                                                  tiny_optim, tmp_path):
@@ -138,7 +138,7 @@ class TestTraining:
         train, _, _ = tiny_task
         t0, t1 = train_teachers(tiny_spec, train, 2, tiny_optim)
         x = train.x[:10]
-        assert not np.array_equal(t0.predict_logits(x), t1.predict_logits(x))
+        assert not np.array_equal(batched_logits(t0, x), batched_logits(t1, x))
 
     def test_loss_decreases(self, tiny_task, tiny_spec):
         train, _, _ = tiny_task

@@ -7,7 +7,7 @@ import pytest
 
 import distilab.autodiff as ad
 from distilab.autodiff import Tensor
-from distilab.metrics import diversity_from_probs, softmax_np
+from distilab.metrics import batched_logits, diversity_from_probs, member_probs
 from distilab.nets import MLP, ModelSpec, build_be, build_plain
 from distilab.perturb import (_normalize_rows, _pair_gap_grad, conf_ods_perturb,
                               div_estimate, diversity_shift, draw_pairs,
@@ -32,7 +32,7 @@ def per_pair_gap_grad(teachers, student, x, pairs, tau, stop_first):
     xt = Tensor(x, requires_grad=True)
     total = None
     for i, j in sorted({(int(a), int(b)) for a, b in pairs}):
-        mask = Tensor(((pairs[:, 0] == i) & (pairs[:, 1] == j)).astype(np.float64))
+        mask = Tensor(((pairs[:, 0] == i) & (pairs[:, 1] == j)).astype(np.float64)[None])
         gap = div_estimate(teachers[i].forward, teachers[j].forward, xt, tau,
                            stop_first=stop_first)
         if student is not None:
@@ -119,15 +119,15 @@ class TestOds:
         guidance = rng.uniform(-1, 1, size=(3, k))
         members = np.zeros(3, dtype=np.int64)
         from distilab.perturb import _ods_gradients
-        grads = _ods_gradients(teachers, x, 2.0, guidance, members)
+        grads, _ = _ods_gradients(teachers, x, 2.0, guidance, members)
         h = 1e-5
         for b in range(3):
             for d in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[b, d] += h
                 xm[b, d] -= h
-                fp = (guidance[b] * softmax_np(teachers[0].predict_logits(xp[b:b + 1]), 2.0)).sum()
-                fm = (guidance[b] * softmax_np(teachers[0].predict_logits(xm[b:b + 1]), 2.0)).sum()
+                fp = (guidance[b] * member_probs(teachers[:1], xp[b:b + 1], 2.0)).sum()
+                fm = (guidance[b] * member_probs(teachers[:1], xm[b:b + 1], 2.0)).sum()
                 fd = (fp - fm) / (2 * h)
                 assert abs(grads[b, d] - fd) / max(abs(fd), 1e-6) < 1e-4
 
@@ -161,7 +161,7 @@ class TestConfOds:
         for l in saturated.layers:
             l.weight.data[:] *= 50.0  # confidence pinned at 1 almost everywhere
         x = np.random.default_rng(16).normal(size=(20, 2)) * 3
-        probs = softmax_np(saturated.predict_logits(x), 1.0)
+        probs = member_probs(saturated, x)[0]
         assert probs.max(axis=1).min() > 1 - 1e-9
         a = ods_perturb([saturated], x, 1.0, 0.2, rng_stream(17, "w"))
         b = conf_ods_perturb([saturated], x, 1.0, 0.2, rng_stream(17, "w"))
@@ -186,7 +186,7 @@ class TestDivEstimate:
         # with p_j frozen as well, nothing differentiable remains: the input
         # is completely disconnected, i.e. its gradient is identically zero
         x = Tensor(np.random.default_rng(19).normal(size=(3, 2)), requires_grad=True)
-        frozen_j = lambda t: Tensor(teachers[1].predict_logits(t.data))
+        frozen_j = lambda t: Tensor(batched_logits(teachers[1], t.data))
         kl = div_estimate(teachers[0].forward, frozen_j, x, stop_first=True)
         assert not kl.requires_grad
         assert x.grad is None
@@ -195,7 +195,7 @@ class TestDivEstimate:
         # mean over all ordered pairs / (M(M-1)) equals the full measure
         x_np = np.random.default_rng(20).normal(size=(6, 2))
         for models in (teachers, student):
-            probs = np.stack([softmax_np(m.predict_logits(x_np)) for m in models])
+            probs = member_probs(models, x_np)
             fns = [m.forward for m in models]
             total = np.zeros(len(x_np))
             m_count = len(fns)
@@ -203,7 +203,7 @@ class TestDivEstimate:
                 for j in range(m_count):
                     if i != j:
                         total += div_estimate(fns[i], fns[j],
-                                              Tensor(x_np)).data
+                                              Tensor(x_np)).data[0]
             est = (total / (m_count * (m_count - 1))).mean()
             assert est == pytest.approx(diversity_from_probs(probs), rel=1e-10)
 
@@ -262,17 +262,18 @@ class TestPairPerturbations:
 
     @pytest.mark.parametrize("members", [2, 3, 4])
     def test_each_member_runs_once(self, members, monkeypatch):
+        # one stacked forward per ensemble runs each of its members once
         teachers, student = pair_ensembles(members)
         calls = []
         forward = MLP.forward
         monkeypatch.setattr(MLP, "forward",
-                            lambda net, x: calls.append(net) or forward(net, x))
+                            lambda net, x: calls.append(len(net)) or forward(net, x))
         x = np.random.default_rng(53).normal(size=(64, 2))
         tdiv_sdiv_perturb(teachers, student, x, 1.0, 0.2, rng_stream(54, "p"))
-        assert len(calls) == 2 * members
+        assert calls == [members, members]
         calls.clear()
         tdiv_perturb(teachers, x, 1.0, 0.2, rng_stream(55, "p"))
-        assert len(calls) == members
+        assert calls == [members]
 
     def test_first_order_ascent(self, teachers, student):
         x = np.random.default_rng(28).normal(size=(400, 2))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from distilab.data import make_mixture
-from distilab.metrics import softmax_np
+from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import ModelSpec, average_rank_one, build_be
 from distilab.seeding import rng_stream
 from distilab.subspace import (EndpointTrace, default_grid, interpolate,
@@ -42,10 +42,11 @@ class TestDefaultGrid:
 class TestInterpolate:
     def test_endpoints_are_members_exactly(self, pair_student):
         x = np.random.default_rng(3).normal(size=(7, 2))
-        np.testing.assert_array_equal(interpolate(pair_student, 0.0).predict_logits(x),
-                                      pair_student[0].predict_logits(x))
-        np.testing.assert_array_equal(interpolate(pair_student, 1.0).predict_logits(x),
-                                      pair_student[1].predict_logits(x))
+        members = batched_logits(pair_student, x)
+        np.testing.assert_array_equal(batched_logits(interpolate(pair_student, 0.0), x)[0],
+                                      members[0])
+        np.testing.assert_array_equal(batched_logits(interpolate(pair_student, 1.0), x)[0],
+                                      members[1])
 
     def test_midpoint_equals_rank_one_average(self, pair_student):
         mid = interpolate(pair_student, 0.5)
@@ -86,7 +87,7 @@ class TestLineScan:
         train, _, test = small_task
         scan = line_scan(pair_student, train, test)
         member0 = pair_student[0]
-        probs = softmax_np(member0.predict_logits(test.x))
+        probs = softmax_np(batched_logits(member0, test.x)[0])
         err0 = 1.0 - (probs.argmax(axis=1) == test.y).mean()
         assert scan.test_err[scan.ts == 0.0][0] == err0
 

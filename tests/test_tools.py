@@ -1,0 +1,24 @@
+"""The byte-identity sweep in tools/sweep_digests.py: complete and repeatable."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SWEEP = Path(__file__).resolve().parent.parent / "tools" / "sweep_digests.py"
+
+
+def test_two_sweeps_print_identical_digests():
+    runs = [subprocess.run([sys.executable, str(SWEEP)], capture_output=True, text=True,
+                           timeout=120, check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    paths = {line.split("  ", 1)[1] for line in runs[0].splitlines()}
+    for m in (2, 3, 4):
+        assert f"M{m}/teachers/seed0/teacher{m - 1}.json" in paths
+        # 3 plain methods x 5 perturbations, 2 factored methods x 6
+        assert len({p.split("/")[1] for p in paths
+                    if p.startswith(f"M{m}/") and "-" in p.split("/")[1]}) == 27
+        assert f"M{m}/latentbe-tdiv_sdiv/seed0/student.json" in paths
+        assert len([p for p in paths if p.startswith(f"M{m}/eval/")]) == 12
+        assert len([p for p in paths if p.startswith(f"M{m}/diag/")]) == 5
+        assert f"M{m}/average.json" in paths
+    assert "M2/scan.csv" in paths

@@ -1,0 +1,126 @@
+"""Byte-identity sweep of the command line on a tiny configuration.
+
+    python3 tools/sweep_digests.py [--out DIR]
+
+Runs ``train-teachers``; ``distill`` for every method and every
+perturbation the method allows, at M = 2, 3 and 4; ``evaluate`` with
+``--ood`` and with ``--corrupt``; ``line-scan``, ``perturb-diag`` and
+``average``. Everything runs in this process on a task small enough that
+the sweep takes seconds. It prints one ``<sha256>  <path>`` line per output
+file, sorted by path, so two source trees that print the same lines wrote
+the same bytes. Without ``--out`` the files go to a temporary directory
+that is removed afterwards. The exit code is 1 when a command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MEMBERS = (2, 3, 4)
+FACTORED = ("be", "latentbe")
+DATA = {"kind": "mixture", "num_classes": 3, "dim": 2, "n_per_class": 20,
+        "spread": 0.6, "seed": 3}
+OOD = {"shift": 6.0, "seed": 1}
+
+
+def _config(method: str, perturbation: str, members: int) -> dict:
+    return {"data": DATA, "model": {"hidden": [8, 8]},
+            "optim": {"epochs": 2, "warmup_epochs": 1, "batch_size": 16},
+            "distill": {"num_teachers": members, "perturbation": perturbation},
+            "method": method, "seeds": [0]}
+
+
+def _commands(out: Path) -> list[list[str]]:
+    from distilab.cli import METHODS
+    from distilab.perturb import KINDS
+
+    inputs = out / "inputs"
+    inputs.mkdir()
+    data = _write(inputs / "data.json", {"data": DATA})
+    ood = _write(inputs / "ood.json", OOD)
+    commands = []
+    for m in MEMBERS:
+        top = out / "runs" / f"M{m}"
+        teachers = top / "teachers"
+        commands.append(["train-teachers", "--config",
+                         str(_write(inputs / f"M{m}-teachers.json", _config("kd", "none", m))),
+                         "--out", str(teachers)])
+        for method in METHODS:
+            for kind in KINDS:
+                if kind == "tdiv_sdiv" and method not in FACTORED:
+                    continue
+                cfg = _write(inputs / f"M{m}-{method}-{kind}.json", _config(method, kind, m))
+                commands.append(["distill", "--config", str(cfg), "--teachers",
+                                 str(teachers), "--out", str(top / f"{method}-{kind}")])
+        latent = top / "latentbe-tdiv_sdiv" / "seed0"
+        models = [top / "kd-none" / "seed0" / "student.json",
+                  top / "proxy_end2-none" / "seed0" / "student.json",
+                  latent / "student.json", latent / "student_be.json"]
+        for i, model in enumerate(models):
+            for tag, extra in (("ood", ["--ood", str(ood)]),
+                               ("corrupt", ["--corrupt", "3", "--seed", "5"])):
+                commands.append(["evaluate", "--model", str(model), "--data", str(data),
+                                 "--out", str(top / "eval" / f"{i}-{tag}.csv"), *extra])
+        for kind in KINDS[1:]:
+            commands.append(["perturb-diag", "--teachers", str(teachers), "--student",
+                             str(latent / "student_be.json"), "--data", str(data),
+                             "--kind", kind, "--seed", "0",
+                             "--out", str(top / "diag" / f"{kind}.csv")])
+        commands.append(["average", "--model", str(top / "be-none" / "seed0" / "student_be.json"),
+                         "--out", str(top / "average.json")])
+        if m == 2:
+            commands.append(["line-scan", "--model", str(latent / "student_be.json"),
+                             "--data", str(data), "--out", str(top / "scan.csv")])
+    return commands
+
+
+def _write(path: Path, doc: dict) -> Path:
+    path.write_text(json.dumps(doc, sort_keys=True))
+    return path
+
+
+def sweep(out: Path) -> dict[str, str]:
+    """Run every command under out; sha256 of each output file, by path."""
+    from distilab import cli
+
+    for argv in _commands(out):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"exit code {code}: distilab {' '.join(argv)}")
+    runs = out / "runs"
+    return {str(p.relative_to(runs)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(runs.rglob("*")) if p.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=None, help="directory for the outputs (kept)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+    try:
+        if args.out is None:
+            with tempfile.TemporaryDirectory() as tmp:
+                digests = sweep(Path(tmp))
+        else:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=False)
+            digests = sweep(out)
+    except RuntimeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    for path, digest in digests.items():
+        print(f"{digest}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
