@@ -142,41 +142,35 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 # -- member-stacked dense layer ---------------------------------------------
 
-def _stack(ts: Sequence[Tensor]) -> np.ndarray:
-    """(M, ...) read-only stack of the tensors' data; a view for one tensor."""
-    return ts[0].data[None] if len(ts) == 1 else np.stack([t.data for t in ts])
+def member_weights(weight: Tensor, r: Tensor | None, s: Tensor | None) -> np.ndarray:
+    """(M, out, in) member weights: the (M, out, in) weight itself, or the
+    shared (1, out, in) weight Hadamard-multiplied by each member's r_m s_m^T
+    from r (M, out) and s (M, in)."""
+    if r is None:
+        return weight.data
+    return weight.data * (r.data[:, :, None] * s.data[:, None, :])
 
 
-def _rank_one(r: Sequence[Tensor], s: Sequence[Tensor]) -> np.ndarray:
-    return _stack(r)[:, :, None] * _stack(s)[:, None, :]
-
-
-def member_weights(weights: Sequence[Tensor], r: Sequence[Tensor],
-                   s: Sequence[Tensor]) -> np.ndarray:
-    """(M, out, in) member weights: one (out, in) weight per member, or one
-    shared weight Hadamard-multiplied by each member's r_m s_m^T."""
-    return _stack(weights) * _rank_one(r, s) if r else _stack(weights)
-
-
-def dense(x: Tensor, weights: Sequence[Tensor], r: Sequence[Tensor],
-          s: Sequence[Tensor], bias: Sequence[Tensor], relu: bool) -> Tensor:
+def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
+          bias: Tensor, relu: bool) -> Tensor:
     """x_m W_m^T + b_m for every member m in one node, (M, B, out), followed
     by a relu when relu is true.
 
-    W_m is ``member_weights(weights, r, s)[m]``. x is a (B, in) input shared
-    by every member or an (M, B, in) input with one slice per member. Each
-    member runs the same float operations as a one-member layer would, and
-    the gradients of a shared weight, and of a shared input, sum the
-    members in order 0..M-1.
+    W_m is ``member_weights(weight, r, s)[m]`` and b_m is row m of the
+    (M, out) bias. x is a (B, in) input shared by every member or an
+    (M, B, in) input with one slice per member. Each member runs the same
+    float operations as a one-member layer would, and the gradients of a
+    shared weight, and of a shared input, sum the members in order 0..M-1.
     """
-    if x.data.ndim not in (2, 3) or x.shape[-1] != weights[0].shape[1] \
-            or (x.data.ndim == 3 and x.shape[0] != len(bias)):
-        raise ShapeError(f"dense layer of {len(bias)} members with weight "
-                         f"{weights[0].shape} got input {x.shape}")
-    w_t = np.ascontiguousarray(member_weights(weights, r, s).transpose(0, 2, 1))
+    members = bias.shape[0]
+    if x.data.ndim not in (2, 3) or x.shape[-1] != weight.shape[2] \
+            or (x.data.ndim == 3 and x.shape[0] != members):
+        raise ShapeError(f"dense layer of {members} members with weight "
+                         f"{weight.shape} got input {x.shape}")
+    w_t = np.ascontiguousarray(member_weights(weight, r, s).transpose(0, 2, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         out_data = np.matmul(x.data, w_t)
-    out_data += _stack(bias)[:, None, :]
+    out_data += bias.data[:, None, :]
     if relu:
         # checked before the relu, which would hide a -inf; done in place,
         # so the graph holds one array per layer and out > 0 marks pre > 0
@@ -188,25 +182,21 @@ def dense(x: Tensor, weights: Sequence[Tensor], r: Sequence[Tensor],
             g = g * (out_data > 0.0)
         x_t = x.data.T if x.data.ndim == 2 else x.data.transpose(0, 2, 1)
         g_w = np.matmul(x_t, g).transpose(0, 2, 1)          # d/dW_m, (M, out, in)
-        if r:
-            _accum(weights[0], (g_w * _rank_one(r, s)).sum(axis=0))
-            g_rank = g_w * weights[0].data
-            for t, gm in zip(r, np.matmul(g_rank, _stack(s)[:, :, None])[..., 0]):
-                _accum(t, gm)
-            for t, gm in zip(s, np.matmul(g_rank.transpose(0, 2, 1),
-                                          _stack(r)[:, :, None])[..., 0]):
-                _accum(t, gm)
+        if r is None:
+            _accum(weight, g_w)
         else:
-            for t, gm in zip(weights, g_w):
-                _accum(t, gm)
-        for t, gm in zip(bias, g.sum(axis=1)):
-            _accum(t, gm)
+            rank_one = r.data[:, :, None] * s.data[:, None, :]
+            _accum(weight, (g_w * rank_one).sum(axis=0, keepdims=True))
+            g_rank = g_w * weight.data
+            _accum(r, np.matmul(g_rank, s.data[:, :, None])[..., 0])
+            _accum(s, np.matmul(g_rank.transpose(0, 2, 1), r.data[:, :, None])[..., 0])
+        _accum(bias, g.sum(axis=1))
         if x.requires_grad:
             g_x = np.matmul(g, w_t.transpose(0, 2, 1))
             _accum(x, g_x if x.data.ndim == 3 else g_x.sum(axis=0))
 
-    return _node(out_data, (x, *weights, *r, *s, *bias), "dense_relu" if relu else "dense",
-                 backward)
+    parents = (x, weight, bias) if r is None else (x, weight, r, s, bias)
+    return _node(out_data, parents, "dense_relu" if relu else "dense", backward)
 
 
 # -- elementwise suite -------------------------------------------------------
@@ -285,17 +275,6 @@ def exp(a: Tensor) -> Tensor:
         _accum(a, g * out_data)
 
     return _node(out_data, (a,), "exp", backward)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log requires strictly positive input")
-    out_data = np.log(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, g / a.data)
-
-    return _node(out_data, (a,), "log", backward)
 
 
 def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - numpy-style name

@@ -320,7 +320,7 @@ def cmd_perturb_diag(args) -> int:
     gamma = float(args.gamma) if args.gamma is not None else default_gamma(train.x)
     noise_rng = rng_stream(int(args.seed), "guidance-vectors")
     index_rng = rng_stream(int(args.seed), "pair-sampling")
-    students = student if len(student) > 1 else [student, student]
+    students = student if len(student) > 1 else student[[0, 0]]
     lines = ["step,kind,mean_dT,mean_dS,frac_ascent"]
     batch = 128
     for step, start in enumerate(range(0, len(train), batch)):

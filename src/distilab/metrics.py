@@ -198,7 +198,7 @@ def diversity_from_probs(probs: np.ndarray) -> float:
 
 def member_probs(ensemble, x: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """(M, N, K) member probabilities of an ensemble at inputs x: a net or a
-    list of one-member nets."""
+    list of one-member plain nets."""
     return softmax_np(batched_logits(join(ensemble), x), tau)
 
 

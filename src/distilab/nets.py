@@ -1,17 +1,23 @@
 """Relu MLPs with a member axis: plain nets and rank-one-factored students.
 
-An ``MLP`` has ``len(net)`` members, ``net[m]`` is member m as a one-member
-net that shares net's parameter tensors, and ``net.forward`` runs every
-member at once, one autodiff node per layer, for training and evaluation
-alike. A plain net keeps one weight per member: a trained teacher is a
-one-member net, and ``join`` makes one net of a list of them, the teacher
-ensemble.
+An ``MLP`` has ``len(net)`` members, and each layer stores its parameters
+as four member-stacked tensors: a weight, a bias, and the rank-one factors
+r and s of a factored layer. ``net.forward`` runs every member at once, one
+autodiff node per layer, for training and evaluation alike. ``net[m]`` and
+``net[[i, j]]`` are copies of those members' rows, as a net of constants.
 
-A factored ("batch ensemble") dense layer stores one shared weight matrix
-plus M pairs of rank-one factor vectors; member m's effective weight is the
-shared matrix Hadamard-multiplied by the outer product of its factor pair.
-Averaging those rank-one products collapses the student back to a single
-plain network with ordinary inference cost.
+A plain layer holds one weight per member, an (M, out, in) weight: a
+trained teacher is a one-member net, and ``join`` concatenates a list of
+them into one net, the teacher ensemble. A factored ("batch ensemble")
+layer holds one shared (1, out, in) weight plus rank-one factors r (M, out)
+and s (M, in); member m's effective weight is the shared matrix
+Hadamard-multiplied by the outer product r_m s_m^T. Averaging those
+rank-one products collapses the student back to a single plain network
+with ordinary inference cost.
+
+Only ``build_plain`` and ``build_be`` make trainable tensors; every derived
+net (a loaded checkpoint, a join, a member selection, an average) holds
+constants.
 
 Biases are kept per member (the factored construction is silent on biases;
 per-member keeps member expressiveness symmetric with the rank-one weights)
@@ -69,43 +75,26 @@ class ModelSpec:
 
 
 class Layer:
-    """Dense layer with M members and one bias (out,) per member. A plain
-    layer has one weight (out, in) per member; a factored one has a single
-    shared weight and one rank-one factor pair r_m (out,), s_m (in,) per
-    member."""
+    """Dense layer of M members with a bias (M, out). A plain layer has a
+    weight (M, out, in), one per member; a factored one has a shared weight
+    (1, out, in) and rank-one factors r (M, out) and s (M, in)."""
 
-    def __init__(self, weights: Sequence[Tensor], bias: Sequence[Tensor],
-                 r: Sequence[Tensor] = (), s: Sequence[Tensor] = ()):
-        weights, bias, r, s = list(weights), list(bias), list(r), list(s)
-        if not bias or any(w.data.ndim != 2 for w in weights) \
-                or len(weights) != (1 if r or s else len(bias)) \
-                or (r or s) and not len(r) == len(s) == len(bias):
-            raise ShapeError(f"a dense layer has one bias per member and one weight per "
-                             f"member, or one shared weight and one factor pair per "
-                             f"member; got {len(weights)} weights, {len(bias)} biases, "
-                             f"{len(r)} r and {len(s)} s factors")
-        out_dim, in_dim = weights[0].shape
-        if any(w.shape != (out_dim, in_dim) for w in weights) \
-                or any(t.shape != (out_dim,) for t in (*bias, *r)) \
-                or any(t.shape != (in_dim,) for t in s):
-            raise ShapeError(f"weight, bias or rank-one factor shapes inconsistent with "
-                             f"weight {weights[0].shape}")
-        self.weights = weights
+    def __init__(self, weight: Tensor, bias: Tensor, r: Tensor | None = None,
+                 s: Tensor | None = None):
+        if bias.data.ndim != 2:
+            raise ShapeError(f"a dense layer's bias is (M, out), got {bias.shape}")
+        members, out_dim = bias.shape
+        in_dim = weight.shape[-1]
+        got = tuple(None if t is None else t.shape for t in (weight, r, s))
+        want = ((members, out_dim, in_dim), None, None) if r is None else \
+            ((1, out_dim, in_dim), (members, out_dim), (members, in_dim))
+        if got != want:
+            raise ShapeError(f"weight, r and s shapes {got} do not fit bias {bias.shape}; "
+                             f"expected {want}")
+        self.weight = weight
         self.bias = bias
         self.r = r
         self.s = s
-
-    @property
-    def weight(self) -> Tensor:
-        """The shared weight of a factored layer, or a one-member layer's weight."""
-        if len(self.weights) != 1:
-            raise ValueError(f"a plain layer of {len(self.weights)} members has one "
-                             "weight per member; index a member first")
-        return self.weights[0]
-
-    def member(self, m: int) -> "Layer":
-        weights = self.weights if self.r else self.weights[m:m + 1]
-        return Layer(weights, [self.bias[m]], self.r[m:m + 1], self.s[m:m + 1])
 
 
 class MLP:
@@ -119,27 +108,35 @@ class MLP:
     def __init__(self, spec: ModelSpec, layers: list[Layer], head: str = "softmax"):
         if head not in ("softmax", "dirichlet"):
             raise ValueError(f"unknown head '{head}'")
-        if len({(len(l.bias), bool(l.r)) for l in layers}) != 1:
+        if len({(l.bias.shape[0], l.r is None) for l in layers}) != 1:
             raise ShapeError("layers disagree on member count or factoring")
         self.spec = spec
         self.layers = layers
         self.head = head
 
     def __len__(self) -> int:
-        return len(self.layers[0].bias)
+        return self.layers[0].bias.shape[0]
 
-    def __getitem__(self, m: int) -> "MLP":
-        """Member m as a one-member net sharing this net's tensors."""
-        if not 0 <= m < len(self):
-            raise IndexError(f"member index {m} out of range for M={len(self)}")
-        return MLP(self.spec, [l.member(m) for l in self.layers], self.head)
+    def __getitem__(self, idx: int | Iterable[int]) -> "MLP":
+        """A net of constants holding copies of member idx (an int) or of
+        members idx (a sequence), in that order."""
+        rows = [idx] if isinstance(idx, (int, np.integer)) else list(idx)
+        if not rows or any(not 0 <= m < len(self) for m in rows):
+            raise IndexError(f"member index {idx} out of range for M={len(self)}")
+
+        def take(t: Tensor | None) -> Tensor | None:
+            return None if t is None else Tensor(t.data[rows])
+
+        layers = [Layer(Tensor(l.weight.data) if self.factored else take(l.weight),
+                        take(l.bias), take(l.r), take(l.s)) for l in self.layers]
+        return MLP(self.spec, layers, self.head)
 
     def __iter__(self):
         return (self[m] for m in range(len(self)))
 
     @property
     def factored(self) -> bool:
-        return bool(self.layers[0].r)
+        return self.layers[0].r is not None
 
     def forward(self, x: Tensor) -> Tensor:
         """(M, B, K) logits of every member, from a (B, in) input shared by the
@@ -147,48 +144,37 @@ class MLP:
         h = x
         last = len(self.layers) - 1
         for i, l in enumerate(self.layers):
-            h = ad.dense(h, l.weights, l.r, l.s, l.bias, i != last)
+            h = ad.dense(h, l.weight, l.r, l.s, l.bias, i != last)
         return h
 
     def parameters(self) -> list[Tensor]:
-        return [p for l in self.layers for p in (*l.weights, *l.r, *l.s, *l.bias)]
+        return self.shared_parameters() + self.rank_parameters() + self.member_bias_parameters()
 
     def shared_parameters(self) -> list[Tensor]:
         return [l.weight for l in self.layers]
 
     def rank_parameters(self) -> list[Tensor]:
-        return [t for l in self.layers for t in (*l.r, *l.s)]
+        return [t for l in self.layers if l.r is not None for t in (l.r, l.s)]
 
     def member_bias_parameters(self) -> list[Tensor]:
-        return [b for l in self.layers for b in l.bias]
-
-    def copy(self) -> "MLP":
-        def fresh(ts: Sequence[Tensor]) -> list[Tensor]:
-            return [Tensor(t.data, requires_grad=True) for t in ts]
-
-        layers = [Layer(fresh(l.weights), fresh(l.bias), fresh(l.r), fresh(l.s))
-                  for l in self.layers]
-        return MLP(self.spec, layers, head=self.head)
+        return [l.bias for l in self.layers]
 
 
 def join(nets: "MLP | Iterable[MLP]") -> MLP:
-    """One net whose members are those of nets, in order.
-
-    A net is returned as it is. A list of plain nets becomes one plain net
-    with one weight per member; factored nets join only when they share
-    their weight, as the member views of one factored net do.
-    """
+    """One plain net whose members are those of plain nets, in order, as
+    constants. A net is returned as it is; select members of a factored net
+    with ``net[idx]``."""
     if isinstance(nets, MLP):
         return nets
     nets = list(nets)
-    layers = []
-    for parts in zip(*(n.layers for n in nets)):
-        weights = [w for p in parts for w in p.weights]
-        if parts[0].r and all(w is weights[0] for w in weights):
-            weights = weights[:1]
-        layers.append(Layer(weights, [b for p in parts for b in p.bias],
-                            [t for p in parts for t in p.r],
-                            [t for p in parts for t in p.s]))
+    if any(n.factored for n in nets):
+        raise ValueError("only plain nets join; select factored members with net[idx]")
+
+    def cat(ts: Iterable[Tensor]) -> Tensor:
+        return Tensor(np.concatenate([t.data for t in ts]))
+
+    layers = [Layer(cat(p.weight for p in parts), cat(p.bias for p in parts))
+              for parts in zip(*(n.layers for n in nets))]
     return MLP(nets[0].spec, layers, nets[0].head)
 
 
@@ -198,9 +184,9 @@ def build_plain(spec: ModelSpec, rng: np.random.Generator, head: str = "softmax"
     """He-normal weights, zero biases."""
     layers = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-        layers.append(Layer([Tensor(w, requires_grad=True)],
-                            [Tensor(np.zeros(fan_out), requires_grad=True)]))
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(1, fan_out, fan_in))
+        layers.append(Layer(Tensor(w, requires_grad=True),
+                            Tensor(np.zeros((1, fan_out)), requires_grad=True)))
     return MLP(spec, layers, head=head)
 
 
@@ -217,18 +203,17 @@ def build_be(spec: ModelSpec, rng: np.random.Generator,
         raise ValueError(f"a factored net needs members >= 1, got {members}")
     layers = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        shared = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-        r, s, b = [], [], []
-        for _ in range(members):
-            if rank_init == "ones":
-                rv, sv = np.ones(fan_out), np.ones(fan_in)
-            else:
-                rv = rng.integers(0, 2, size=fan_out) * 2.0 - 1.0
-                sv = rng.integers(0, 2, size=fan_in) * 2.0 - 1.0
-            r.append(Tensor(rv, requires_grad=True))
-            s.append(Tensor(sv, requires_grad=True))
-            b.append(Tensor(np.zeros(fan_out), requires_grad=True))
-        layers.append(Layer([Tensor(shared, requires_grad=True)], b, r, s))
+        shared = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(1, fan_out, fan_in))
+        if rank_init == "ones":
+            r, s = np.ones((members, fan_out)), np.ones((members, fan_in))
+        else:
+            # one r then one s draw per member, in member order
+            signs = [(rng.integers(0, 2, size=fan_out) * 2.0 - 1.0,
+                      rng.integers(0, 2, size=fan_in) * 2.0 - 1.0) for _ in range(members)]
+            r, s = (np.stack(f) for f in zip(*signs))
+        layers.append(Layer(Tensor(shared, requires_grad=True),
+                            Tensor(np.zeros((members, fan_out)), requires_grad=True),
+                            Tensor(r, requires_grad=True), Tensor(s, requires_grad=True)))
     return MLP(spec, layers)
 
 
@@ -244,12 +229,9 @@ def average_rank_one(model: MLP) -> MLP:
     layers = []
     m_count = len(model)
     for l in model.layers:
-        r = np.stack([t.data for t in l.r])
-        s = np.stack([t.data for t in l.s])
-        rank_mean = (r[:, :, None] * s[:, None, :]).sum(axis=0) / m_count
-        bias = np.stack([b.data for b in l.bias]).sum(axis=0) / m_count
-        layers.append(Layer([Tensor(l.weight.data * rank_mean, requires_grad=True)],
-                            [Tensor(bias, requires_grad=True)]))
+        rank_mean = (l.r.data[:, :, None] * l.s.data[:, None, :]).sum(axis=0) / m_count
+        bias = l.bias.data.sum(axis=0, keepdims=True) / m_count
+        layers.append(Layer(Tensor(l.weight.data * rank_mean), Tensor(bias)))
     return MLP(model.spec, layers)
 
 
@@ -277,14 +259,20 @@ def _tensor_names(i: int, factored: bool, members: int) -> tuple[str, list, list
 
 
 def checkpoint_save(model: MLP, path: str | Path) -> None:
-    """Serialize to deterministic JSON; values carry 17 significant digits.
-    Format v1 stores plain nets of one member, so save a joined teacher
-    ensemble one member at a time."""
+    """Serialize to deterministic JSON, one format-v1 tensor per member row;
+    values carry 17 significant digits. Format v1 stores plain nets of one
+    member, so save a joined teacher ensemble one member at a time."""
+    if not model.factored and len(model) > 1:
+        raise ValueError(f"format v1 holds one-member plain nets; save each of the "
+                         f"{len(model)} members on its own")
     tensors = {}
     for i, l in enumerate(model.layers):
         w, b, r, s = _tensor_names(i, model.factored, len(model))
-        for name, t in zip([w, *b, *r, *s], [l.weight, *l.bias, *l.r, *l.s]):
-            tensors[name] = {"shape": list(t.shape), "values": _fmt_values(t.data)}
+        rows = [l.weight.data[0], *l.bias.data]
+        if model.factored:
+            rows += [*l.r.data, *l.s.data]
+        for name, arr in zip([w, *b, *r, *s], rows):
+            tensors[name] = {"shape": list(arr.shape), "values": _fmt_values(arr)}
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "kind": BATCH_ENSEMBLE if model.factored else PLAIN,
@@ -325,18 +313,22 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
             raise CheckpointError("checkpoint architecture disagrees with requested spec")
     tensors = doc["tensors"]
 
-    def load(name: str, shape: tuple[int, ...]) -> Tensor:
-        if name not in tensors:
-            raise CheckpointError(f"missing tensor '{name}'")
-        rec = tensors[name]
-        arr = _parse_values(rec["values"], rec["shape"], name)
-        if arr.shape != shape:
-            raise CheckpointError(f"tensor '{name}' shape {arr.shape} != expected {shape}")
-        return Tensor(arr, requires_grad=True)
+    def load(names: list[str], shape: tuple[int, ...]) -> Tensor | None:
+        """The named rows stacked on a member axis; None for no names."""
+        rows = []
+        for name in names:
+            if name not in tensors:
+                raise CheckpointError(f"missing tensor '{name}'")
+            rec = tensors[name]
+            arr = _parse_values(rec["values"], rec["shape"], name)
+            if arr.shape != shape:
+                raise CheckpointError(f"tensor '{name}' shape {arr.shape} != expected {shape}")
+            rows.append(arr)
+        return Tensor(np.stack(rows)) if rows else None
 
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):
         w, b, r, s = _tensor_names(i, factored, members)
-        layers.append(Layer([load(w, (fan_out, fan_in))], [load(n, (fan_out,)) for n in b],
-                            [load(n, (fan_out,)) for n in r], [load(n, (fan_in,)) for n in s]))
+        layers.append(Layer(load([w], (fan_out, fan_in)), load(b, (fan_out,)),
+                            load(r, (fan_out,)), load(s, (fan_in,))))
     return MLP(spec, layers, head=doc.get("head", "softmax"))

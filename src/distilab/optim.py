@@ -126,9 +126,10 @@ def fit(net: MLP, data, config: OptimConfig,
     """Train net in place by SGD on batch_loss(x_batch, y_batch) over shuffled
     minibatches of data; returns net.
 
-    Shared weights follow the member-mean gradient and take weight decay;
-    rank factors follow their own gradient plus, when rank_decay > 0, a pull
-    toward ones, and never decay; biases decay only in a plain net.
+    Weights take weight decay, and a factored net's shared weight follows
+    the member-mean gradient; rank factors follow their own gradient plus,
+    when rank_decay > 0, a pull toward ones, and never decay; biases decay
+    only in a plain net.
     step_hook(step, net) runs after each update.
     """
     n = len(data)
@@ -149,7 +150,7 @@ def fit(net: MLP, data, config: OptimConfig,
             # glibc's trim and mmap thresholds are raised.
             loss = batch_loss(data.x[idx], data.y[idx])
             loss.backward()
-            if len(net) > 1:
+            if net.factored:
                 for t in shared:
                     t.grad /= len(net)
             if rank_decay > 0.0:

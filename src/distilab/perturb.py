@@ -12,7 +12,7 @@ slice per member, and each row's gradient is summed in the order teacher i,
 teacher j, student i, student j of its pair: that order is kept on purpose,
 because it makes the step bit-equal to building the gap one pair at a time.
 
-An ensemble is a net or a list of one-member nets (see ``nets.join``).
+An ensemble is a net or a list of one-member plain nets (see ``nets.join``).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Loss-landscape analysis along the line through two subnetwork parameters.
 
-For a two-member ensemble (a factored student or a list of two nets) the
+For a two-member ensemble (a two-member net or a list of two plain nets) the
 line is theta_t = (1-t) theta_1 + t theta_2 over the members' effective
 weights, e.g. (1-t) (shared ∘ r1 s1^T) + t (shared ∘ r2 s2^T), biases likewise.
 The scan reports train/test error and test NLL over a t grid and the train
@@ -52,15 +52,15 @@ def _require_two_members(model) -> None:
 
 
 def interpolate(model, t: float) -> MLP:
-    """Plain network at position t on the member-1 / member-2 line."""
+    """Plain network of constants at position t on the member-1 / member-2 line."""
     _require_two_members(model)
     net = join(model)
     layers = []
     for l in net.layers:
-        w = ad.member_weights(l.weights, l.r, l.s)
+        w = ad.member_weights(l.weight, l.r, l.s)
         w = (1.0 - t) * w[0] + t * w[1]
-        b = (1.0 - t) * l.bias[0].data + t * l.bias[1].data
-        layers.append(Layer([Tensor(w, requires_grad=True)], [Tensor(b, requires_grad=True)]))
+        b = (1.0 - t) * l.bias.data[0] + t * l.bias.data[1]
+        layers.append(Layer(Tensor(w[None]), Tensor(b[None])))
     return MLP(net.spec, layers)
 
 
@@ -105,7 +105,7 @@ def pairwise_barriers(model: MLP, train: Dataset, test: Dataset) -> dict:
     worst = 0.0
     for i in range(members):
         for j in range(i + 1, members):
-            b = line_scan([model[i], model[j]], train, test).barrier
+            b = line_scan(model[[i, j]], train, test).barrier
             out["pairs"][f"{i}-{j}"] = b
             worst = max(worst, b)
     out["max_barrier"] = worst

@@ -89,7 +89,7 @@ def bundle(default_task) -> Bundle:
 
         def hook(step, student, _snap=snap, _half=half):
             if step == _half:
-                _snap["model"] = student.copy()
+                _snap["model"] = student[range(len(student))]
 
         cfg_tdiv = replace(cfg, perturbation="tdiv_sdiv")
         avg_tdiv, lbe_tdiv = distill_latentbe(teachers, spec, train, cfg_tdiv,

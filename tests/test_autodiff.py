@@ -82,22 +82,27 @@ def dense_case(rng, members, factored, shared_input, batch=5, in_dim=4, out_dim=
     return x, weights, r, s, bias
 
 
+def stacked(group):
+    """A list of per-member arrays as one member-stacked array; None when empty."""
+    return np.stack(group) if group else None
+
+
 class TestDense:
     def test_identity(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.dense(x, [Tensor(np.eye(2))], [], [], [Tensor(np.zeros(2))], False)
+        out = ad.dense(x, Tensor(np.eye(2)[None]), None, None, Tensor(np.zeros((1, 2))), False)
         assert np.array_equal(out.data, [[[1.0, 2.0], [3.0, 4.0]]])
 
     def test_projector(self):
         # rows of x times the transposed projector keep the first coordinate
         x = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        p = Tensor([[1.0, 0.0], [0.0, 0.0]])
-        out = ad.dense(x, [p], [], [], [Tensor(np.zeros(2))], False)
+        p = Tensor([[[1.0, 0.0], [0.0, 0.0]]])
+        out = ad.dense(x, p, None, None, Tensor(np.zeros((1, 2))), False)
         assert np.array_equal(out.data, [[[5.0, 0.0], [7.0, 0.0]]])
 
     def test_relu_values(self):
-        out = ad.dense(Tensor([[-1.0, 0.0, 2.0]]), [Tensor(np.eye(3))], [], [],
-                       [Tensor(np.zeros(3))], True)
+        out = ad.dense(Tensor([[-1.0, 0.0, 2.0]]), Tensor(np.eye(3)[None]), None, None,
+                       Tensor(np.zeros((1, 3))), True)
         assert np.array_equal(out.data, [[[0.0, 0.0, 2.0]]])
 
     def test_gradient_matches_finite_differences(self):
@@ -105,18 +110,18 @@ class TestDense:
         x, weights, r, s, bias = dense_case(rng, 2, True, False)
         upstream = rng.normal(size=(2, 5, 3))
 
-        def build(xt, w, r0, r1, s0, s1, b0, b1):
-            out = ad.dense(xt, [w], [r0, r1], [s0, s1], [b0, b1], False)
+        def build(xt, w, r, s, b):
+            out = ad.dense(xt, w, r, s, b, False)
             return ad.sum(ad.mul(Tensor(upstream), out))
 
-        check_grad(build, [x, *weights, *r, *s, *bias], rel_tol=1e-6)
+        check_grad(build, [x, *map(stacked, (weights, r, s, bias))], rel_tol=1e-6)
 
     def test_shape_mismatch(self):
-        w, b = [Tensor(np.ones((2, 3)))], [Tensor(np.zeros(2))]
+        w, b = Tensor(np.ones((1, 2, 3))), Tensor(np.zeros((1, 2)))
         with pytest.raises(ShapeError):
-            ad.dense(Tensor(np.ones((4, 2))), w, [], [], b, True)
+            ad.dense(Tensor(np.ones((4, 2))), w, None, None, b, True)
         with pytest.raises(ShapeError):
-            ad.dense(Tensor(np.ones((2, 4, 3))), w, [], [], b, True)
+            ad.dense(Tensor(np.ones((2, 4, 3))), w, None, None, b, True)
 
     @pytest.mark.parametrize("members", [1, 2, 3, 4])
     @pytest.mark.parametrize("factored", [False, True])
@@ -129,40 +134,32 @@ class TestDense:
         x, weights, r, s, bias = dense_case(rng, members, factored, shared_input,
                                             batch=33, in_dim=17, out_dim=9)
         upstream = rng.normal(size=(members, 33, 9))
-        tensors = [[Tensor(a, requires_grad=True) for a in group]
-                   for group in ([x], weights, r, s, bias)]
-        (xt,), wt, rt, st, bt = tensors
+        xt, wt, rt, st, bt = [None if a is None else Tensor(a, requires_grad=True)
+                              for a in (x, *map(stacked, (weights, r, s, bias)))]
         out = ad.dense(xt, wt, rt, st, bt, relu)
         ad.sum(ad.mul(Tensor(upstream), out)).backward()
         ref = dense_reference(x, weights, r, s, bias, relu, upstream)
         assert out.data.tobytes() == ref[0].tobytes()
         assert xt.grad.tobytes() == ref[1].tobytes()
-        for group, expected in zip((wt, rt, st, bt), ref[2:]):
-            assert len(group) == len(expected)
-            for t, e in zip(group, expected):
-                assert t.grad.tobytes() == e.tobytes()
+        for t, expected in zip((wt, rt, st, bt), ref[2:]):
+            if t is None:
+                assert expected == []
+                continue
+            assert len(t.grad) == len(expected)
+            for g, e in zip(t.grad, expected):
+                assert g.tobytes() == e.tobytes()
 
     def test_member_weights(self):
         rng = np.random.default_rng(12)
         _, weights, r, s, _ = dense_case(rng, 3, True, True)
-        got = ad.member_weights([Tensor(w) for w in weights], [Tensor(v) for v in r],
-                                [Tensor(v) for v in s])
+        got = ad.member_weights(*(Tensor(stacked(g)) for g in (weights, r, s)))
         for m in range(3):
             assert got[m].tobytes() == (weights[0] * np.outer(r[m], s[m])).tobytes()
-        plain = [Tensor(w) for w in dense_case(rng, 3, False, True)[1]]
-        assert np.array_equal(ad.member_weights(plain, [], []),
-                              np.stack([t.data for t in plain]))
+        plain = stacked(dense_case(rng, 3, False, True)[1])
+        assert np.array_equal(ad.member_weights(Tensor(plain), None, None), plain)
 
 
 class TestElementwise:
-    def test_exp_log_inverse_pair(self):
-        x = Tensor([0.5, 1.5])
-        np.testing.assert_allclose(ad.exp(ad.log(x)).data, x.data, rtol=1e-15)
-
-    def test_log_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            ad.log(Tensor([1.0, 0.0]))
-
     def test_scalar_broadcast(self):
         out = ad.add(Tensor([[1.0, 2.0]]), Tensor(3.0))
         assert np.array_equal(out.data, [[4.0, 5.0]])
@@ -182,7 +179,6 @@ class TestElementwise:
             a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
             check_grad(build, [a, b])
         check_grad(lambda x: ad.sum(ad.exp(x)), [rng.normal(size=(2, 3))])
-        check_grad(lambda x: ad.sum(ad.log(x)), [rng.uniform(0.5, 2.0, size=(2, 3))])
         check_grad(lambda x: ad.scale(ad.sum(x), 2.5), [rng.normal(size=(5,))])
         check_grad(lambda x: ad.mean(ad.mul(x, x)), [rng.normal(size=(6,))])
 

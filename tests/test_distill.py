@@ -35,7 +35,7 @@ def stub_teacher(probs, tau=1.0):
     net = build_plain(ModelSpec(2, len(logits), (1,)), rng_stream(0, "init"))
     for l in net.layers:
         l.weight.data[:] = 0.0
-    net.layers[-1].bias[0].data[:] = logits
+    net.layers[-1].bias.data[0] = logits
     return net
 
 
@@ -165,9 +165,9 @@ class TestOneToOne:
         rng = np.random.default_rng(3)
         for l in student.layers:
             for m in range(m_count):
-                l.r[m].data[:] += 0.2 * rng.normal(size=l.r[m].data.shape)
-                l.s[m].data[:] += 0.2 * rng.normal(size=l.s[m].data.shape)
-                l.bias[m].data[:] = 0.1 * rng.normal(size=l.bias[m].data.shape)
+                l.r.data[m] += 0.2 * rng.normal(size=l.r.data[m].shape)
+                l.s.data[m] += 0.2 * rng.normal(size=l.s.data[m].shape)
+                l.bias.data[m] = 0.1 * rng.normal(size=l.bias.data[m].shape)
         return spec, student
 
     def test_single_step_matches_hand_oracle(self, ):
@@ -177,8 +177,8 @@ class TestOneToOne:
         tau, lr = 2.0, 0.25
         t_probs = [np.tile([0.8, 0.2], (2, 1)), np.tile([0.35, 0.65], (2, 1))]
         teachers = [stub_teacher([0.8, 0.2], tau), stub_teacher([0.35, 0.65], tau)]
-        layers = [(l.weight.data.copy(), [r.data.copy() for r in l.r],
-                   [s.data.copy() for s in l.s], [b.data.copy() for b in l.bias])
+        layers = [(l.weight.data[0].copy(), list(l.r.data.copy()),
+                   list(l.s.data.copy()), list(l.bias.data.copy()))
                   for l in student.layers]
         expected = hand_one_to_one_step(
             x, t_probs,
@@ -190,15 +190,15 @@ class TestOneToOne:
                                               warmup_epochs=0, batch_size=4, seed=0))
         distill_be(teachers, student, train, cfg)
         got0, got1 = student.layers
-        np.testing.assert_allclose(got0.weight.data, expected["w0"], atol=1e-10)
-        np.testing.assert_allclose(got1.weight.data, expected["w1"], atol=1e-10)
+        np.testing.assert_allclose(got0.weight.data[0], expected["w0"], atol=1e-10)
+        np.testing.assert_allclose(got1.weight.data[0], expected["w1"], atol=1e-10)
         for m in range(2):
-            np.testing.assert_allclose(got0.r[m].data, expected[f"r0_{m}"], atol=1e-10)
-            np.testing.assert_allclose(got0.s[m].data, expected[f"s0_{m}"], atol=1e-10)
-            np.testing.assert_allclose(got1.r[m].data, expected[f"r1_{m}"], atol=1e-10)
-            np.testing.assert_allclose(got1.s[m].data, expected[f"s1_{m}"], atol=1e-10)
-            np.testing.assert_allclose(got0.bias[m].data, expected[f"b0_{m}"], atol=1e-10)
-            np.testing.assert_allclose(got1.bias[m].data, expected[f"b1_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got0.r.data[m], expected[f"r0_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got0.s.data[m], expected[f"s0_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got1.r.data[m], expected[f"r1_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got1.s.data[m], expected[f"s1_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got0.bias.data[m], expected[f"b0_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got1.bias.data[m], expected[f"b1_{m}"], atol=1e-10)
 
     def test_member_count_mismatch_rejected(self, tiny_task, tiny_teachers):
         train, _, _ = tiny_task
@@ -238,9 +238,9 @@ class TestLatentBE:
         for la, lb in zip(latent_student.layers, be_student.layers):
             assert la.weight.data.tobytes() == lb.weight.data.tobytes()
             for m in range(2):
-                assert la.r[m].data.tobytes() == lb.r[m].data.tobytes()
-                assert la.s[m].data.tobytes() == lb.s[m].data.tobytes()
-                assert la.bias[m].data.tobytes() == lb.bias[m].data.tobytes()
+                assert la.r.data[m].tobytes() == lb.r.data[m].tobytes()
+                assert la.s.data[m].tobytes() == lb.s.data[m].tobytes()
+                assert la.bias.data[m].tobytes() == lb.bias.data[m].tobytes()
 
     def test_huge_rank_decay_pins_factors_at_ones(self, tiny_task, tiny_teachers,
                                                   tiny_spec):
@@ -253,8 +253,8 @@ class TestLatentBE:
         _, student = distill_latentbe(tiny_teachers, tiny_spec, train, cfg)
         for l in student.layers:
             for m in range(2):
-                assert np.abs(l.r[m].data - 1.0).max() < 1e-3
-                assert np.abs(l.s[m].data - 1.0).max() < 1e-3
+                assert np.abs(l.r.data[m] - 1.0).max() < 1e-3
+                assert np.abs(l.s.data[m] - 1.0).max() < 1e-3
 
     def test_zero_gamma_matches_no_perturbation_bit_exactly(self, tiny_task,
                                                             tiny_teachers,

@@ -1,4 +1,4 @@
-"""Plain and factored MLPs: forward semantics, member views and isolation,
+"""Plain and factored MLPs: forward semantics, member selection and isolation,
 rank-one averaging against a per-element loop oracle, checkpoint round trips
 and committed format-v1 files."""
 
@@ -28,6 +28,14 @@ def _spec(hidden=(16,)):
     return ModelSpec(2, 3, hidden)
 
 
+def member_output(net, x, m):
+    """The full (M, B, K) forward with every member but m masked to zero."""
+    out = net.forward(x)
+    mask = np.zeros(out.shape)
+    mask[m] = 1.0
+    return ad.mul(Tensor(mask), out)
+
+
 class TestModelSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,7 +53,7 @@ class TestForwardPlain:
         model = build_plain(_spec(), rng_stream(0, "init"))
         for layer in model.layers:
             layer.weight.data[:] = 0.0
-            layer.bias[0].data[:] = 0.0
+            layer.bias.data[0] = 0.0
         out = model.forward(Tensor(np.ones((4, 2))))
         assert np.array_equal(out.data, np.zeros((1, 4, 3)))
 
@@ -55,11 +63,11 @@ class TestForwardPlain:
         rng = np.random.default_rng(0)
         model = build_plain(ModelSpec(3, 2, (3,)), rng_stream(1, "init"))
         model.layers[0].weight.data[:] = np.eye(3)
-        model.layers[0].bias[0].data[:] = 10.0  # keep relu inactive region away
+        model.layers[0].bias.data[0] = 10.0  # keep relu inactive region away
         w = rng.normal(size=(2, 3))
         b = rng.normal(size=2)
         model.layers[1].weight.data[:] = w
-        model.layers[1].bias[0].data[:] = b
+        model.layers[1].bias.data[0] = b
         x = np.abs(rng.normal(size=(5, 3)))
         expected = (x + 10.0) @ w.T + b
         np.testing.assert_allclose(model.forward(Tensor(x)).data[0], expected, atol=1e-12)
@@ -89,8 +97,8 @@ class TestForwardMember:
     def test_ones_factors_match_shared_network(self):
         spec = _spec()
         be = build_be(spec, rng_stream(3, "init"), "ones", members=3)
-        plain = MLP(spec, [Layer([Tensor(l.weight.data, requires_grad=True)],
-                                 [Tensor(l.bias[0].data, requires_grad=True)])
+        plain = MLP(spec, [Layer(Tensor(l.weight.data, requires_grad=True),
+                                 Tensor(l.bias.data[:1], requires_grad=True))
                            for l in be.layers])
         x = np.random.default_rng(5).normal(size=(6, 2))
         ref = logits(plain, x)
@@ -100,8 +108,8 @@ class TestForwardMember:
     def test_zero_r_leaves_only_biases(self):
         be = build_be(_spec(), rng_stream(4, "init"), "ones", members=2)
         for l in be.layers:
-            l.r[0].data[:] = 0.0
-            l.bias[0].data[:] = np.arange(l.bias[0].data.shape[0], dtype=float)
+            l.r.data[0] = 0.0
+            l.bias.data[0] = np.arange(l.bias.data[0].shape[0], dtype=float)
         x = np.random.default_rng(6).normal(size=(4, 2))
         out = logits(be[0], x)
         # every row identical: input influence is annihilated
@@ -111,13 +119,13 @@ class TestForwardMember:
         be = build_be(_spec((8, 8)), rng_stream(7, "init"), "random_sign", members=2)
         for l in be.layers:
             for m in range(2):
-                l.r[m].data[:] += np.random.default_rng(m).normal(size=l.r[m].data.shape) * 0.1
+                l.r.data[m] += np.random.default_rng(m).normal(size=l.r.data[m].shape) * 0.1
         x = np.random.default_rng(8).normal(size=(10, 2))
         for m in range(2):
             direct = logits(be[m], x)
             materialized = MLP(be.spec, [
-                Layer([Tensor(l.weight.data * np.outer(l.r[m].data, l.s[m].data))],
-                      [Tensor(l.bias[m].data)]) for l in be.layers])
+                Layer(Tensor(l.weight.data * np.outer(l.r.data[m], l.s.data[m])),
+                      Tensor(l.bias.data[m][None])) for l in be.layers])
             assert np.abs(direct - logits(materialized, x)).max() < 1e-12
 
     def test_member_index_range(self):
@@ -127,16 +135,39 @@ class TestForwardMember:
                 be[m]
         assert len(list(be)) == 2
 
-    def test_member_views_share_parameter_tensors(self):
-        be = build_be(_spec(), rng_stream(9, "init"), "random_sign", members=3)
-        view = be[2]
-        assert len(view) == 1 and view.factored
-        for lv, lb in zip(view.layers, be.layers):
-            assert lv.weight is lb.weight
-            assert lv.r[0] is lb.r[2] and lv.s[0] is lb.s[2] and lv.bias[0] is lb.bias[2]
-        plain = build_plain(_spec(), rng_stream(9, "init"))
-        assert len(plain) == 1 and not plain.factored
-        assert plain[0].layers[0].weight is plain.layers[0].weight
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_selected_members_are_bit_equal_to_full_forward(self, factored):
+        spec = _spec((8, 8))
+        if factored:
+            net = build_be(spec, rng_stream(9, "init"), "random_sign", members=4)
+        else:
+            net = join([build_plain(spec, rng_stream(s, "init")) for s in range(4)])
+        x = np.random.default_rng(10).normal(size=(5, 2))
+        full = net.forward(Tensor(x)).data
+        for idx in ([2, 0], [1, 1], range(4), (3,)):
+            picked = net[idx]
+            assert (len(picked), picked.factored) == (len(list(idx)), factored)
+            assert picked.forward(Tensor(x)).data.tobytes() == full[list(idx)].tobytes()
+        assert net[3].forward(Tensor(x)).data.tobytes() == full[3:].tobytes()
+        with pytest.raises(IndexError):
+            net[[0, 4]]
+        with pytest.raises(IndexError):
+            net[[]]
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_selected_members_are_constant_copies(self, factored):
+        spec = _spec()
+        if factored:
+            net = build_be(spec, rng_stream(9, "init"), "random_sign", members=3)
+        else:
+            net = join([build_plain(spec, rng_stream(s, "init")) for s in range(3)])
+        before = [p.data.copy() for p in net.parameters()]
+        picked = net[[2, 1]]
+        for p in picked.parameters():
+            assert not p.requires_grad
+            p.data[:] = 7.0
+        for p, b in zip(net.parameters(), before):
+            assert p.data.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("factored", [False, True])
     def test_multi_member_forward_stacks_the_members(self, factored):
@@ -156,48 +187,43 @@ class TestForwardMember:
         with pytest.raises(ShapeError):
             net.forward(Tensor(np.ones((2, 5, 2))))
 
-    def test_join_keeps_member_tensors(self, tmp_path):
+    def test_join_concatenates_plain_nets(self, tmp_path):
         spec = _spec()
         plains = [build_plain(spec, rng_stream(s, "init")) for s in range(2)]
         joined = join(plains)
         assert (len(joined), joined.factored) == (2, False)
+        assert not any(p.requires_grad for p in joined.parameters())
+        x = np.random.default_rng(12).normal(size=(4, 2))
+        full = joined.forward(Tensor(x)).data
         for m, plain in enumerate(plains):
-            for lj, lp in zip(joined[m].layers, plain.layers):
-                assert lj.weight is lp.weight and lj.bias[0] is lp.bias[0]
+            assert full[m].tobytes() == logits(plain, x).tobytes()
         be = build_be(spec, rng_stream(9, "init"), "random_sign", members=3)
         assert join(be) is be
-        pair = join([be[2], be[0]])
-        assert pair.factored and pair.layers[0].weight is be.layers[0].weight
-        assert pair.layers[0].r == [be.layers[0].r[2], be.layers[0].r[0]]
-        with pytest.raises(ShapeError):
-            join([be[0], build_be(spec, rng_stream(8, "init"), "ones", members=1)])
         with pytest.raises(ValueError):
-            joined.layers[0].weight
+            join([be[2], be[0]])
         with pytest.raises(ValueError):
             checkpoint_save(joined, tmp_path / "joined.json")
 
     def test_member_isolation_in_backward(self):
         be = build_be(_spec(), rng_stream(10, "init"), "random_sign", members=3)
         x = Tensor(np.random.default_rng(11).normal(size=(5, 2)))
-        loss = ad.sum(be[1].forward(x))
-        loss.backward()
+        ad.sum(member_output(be, x, 1)).backward()
         for l in be.layers:
             for m in (0, 2):
-                assert l.r[m].grad is None or not l.r[m].grad.any()
-                assert l.s[m].grad is None or not l.s[m].grad.any()
-            assert l.r[1].grad is not None and l.r[1].grad.any()
+                assert not l.r.grad[m].any()
+                assert not l.s.grad[m].any()
+            assert l.r.grad[1].any()
 
     def test_shared_accumulation_equals_sum_of_member_grads(self):
         be = build_be(_spec(), rng_stream(12, "init"), "random_sign", members=2)
         x_np = np.random.default_rng(13).normal(size=(4, 2))
         separate = []
         for m in range(2):
-            ad.sum(be[m].forward(Tensor(x_np))).backward()
+            ad.sum(member_output(be, Tensor(x_np), m)).backward()
             separate.append([l.weight.grad.copy() for l in be.layers])
             for p in be.parameters():
                 p.zero_grad()
-        x = Tensor(x_np)
-        total = ad.add(ad.sum(be[0].forward(x)), ad.sum(be[1].forward(x)))
+        total = ad.sum(be.forward(Tensor(x_np)))
         total.backward()
         for i, l in enumerate(be.layers):
             np.testing.assert_allclose(l.weight.grad, separate[0][i] + separate[1][i],
@@ -209,11 +235,11 @@ class TestAverageRankOne:
         be = build_be(_spec(), rng_stream(14, "init"), "ones", members=4)
         rng = np.random.default_rng(15)
         for l in be.layers:
-            rv = rng.normal(size=l.r[0].data.shape)
-            sv = rng.normal(size=l.s[0].data.shape)
+            rv = rng.normal(size=l.r.data[0].shape)
+            sv = rng.normal(size=l.s.data[0].shape)
             for m in range(4):
-                l.r[m].data[:] = rv
-                l.s[m].data[:] = sv
+                l.r.data[m] = rv
+                l.s.data[m] = sv
         x = rng.normal(size=(5, 2))
         np.testing.assert_allclose(logits(average_rank_one(be), x), logits(be[0], x),
                                    atol=1e-12)
@@ -229,19 +255,19 @@ class TestAverageRankOne:
         rng = np.random.default_rng(18)
         for l in be.layers:
             for m in range(3):
-                l.r[m].data[:] += 0.3 * rng.normal(size=l.r[m].data.shape)
-                l.s[m].data[:] += 0.3 * rng.normal(size=l.s[m].data.shape)
+                l.r.data[m] += 0.3 * rng.normal(size=l.r.data[m].shape)
+                l.s.data[m] += 0.3 * rng.normal(size=l.s.data[m].shape)
         avg = average_rank_one(be)
         for l_avg, l_be in zip(avg.layers, be.layers):
-            out_dim, in_dim = l_be.weight.data.shape
+            out_dim, in_dim = l_be.weight.data[0].shape
             expect = np.zeros((out_dim, in_dim))
             for i in range(out_dim):
                 for j in range(in_dim):
                     acc = 0.0
                     for m in range(3):
-                        acc += l_be.r[m].data[i] * l_be.s[m].data[j]
-                    expect[i, j] = l_be.weight.data[i, j] * acc / 3
-            np.testing.assert_allclose(l_avg.weight.data, expect, atol=1e-15)
+                        acc += l_be.r.data[m][i] * l_be.s.data[m][j]
+                    expect[i, j] = l_be.weight.data[0][i, j] * acc / 3
+            np.testing.assert_allclose(l_avg.weight.data[0], expect, atol=1e-15)
 
     def test_single_member_average_is_that_member(self):
         be = build_be(_spec(), rng_stream(19, "init"), "random_sign", members=1)

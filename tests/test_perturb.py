@@ -9,6 +9,7 @@ import distilab.autodiff as ad
 from distilab.autodiff import Tensor
 from distilab.metrics import batched_logits, diversity_from_probs, member_probs
 from distilab.nets import MLP, ModelSpec, build_be, build_plain
+from distilab.optim import train_teachers
 from distilab.perturb import (_normalize_rows, _pair_gap_grad, conf_ods_perturb,
                               div_estimate, diversity_shift, draw_pairs,
                               gaussian_perturb, ods_perturb, pair_gap_values,
@@ -51,7 +52,7 @@ def pair_ensembles(members, hidden=(16,)):
     rng = np.random.default_rng(51)
     for l in student.layers:
         for m in range(members):
-            l.r[m].data[:] += 0.3 * rng.normal(size=l.r[m].data.shape)
+            l.r.data[m] += 0.3 * rng.normal(size=l.r.data[m].shape)
     return teachers, student
 
 
@@ -68,8 +69,8 @@ def student():
     rng = np.random.default_rng(10)
     for l in model.layers:
         for m in range(2):
-            l.r[m].data[:] += 0.3 * rng.normal(size=l.r[m].data.shape)
-            l.s[m].data[:] += 0.3 * rng.normal(size=l.s[m].data.shape)
+            l.r.data[m] += 0.3 * rng.normal(size=l.r.data[m].shape)
+            l.s.data[m] += 0.3 * rng.normal(size=l.s.data[m].shape)
     return model
 
 
@@ -145,7 +146,7 @@ class TestConfOds:
         teacher = build_plain(spec, rng_stream(12, "init"))
         for l in teacher.layers:
             l.weight.data[:] = 0.0
-            l.bias[0].data[:] = 0.0
+            l.bias.data[0] = 0.0
         # zero network emits uniform probabilities; confidence = 1/K
         x = np.random.default_rng(13).normal(size=(5, 2))
         pert = conf_ods_perturb([teacher], x, 1.0, 0.4, rng_stream(14, "w"))
@@ -295,6 +296,16 @@ class TestPairPerturbations:
         x = np.zeros((3, 2))
         with pytest.raises(ValueError):
             tdiv_sdiv_perturb(teachers[:1], student, x, 1.0, 0.1, rng_stream(0, "p"))
+
+    def test_trained_teachers_collect_no_gradient(self, tiny_task, tiny_spec, tiny_optim):
+        train, _, _ = tiny_task
+        teachers = train_teachers(tiny_spec, train, 2, tiny_optim)
+        student = build_be(tiny_spec, rng_stream(60, "init"), "random_sign", members=2)
+        x = train.x[:16]
+        tdiv_sdiv_perturb(teachers, student, x, 1.0, 0.1, rng_stream(61, "p"))
+        ods_perturb(teachers, x, 1.0, 0.1, rng_stream(62, "p"))
+        assert all(t.grad is None for t in teachers.parameters())
+        assert all(t.grad is not None for t in student.parameters())
 
     def test_pair_draws_deterministic_and_offdiagonal(self):
         rng_a = rng_stream(32, "pairs")

@@ -19,9 +19,9 @@ def pair_student():
     rng = np.random.default_rng(2)
     for l in model.layers:
         for m in range(2):
-            l.r[m].data[:] += 0.4 * rng.normal(size=l.r[m].data.shape)
-            l.s[m].data[:] += 0.4 * rng.normal(size=l.s[m].data.shape)
-            l.bias[m].data[:] = 0.2 * rng.normal(size=l.bias[m].data.shape)
+            l.r.data[m] += 0.4 * rng.normal(size=l.r.data[m].shape)
+            l.s.data[m] += 0.4 * rng.normal(size=l.s.data[m].shape)
+            l.bias.data[m] = 0.2 * rng.normal(size=l.bias.data[m].shape)
     return model
 
 
@@ -53,7 +53,7 @@ class TestInterpolate:
         avg = average_rank_one(pair_student)
         for la, lb in zip(mid.layers, avg.layers):
             assert np.abs(la.weight.data - lb.weight.data).max() < 1e-12
-            assert np.abs(la.bias[0].data - lb.bias[0].data).max() < 1e-12
+            assert np.abs(la.bias.data[0] - lb.bias.data[0]).max() < 1e-12
 
     def test_affine_in_t(self, pair_student):
         a, b = 0.15, 0.85

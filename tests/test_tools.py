@@ -22,3 +22,4 @@ def test_two_sweeps_print_identical_digests():
         assert len([p for p in paths if p.startswith(f"M{m}/diag/")]) == 5
         assert f"M{m}/average.json" in paths
     assert "M2/scan.csv" in paths
+    assert {"M3/barriers.json", "M4/barriers.json"} <= paths

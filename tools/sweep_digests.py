@@ -5,11 +5,12 @@
 Runs ``train-teachers``; ``distill`` for every method and every
 perturbation the method allows, at M = 2, 3 and 4; ``evaluate`` with
 ``--ood`` and with ``--corrupt``; ``line-scan``, ``perturb-diag`` and
-``average``. Everything runs in this process on a task small enough that
-the sweep takes seconds. It prints one ``<sha256>  <path>`` line per output
-file, sorted by path, so two source trees that print the same lines wrote
-the same bytes. Without ``--out`` the files go to a temporary directory
-that is removed afterwards. The exit code is 1 when a command fails.
+``average``; and the library call ``subspace.pairwise_barriers`` on the
+M = 3 and M = 4 ``latentbe`` students. Everything runs in this process on a
+task small enough that the sweep takes seconds. It prints one
+``<sha256>  <path>`` line per output file, sorted by path, so two source
+trees that print the same lines wrote the same bytes. Without ``--out`` the
+files go to a temporary directory that is removed afterwards. The exit code is 1 when a command fails.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MEMBERS = (2, 3, 4)
+BARRIER_MEMBERS = (3, 4)
 FACTORED = ("be", "latentbe")
 DATA = {"kind": "mixture", "num_classes": 3, "dim": 2, "n_per_class": 20,
         "spread": 0.6, "seed": 3}
@@ -87,6 +89,19 @@ def _write(path: Path, doc: dict) -> Path:
     return path
 
 
+def _barriers(runs: Path) -> None:
+    """Write pairwise_barriers of each BARRIER_MEMBERS latentbe student."""
+    from distilab.cli import build_datasets
+    from distilab.nets import checkpoint_load
+    from distilab.subspace import pairwise_barriers
+
+    train, _, test = build_datasets(DATA)
+    for m in BARRIER_MEMBERS:
+        top = runs / f"M{m}"
+        student = checkpoint_load(top / "latentbe-tdiv_sdiv" / "seed0" / "student_be.json")
+        _write(top / "barriers.json", pairwise_barriers(student, train, test))
+
+
 def sweep(out: Path) -> dict[str, str]:
     """Run every command under out; sha256 of each output file, by path."""
     from distilab import cli
@@ -97,6 +112,7 @@ def sweep(out: Path) -> dict[str, str]:
         if code != 0:
             raise RuntimeError(f"exit code {code}: distilab {' '.join(argv)}")
     runs = out / "runs"
+    _barriers(runs)
     return {str(p.relative_to(runs)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(runs.rglob("*")) if p.is_file()}
 
