@@ -11,6 +11,8 @@ sufficient to re-run it bit-exactly, and uses stable exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -399,7 +401,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Keep freed numpy temporaries in the heap for reuse.
+
+    A training step's temporaries sit at glibc's default 128 KiB mmap
+    threshold (a (2, 128, 64) float64 array is exactly that), and glibc
+    trims the heap back to the OS once each step's graph is freed, so every
+    step page-faults the same memory in again. Fixing both thresholds at
+    the ceilings glibc's own dynamic rule can reach stops that. Does nothing
+    where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -144,10 +144,6 @@ def fit(net: MLP, data, config: OptimConfig,
     for _ in range(config.epochs):
         order = shuffle.permutation(n)
         for idx in minibatches(n, config.batch_size, order):
-            # Hold the loss, and with it the graph, until the next batch's graph
-            # is built: releasing it before the SGD step made teacher training
-            # ~20% slower at two BLAS threads, a slowdown that goes away when
-            # glibc's trim and mmap thresholds are raised.
             loss = batch_loss(data.x[idx], data.y[idx])
             loss.backward()
             if net.factored:

@@ -3,6 +3,7 @@ reruns, and the cross-command averaging equivalence."""
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,27 @@ class TestDistill:
                      "--out", str(out)]) == 0
         doc = json.loads((out / "seed0" / "student.json").read_text())
         assert doc["head"] == "dirichlet"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts page faults of glibc's allocator")
+    def test_repeated_distill_reuses_heap_memory(self, tmp_path):
+        import resource
+
+        # An M=2 student at batch 128 and width 64 makes (2, 128, 64) float64
+        # temporaries of exactly glibc's default 128 KiB mmap threshold; with
+        # glibc's dynamic thresholds a repeat took about 3,000 minor faults.
+        cfg = write_config(tmp_path, data={"n_per_class": 200},
+                           model={"hidden": [64, 64]},
+                           optim={"epochs": 2, "warmup_epochs": 1, "batch_size": 128},
+                           distill={"perturbation": "tdiv_sdiv"})
+        teachers = tmp_path / "teachers"
+        assert main(["train-teachers", "--config", str(cfg), "--out", str(teachers)]) == 0
+        argv = ["distill", "--config", str(cfg), "--teachers", str(teachers),
+                "--out", str(tmp_path / "student")]
+        assert main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 class TestEvaluate:
