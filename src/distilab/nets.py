@@ -6,11 +6,11 @@ r and s of a factored layer. ``net.forward`` runs every member at once, one
 autodiff node per layer, for training and evaluation alike. ``net[m]`` and
 ``net[[i, j]]`` are copies of those members' rows, as a net of constants.
 
-A plain layer holds one weight per member, an (M, out, in) weight: a
-trained teacher is a one-member net, and ``join`` concatenates a list of
-them into one net, the teacher ensemble. A factored ("batch ensemble")
-layer holds one shared (1, out, in) weight plus rank-one factors r (M, out)
-and s (M, in); member m's effective weight is the shared matrix
+A plain layer holds one weight per member, an (M, out, in) weight: the
+teacher ensemble trains as one M-member net, each teacher is saved as a
+one-member net, and ``join`` concatenates loaded ones. A factored ("batch
+ensemble") layer holds one shared (1, out, in) weight plus rank-one factors
+r (M, out) and s (M, in); member m's effective weight is the shared matrix
 Hadamard-multiplied by the outer product r_m s_m^T. Averaging those
 rank-one products collapses the student back to a single plain network
 with ordinary inference cost.
@@ -26,6 +26,7 @@ and averaging takes their arithmetic mean.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,13 +181,15 @@ def join(nets: "MLP | Iterable[MLP]") -> MLP:
 
 # -- construction -------------------------------------------------------------
 
-def build_plain(spec: ModelSpec, rng: np.random.Generator, head: str = "softmax") -> MLP:
-    """He-normal weights, zero biases."""
+def build_plain(spec: ModelSpec, rng: np.random.Generator | Sequence[np.random.Generator],
+                head: str = "softmax") -> MLP:
+    """He-normal weights, zero biases; one member per generator of a sequence."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     layers = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(1, fan_out, fan_in))
+        w = np.stack([g.normal(0.0, np.sqrt(2.0 / fan_in), (fan_out, fan_in)) for g in rngs])
         layers.append(Layer(Tensor(w, requires_grad=True),
-                            Tensor(np.zeros((1, fan_out)), requires_grad=True)))
+                            Tensor(np.zeros((len(rngs), fan_out)), requires_grad=True)))
     return MLP(spec, layers, head=head)
 
 
@@ -238,7 +241,7 @@ def average_rank_one(model: MLP) -> MLP:
 # -- checkpoint round trip -----------------------------------------------------
 
 def _fmt_values(arr: np.ndarray) -> str:
-    return " ".join(format(v, ".17g") for v in arr.reshape(-1))
+    return " ".join(map(format, arr.ravel().tolist(), itertools.repeat(".17g")))
 
 
 def _parse_values(text: str, shape: Sequence[int], name: str) -> np.ndarray:

@@ -3,22 +3,23 @@
 The schedule ramps linearly from 0.01 * base_lr to base_lr over the warmup
 epochs and then follows a single cosine half-cycle down over the remaining
 epochs. Weight decay is folded into the gradient before the momentum update.
-``fit`` is the one training loop, run by teachers and every student.
-Training is bit-reproducible given a seed: weight init, batch shuffling and
-any perturbation randomness each consume their own labeled RNG stream.
+``fit`` is the one training loop: every student, and all M teachers at once
+as one M-member plain net. Training is bit-reproducible given a seed: weight
+init, batch shuffling and any perturbation randomness each consume their own
+labeled RNG stream; a plain net's member m shuffles by the stream of seed + m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .nets import MLP, ModelSpec, build_plain, join
+from .nets import MLP, ModelSpec, build_plain
 from .seeding import rng_stream
 
 
@@ -106,14 +107,7 @@ class SGD:
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], num_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
-def minibatches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+    return np.eye(num_classes)[labels]
 
 
 def steps_per_epoch(n: int, batch_size: int) -> int:
@@ -126,6 +120,9 @@ def fit(net: MLP, data, config: OptimConfig,
     """Train net in place by SGD on batch_loss(x_batch, y_batch) over shuffled
     minibatches of data; returns net.
 
+    A plain net of M > 1 members is M independent trainings: member m draws
+    its batches from the stream of seed + m, so batch_loss gets (M, B, in) and
+    (M, B) arrays. Any other net draws from the seed's stream and gets (B, in).
     Weights take weight decay, and a factored net's shared weight follows
     the member-mean gradient; rank factors follow their own gradient plus,
     when rank_decay > 0, a pull toward ones, and never decay; biases decay
@@ -133,7 +130,8 @@ def fit(net: MLP, data, config: OptimConfig,
     step_hook(step, net) runs after each update.
     """
     n = len(data)
-    shuffle = rng_stream(config.seed, "batch-shuffle")
+    shuffles = [rng_stream(config.seed + m, "batch-shuffle")
+                for m in range(1 if net.factored else len(net))]
     shared = net.shared_parameters()
     rank = net.rank_parameters()
     biases = net.member_bias_parameters()
@@ -142,8 +140,10 @@ def fit(net: MLP, data, config: OptimConfig,
     spe = steps_per_epoch(n, config.batch_size)
     step = 0
     for _ in range(config.epochs):
-        order = shuffle.permutation(n)
-        for idx in minibatches(n, config.batch_size, order):
+        orders = [s.permutation(n) for s in shuffles]
+        order = orders[0] if len(orders) == 1 else np.stack(orders)
+        for start in range(0, n, config.batch_size):
+            idx = order[..., start:start + config.batch_size]
             loss = batch_loss(data.x[idx], data.y[idx])
             loss.backward()
             if net.factored:
@@ -161,19 +161,15 @@ def fit(net: MLP, data, config: OptimConfig,
 
 
 def train_teachers(spec: ModelSpec, data, m: int, config: OptimConfig) -> MLP:
-    """Train M independent cross-entropy models, sub-seeded seed + index, and
-    return them joined as one M-member net."""
+    """Train M cross-entropy models as one M-member plain net in one ``fit``,
+    member m's init and batches from seed + m; returns them as constants."""
     if m < 1:
         raise ValueError("teacher count must be >= 1")
-    teachers = []
-    for i in range(m):
-        sub = replace(config, seed=config.seed + i)
-        model = build_plain(spec, rng_stream(sub.seed, "init"))
+    net = build_plain(spec, [rng_stream(config.seed + i, "init") for i in range(m)])
 
-        def cross_entropy(xb, yb, model=model):
-            log_probs = ad.log_softmax_temp(model.forward(Tensor(xb)), 1.0)
-            y_hot = Tensor(one_hot(yb, spec.num_classes)[None])
-            return ad.scale(ad.sum(ad.mul(y_hot, log_probs)), -1.0 / len(yb))
+    def cross_entropy(xb, yb):
+        log_probs = ad.log_softmax_temp(net.forward(Tensor(xb)), 1.0)
+        y_hot = Tensor(one_hot(yb, spec.num_classes).reshape(log_probs.shape))
+        return ad.scale(ad.sum(ad.mul(y_hot, log_probs)), -1.0 / yb.shape[-1])
 
-        teachers.append(fit(model, data, sub, cross_entropy))
-    return join(teachers)
+    return fit(net, data, config, cross_entropy)[range(m)]

@@ -275,6 +275,8 @@ class TestExitCodes:
         out = tmp_path / "boom"
         assert main(["train-teachers", "--config", str(cfg),
                      "--out", str(out)]) == 3
+        # one diverging member stops every teacher, before any is saved
+        assert not list(out.glob("**/teacher*.json"))
 
     def test_domain_error_exits_3(self, tmp_path, monkeypatch):
         def fails(args):

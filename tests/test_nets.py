@@ -11,8 +11,9 @@ import pytest
 import distilab.autodiff as ad
 from distilab.autodiff import ShapeError, Tensor
 from distilab.metrics import batched_logits
-from distilab.nets import (CheckpointError, Layer, MLP, ModelSpec, average_rank_one,
-                           build_be, build_plain, checkpoint_load, checkpoint_save, join)
+from distilab.nets import (CheckpointError, Layer, MLP, ModelSpec, _fmt_values,
+                           average_rank_one, build_be, build_plain, checkpoint_load,
+                           checkpoint_save, join)
 from distilab.seeding import rng_stream
 from test_autodiff import check_grad
 
@@ -326,6 +327,14 @@ class TestCheckpoints:
         path.write_text(doc)
         with pytest.raises(CheckpointError):
             checkpoint_load(path)
+
+    @pytest.mark.parametrize("values", [
+        np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, 0.1, 1.0 / 3.0, -2.5]),
+        np.random.default_rng(30).normal(size=(64, 64)) * 10.0 ** np.arange(-8, 8, 0.25),
+    ])
+    def test_value_format_matches_numpy_scalar_format(self, values):
+        # the reference formats one numpy scalar per value, as format v1 was written
+        assert _fmt_values(values) == " ".join(format(v, ".17g") for v in values.reshape(-1))
 
     def test_dirichlet_head_round_trips(self, tmp_path):
         model = build_plain(_spec(), rng_stream(28, "init"), head="dirichlet")

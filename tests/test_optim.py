@@ -1,12 +1,15 @@
-"""Schedule shape, Nesterov update semantics, and training determinism."""
+"""Schedule shape, Nesterov update semantics, training determinism, and the
+per-member batch streams of stacked teacher training."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import distilab.autodiff as ad
 from distilab.autodiff import ShapeError, Tensor
+from distilab.data import Dataset
 from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import build_be, build_plain, checkpoint_save
 from distilab.optim import OptimConfig, fit, lr_at, one_hot, sgd_update, train_teachers
@@ -174,3 +177,54 @@ class TestTraining:
                 np.testing.assert_array_equal(biases, 1.0)
             else:
                 assert biases.max() < 1.0
+
+
+class TestStackedTeachers:
+    def test_members_are_bit_equal_to_one_member_runs(self, tiny_task, tiny_spec):
+        train, _, _ = tiny_task
+        cfg = OptimConfig(epochs=3, warmup_epochs=1, batch_size=32, seed=4)
+        assert len(train) % cfg.batch_size != 0    # the short last batch is covered
+        teachers = train_teachers(tiny_spec, train, 3, cfg)
+        assert not any(p.requires_grad for p in teachers.parameters())
+        for i in range(3):
+            sub = replace(cfg, seed=cfg.seed + i)
+            solo = build_plain(tiny_spec, rng_stream(sub.seed, "init"))
+            fit(solo, train, sub, cross_entropy(solo, tiny_spec.num_classes))
+            for got, want in zip(teachers[i].parameters(), solo.parameters()):
+                assert got.data.tobytes() == want.data.tobytes()
+
+    @staticmethod
+    def _recorded_rows(net, n, cfg):
+        """The row indices batch_loss receives in fit, one array per epoch:
+        feature 0 of row i is i."""
+        data = Dataset(np.stack([np.arange(n), np.zeros(n)], axis=1).astype(float),
+                       np.zeros(n, dtype=int), 3, "train")
+        seen = []
+
+        def loss(xb, yb):
+            assert xb.shape[:-1] == yb.shape
+            seen.append(xb[..., 0].astype(int))
+            return ad.scale(ad.sum(net.forward(Tensor(xb))), 0.0)
+
+        fit(net, data, cfg, loss)
+        per_epoch = len(seen) // cfg.epochs
+        return [np.concatenate(seen[e * per_epoch:(e + 1) * per_epoch], axis=-1)
+                for e in range(cfg.epochs)]
+
+    def test_plain_members_follow_their_own_streams(self, tiny_spec):
+        n, cfg = 37, OptimConfig(epochs=3, warmup_epochs=1, batch_size=8, seed=11)
+        net = build_plain(tiny_spec, [rng_stream(s, "init") for s in (0, 1)])
+        epochs = self._recorded_rows(net, n, cfg)
+        streams = [rng_stream(cfg.seed + m, "batch-shuffle") for m in range(2)]
+        for rows in epochs:
+            assert rows.shape == (2, n)
+            for m, stream in enumerate(streams):
+                np.testing.assert_array_equal(rows[m], stream.permutation(n))
+
+    def test_factored_net_keeps_one_shared_stream(self, tiny_spec):
+        n, cfg = 37, OptimConfig(epochs=3, warmup_epochs=1, batch_size=8, seed=11)
+        net = build_be(tiny_spec, rng_stream(0, "init"), "random_sign", members=2)
+        stream = rng_stream(cfg.seed, "batch-shuffle")
+        for rows in self._recorded_rows(net, n, cfg):
+            assert rows.shape == (n,)
+            np.testing.assert_array_equal(rows, stream.permutation(n))
