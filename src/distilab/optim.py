@@ -144,7 +144,8 @@ def fit(net: MLP, data, config: OptimConfig,
         order = orders[0] if len(orders) == 1 else np.stack(orders)
         for start in range(0, n, config.batch_size):
             idx = order[..., start:start + config.batch_size]
-            batch_loss(data.x[idx], data.y[idx]).backward()
+            loss = batch_loss(data.x[idx], data.y[idx])
+            loss.backward()
             if net.factored:
                 for t in shared:
                     t.grad /= len(net)
