@@ -281,14 +281,14 @@ def cmd_evaluate(args) -> int:
         ood_spec = load_data_spec(args.ood)
         ood = make_ood(target, float(ood_spec.get("shift", 6.0)),
                        int(ood_spec.get("seed", 0)))
-        _write_entropy_csv(Path(str(out) + ".entropy.csv"), model, target, ood)
+        _write_entropy_csv(Path(str(out) + ".entropy.csv"), report.probs,
+                           _mean_probs(_model_eval_logits(model, ood.x), 1.0))
     return 0
 
 
-def _write_entropy_csv(path: Path, model, in_dist: Dataset, ood: Dataset) -> None:
+def _write_entropy_csv(path: Path, in_probs: np.ndarray, ood_probs: np.ndarray) -> None:
     lines = ["tag,bin_lo,bin_hi,count"]
-    for tag, ds in (("in", in_dist), ("ood", ood)):
-        probs = _mean_probs(_model_eval_logits(model, ds.x), 1.0)
+    for tag, probs in (("in", in_probs), ("ood", ood_probs)):
         hist = entropy_histogram(probs, tag=tag)
         for lo, hi, count in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
             lines.append(f"{tag},{_fmt(lo)},{_fmt(hi)},{int(count)}")
@@ -351,7 +351,10 @@ def cmd_average(args) -> int:
 
 # -- argument plumbing ---------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every call of ``main`` shares it."""
     parser = argparse.ArgumentParser(prog="distilab",
                                      description="ensemble distillation lab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -359,13 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-teachers", help="train an ensemble of teachers")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train_teachers)
 
     p = sub.add_parser("distill", help="distill teachers into a student")
     p.add_argument("--config", required=True)
     p.add_argument("--teachers", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_distill)
 
     p = sub.add_parser("evaluate", help="metrics for one checkpoint on one dataset")
     p.add_argument("--model", required=True)
@@ -375,13 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("line-scan", help="loss landscape along the member line")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_line_scan)
 
     p = sub.add_parser("perturb-diag", help="diversity-shift diagnostics")
     p.add_argument("--teachers", required=True)
@@ -392,12 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_perturb_diag)
 
     p = sub.add_parser("average", help="collapse a factored student by weight averaging")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_average)
     return parser
 
 
@@ -424,10 +421,11 @@ def _fix_malloc_thresholds() -> None:
 
 def main(argv=None) -> int:
     _fix_malloc_thresholds()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up by name at call time, so a replaced cmd_* function is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (NumericsError, DomainError, DegenerateEnsembleError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

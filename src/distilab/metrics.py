@@ -11,7 +11,7 @@ widening the bracket when the optimum hits an edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,9 @@ class MetricsReport:
     bins: int
     mean_div: float | None = None
     clamp_events: int = 0
+    # the (N, K) mean test probabilities at unit temperature the metrics
+    # were computed from, kept for readouts of the same split
+    probs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -109,25 +112,57 @@ def ece(probs: np.ndarray, labels: np.ndarray, bins: int = 15) -> float:
     return float(total)
 
 
-def _mean_probs(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Probabilities at temperature tau; member axis (M, N, K) is averaged.
+def _member_mean(probs: np.ndarray) -> np.ndarray:
+    """Mean of (M, N, K) member probabilities; a single member is its own
+    mean, taken without the reduction pass that the temperature search would
+    otherwise repeat on every call."""
+    return probs[0] if len(probs) == 1 else probs.mean(axis=0)
 
-    A single member is its own mean, taken without the reduction pass that
-    the temperature search would otherwise repeat on every call.
-    """
+
+def _mean_probs(logits: np.ndarray, tau: float) -> np.ndarray:
+    """Probabilities at temperature tau; member axis (M, N, K) is averaged."""
     probs = softmax_np(logits, tau)
-    if probs.ndim == 3:
-        probs = probs[0] if len(probs) == 1 else probs.mean(axis=0)
-    return probs
+    return _member_mean(probs) if probs.ndim == 3 else probs
+
+
+# elements in the largest (T, M, N, K) temporary of one block of the grid
+_GRID_BLOCK = 1 << 17
+
+
+def _grid_nll(logits: np.ndarray, labels: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Summed NLL at every temperature in taus: per temperature the same float
+    operations as ``nll(_mean_probs(logits, tau), labels)``, computed for a
+    block of temperatures at a time over a leading temperature axis."""
+    if logits.ndim not in (2, 3):
+        raise ValueError(f"expected (N, K) or (M, N, K) logits, got shape {logits.shape}")
+    rows = np.arange(len(labels))
+    # division by a positive tau is monotone under rounding, so the row max
+    # of logits / tau is exactly the row max of the logits divided by tau
+    top = logits.max(axis=-1, keepdims=True)
+    step = max(1, _GRID_BLOCK // logits.size)
+    out = np.empty(len(taus))
+    for s in range(0, len(taus), step):
+        t = taus[s:s + step].reshape((-1,) + (1,) * logits.ndim)
+        z = logits / t
+        z -= top / t
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
+        if logits.ndim == 3:
+            z = z[:, 0] if len(logits) == 1 else z.mean(axis=1)
+        # C order, so each temperature's row sums in the order nll's 1-D sum does
+        picked = np.ascontiguousarray(z[:, rows, labels])
+        out[s:s + step] = -np.log(np.maximum(picked, PROB_FLOOR)).sum(axis=1)
+    return out
 
 
 def fit_temperature(val_logits: np.ndarray, val_labels: np.ndarray,
                     lo: float = 0.05, hi: float = 10.0) -> float:
     """Temperature minimizing validation NLL.
 
-    Coarse pass over 100 log-spaced points, then golden-section refinement to
-    |delta tau| < 1e-4. If the coarse argmin lands on a bracket edge the
-    bracket is widened (factor 2 on that side), at most three times.
+    Coarse pass over 100 log-spaced points, scored in one array pass, then
+    golden-section refinement to |delta tau| < 1e-4. If the coarse argmin
+    lands on a bracket edge the bracket is widened (factor 2 on that side),
+    at most three times.
     """
     if len(val_labels) == 0:
         raise ValueError("empty validation set")
@@ -137,7 +172,7 @@ def fit_temperature(val_logits: np.ndarray, val_labels: np.ndarray,
 
     for _ in range(4):
         grid = np.geomspace(lo, hi, 100)
-        values = np.array([objective(t) for t in grid])
+        values = _grid_nll(val_logits, val_labels, grid)
         best = int(values.argmin())
         if best == 0:
             lo = lo / 2.0
@@ -246,20 +281,22 @@ def evaluate_model(model, test, val, bins: int = 15) -> MetricsReport:
 
     A model is evaluated as the mean of its member probabilities; one with
     several members additionally reports the member diversity averaged over
-    the test split.
+    the test split, from the same member probabilities. The report keeps the
+    mean test probabilities in ``probs``.
     """
     test_logits = _model_eval_logits(model, test.x)
     val_logits = _model_eval_logits(model, val.x)
-    probs = _mean_probs(test_logits, 1.0)
+    member = softmax_np(test_logits, 1.0)
+    probs = _member_mean(member)
     acc = accuracy(probs, test.y)
     nll_sum, nll_mean, clamped = nll_with_stats(probs, test.y)
     raw_ece = ece(probs, test.y, bins)
     tau_star = fit_temperature(val_logits, val.y)
     cnll_sum, cece = calibrated_metrics(test_logits, test.y, tau_star, bins)
-    mean_div = None
-    if len(test_logits) > 1:
-        mean_div = diversity_from_probs(softmax_np(test_logits, 1.0))
-    return MetricsReport(acc=acc, nll_sum=nll_sum, nll_mean=nll_mean, ece=raw_ece,
-                         tau_star=tau_star, cnll_mean=cnll_sum / len(test.y),
-                         cece=cece, n=len(test.y), bins=bins,
-                         mean_div=mean_div, clamp_events=clamped)
+    mean_div = diversity_from_probs(member) if len(member) > 1 else None
+    report = MetricsReport(acc=acc, nll_sum=nll_sum, nll_mean=nll_mean, ece=raw_ece,
+                           tau_star=tau_star, cnll_mean=cnll_sum / len(test.y),
+                           cece=cece, n=len(test.y), bins=bins,
+                           mean_div=mean_div, clamp_events=clamped)
+    report.probs = probs
+    return report

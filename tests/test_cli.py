@@ -14,6 +14,8 @@ import distilab
 from distilab import cli
 from distilab.autodiff import DomainError
 from distilab.cli import METRIC_COLUMNS, main
+from distilab.metrics import batched_logits, entropy_histogram, softmax_np
+from distilab.nets import checkpoint_load
 
 TINY = {
     "data": {"kind": "mixture", "num_classes": 3, "dim": 2, "n_per_class": 40,
@@ -202,6 +204,12 @@ class TestEvaluate:
         assert hist[0] == "tag,bin_lo,bin_hi,count"
         tags = {line.split(",")[0] for line in hist[1:]}
         assert tags == {"in", "ood"}
+        # the "in" rows bin the evaluated split's own mean probabilities
+        _, _, test = cli.build_datasets(TINY["data"])
+        model = checkpoint_load(teachers / "seed0" / "teacher0.json")
+        expected = entropy_histogram(softmax_np(batched_logits(model, test.x)[0]))
+        counts = [int(line.split(",")[3]) for line in hist[1:] if line.startswith("in,")]
+        assert counts == expected.counts.tolist()
 
     def test_factored_checkpoint_reports_mean_div(self, trained, tmp_path):
         cfg, teachers = trained
@@ -241,6 +249,53 @@ class TestEvaluate:
                      "--out", str(out)]) == 0
         assert out.read_bytes() == first
 
+
+
+def run_fresh(argv):
+    """One distilab command in a new interpreter."""
+    src = str(Path(distilab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "distilab.cli", *argv], env=env,
+                   check=True, capture_output=True, timeout=300)
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_commands_in_one_process_match_fresh_processes(self, trained, tmp_path):
+        # evaluate --corrupt --ood, then a plain evaluate, then distill, then
+        # evaluate: no flag of one call may reach the next
+        cfg, teachers = trained
+        data, ood = write_data_spec(tmp_path), tmp_path / "ood.json"
+        ood.write_text(json.dumps({"shift": 6.0, "seed": 3}))
+        teacher = str(teachers / "seed0" / "teacher0.json")
+
+        def commands(out):
+            return [["evaluate", "--model", teacher, "--data", str(data), "--corrupt", "3",
+                     "--seed", "4", "--ood", str(ood), "--split", "val",
+                     "--out", str(out / "corrupt.csv")],
+                    ["evaluate", "--model", teacher, "--data", str(data),
+                     "--out", str(out / "plain.csv")],
+                    ["distill", "--config", str(cfg), "--teachers", str(teachers),
+                     "--out", str(out / "latent")],
+                    ["evaluate", "--model", str(out / "latent" / "seed0" / "student.json"),
+                     "--data", str(data), "--out", str(out / "student.csv")]]
+
+        for argv in commands(tmp_path / "one"):
+            assert main(argv) == 0
+        for argv in commands(tmp_path / "fresh"):
+            run_fresh(argv)
+        files = {}
+        for side in ("one", "fresh"):
+            root = tmp_path / side
+            files[side] = {str(f.relative_to(root)): f.read_bytes()
+                           for f in sorted(root.rglob("*")) if f.is_file()}
+        assert {"corrupt.csv", "corrupt.csv.entropy.csv", "plain.csv", "student.csv",
+                "latent/seed0/student_be.json"} <= set(files["one"])
+        assert files["one"] == files["fresh"]
+        assert files["one"]["plain.csv"].decode().splitlines()[1].split(",")[1] == "test"
 
 
 class TestDeterminism:

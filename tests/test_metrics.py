@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from distilab.metrics import (accuracy, calibrated_metrics, diversity_from_probs,
-                              ece, entropy_histogram, entropy_values,
-                              fit_temperature, nll, nll_with_stats,
-                              pairwise_divergence_values, softmax_np)
+from distilab.metrics import (GOLDEN, _grid_nll, _mean_probs, accuracy,
+                              calibrated_metrics, diversity_from_probs, ece,
+                              entropy_histogram, entropy_values, fit_temperature,
+                              nll, nll_with_stats, pairwise_divergence_values,
+                              softmax_np)
 
 
 def random_probs(rng, n, k):
@@ -208,6 +209,96 @@ class TestTemperature:
         base = accuracy(softmax_np(logits), labels)
         for tau in (0.1, 1.0, 4.0, 10.0):
             assert accuracy(softmax_np(logits, tau), labels) == base
+
+
+def fit_temperature_loop(val_logits, val_labels, lo=0.05, hi=10.0):
+    """The temperature search scoring its coarse grid one temperature at a
+    time, as ``fit_temperature`` did before the grid became one array pass."""
+    def objective(tau):
+        return nll(_mean_probs(val_logits, tau), val_labels)
+
+    for _ in range(4):
+        grid = np.geomspace(lo, hi, 100)
+        values = np.array([objective(t) for t in grid])
+        best = int(values.argmin())
+        if best == 0:
+            lo = lo / 2.0
+        elif best == len(grid) - 1:
+            hi = hi * 2.0
+        else:
+            break
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = objective(c), objective(d)
+    while abs(b - a) > 1e-4:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = objective(d)
+    return float((a + b) / 2.0)
+
+
+def grid_case(members, n, k, seed):
+    """Logits of `members` members ((N, K) when members is None) spread around
+    shared logits, and labels drawn from the shared logits' softmax."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(n, k)) * 3.0
+    cdf = np.cumsum(softmax_np(base), axis=1)
+    labels = np.minimum((rng.random((n, 1)) > cdf).sum(axis=1), k - 1)
+    if members is None:
+        return base, labels
+    return base + rng.normal(size=(members, n, k)), labels
+
+
+class TestTemperatureGrid:
+    """The coarse grid is scored for every temperature in one array pass; each
+    temperature must get the bytes of the one-temperature objective."""
+
+    @pytest.mark.parametrize("members", [None, 1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("n", [4, 150, 400])
+    def test_grid_equals_one_temperature_at_a_time(self, members, k, n):
+        logits, labels = grid_case(members, n, k, seed=1000 + 10 * k + n)
+        for lo, hi in ((0.05, 10.0), (0.00625, 10.0), (0.05, 80.0)):
+            grid = np.geomspace(lo, hi, 100)
+            loop = np.array([nll(_mean_probs(logits, t), labels) for t in grid])
+            assert _grid_nll(logits, labels, grid).tobytes() == loop.tobytes()
+        assert fit_temperature(logits, labels) == fit_temperature_loop(logits, labels)
+
+    def test_blocks_of_temperatures_are_seamless(self):
+        # 4 x 2000 x 8 logits put a few temperatures in each block
+        logits, labels = grid_case(4, 2000, 8, seed=17)
+        grid = np.geomspace(0.05, 10.0, 100)
+        loop = np.array([nll(_mean_probs(logits, t), labels) for t in grid])
+        assert _grid_nll(logits, labels, grid).tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("members", [None, 2])
+    def test_widened_bracket_on_downscaled_logits(self, members):
+        logits, labels = grid_case(members, 300, 3, seed=23)
+        tau = fit_temperature(logits / 30.0, labels)
+        assert tau < 0.05
+        assert tau == fit_temperature_loop(logits / 30.0, labels)
+
+    def test_widened_bracket_on_a_separable_validation_set(self):
+        # four rows each predicted right by a wide margin: the NLL keeps
+        # falling as tau shrinks, so the bracket widens on its low side
+        logits = np.array([[4.0, 0.0, -1.0], [0.5, 5.0, 0.0],
+                           [-2.0, 0.0, 3.0], [6.0, 1.0, 0.0]])
+        labels = np.array([0, 1, 2, 0])
+        tau = fit_temperature(logits, labels)
+        assert tau < 0.05 / 4
+        assert tau == fit_temperature_loop(logits, labels)
+        members = np.stack([logits, logits + 0.25])
+        assert fit_temperature(members, labels) == fit_temperature_loop(members, labels)
+
+    def test_rejects_logits_of_other_ranks(self):
+        with pytest.raises(ValueError):
+            fit_temperature(np.zeros(5), np.zeros(5, dtype=int))
 
 
 class TestDiversity:
