@@ -180,23 +180,17 @@ def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
     def backward(g: np.ndarray) -> None:
         if relu:
             g = g * (out_data > 0.0)
-        # gradients are formed only for tensors that collect them, so a
-        # constant net (teachers, a loaded student) passes g to x alone
-        rank_grad = r is not None and (r.requires_grad or s.requires_grad)
-        if weight.requires_grad or rank_grad:
-            x_t = x.data.T if x.data.ndim == 2 else x.data.transpose(0, 2, 1)
-            g_w = np.matmul(x_t, g).transpose(0, 2, 1)      # d/dW_m, (M, out, in)
-            if r is None:
-                _accum(weight, g_w)
-            elif weight.requires_grad:
-                rank_one = r.data[:, :, None] * s.data[:, None, :]
-                _accum(weight, (g_w * rank_one).sum(axis=0, keepdims=True))
-            if rank_grad:
-                g_rank = g_w * weight.data
-                _accum(r, np.matmul(g_rank, s.data[:, :, None])[..., 0])
-                _accum(s, np.matmul(g_rank.transpose(0, 2, 1), r.data[:, :, None])[..., 0])
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=1))
+        x_t = x.data.T if x.data.ndim == 2 else x.data.transpose(0, 2, 1)
+        g_w = np.matmul(x_t, g).transpose(0, 2, 1)          # d/dW_m, (M, out, in)
+        if r is None:
+            _accum(weight, g_w)
+        else:
+            rank_one = r.data[:, :, None] * s.data[:, None, :]
+            _accum(weight, (g_w * rank_one).sum(axis=0, keepdims=True))
+            g_rank = g_w * weight.data
+            _accum(r, np.matmul(g_rank, s.data[:, :, None])[..., 0])
+            _accum(s, np.matmul(g_rank.transpose(0, 2, 1), r.data[:, :, None])[..., 0])
+        _accum(bias, g.sum(axis=1))
         if x.requires_grad:
             g_x = np.matmul(g, w_t.transpose(0, 2, 1))
             _accum(x, g_x if x.data.ndim == 3 else g_x.sum(axis=0))

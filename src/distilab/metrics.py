@@ -24,6 +24,10 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass
 class MetricsReport:
+    """The metrics of one model on one test split, and the (N, K) mean test
+    probabilities at unit temperature they were computed from, in ``probs``,
+    for further readouts of the same split (the evaluate CLI's entropy
+    histogram). ``probs`` is left out of repr and of equality."""
     acc: float
     nll_sum: float
     nll_mean: float
@@ -35,9 +39,7 @@ class MetricsReport:
     bins: int
     mean_div: float | None = None
     clamp_events: int = 0
-    # the (N, K) mean test probabilities at unit temperature the metrics
-    # were computed from, kept for readouts of the same split
-    probs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    probs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -132,7 +134,8 @@ _GRID_BLOCK = 1 << 17
 def _grid_nll(logits: np.ndarray, labels: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Summed NLL at every temperature in taus: per temperature the same float
     operations as ``nll(_mean_probs(logits, tau), labels)``, computed for a
-    block of temperatures at a time over a leading temperature axis."""
+    block of temperatures at a time over a leading temperature axis. The
+    temperature search's only NLL, for its grid and its refinement alike."""
     if logits.ndim not in (2, 3):
         raise ValueError(f"expected (N, K) or (M, N, K) logits, got shape {logits.shape}")
     rows = np.arange(len(labels))
@@ -160,15 +163,15 @@ def fit_temperature(val_logits: np.ndarray, val_labels: np.ndarray,
     """Temperature minimizing validation NLL.
 
     Coarse pass over 100 log-spaced points, scored in one array pass, then
-    golden-section refinement to |delta tau| < 1e-4. If the coarse argmin
-    lands on a bracket edge the bracket is widened (factor 2 on that side),
-    at most three times.
+    golden-section refinement to |delta tau| < 1e-4 that scores one point at
+    a time with the same NLL. If the coarse argmin lands on a bracket edge
+    the bracket is widened (factor 2 on that side), at most three times.
     """
     if len(val_labels) == 0:
         raise ValueError("empty validation set")
 
     def objective(tau: float) -> float:
-        return nll(_mean_probs(val_logits, tau), val_labels)
+        return float(_grid_nll(val_logits, val_labels, np.array([tau]))[0])
 
     for _ in range(4):
         grid = np.geomspace(lo, hi, 100)
@@ -294,9 +297,7 @@ def evaluate_model(model, test, val, bins: int = 15) -> MetricsReport:
     tau_star = fit_temperature(val_logits, val.y)
     cnll_sum, cece = calibrated_metrics(test_logits, test.y, tau_star, bins)
     mean_div = diversity_from_probs(member) if len(member) > 1 else None
-    report = MetricsReport(acc=acc, nll_sum=nll_sum, nll_mean=nll_mean, ece=raw_ece,
-                           tau_star=tau_star, cnll_mean=cnll_sum / len(test.y),
-                           cece=cece, n=len(test.y), bins=bins,
-                           mean_div=mean_div, clamp_events=clamped)
-    report.probs = probs
-    return report
+    return MetricsReport(acc=acc, nll_sum=nll_sum, nll_mean=nll_mean, ece=raw_ece,
+                         tau_star=tau_star, cnll_mean=cnll_sum / len(test.y),
+                         cece=cece, n=len(test.y), bins=bins,
+                         mean_div=mean_div, clamp_events=clamped, probs=probs)

@@ -149,33 +149,6 @@ class TestDense:
             for g, e in zip(t.grad, expected):
                 assert g.tobytes() == e.tobytes()
 
-    @pytest.mark.parametrize("factored", [False, True])
-    @pytest.mark.parametrize("trainable", ["", "w", "rs", "b", "w rs b"])
-    def test_constant_tensors_collect_no_gradient(self, factored, trainable):
-        # a constant net (teachers in a perturbation) passes g to its input
-        # alone; what does collect a gradient gets the full backward's bytes
-        rng = np.random.default_rng(21)
-        arrays = dense_case(rng, 3, factored, False, batch=33, in_dim=17, out_dim=9)
-        arrays = (arrays[0], *map(stacked, arrays[1:]))
-        upstream = rng.normal(size=(3, 33, 9))
-
-        def run(flags):
-            ts = [None if a is None else Tensor(a, requires_grad=f)
-                  for a, f in zip(arrays, flags)]
-            ad.sum(ad.mul(Tensor(upstream), ad.dense(*ts, True))).backward()
-            return ts
-
-        names = trainable.split()
-        full = run((True,) * 5)
-        part = run((True, "w" in names, "rs" in names, "rs" in names, "b" in names))
-        for f, p in zip(full, part):
-            if p is None:
-                continue
-            if p.requires_grad:
-                assert p.grad.tobytes() == f.grad.tobytes()
-            else:
-                assert p.grad is None
-
     def test_member_weights(self):
         rng = np.random.default_rng(12)
         _, weights, r, s, _ = dense_case(rng, 3, True, True)

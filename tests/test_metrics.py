@@ -1,7 +1,9 @@
 """Metric implementations against independent brute-force loop oracles,
 temperature-fitting behavior, and diversity/entropy contracts."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ import pytest
 from distilab.metrics import (GOLDEN, _grid_nll, _mean_probs, accuracy,
                               calibrated_metrics, diversity_from_probs, ece,
                               entropy_histogram, entropy_values, fit_temperature,
-                              nll, nll_with_stats, pairwise_divergence_values,
-                              softmax_np)
+                              evaluate_model, nll, nll_with_stats,
+                              pairwise_divergence_values, softmax_np)
 
 
 def random_probs(rng, n, k):
@@ -370,3 +372,20 @@ class TestEntropyHistogram:
         mean = entropy_values(probs).mean()
         loop = np.mean([-sum(p * math.log(p) for p in row if p > 0) for row in probs])
         assert mean == pytest.approx(loop, abs=1e-12)
+
+
+class TestEvaluateModel:
+    def test_report_carries_the_mean_test_probabilities(self):
+        from distilab.metrics import batched_logits
+        from distilab.nets import ModelSpec, build_plain
+        from distilab.seeding import rng_stream
+        model = build_plain(ModelSpec(2, 3, (8,)), rng_stream(3, "init"))
+        rng = np.random.default_rng(16)
+        test = SimpleNamespace(x=rng.normal(size=(20, 2)), y=rng.integers(0, 3, 20))
+        val = SimpleNamespace(x=rng.normal(size=(10, 2)), y=rng.integers(0, 3, 10))
+        report = evaluate_model(model, test, val)
+        probs = _mean_probs(batched_logits(model, test.x), 1.0)
+        assert report.probs.tobytes() == probs.tobytes()
+        # a copy keeps the probabilities; equality reads the metrics alone
+        assert dataclasses.replace(report).probs is report.probs
+        assert dataclasses.replace(report, probs=None) == report
