@@ -24,10 +24,13 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass
 class MetricsReport:
-    """The metrics of one model on one test split, and the (N, K) mean test
-    probabilities at unit temperature they were computed from, in ``probs``,
-    for further readouts of the same split (the evaluate CLI's entropy
-    histogram). ``probs`` is left out of repr and of equality."""
+    """The metrics of one model on one test split.
+
+    ``probs`` holds the (N, K) mean test probabilities at unit temperature
+    that ``evaluate_model`` computed the metrics from, for further readouts
+    of the same split (the evaluate CLI's entropy histogram). It is set after
+    construction, left out of repr and equality, and not carried over by
+    ``dataclasses.replace``."""
     acc: float
     nll_sum: float
     nll_mean: float
@@ -39,7 +42,7 @@ class MetricsReport:
     bins: int
     mean_div: float | None = None
     clamp_events: int = 0
-    probs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    probs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -116,8 +119,7 @@ def ece(probs: np.ndarray, labels: np.ndarray, bins: int = 15) -> float:
 
 def _member_mean(probs: np.ndarray) -> np.ndarray:
     """Mean of (M, N, K) member probabilities; a single member is its own
-    mean, taken without the reduction pass that the temperature search would
-    otherwise repeat on every call."""
+    mean, taken without a reduction pass."""
     return probs[0] if len(probs) == 1 else probs.mean(axis=0)
 
 
@@ -297,7 +299,9 @@ def evaluate_model(model, test, val, bins: int = 15) -> MetricsReport:
     tau_star = fit_temperature(val_logits, val.y)
     cnll_sum, cece = calibrated_metrics(test_logits, test.y, tau_star, bins)
     mean_div = diversity_from_probs(member) if len(member) > 1 else None
-    return MetricsReport(acc=acc, nll_sum=nll_sum, nll_mean=nll_mean, ece=raw_ece,
-                         tau_star=tau_star, cnll_mean=cnll_sum / len(test.y),
-                         cece=cece, n=len(test.y), bins=bins,
-                         mean_div=mean_div, clamp_events=clamped, probs=probs)
+    report = MetricsReport(acc=acc, nll_sum=nll_sum, nll_mean=nll_mean, ece=raw_ece,
+                           tau_star=tau_star, cnll_mean=cnll_sum / len(test.y),
+                           cece=cece, n=len(test.y), bins=bins,
+                           mean_div=mean_div, clamp_events=clamped)
+    report.probs = probs
+    return report
