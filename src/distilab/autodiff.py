@@ -79,7 +79,7 @@ class Tensor:
         """Reverse-mode visit order: parents after children when reversed.
 
         Iterative postorder; only nodes that require grad are collected,
-        so frozen subgraphs (teachers, stop_grad islands) cost nothing.
+        so the constants of a frozen net (teachers) cost nothing.
         """
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -136,8 +136,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # g + 0.0 has the bits of 0.0 + g, without filling zeros first
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 # -- member-stacked dense layer ---------------------------------------------
@@ -161,6 +163,9 @@ def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
     (M, B, in) input with one slice per member. Each member runs the same
     float operations as a one-member layer would, and the gradients of a
     shared weight, and of a shared input, sum the members in order 0..M-1.
+    The backward forms a gradient only for the tensors that collect one, so
+    a net of constants (teachers, or the student inside a perturbation)
+    costs one input-gradient matmul per layer.
     """
     members = bias.shape[0]
     if x.data.ndim not in (2, 3) or x.shape[-1] != weight.shape[2] \
@@ -180,17 +185,21 @@ def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
     def backward(g: np.ndarray) -> None:
         if relu:
             g = g * (out_data > 0.0)
-        x_t = x.data.T if x.data.ndim == 2 else x.data.transpose(0, 2, 1)
-        g_w = np.matmul(x_t, g).transpose(0, 2, 1)          # d/dW_m, (M, out, in)
-        if r is None:
-            _accum(weight, g_w)
-        else:
-            rank_one = r.data[:, :, None] * s.data[:, None, :]
-            _accum(weight, (g_w * rank_one).sum(axis=0, keepdims=True))
-            g_rank = g_w * weight.data
-            _accum(r, np.matmul(g_rank, s.data[:, :, None])[..., 0])
-            _accum(s, np.matmul(g_rank.transpose(0, 2, 1), r.data[:, :, None])[..., 0])
-        _accum(bias, g.sum(axis=1))
+        rank_grad = r is not None and (r.requires_grad or s.requires_grad)
+        if weight.requires_grad or rank_grad:
+            x_t = x.data.T if x.data.ndim == 2 else x.data.transpose(0, 2, 1)
+            g_w = np.matmul(x_t, g).transpose(0, 2, 1)      # d/dW_m, (M, out, in)
+            if r is None:
+                _accum(weight, g_w)
+            elif weight.requires_grad:
+                rank_one = r.data[:, :, None] * s.data[:, None, :]
+                _accum(weight, (g_w * rank_one).sum(axis=0, keepdims=True))
+            if rank_grad:
+                g_rank = g_w * weight.data
+                _accum(r, np.matmul(g_rank, s.data[:, :, None])[..., 0])
+                _accum(s, np.matmul(g_rank.transpose(0, 2, 1), r.data[:, :, None])[..., 0])
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=1))
         if x.requires_grad:
             g_x = np.matmul(g, w_t.transpose(0, 2, 1))
             _accum(x, g_x if x.data.ndim == 3 else g_x.sum(axis=0))
@@ -282,9 +291,9 @@ def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - numpy-sty
 
     def backward(g: np.ndarray) -> None:
         if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
+            _accum(a, np.broadcast_to(g, a.data.shape))
         else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
 
     return _node(out_data, (a,), "sum", backward)
 
@@ -294,16 +303,18 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     return scale(sum(a, axis=axis), 1.0 / count)
 
 
-def stop_grad(a: Tensor) -> Tensor:
-    """Forward identity; contributes zero gradient to every ancestor."""
-    out = Tensor.__new__(Tensor)
-    out.data = a.data
-    out.requires_grad = False
-    out.grad = None
-    out._parents = ()
-    out._backward = None
-    out._op = "stop_grad"
-    return out
+def take_members(a: Tensor, members: np.ndarray) -> Tensor:
+    """Row b of member members[b] of an (M, B, ...) tensor, as (B, ...); the
+    backward scatters g into zeros at the rows it picked."""
+    rows = np.arange(a.shape[1])
+    out_data = a.data[members, rows]
+
+    def backward(g: np.ndarray) -> None:
+        full = np.zeros_like(a.data)
+        full[members, rows] = g
+        _accum(a, full)
+
+    return _node(out_data, (a,), "take_members", backward)
 
 
 # -- softmax family ----------------------------------------------------------

@@ -265,7 +265,11 @@ def entropy_histogram(probs: np.ndarray, bins: int = 30, tag: str = "in") -> Ent
 def batched_logits(model, x: np.ndarray) -> np.ndarray:
     """(M, N, K) logits of every member of a net, in input order, one forward
     per chunk of 1024 // M rows, which bounds each stacked temporary at 1024
-    rows; 512 // M and 2048 // M write the same bytes and evaluate no faster."""
+    rows (512 // M and 2048 // M evaluate no faster). A row's bytes depend on
+    the rows it shares a chunk with: BLAS handles the last rows of a chunk of
+    2 mod 4 rows apart (rows 1048-1049 of a 1,050-row call differ from the
+    same rows in a 1,350-row call), so callers keep each split in a call of
+    its own."""
     chunk = max(1, 1024 // len(model))
     return np.concatenate([model.forward(Tensor(x[s:s + chunk])).data
                            for s in range(0, len(x), chunk)], axis=1)

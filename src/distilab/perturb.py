@@ -3,14 +3,14 @@
 All directional kinds are normalized per sample to an exact step length
 gamma (rows with a vanishing gradient stay at zero). The pair-based kinds
 draw one ordered member pair per sample, shared between the teacher and
-student divergence terms. By default (``stop_first=False``, which training
-uses) each pair KL is differentiated through both of its members, so the
-step is a first-order ascent direction of the diversity gap;
-``stop_first=True`` blocks the gradient through the first KL argument
-instead. Each ensemble runs one forward per step, on an input leaf with one
-slice per member, and each row's gradient is summed in the order teacher i,
-teacher j, student i, student j of its pair: that order is kept on purpose,
-because it makes the step bit-equal to building the gap one pair at a time.
+student divergence terms, and differentiate each pair KL through both of
+its members, so the step is a first-order ascent direction of the
+diversity gap. Each ensemble runs one forward per step, as a net of
+constants on an input leaf with one slice per member, so the backward
+forms the input gradient and no parameter gradient. Each row's gradient is
+summed in the order teacher i, teacher j, student i, student j of its
+pair: that order is kept on purpose, because it makes the step bit-equal
+to building the gap one pair at a time.
 
 An ensemble is a net or a list of one-member plain nets (see ``nets.join``).
 """
@@ -18,7 +18,7 @@ An ensemble is a net or a list of one-member plain nets (see ``nets.join``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,58 +134,33 @@ def conf_ods_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: 
     return Perturbation(eps * conf[:, None], "conf_ods", gamma, members=members)
 
 
-def _pair_kl(log_pi: Tensor, log_pj: Tensor, stop_first: bool) -> Tensor:
-    """Per-row KL(p_i || p_j) from two (B, K) log-probability tensors.
-
-    With stop_first the first argument is wrapped in stop_grad, so
-    gradients flow only through log_pj.
-    """
-    pi = ad.exp(log_pi)
-    if stop_first:
-        pi = ad.stop_grad(pi)
-        log_pi = ad.stop_grad(log_pi)
-    return ad.sum(ad.mul(pi, ad.sub(log_pi, log_pj)), axis=-1)
-
-
-def div_estimate(model_i: Callable[[Tensor], Tensor],
-                 model_j: Callable[[Tensor], Tensor],
-                 x: Tensor, tau: float = 1.0, stop_first: bool = True) -> Tensor:
-    """Per-sample KL(p_i || p_j) between two logit functions.
-
-    With stop_first (the default) the first argument is wrapped in
-    stop_grad, so gradients with respect to x flow only through p_j.
-    """
-    return _pair_kl(ad.log_softmax_temp(model_i(x), tau),
-                    ad.log_softmax_temp(model_j(x), tau), stop_first)
-
-
-def _member_rows(log_p: Tensor, members: np.ndarray) -> Tensor:
-    """Row b of member members[b] of an (M, B, K) tensor, as the member sum
-    of one-hot-masked members: exact 0/1 masks keep every picked value and
-    every gradient row bit-equal to indexing the member directly."""
-    onehot = np.arange(log_p.shape[0])[:, None, None] == members[None, :, None]
-    return ad.sum(ad.mul(Tensor(np.broadcast_to(onehot, log_p.shape)), log_p), axis=0)
+def _pair_kl(log_pi: Tensor, log_pj: Tensor) -> Tensor:
+    """Per-row KL(p_i || p_j) from two (B, K) log-probability tensors."""
+    return ad.sum(ad.mul(ad.exp(log_pi), ad.sub(log_pi, log_pj)), axis=-1)
 
 
 def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
-                   tau: float, stop_first: bool) -> np.ndarray:
+                   tau: float) -> np.ndarray:
     """d/dx of sum_b [KL_T(i_b, j_b) - KL_S(i_b, j_b)], with the pair draw
     shared between the teacher and student terms of each sample.
 
     Each ensemble runs one forward, on an input leaf with one slice per
-    member. Row b's gradient is then summed as teacher i, teacher j,
-    student i, student j for its pair (i, j): the order in which one shared
-    input leaf accumulates the per-pair formulation (four forwards per
-    ordered pair), so the result is bit-equal to it.
+    member. The student runs as a copy of constants, so the tape stops at
+    the input leaves and no net collects a gradient. Row b's gradient is
+    then summed as teacher i, teacher j, student i, student j for its pair
+    (i, j): the order in which one shared input leaf accumulates the
+    per-pair formulation (four forwards per ordered pair), so the result is
+    bit-equal to it.
     """
-    ensembles = [join(teachers)] + ([] if student is None else [student])
+    ensembles = [join(teachers)] + ([] if student is None else
+                                    [student[range(len(student))]])
     leaves = [Tensor(np.broadcast_to(x, (len(e),) + x.shape), requires_grad=True)
               for e in ensembles]
     gap: Tensor | None = None
     for ensemble, leaf in zip(ensembles, leaves):
         log_p = ad.log_softmax_temp(ensemble.forward(leaf), tau)
-        kl = ad.sum(_pair_kl(_member_rows(log_p, pairs[:, 0]),
-                             _member_rows(log_p, pairs[:, 1]), stop_first))
+        kl = ad.sum(_pair_kl(ad.take_members(log_p, pairs[:, 0]),
+                             ad.take_members(log_p, pairs[:, 1])))
         gap = kl if gap is None else ad.sub(gap, kl)
     assert gap is not None
     gap.backward()
@@ -197,13 +172,12 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
 
 
 def tdiv_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float,
-                 rng: np.random.Generator, pairs: np.ndarray | None = None,
-                 stop_first: bool = False) -> Perturbation:
+                 rng: np.random.Generator, pairs: np.ndarray | None = None
+                 ) -> Perturbation:
     """Step along the gradient of the stochastic teacher diversity alone.
 
-    The default differentiates the pair KL through both members, which makes
-    the step a genuine first-order ascent direction of the divergence value;
-    stop_first=True reproduces the gradient-blocked variant instead.
+    The pair KL is differentiated through both members, which makes the
+    step a first-order ascent direction of the divergence value.
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
@@ -211,21 +185,19 @@ def tdiv_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: floa
         raise ValueError("teacher diversity needs at least two teachers")
     if pairs is None:
         pairs = draw_pairs(rng, len(teachers), len(x))
-    grad = _pair_gap_grad(teachers, None, x, pairs, tau, stop_first)
+    grad = _pair_gap_grad(teachers, None, x, pairs, tau)
     return Perturbation(_normalize_rows(grad, gamma), "tdiv", gamma, pairs=pairs)
 
 
 def tdiv_sdiv_perturb(teachers: Sequence[MLP], student: MLP, x: np.ndarray,
                       tau: float, gamma: float, rng: np.random.Generator,
-                      pairs: np.ndarray | None = None,
-                      stop_first: bool = False) -> Perturbation:
+                      pairs: np.ndarray | None = None) -> Perturbation:
     """Step along the gradient of (teacher diversity - student diversity).
 
     One ordered pair is drawn per sample and reused for both ensembles, so
     the step seeks points where the teachers disagree but the corresponding
-    student members still agree. The default differentiates each pair KL
-    through both of its members (a true first-order ascent direction of the
-    diversity gap); stop_first=True blocks the first argument instead.
+    student members still agree. Each pair KL is differentiated through both
+    of its members, a first-order ascent direction of the diversity gap.
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
@@ -235,7 +207,7 @@ def tdiv_sdiv_perturb(teachers: Sequence[MLP], student: MLP, x: np.ndarray,
         raise ValueError("teacher count and student member count must match")
     if pairs is None:
         pairs = draw_pairs(rng, len(teachers), len(x))
-    grad = _pair_gap_grad(teachers, student, x, pairs, tau, stop_first)
+    grad = _pair_gap_grad(teachers, student, x, pairs, tau)
     return Perturbation(_normalize_rows(grad, gamma), "tdiv_sdiv", gamma, pairs=pairs)
 
 

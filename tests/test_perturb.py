@@ -7,11 +7,11 @@ import pytest
 
 import distilab.autodiff as ad
 from distilab.autodiff import Tensor
-from distilab.metrics import batched_logits, diversity_from_probs, member_probs
-from distilab.nets import MLP, ModelSpec, build_be, build_plain
+from distilab.metrics import diversity_from_probs, member_probs
+from distilab.nets import MLP, ModelSpec, build_be, build_plain, join
 from distilab.optim import train_teachers
-from distilab.perturb import (_normalize_rows, _pair_gap_grad, conf_ods_perturb,
-                              div_estimate, diversity_shift, draw_pairs,
+from distilab.perturb import (_normalize_rows, _pair_gap_grad, _pair_kl,
+                              conf_ods_perturb, diversity_shift, draw_pairs,
                               gaussian_perturb, ods_perturb, pair_gap_values,
                               tdiv_perturb, tdiv_sdiv_perturb)
 from distilab.seeding import rng_stream
@@ -27,22 +27,33 @@ class ZeroUniformRng:
         return np.zeros(size, dtype=np.int64)
 
 
-def per_pair_gap_grad(teachers, student, x, pairs, tau, stop_first):
+def pair_kl(model_i, model_j, x, tau=1.0):
+    """Per-sample KL(p_i || p_j) between two logit functions of x."""
+    return _pair_kl(ad.log_softmax_temp(model_i(x), tau),
+                    ad.log_softmax_temp(model_j(x), tau))
+
+
+def per_pair_gap_grad(teachers, student, x, pairs, tau):
     """Oracle: d/dx of the masked pair gap built one ordered pair at a time,
     four forwards per pair, all on one shared input leaf."""
     xt = Tensor(x, requires_grad=True)
     total = None
     for i, j in sorted({(int(a), int(b)) for a, b in pairs}):
         mask = Tensor(((pairs[:, 0] == i) & (pairs[:, 1] == j)).astype(np.float64)[None])
-        gap = div_estimate(teachers[i].forward, teachers[j].forward, xt, tau,
-                           stop_first=stop_first)
+        gap = pair_kl(teachers[i].forward, teachers[j].forward, xt, tau)
         if student is not None:
-            gap = ad.sub(gap, div_estimate(student[i].forward, student[j].forward, xt,
-                                           tau, stop_first=stop_first))
+            gap = ad.sub(gap, pair_kl(student[i].forward, student[j].forward, xt, tau))
         masked = ad.sum(ad.mul(mask, gap))
         total = masked if total is None else ad.add(total, masked)
     total.backward()
     return xt.grad
+
+
+def masked_member_rows(log_p, members):
+    """Row b of member members[b] of an (M, B, K) tensor, as the member sum of
+    one-hot-masked members: the form ``ad.take_members`` replaces."""
+    onehot = np.arange(log_p.shape[0])[:, None, None] == members[None, :, None]
+    return ad.sum(ad.mul(Tensor(np.broadcast_to(onehot, log_p.shape)), log_p), axis=0)
 
 
 def pair_ensembles(members, hidden=(16,)):
@@ -172,25 +183,15 @@ class TestConfOds:
 class TestDivEstimate:
     def test_identical_members_give_zero(self, teachers):
         x = Tensor(np.random.default_rng(18).normal(size=(4, 2)))
-        kl = div_estimate(teachers[0].forward, teachers[0].forward, x)
+        kl = pair_kl(teachers[0].forward, teachers[0].forward, x)
         np.testing.assert_allclose(kl.data, 0.0, atol=1e-15)
 
     def test_two_point_value(self):
         fi = lambda x: ad.mul(x, Tensor(np.ones((1, 2))))  # identity logits
         pi = np.log([[0.5, 0.5]])
         pj = np.log([[0.9, 0.1]])
-        kl = div_estimate(lambda x: Tensor(pi), lambda x: Tensor(pj),
-                          Tensor(np.zeros((1, 2))))
+        kl = pair_kl(lambda x: Tensor(pi), lambda x: Tensor(pj), Tensor(np.zeros((1, 2))))
         assert kl.data[0] == pytest.approx(0.510826, abs=1e-6)
-
-    def test_stop_grad_blocks_first_argument(self, teachers):
-        # with p_j frozen as well, nothing differentiable remains: the input
-        # is completely disconnected, i.e. its gradient is identically zero
-        x = Tensor(np.random.default_rng(19).normal(size=(3, 2)), requires_grad=True)
-        frozen_j = lambda t: Tensor(batched_logits(teachers[1], t.data))
-        kl = div_estimate(teachers[0].forward, frozen_j, x, stop_first=True)
-        assert not kl.requires_grad
-        assert x.grad is None
 
     def test_pair_average_reproduces_full_diversity(self, teachers, student):
         # mean over all ordered pairs / (M(M-1)) equals the full measure
@@ -203,8 +204,7 @@ class TestDivEstimate:
             for i in range(m_count):
                 for j in range(m_count):
                     if i != j:
-                        total += div_estimate(fns[i], fns[j],
-                                              Tensor(x_np)).data[0]
+                        total += pair_kl(fns[i], fns[j], Tensor(x_np)).data[0]
             est = (total / (m_count * (m_count - 1))).mean()
             assert est == pytest.approx(diversity_from_probs(probs), rel=1e-10)
 
@@ -230,7 +230,7 @@ class TestPairPerturbations:
         x_np = np.random.default_rng(26).normal(size=(20, 2))
         pert = tdiv_sdiv_perturb(teachers, student, x_np, 1.0, 0.1,
                                  rng_stream(27, "p"))
-        g = per_pair_gap_grad(teachers, student, x_np, pert.pairs, 1.0, False)
+        g = per_pair_gap_grad(teachers, student, x_np, pert.pairs, 1.0)
         for b in range(len(x_np)):
             gn = np.linalg.norm(g[b])
             en = np.linalg.norm(pert.epsilon[b])
@@ -240,26 +240,47 @@ class TestPairPerturbations:
             assert abs(cos - 1.0) < 1e-10
 
     @pytest.mark.parametrize("members", [2, 3])
-    @pytest.mark.parametrize("stop_first", [False, True])
     @pytest.mark.parametrize("with_student", [False, True])
-    def test_gradient_bitwise_equals_per_pair_oracle(self, members, stop_first,
-                                                     with_student):
+    def test_gradient_bitwise_equals_per_pair_oracle(self, members, with_student):
         teachers, student = pair_ensembles(members, hidden=(64, 64))
         student = student if with_student else None
         rng = np.random.default_rng(52)
         for _ in range(3):
             x = 2.0 * rng.normal(size=(128, 2))
             pairs = draw_pairs(rng, members, len(x))
-            oracle = per_pair_gap_grad(teachers, student, x, pairs, 1.0, stop_first)
-            got = _pair_gap_grad(teachers, student, x, pairs, 1.0, stop_first)
+            oracle = per_pair_gap_grad(teachers, student, x, pairs, 1.0)
+            got = _pair_gap_grad(teachers, student, x, pairs, 1.0)
             assert np.array_equal(got, oracle)
             if student is None:
-                pert = tdiv_perturb(teachers, x, 1.0, 0.3, rng, pairs=pairs,
-                                    stop_first=stop_first)
+                pert = tdiv_perturb(teachers, x, 1.0, 0.3, rng, pairs=pairs)
             else:
                 pert = tdiv_sdiv_perturb(teachers, student, x, 1.0, 0.3, rng,
-                                         pairs=pairs, stop_first=stop_first)
+                                         pairs=pairs)
             assert np.array_equal(pert.epsilon, _normalize_rows(oracle, 0.3))
+
+    @pytest.mark.parametrize("members", [2, 4])
+    def test_member_gather_bitwise_equals_masked_sum(self, members):
+        # the pair rows, and the input-gradient rows _pair_gap_grad reads,
+        # keep their bytes when one gather node replaces the masked sum
+        teachers, student = pair_ensembles(members, hidden=(64, 64))
+        rng = np.random.default_rng(56)
+        x = 2.0 * rng.normal(size=(128, 2))
+        pairs = draw_pairs(rng, members, len(x))
+        rows = np.arange(len(x))
+        for net in (join(teachers), student[range(members)]):
+            runs = []
+            for pick in (ad.take_members, masked_member_rows):
+                leaf = Tensor(np.broadcast_to(x, (members,) + x.shape), requires_grad=True)
+                log_p = ad.log_softmax_temp(net.forward(leaf), 1.0)
+                picked = [pick(log_p, pairs[:, c]) for c in (0, 1)]
+                ad.sum(_pair_kl(*picked)).backward()
+                runs.append((log_p, picked, leaf.grad))
+            (log_p, got, got_grad), (_, want, want_grad) = runs
+            for c in (0, 1):
+                assert np.array_equal(got[c].data, log_p.data[pairs[:, c], rows])
+                assert got[c].data.tobytes() == want[c].data.tobytes()
+                assert got_grad[pairs[:, c], rows].tobytes() == \
+                    want_grad[pairs[:, c], rows].tobytes()
 
     @pytest.mark.parametrize("members", [2, 3, 4])
     def test_each_member_runs_once(self, members, monkeypatch):
@@ -304,8 +325,9 @@ class TestPairPerturbations:
         x = train.x[:16]
         tdiv_sdiv_perturb(teachers, student, x, 1.0, 0.1, rng_stream(61, "p"))
         ods_perturb(teachers, x, 1.0, 0.1, rng_stream(62, "p"))
+        # a perturbation leaves no gradient on any net it reads
         assert all(t.grad is None for t in teachers.parameters())
-        assert all(t.grad is not None for t in student.parameters())
+        assert all(t.grad is None for t in student.parameters())
 
     def test_pair_draws_deterministic_and_offdiagonal(self):
         rng_a = rng_stream(32, "pairs")
