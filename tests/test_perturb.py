@@ -240,21 +240,25 @@ class TestPairPerturbations:
             assert abs(cos - 1.0) < 1e-10
 
     @pytest.mark.parametrize("members", [2, 3])
+    @pytest.mark.parametrize("joined", [False, pytest.param(True, id="joined")])
     @pytest.mark.parametrize("with_student", [False, True])
-    def test_gradient_bitwise_equals_per_pair_oracle(self, members, with_student):
+    def test_gradient_bitwise_equals_per_pair_oracle(self, members, joined,
+                                                     with_student):
+        # the teachers go in as a list of nets, or joined into one net
         teachers, student = pair_ensembles(members, hidden=(64, 64))
         student = student if with_student else None
+        given = join(teachers) if joined else teachers
         rng = np.random.default_rng(52)
         for _ in range(3):
             x = 2.0 * rng.normal(size=(128, 2))
             pairs = draw_pairs(rng, members, len(x))
             oracle = per_pair_gap_grad(teachers, student, x, pairs, 1.0)
-            got = _pair_gap_grad(teachers, student, x, pairs, 1.0)
+            got = _pair_gap_grad(given, student, x, pairs, 1.0)
             assert np.array_equal(got, oracle)
             if student is None:
-                pert = tdiv_perturb(teachers, x, 1.0, 0.3, rng, pairs=pairs)
+                pert = tdiv_perturb(given, x, 1.0, 0.3, rng, pairs=pairs)
             else:
-                pert = tdiv_sdiv_perturb(teachers, student, x, 1.0, 0.3, rng,
+                pert = tdiv_sdiv_perturb(given, student, x, 1.0, 0.3, rng,
                                          pairs=pairs)
             assert np.array_equal(pert.epsilon, _normalize_rows(oracle, 0.3))
 
