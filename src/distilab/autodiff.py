@@ -67,6 +67,19 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    @classmethod
+    def adopt(cls, arr: np.ndarray) -> "Tensor":
+        """A constant leaf holding arr itself, with no copy and no finiteness
+        check: arr must be a finite float64 array that nothing else holds."""
+        out = cls.__new__(cls)
+        out.data = arr
+        out.requires_grad = False
+        out.grad = None
+        out._parents = ()
+        out._backward = None
+        out._op = "leaf"
+        return out
+
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -121,7 +134,8 @@ class Tensor:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], op: str,
           backward: Callable[[np.ndarray], None] | None) -> Tensor:
-    _ensure_finite(data, op)
+    if op != "dense_relu":  # dense checks a relu layer before the relu
+        _ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(p.requires_grad for p in parents)
@@ -172,13 +186,18 @@ def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
             or (x.data.ndim == 3 and x.shape[0] != members):
         raise ShapeError(f"dense layer of {members} members with weight "
                          f"{weight.shape} got input {x.shape}")
-    w_t = np.ascontiguousarray(member_weights(weight, r, s).transpose(0, 2, 1))
+    if r is None:
+        w_t = np.ascontiguousarray(weight.data.transpose(0, 2, 1))
+    else:
+        # member_weights(weight, r, s) transposed, built in (M, in, out) order
+        w_t = weight.data.transpose(0, 2, 1) * (s.data[:, :, None] * r.data[:, None, :])
     with np.errstate(over="ignore", invalid="ignore"):
         out_data = np.matmul(x.data, w_t)
     out_data += bias.data[:, None, :]
     if relu:
-        # checked before the relu, which would hide a -inf; done in place,
-        # so the graph holds one array per layer and out > 0 marks pre > 0
+        # checked before the relu, which would hide a -inf, and not again in
+        # _node; done in place, so the graph holds one array per layer and
+        # out > 0 marks pre > 0
         _ensure_finite(out_data, "dense")
         np.maximum(out_data, 0.0, out=out_data)
 

@@ -201,7 +201,7 @@ def cmd_distill(args) -> int:
             trace = None
             if cfg.distill.num_teachers == 2:
                 total = dcfg.optim.epochs * steps_per_epoch(len(train), dcfg.optim.batch_size)
-                trace = EndpointTrace(train, test, every=max(1, total // 40))
+                trace = EndpointTrace.for_run(train, test, total)
             averaged, be_student = distill_latentbe(
                 teachers, spec, train, dcfg,
                 step_hook=trace.hook if trace is not None else None)

@@ -126,9 +126,10 @@ class MLP:
             raise IndexError(f"member index {idx} out of range for M={len(self)}")
 
         def take(t: Tensor | None) -> Tensor | None:
-            return None if t is None else Tensor(t.data[rows])
+            # the fancy index is the one copy
+            return None if t is None else Tensor.adopt(t.data[rows])
 
-        layers = [Layer(Tensor(l.weight.data) if self.factored else take(l.weight),
+        layers = [Layer(Tensor.adopt(l.weight.data.copy()) if self.factored else take(l.weight),
                         take(l.bias), take(l.r), take(l.s)) for l in self.layers]
         return MLP(self.spec, layers, self.head)
 

@@ -11,6 +11,7 @@ the (unavailable post hoc) distillation objective when quantifying barriers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,13 +118,20 @@ class EndpointTrace:
     """Periodic record of member diversity and averaged-student test NLL.
 
     Pass ``hook`` as the step hook of a distillation loop; rows accumulate as
-    (step, div_train, div_test, avg_test_nll).
+    (step, div_train, div_test, avg_test_nll) at every step that is a multiple
+    of ``every``. ``for_run`` sets ``every`` to ceil(steps / 40), so a run
+    records at most 40 rows.
     """
 
     train: Dataset
     test: Dataset
     every: int
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
+
+    @classmethod
+    def for_run(cls, train: Dataset, test: Dataset, steps: int) -> "EndpointTrace":
+        """A trace of a run of ``steps`` steps: at most 40 rows."""
+        return cls(train, test, every=math.ceil(steps / 40))
 
     def hook(self, step: int, student: MLP) -> None:
         if step % self.every != 0:

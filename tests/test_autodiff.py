@@ -176,6 +176,17 @@ class TestDense:
             else:
                 assert p.grad is None
 
+    # finite operands whose products overflow: -inf, inf - inf = NaN, +inf
+    @pytest.mark.parametrize("relu,x,w", [
+        (True, [[1e300]], [[[-1e300]]]),
+        (True, [[1e300, 1e300]], [[[1e300, -1e300]]]),
+        (False, [[1e300]], [[[1e300]]]),
+    ], ids=["relu-neg-inf", "relu-nan", "linear-pos-inf"])
+    def test_non_finite_output_names_dense(self, relu, x, w):
+        # a relu would turn the -inf into 0, so a relu layer is checked before it
+        with pytest.raises(NumericsError, match="'dense'"):
+            ad.dense(Tensor(x), Tensor(w), None, None, Tensor(np.zeros((1, 1))), relu)
+
     def test_member_weights(self):
         rng = np.random.default_rng(12)
         _, weights, r, s, _ = dense_case(rng, 3, True, True)

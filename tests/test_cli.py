@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,10 @@ import distilab
 from distilab import cli
 from distilab.autodiff import DomainError
 from distilab.cli import METRIC_COLUMNS, main
+from distilab.distill import distill_latentbe
 from distilab.metrics import batched_logits, entropy_histogram, softmax_np
 from distilab.nets import checkpoint_load
+from distilab.subspace import EndpointTrace
 
 TINY = {
     "data": {"kind": "mixture", "num_classes": 3, "dim": 2, "n_per_class": 40,
@@ -105,6 +108,28 @@ class TestDistill:
         trace = (seed_dir / "trace.csv").read_text().splitlines()
         assert trace[0] == "step,div_train,div_test,avg_test_nll"
         assert len(trace) > 1
+
+    def test_long_latentbe_trace_keeps_every_second_library_row(self, trained, tmp_path):
+        # 84 training rows in batches of 32 over 18 epochs: 54 steps, one row
+        # every ceil(54 / 40) = 2 steps
+        cfg, teachers = trained
+        cfg = write_config(tmp_path, optim={"epochs": 18})
+        out = tmp_path / "latent54"
+        assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                     "--out", str(out)]) == 0
+        lines = (out / "seed0" / "trace.csv").read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines] == list(range(2, 55, 2))
+
+        run = cli.load_run_config(cfg)
+        train, _, test = cli.build_datasets(run.data)
+        dcfg = replace(run.distill, optim=replace(run.optim, seed=0))
+        every_step = EndpointTrace(train, test, every=1)
+        distill_latentbe(cli._load_teachers(teachers, 0, 2), run.model_spec, train, dcfg,
+                         step_hook=every_step.hook)
+        assert len(every_step.rows) == 54
+        expected = [f"{step},{cli._fmt(dt)},{cli._fmt(ds)},{cli._fmt(nll)}"
+                    for step, dt, ds, nll in every_step.rows[1::2]]
+        assert lines == expected
 
     def test_kd_manifest_records_default_temperature(self, trained, tmp_path):
         cfg_path = write_config(tmp_path, method="kd")

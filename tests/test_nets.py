@@ -163,12 +163,34 @@ class TestForwardMember:
         else:
             net = join([build_plain(spec, rng_stream(s, "init")) for s in range(3)])
         before = [p.data.copy() for p in net.parameters()]
-        picked = net[[2, 1]]
-        for p in picked.parameters():
-            assert not p.requires_grad
-            p.data[:] = 7.0
+        for idx in ([2, 1], 0):
+            for p in net[idx].parameters():
+                assert not p.requires_grad
+                p.data[:] = 7.0
         for p, b in zip(net.parameters(), before):
             assert p.data.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_selected_parameters_are_bit_equal_to_the_source_rows(self, factored):
+        spec = _spec((8, 8))
+        if factored:
+            net = build_be(spec, rng_stream(9, "init"), "random_sign", members=4)
+        else:
+            net = join([build_plain(spec, rng_stream(s, "init")) for s in range(4)])
+        for idx in ([2, 0], 3):
+            rows = [idx] if isinstance(idx, int) else idx
+            picked = net[idx]
+            for src, got in zip(net.layers, picked.layers):
+                # a factored net's one weight is shared by every member
+                weight = src.weight.data if factored else src.weight.data[rows]
+                assert got.weight.data.tobytes() == weight.tobytes()
+                assert got.weight.data is not src.weight.data
+                for name in ("bias", "r", "s"):
+                    a, b = getattr(src, name), getattr(got, name)
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert b.data.tobytes() == a.data[rows].tobytes()
+                        assert b.data.flags.c_contiguous and b.data is not a.data
 
     @pytest.mark.parametrize("factored", [False, True])
     def test_multi_member_forward_stacks_the_members(self, factored):

@@ -126,3 +126,20 @@ class TestEndpointTrace:
         for step in range(1, 10):
             trace.hook(step, pair_student)
         assert [r[0] for r in trace.rows] == [3, 6, 9]
+
+    @pytest.mark.parametrize("steps", [1, 40, 41, 54, 79, 80, 1800])
+    def test_a_run_records_at_most_40_rows(self, small_task, steps):
+        train, _, test = small_task
+
+        class Steps(EndpointTrace):
+            def record(self, step, student):
+                self.rows.append((step, 0.0, 0.0, 0.0))
+
+        trace = Steps.for_run(train, test, steps)
+        for step in range(1, steps + 1):
+            trace.hook(step, None)
+        assert 1 <= len(trace.rows) <= 40
+        assert [r[0] for r in trace.rows] == list(range(trace.every, steps + 1, trace.every))
+        if steps in (1, 40, 80, 1800):
+            # the old cadence where it already kept within 40 rows
+            assert trace.every == max(1, steps // 40)

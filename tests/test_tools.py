@@ -14,12 +14,16 @@ def test_two_sweeps_print_identical_digests():
     paths = {line.split("  ", 1)[1] for line in runs[0].splitlines()}
     for m in (2, 3, 4):
         assert f"M{m}/teachers/seed0/teacher{m - 1}.json" in paths
-        # 3 plain methods x 5 perturbations, 2 factored methods x 6
+        # 3 plain methods x 5 perturbations, 2 factored methods x 6, and at
+        # M=2 one long latentbe run
         assert len({p.split("/")[1] for p in paths
-                    if p.startswith(f"M{m}/") and "-" in p.split("/")[1]}) == 27
+                    if p.startswith(f"M{m}/") and "-" in p.split("/")[1]}) == \
+            (28 if m == 2 else 27)
         assert f"M{m}/latentbe-tdiv_sdiv/seed0/student.json" in paths
         assert len([p for p in paths if p.startswith(f"M{m}/eval/")]) == 12
         assert len([p for p in paths if p.startswith(f"M{m}/diag/")]) == 5
         assert f"M{m}/average.json" in paths
     assert "M2/scan.csv" in paths
+    assert "M2/latentbe-tdiv_sdiv-long/seed0/trace.csv" in paths
+    assert len(paths) == 259
     assert {"M3/barriers.json", "M4/barriers.json"} <= paths

@@ -3,7 +3,9 @@
     python3 tools/sweep_digests.py [--out DIR]
 
 Runs ``train-teachers``; ``distill`` for every method and every
-perturbation the method allows, at M = 2, 3 and 4; ``evaluate`` with
+perturbation the method allows, at M = 2, 3 and 4, plus one M = 2
+``latentbe`` / ``tdiv_sdiv`` run of 54 steps, longer than the 40 rows its
+endpoint trace may hold; ``evaluate`` with
 ``--ood`` and with ``--corrupt``; ``line-scan``, ``perturb-diag`` and
 ``average``; and the library call ``subspace.pairwise_barriers`` on the
 M = 3 and M = 4 ``latentbe`` students. Everything runs in this process on a
@@ -33,9 +35,10 @@ DATA = {"kind": "mixture", "num_classes": 3, "dim": 2, "n_per_class": 20,
 OOD = {"shift": 6.0, "seed": 1}
 
 
-def _config(method: str, perturbation: str, members: int) -> dict:
+def _config(method: str, perturbation: str, members: int, epochs: int = 2) -> dict:
+    # DATA has 42 training rows: 3 steps per epoch
     return {"data": DATA, "model": {"hidden": [8, 8]},
-            "optim": {"epochs": 2, "warmup_epochs": 1, "batch_size": 16},
+            "optim": {"epochs": epochs, "warmup_epochs": 1, "batch_size": 16},
             "distill": {"num_teachers": members, "perturbation": perturbation},
             "method": method, "seeds": [0]}
 
@@ -79,6 +82,10 @@ def _commands(out: Path) -> list[list[str]]:
         commands.append(["average", "--model", str(top / "be-none" / "seed0" / "student_be.json"),
                          "--out", str(top / "average.json")])
         if m == 2:
+            cfg = _write(inputs / "M2-latentbe-tdiv_sdiv-long.json",
+                         _config("latentbe", "tdiv_sdiv", m, epochs=18))
+            commands.append(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                             "--out", str(top / "latentbe-tdiv_sdiv-long")])
             commands.append(["line-scan", "--model", str(latent / "student_be.json"),
                              "--data", str(data), "--out", str(top / "scan.csv")])
     return commands
