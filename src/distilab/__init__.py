@@ -8,10 +8,8 @@ mechanism-level claim is directly testable.
 
 from .autodiff import Tensor
 from .data import Dataset, corrupt, load_csv, make_mixture, make_ood
-from .distill import (AEKDConfig, DistillConfig, aekd_weights, distill_aekd,
-                      distill_be, distill_kd, distill_latentbe,
-                      distill_proxy_end2, kd_loss, proxy_dirichlet_target,
-                      proxy_end2_loss)
+from .distill import (DistillConfig, aekd_weights, kd_loss, proxy_dirichlet_target,
+                      proxy_end2_loss, train_student)
 from .metrics import (MetricsReport, accuracy, calibrated_metrics, diversity,
                       ece, entropy_histogram, evaluate_model, fit_temperature,
                       nll)

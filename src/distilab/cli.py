@@ -22,19 +22,15 @@ import numpy as np
 
 from .autodiff import DomainError, NumericsError
 from .data import Dataset, DataFormatError, corrupt, load_csv, make_mixture, make_ood
-from .distill import (AEKDConfig, DegenerateEnsembleError, DistillConfig,
-                      distill_aekd, distill_be, distill_kd, distill_latentbe,
-                      distill_proxy_end2)
+from .distill import DegenerateEnsembleError, DistillConfig, train_student
 from .metrics import (MetricsReport, entropy_histogram, evaluate_model,
                       _mean_probs, _model_eval_logits)
-from .nets import (MLP, CheckpointError, ModelSpec, average_rank_one, build_be,
+from .nets import (MLP, CheckpointError, ModelSpec, average_rank_one,
                    checkpoint_load, checkpoint_save, join)
 from .optim import OptimConfig, steps_per_epoch, train_teachers
 from .perturb import KINDS, build_perturbation, default_gamma, diversity_shift_values
 from .seeding import rng_stream
 from .subspace import EndpointTrace, line_scan
-
-METHODS = ("kd", "aekd", "proxy_end2", "be", "latentbe")
 
 
 class ConfigError(ValueError):
@@ -47,9 +43,6 @@ class RunConfig:
     hidden: tuple[int, ...]
     optim: OptimConfig
     distill: DistillConfig
-    method: str
-    student_init: str
-    aekd_c: float
     seeds: list[int]
     raw: dict
 
@@ -60,7 +53,7 @@ class RunConfig:
 
 
 def _require(doc: dict, key: str, where: str):
-    if key not in doc:
+    if not isinstance(doc, dict) or key not in doc:
         raise ConfigError(f"{where}: missing required key '{key}'")
     return doc[key]
 
@@ -73,32 +66,27 @@ def load_run_config(path: str | Path) -> RunConfig:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: invalid JSON: {e}") from e
-    data = dict(_require(doc, "data", str(p)))
+    data = _require(doc, "data", str(p))
+    if not isinstance(data, dict):
+        raise ConfigError(f"{p}: data must be a JSON object")
     _check_mixture(data, str(p))
     model = doc.get("model", {})
-    hidden = tuple(model.get("hidden", (64, 64)))
+    if not isinstance(model, dict):
+        raise ConfigError(f"{p}: model must be a JSON object")
     try:
+        hidden = tuple(model.get("hidden", (64, 64)))
         optim = OptimConfig(**doc.get("optim", {}))
-        dist_kwargs = dict(doc.get("distill", {}))
-        distill_cfg = DistillConfig(optim=optim, **dist_kwargs)
+        distill_cfg = DistillConfig(optim=optim, method=doc.get("method", "kd"),
+                                    student_init=doc.get("student_init", "random_sign"),
+                                    aekd_c=float(doc.get("aekd_c", 0.6)),
+                                    **doc.get("distill", {}))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{p}: {e}") from e
-    method = doc.get("method", "kd")
-    if method not in METHODS:
-        raise ConfigError(f"{p}: unknown method '{method}'")
-    student_init = doc.get("student_init", "random_sign")
-    if student_init not in ("ones", "random_sign"):
-        raise ConfigError(f"{p}: unknown student_init '{student_init}'")
-    if method in ("be", "latentbe") and distill_cfg.num_teachers < 2:
-        raise ConfigError(f"{p}: factored students need num_teachers >= 2")
-    if distill_cfg.perturbation == "tdiv_sdiv" and method not in ("be", "latentbe"):
-        raise ConfigError(f"{p}: tdiv_sdiv perturbation requires a factored student")
     seeds = [int(s) for s in doc.get("seeds", [0])]
     if not seeds:
         raise ConfigError(f"{p}: seeds list is empty")
     return RunConfig(data=data, hidden=hidden, optim=optim, distill=distill_cfg,
-                     method=method, student_init=student_init,
-                     aekd_c=float(doc.get("aekd_c", 0.6)), seeds=seeds, raw=doc)
+                     seeds=seeds, raw=doc)
 
 
 def _check_mixture(data: dict, where: str) -> None:
@@ -124,7 +112,10 @@ def load_data_spec(path: str | Path) -> dict:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: invalid JSON: {e}") from e
-    return doc.get("data", doc)
+    spec = doc.get("data", doc) if isinstance(doc, dict) else doc
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{p}: data spec must be a JSON object")
+    return spec
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
@@ -183,45 +174,31 @@ def _load_teachers(teachers_dir: Path, seed: int, count: int | None = None) -> M
 def cmd_distill(args) -> int:
     cfg = load_run_config(args.config)
     train, val, test = build_datasets(cfg.data)
-    spec = cfg.model_spec
+    method = cfg.distill.method
     for seed in cfg.seeds:
         teachers = _load_teachers(Path(args.teachers), seed, cfg.distill.num_teachers)
         dcfg = replace(cfg.distill, optim=replace(cfg.optim, seed=seed))
         out_dir = Path(args.out) / f"seed{seed}"
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = []
-        if cfg.method == "be":
-            be_student = build_be(spec, rng_stream(seed, "init"),
-                                  rank_init=cfg.student_init,
-                                  members=cfg.distill.num_teachers)
-            distill_be(teachers, be_student, train, dcfg)
-            checkpoint_save(be_student, out_dir / "student_be.json")
-            outputs.append("student_be.json")
-        elif cfg.method == "latentbe":
-            trace = None
-            if cfg.distill.num_teachers == 2:
-                total = dcfg.optim.epochs * steps_per_epoch(len(train), dcfg.optim.batch_size)
-                trace = EndpointTrace.for_run(train, test, total)
-            averaged, be_student = distill_latentbe(
-                teachers, spec, train, dcfg,
-                step_hook=trace.hook if trace is not None else None)
-            checkpoint_save(be_student, out_dir / "student_be.json")
-            checkpoint_save(averaged, out_dir / "student.json")
-            outputs.extend(["student_be.json", "student.json"])
-            if trace is not None:
-                _write_trace_csv(out_dir / "trace.csv", trace)
-                outputs.append("trace.csv")
-        else:
-            distiller = {"kd": distill_kd, "aekd": distill_aekd,
-                         "proxy_end2": distill_proxy_end2}[cfg.method]
-            extra = (AEKDConfig(cfg.aekd_c),) if cfg.method == "aekd" else ()
-            checkpoint_save(distiller(teachers, spec, train, dcfg, *extra),
-                            out_dir / "student.json")
-            outputs.append("student.json")
-        _write_manifest(out_dir, f"distill:{cfg.method}", cfg.raw, seed,
+        trace = None
+        if method == "latentbe" and cfg.distill.num_teachers == 2:
+            total = dcfg.optim.epochs * steps_per_epoch(len(train), dcfg.optim.batch_size)
+            trace = EndpointTrace.for_run(train, test, total)
+        student = train_student(teachers, cfg.model_spec, train, dcfg,
+                                step_hook=trace.hook if trace is not None else None)
+        saved = {"student_be.json" if student.factored else "student.json": student}
+        if method == "latentbe":
+            saved["student.json"] = average_rank_one(student)
+        for name, net in saved.items():
+            checkpoint_save(net, out_dir / name)
+        outputs = list(saved)
+        if trace is not None:
+            _write_trace_csv(out_dir / "trace.csv", trace)
+            outputs.append("trace.csv")
+        _write_manifest(out_dir, f"distill:{method}", cfg.raw, seed,
                         {"train": train.digest(), "val": val.digest(),
                          "test": test.digest()}, outputs)
-        print(f"seed {seed}: method={cfg.method} wrote {', '.join(sorted(outputs))}")
+        print(f"seed {seed}: method={method} wrote {', '.join(sorted(outputs))}")
     return 0
 
 
@@ -244,7 +221,7 @@ def _resolve_eval_data(args) -> tuple[Dataset, Dataset, str]:
             raise ConfigError(f"unknown split '{split}'")
         return chosen, val, split
     if kind == "csv":
-        ds = load_csv(spec["path"], spec.get("num_classes"))
+        ds = load_csv(_require(spec, "path", "csv data spec"), spec.get("num_classes"))
         return ds, ds, "csv"
     raise ConfigError(f"unknown data kind '{kind}'")
 

@@ -1,30 +1,31 @@
-"""Distillation objectives and the distillers, which train with ``optim.fit``.
+"""Distillation objectives and ``train_student``, the one distiller.
 
-Five ways to compress an ensemble of teachers into a student:
+``train_student`` compresses an ensemble of teachers into a student trained
+with ``optim.fit``; ``DistillConfig.method`` names one of five ways:
 
-* ``distill_kd``          -- match the mean teacher distribution (plus an
-                             optional label cross-entropy term),
-* ``distill_aekd``        -- per-sample teacher weights from a small box-
-                             constrained quadratic program, solved exactly
-                             for the whole batch at any number of teachers,
-* ``distill_proxy_end2``  -- reverse KL between Dirichlet distributions whose
-                             concentrations come from teacher disagreement,
-* ``distill_be``          -- one-to-one distillation into a factored student:
-                             member m mimics teacher m, rank-one factors learn
-                             from their own loss, the shared weight from the
-                             member mean,
-* ``distill_latentbe``    -- one-to-one distillation from all-ones factors
-                             with a decay pulling the factors back toward
-                             ones, optional input perturbation each step, and
-                             a final rank-one weight average that collapses
-                             the student to single-network inference cost.
+* ``kd``          -- match the mean teacher distribution (plus an optional
+                     label cross-entropy term),
+* ``aekd``        -- per-sample teacher weights from a small box-constrained
+                     quadratic program, solved exactly for the whole batch at
+                     any number of teachers,
+* ``proxy_end2``  -- reverse KL between Dirichlet distributions whose
+                     concentrations come from teacher disagreement,
+* ``be``          -- one-to-one distillation into a factored student: member
+                     m mimics teacher m, rank-one factors learn from their
+                     own loss, the shared weight from the member mean,
+* ``latentbe``    -- ``be`` from all-ones factors with a decay pulling the
+                     factors back toward ones; ``nets.average_rank_one`` then
+                     collapses the student to single-network inference cost.
+
+Any method may perturb each batch's inputs first (``DistillConfig.perturbation``);
+``tdiv_sdiv`` needs a factored student.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +33,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .metrics import PROB_FLOOR, batched_logits, member_probs, softmax_np
-from .nets import MLP, ModelSpec, average_rank_one, build_be, build_plain, join
+from .nets import RANK_INITS, MLP, ModelSpec, build_be, build_plain, join
 from .optim import OptimConfig, fit, one_hot
 from .perturb import KINDS, build_perturbation, default_gamma
 from .seeding import rng_stream
+
+METHODS = ("kd", "aekd", "proxy_end2", "be", "latentbe")
+FACTORED = ("be", "latentbe")
 
 
 class DegenerateEnsembleError(ValueError):
@@ -46,10 +50,13 @@ class DegenerateEnsembleError(ValueError):
 class DistillConfig:
     tau: float = 4.0
     alpha: float = 1.0
-    rank_decay: float = 1e-3        # pull of rank-one factors toward ones
+    rank_decay: float = 1e-3        # latentbe's pull of rank-one factors toward ones
     gamma: float | None = None      # perturbation step; None = 0.15 sqrt(D) std
     perturbation: str = "none"
     num_teachers: int = 2
+    method: str = "kd"
+    student_init: str = "random_sign" # rank factors of a be student
+    aekd_c: float = 0.6             # AE-KD's weight cap, in [1/M, 1]
     optim: OptimConfig = field(default_factory=OptimConfig)
 
     def __post_init__(self):
@@ -65,11 +72,14 @@ class DistillConfig:
             raise ValueError(f"unknown perturbation kind '{self.perturbation}'")
         if self.num_teachers < 1:
             raise ValueError("num_teachers must be >= 1")
-
-
-@dataclass(frozen=True)
-class AEKDConfig:
-    c: float = 0.6  # tolerance of disagreement among teachers, in [1/M, 1]
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method '{self.method}'")
+        if self.student_init not in RANK_INITS:
+            raise ValueError(f"unknown student_init '{self.student_init}'")
+        if self.method in FACTORED and self.num_teachers < 2:
+            raise ValueError("factored students need num_teachers >= 2")
+        if self.perturbation == "tdiv_sdiv" and self.method not in FACTORED:
+            raise ValueError("tdiv_sdiv perturbation requires a factored student")
 
 
 @dataclass
@@ -276,15 +286,84 @@ def proxy_end2_loss(student_logits: Tensor, target: ProxyDirichlet) -> Tensor:
     return ad.mean(ad.mul(kl, weights))
 
 
-# -- training loops -----------------------------------------------------------
+# -- training -----------------------------------------------------------------
 
-def _with_perturbation(teachers, student: MLP, train: Dataset, cfg: DistillConfig,
-                       loss: Callable[[np.ndarray, np.ndarray], Tensor]):
-    """The batch loss for ``optim.fit``: loss(x_batch, y_batch) after the
-    batch is perturbed by cfg.perturbation, with guidance/noise and
-    index/pair draws from their own streams."""
-    if cfg.perturbation == "tdiv_sdiv" and not student.factored:
-        raise ValueError("tdiv_sdiv perturbation requires a factored student")
+def _kd_batch_loss(teachers: MLP, student: MLP, cfg: DistillConfig):
+    """KD against the uniform teacher mean, or, for AE-KD, against per-sample
+    teacher weights that solve the box-constrained matching problem on
+    untempered probabilities and are constants in ``kd_loss``."""
+    k = student.spec.num_classes
+
+    def loss(xb, yb):
+        logits = student.forward(Tensor(xb))
+        t_logits = batched_logits(teachers, xb)
+        weights = None
+        if cfg.method == "aekd":
+            weights = _aekd_weights_batch(softmax_np(t_logits, 1.0),
+                                          softmax_np(logits.data[0], 1.0), cfg.tau, cfg.aekd_c)
+        return kd_loss(t_logits, logits, one_hot(yb, k), cfg, weights)
+
+    return loss
+
+
+def _proxy_batch_loss(teachers: MLP, student: MLP, cfg: DistillConfig):
+    """Dirichlet distillation against the teacher proxy target."""
+
+    def loss(xb, yb):
+        logits = student.forward(Tensor(xb))
+        return proxy_end2_loss(logits, proxy_dirichlet_target(member_probs(teachers, xb)))
+
+    return loss
+
+
+def _one_to_one_batch_loss(teachers: MLP, student: MLP, cfg: DistillConfig):
+    """Member m mimics teacher m; the member losses are summed, each
+    tau^2-scaled and batch-averaged, in one sum over all members whose value
+    rounds unlike a member-by-member sum but whose gradients are the same bits."""
+    scale = -cfg.tau ** 2
+
+    def loss(xb, yb):
+        probs = softmax_np(batched_logits(teachers, xb), cfg.tau)
+        log_p = ad.log_softmax_temp(student.forward(Tensor(xb)), cfg.tau)
+        return ad.scale(ad.sum(ad.mul(Tensor(probs), log_p)), scale / len(xb))
+
+    return loss
+
+
+_BATCH_LOSSES = {"kd": _kd_batch_loss, "aekd": _kd_batch_loss,
+                 "proxy_end2": _proxy_batch_loss,
+                 "be": _one_to_one_batch_loss, "latentbe": _one_to_one_batch_loss}
+
+
+def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset,
+                  cfg: DistillConfig, step_hook=None) -> MLP:
+    """Distill the teachers into a new student by cfg.method; returns it.
+
+    The student is built from the seed's "init" stream: a factored net of
+    one member per teacher (all-ones factors for latentbe, cfg.student_init
+    for be) or a plain net (with the Dirichlet head for proxy_end2). Each
+    batch is first perturbed by cfg.perturbation, with guidance/noise and
+    index/pair draws from their own streams; only latentbe pulls the factors
+    toward ones, by cfg.rank_decay, so with perturbation "none" and
+    rank_decay 0 it trains bit-identically to be from student_init "ones".
+    step_hook(step, student) runs after each update. Collapse a latentbe
+    student with ``nets.average_rank_one``.
+    """
+    teachers = join(teachers)
+    if len(teachers) != cfg.num_teachers:
+        raise ValueError(f"config expects {cfg.num_teachers} teachers, "
+                         f"got {len(teachers)}")
+    rng = rng_stream(cfg.optim.seed, "init")
+    if cfg.method in FACTORED:
+        init = "ones" if cfg.method == "latentbe" else cfg.student_init
+        student = build_be(spec, rng, init, members=len(teachers))
+    elif cfg.method == "proxy_end2":
+        if len(teachers) < 2:
+            raise ValueError("proxy distillation needs at least two teachers")
+        student = build_plain(spec, rng, head="dirichlet")
+    else:
+        student = build_plain(spec, rng)
+    loss = _BATCH_LOSSES[cfg.method](teachers, student, cfg)
     gamma = cfg.gamma if cfg.gamma is not None else default_gamma(train.x)
     noise_rng = rng_stream(cfg.optim.seed, "guidance-vectors")
     index_rng = rng_stream(cfg.optim.seed, "pair-sampling")
@@ -295,113 +374,5 @@ def _with_perturbation(teachers, student: MLP, train: Dataset, cfg: DistillConfi
                                     cfg.tau, noise_rng, index_rng).apply(xb)
         return loss(xb, yb)
 
-    return batch_loss
-
-
-def distill_kd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
-               cfg: DistillConfig) -> MLP:
-    """Vanilla ensemble distillation into a plain student."""
-    teachers = _teacher_net(teachers, cfg)
-    student = build_plain(spec, rng_stream(cfg.optim.seed, "init"))
-    k = spec.num_classes
-
-    def loss(xb, yb):
-        logits = student.forward(Tensor(xb))
-        return kd_loss(batched_logits(teachers, xb), logits, one_hot(yb, k), cfg)
-
-    return fit(student, train, cfg.optim,
-               _with_perturbation(teachers, student, train, cfg, loss))
-
-
-def distill_aekd(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
-                 cfg: DistillConfig, aekd: AEKDConfig) -> MLP:
-    """Distillation with per-sample adaptive teacher weights.
-
-    The weights solve the box-constrained matching problem on untempered
-    probabilities and are treated as constants in ``kd_loss``, where they
-    replace the uniform teacher mean.
-    """
-    teachers = _teacher_net(teachers, cfg)
-    student = build_plain(spec, rng_stream(cfg.optim.seed, "init"))
-    k = spec.num_classes
-
-    def loss(xb, yb):
-        logits = student.forward(Tensor(xb))
-        t_logits = batched_logits(teachers, xb)
-        weights = _aekd_weights_batch(softmax_np(t_logits, 1.0),
-                                      softmax_np(logits.data[0], 1.0), cfg.tau, aekd.c)
-        return kd_loss(t_logits, logits, one_hot(yb, k), cfg, weights)
-
-    return fit(student, train, cfg.optim,
-               _with_perturbation(teachers, student, train, cfg, loss))
-
-
-def distill_proxy_end2(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
-                       cfg: DistillConfig) -> MLP:
-    """Dirichlet distribution distillation against the teacher proxy target."""
-    teachers = _teacher_net(teachers, cfg)
-    if len(teachers) < 2:
-        raise ValueError("proxy distillation needs at least two teachers")
-    student = build_plain(spec, rng_stream(cfg.optim.seed, "init"),
-                          head="dirichlet")
-
-    def loss(xb, yb):
-        logits = student.forward(Tensor(xb))
-        return proxy_end2_loss(logits, proxy_dirichlet_target(member_probs(teachers, xb)))
-
-    return fit(student, train, cfg.optim,
-               _with_perturbation(teachers, student, train, cfg, loss))
-
-
-def _teacher_net(teachers, cfg: DistillConfig) -> MLP:
-    if len(teachers) != cfg.num_teachers:
-        raise ValueError(f"config expects {cfg.num_teachers} teachers, "
-                         f"got {len(teachers)}")
-    return join(teachers)
-
-
-def _one_to_one_loss(teachers, student: MLP, tau: float):
-    """Member m mimics teacher m; the member losses are summed, each
-    tau^2-scaled and batch-averaged, in one sum over all members whose value
-    rounds unlike a member-by-member sum but whose gradients are the same bits."""
-    teachers = join(teachers)
-    if len(teachers) != len(student):
-        raise ValueError(f"student has {len(student)} members but {len(teachers)} "
-                         "teachers were given")
-    scale = -tau ** 2
-
-    def loss(xb, yb):
-        probs = softmax_np(batched_logits(teachers, xb), tau)
-        log_p = ad.log_softmax_temp(student.forward(Tensor(xb)), tau)
-        return ad.scale(ad.sum(ad.mul(Tensor(probs), log_p)), scale / len(xb))
-
-    return loss
-
-
-def distill_be(teachers: Sequence[MLP], student: MLP, train: Dataset,
-               cfg: DistillConfig) -> MLP:
-    """One-to-one distillation into a pre-built factored student.
-
-    No pull toward ones is applied (rank_decay in the config is ignored
-    here); the perturbation kind from the config is honored.
-    """
-    loss = _one_to_one_loss(teachers, student, cfg.tau)
-    return fit(student, train, cfg.optim,
-               _with_perturbation(teachers, student, train, cfg, loss))
-
-
-def distill_latentbe(teachers: Sequence[MLP], spec: ModelSpec, train: Dataset,
-                     cfg: DistillConfig, step_hook=None) -> tuple[MLP, MLP]:
-    """One-to-one distillation from all-ones factors with a pull of the
-    factors toward ones, then weight averaging.
-
-    Returns (averaged plain student, factored student). With perturbation
-    "none" and rank_decay 0 the factored student's trajectory is
-    bit-identical to ``distill_be`` started from ones under the same seed.
-    """
-    student = build_be(spec, rng_stream(cfg.optim.seed, "init"),
-                       rank_init="ones", members=len(teachers))
-    loss = _one_to_one_loss(teachers, student, cfg.tau)
-    fit(student, train, cfg.optim, _with_perturbation(teachers, student, train, cfg, loss),
-        cfg.rank_decay, step_hook)
-    return average_rank_one(student), student
+    rank_decay = cfg.rank_decay if cfg.method == "latentbe" else 0.0
+    return fit(student, train, cfg.optim, batch_loss, rank_decay, step_hook)

@@ -40,6 +40,7 @@ from .autodiff import ShapeError, Tensor
 PLAIN = "plain"
 BATCH_ENSEMBLE = "batch_ensemble"
 CHECKPOINT_VERSION = 1
+RANK_INITS = ("ones", "random_sign")
 
 
 class CheckpointError(ValueError):
@@ -201,7 +202,7 @@ def build_be(spec: ModelSpec, rng: np.random.Generator,
     Ones initialization makes every member identical to the shared network;
     random signs start the members in genuinely different weight patterns.
     """
-    if rank_init not in ("ones", "random_sign"):
+    if rank_init not in RANK_INITS:
         raise ValueError(f"unknown rank_init '{rank_init}'")
     if members < 1:
         raise ValueError(f"a factored net needs members >= 1, got {members}")
@@ -296,18 +297,22 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise CheckpointError(f"unparseable checkpoint {p}: {e}") from e
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{p}: a checkpoint must be a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')}")
-    kind = doc["kind"]
+    try:
+        kind, sd, tensors = doc["kind"], doc["spec"], doc["tensors"]
+        spec = ModelSpec(int(sd["in_dim"]), int(sd["num_classes"]),
+                         tuple(sd["hidden"]), sd["activation"])
+    except KeyError as e:
+        raise CheckpointError(f"{p}: missing key {e}") from e
     if kind not in (PLAIN, BATCH_ENSEMBLE):
         raise CheckpointError(f"unknown model kind '{kind}'")
     factored = kind == BATCH_ENSEMBLE
     members = doc.get("M") if factored else 1
     if not isinstance(members, int) or members < 1:
         raise CheckpointError(f"factored checkpoint needs M >= 1, got {members!r}")
-    sd = doc["spec"]
-    spec = ModelSpec(int(sd["in_dim"]), int(sd["num_classes"]),
-                     tuple(sd["hidden"]), sd["activation"])
     if expected_spec is not None:
         if spec.num_classes != expected_spec.num_classes:
             raise CheckpointError(
@@ -315,7 +320,6 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
                 f"requested spec has {expected_spec.num_classes}")
         if (spec.in_dim, spec.hidden) != (expected_spec.in_dim, expected_spec.hidden):
             raise CheckpointError("checkpoint architecture disagrees with requested spec")
-    tensors = doc["tensors"]
 
     def load(names: list[str], shape: tuple[int, ...]) -> Tensor | None:
         """The named rows stacked on a member axis; None for no names."""
@@ -324,7 +328,10 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
             if name not in tensors:
                 raise CheckpointError(f"missing tensor '{name}'")
             rec = tensors[name]
-            arr = _parse_values(rec["values"], rec["shape"], name)
+            try:
+                arr = _parse_values(rec["values"], rec["shape"], name)
+            except KeyError as e:
+                raise CheckpointError(f"{p}: tensor '{name}' has no {e} key") from e
             if arr.shape != shape:
                 raise CheckpointError(f"tensor '{name}' shape {arr.shape} != expected {shape}")
             rows.append(arr)

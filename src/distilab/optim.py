@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import NumericsError, ShapeError, Tensor
 from .nets import MLP, ModelSpec, build_plain
 from .seeding import rng_stream
 
@@ -127,7 +127,8 @@ def fit(net: MLP, data, config: OptimConfig,
     the member-mean gradient; rank factors follow their own gradient plus,
     when rank_decay > 0, a pull toward ones, and never decay; biases decay
     only in a plain net.
-    step_hook(step, net) runs after each update.
+    step_hook(step, net) runs after each update, step counting from 1; a
+    NumericsError raised by a step's loss or backward pass names that step.
     """
     n = len(data)
     shuffles = [rng_stream(config.seed + m, "batch-shuffle")
@@ -144,8 +145,11 @@ def fit(net: MLP, data, config: OptimConfig,
         order = orders[0] if len(orders) == 1 else np.stack(orders)
         for start in range(0, n, config.batch_size):
             idx = order[..., start:start + config.batch_size]
-            loss = batch_loss(data.x[idx], data.y[idx])
-            loss.backward()
+            try:
+                loss = batch_loss(data.x[idx], data.y[idx])
+                loss.backward()
+            except NumericsError as e:
+                raise NumericsError(f"{e} at step {step + 1}") from e
             if net.factored:
                 for t in shared:
                     t.grad /= len(net)

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field, replace
 import pytest
 
 from distilab.data import Dataset, make_mixture
-from distilab.distill import DistillConfig, distill_be, distill_latentbe
-from distilab.nets import MLP, ModelSpec, build_be
+from distilab.distill import DistillConfig, train_student
+from distilab.nets import MLP, ModelSpec, average_rank_one
 from distilab.optim import OptimConfig, steps_per_epoch, train_teachers
-from distilab.seeding import rng_stream
 
 DEFAULT_TASK = dict(num_classes=3, dim=2, n_per_class=500, spread=0.6, seed=7)
 ACCEPT_SEEDS = (0, 1, 2)
@@ -76,13 +75,12 @@ def bundle(default_task) -> Bundle:
     out = Bundle(train, val, test, spec)
     for seed in ACCEPT_SEEDS:
         optim = OptimConfig(seed=seed)
-        cfg = DistillConfig(num_teachers=2, optim=optim)
+        cfg = DistillConfig(num_teachers=2, method="latentbe", optim=optim)
         teachers = train_teachers(spec, train, 2, optim)
 
-        be_student = build_be(spec, rng_stream(seed, "init"), "random_sign", members=2)
-        distill_be(teachers, be_student, train, cfg)
+        be_student = train_student(teachers, spec, train, replace(cfg, method="be"))
 
-        avg_none, lbe_none = distill_latentbe(teachers, spec, train, cfg)
+        lbe_none = train_student(teachers, spec, train, cfg)
 
         snap: dict = {}
         half = cfg.optim.epochs * steps_per_epoch(len(train), cfg.optim.batch_size) // 2
@@ -92,8 +90,8 @@ def bundle(default_task) -> Bundle:
                 _snap["model"] = student[range(len(student))]
 
         cfg_tdiv = replace(cfg, perturbation="tdiv_sdiv")
-        avg_tdiv, lbe_tdiv = distill_latentbe(teachers, spec, train, cfg_tdiv,
-                                              step_hook=hook)
+        lbe_tdiv = train_student(teachers, spec, train, cfg_tdiv, step_hook=hook)
+        avg_none, avg_tdiv = average_rank_one(lbe_none), average_rank_one(lbe_tdiv)
         out.runs[seed] = SeedRun(teachers, be_student, avg_none, lbe_none,
                                  avg_tdiv, lbe_tdiv, snap["model"])
     return out

@@ -8,6 +8,7 @@ run on fully trained desk-scale models shared through the session bundle
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +17,12 @@ import distilab.autodiff as ad
 from distilab.autodiff import Tensor
 from distilab.data import corrupt, load_csv, make_ood, save_csv
 from distilab.distill import (DistillConfig, ProxyDirichlet, aekd_weights,
-                              dirichlet_kl_np, distill_be, distill_latentbe,
-                              proxy_dirichlet_target, proxy_end2_loss)
+                              dirichlet_kl_np, proxy_dirichlet_target,
+                              proxy_end2_loss, train_student)
 from distilab.metrics import (accuracy, batched_logits, diversity, diversity_from_probs, ece,
                               entropy_values, fit_temperature, nll, nll_with_stats,
                               pairwise_divergence_values, softmax_np)
-from distilab.nets import (ModelSpec, build_be, build_plain, checkpoint_load,
-                           checkpoint_save)
+from distilab.nets import ModelSpec, build_plain, checkpoint_load, checkpoint_save
 from distilab.optim import OptimConfig, train_teachers
 from distilab.perturb import (default_gamma, diversity_shift, gaussian_perturb,
                               pair_gap_values, tdiv_sdiv_perturb)
@@ -247,11 +247,12 @@ def test_criterion_4_algorithm_reductions(tiny_task, tiny_teachers, tiny_spec):
     # gentle learning rate: the tau^2 factor makes lr=0.1 diverge at this
     # miniature scale, and the reduction property is lr-independent
     cfg = DistillConfig(num_teachers=2, rank_decay=0.0, perturbation="none",
+                        method="latentbe",
                         optim=OptimConfig(base_lr=0.02, epochs=6, warmup_epochs=1,
                                           batch_size=32, seed=4))
-    _, latent = distill_latentbe(tiny_teachers, tiny_spec, train, cfg)
-    be = build_be(tiny_spec, rng_stream(4, "init"), "ones", members=2)
-    distill_be(tiny_teachers, be, train, cfg)
+    latent = train_student(tiny_teachers, tiny_spec, train, cfg)
+    be = train_student(tiny_teachers, tiny_spec, train,
+                       replace(cfg, method="be", student_init="ones"))
     bit_identical = all(
         la.weight.data.tobytes() == lb.weight.data.tobytes()
         and all(la.r.data[m].tobytes() == lb.r.data[m].tobytes() for m in range(2))

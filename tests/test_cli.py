@@ -15,7 +15,7 @@ import distilab
 from distilab import cli
 from distilab.autodiff import DomainError
 from distilab.cli import METRIC_COLUMNS, main
-from distilab.distill import distill_latentbe
+from distilab.distill import train_student
 from distilab.metrics import batched_logits, entropy_histogram, softmax_np
 from distilab.nets import checkpoint_load
 from distilab.subspace import EndpointTrace
@@ -124,8 +124,8 @@ class TestDistill:
         train, _, test = cli.build_datasets(run.data)
         dcfg = replace(run.distill, optim=replace(run.optim, seed=0))
         every_step = EndpointTrace(train, test, every=1)
-        distill_latentbe(cli._load_teachers(teachers, 0, 2), run.model_spec, train, dcfg,
-                         step_hook=every_step.hook)
+        train_student(cli._load_teachers(teachers, 0, 2), run.model_spec, train, dcfg,
+                      step_hook=every_step.hook)
         assert len(every_step.rows) == 54
         expected = [f"{step},{cli._fmt(dt)},{cli._fmt(ds)},{cli._fmt(nll)}"
                     for step, dt, ds, nll in every_step.rows[1::2]]
@@ -365,6 +365,75 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_average", fails)
         assert main(["average", "--model", str(tmp_path / "m.json"),
                      "--out", str(tmp_path / "a.json")]) == 3
+
+
+class TestMalformedInput:
+    """Malformed files from outside exit 2 with a message, not a traceback."""
+
+    @pytest.mark.parametrize("drop", ["kind", "spec", "tensors"])
+    def test_checkpoint_missing_top_level_key_exits_2(self, trained, tmp_path, capsys,
+                                                      drop):
+        _, teachers = trained
+        doc = json.loads((teachers / "seed0" / "teacher0.json").read_text())
+        del doc[drop]
+        model = tmp_path / "broken.json"
+        model.write_text(json.dumps(doc))
+        assert main(["average", "--model", str(model), "--out", str(tmp_path / "a.json")]) == 2
+        assert f"missing key '{drop}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop", ["shape", "values"])
+    def test_checkpoint_tensor_without_field_exits_2(self, trained, tmp_path, capsys, drop):
+        _, teachers = trained
+        doc = json.loads((teachers / "seed0" / "teacher0.json").read_text())
+        del doc["tensors"]["layer0.W"][drop]
+        model = tmp_path / "broken.json"
+        model.write_text(json.dumps(doc))
+        assert main(["evaluate", "--model", str(model), "--data", str(write_data_spec(tmp_path)),
+                     "--out", str(tmp_path / "m.csv")]) == 2
+        assert f"tensor 'layer0.W' has no '{drop}' key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["data", "model"])
+    def test_run_config_section_not_an_object_exits_2(self, tmp_path, capsys, section):
+        cfg = write_config(tmp_path, **{section: [1, 2, 3]})
+        assert main(["train-teachers", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+    def test_checkpoint_not_an_object_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "list.json"
+        model.write_text("[1, 2]")
+        assert main(["average", "--model", str(model), "--out", str(tmp_path / "a.json")]) == 2
+        assert "a checkpoint must be a JSON object" in capsys.readouterr().err
+
+    def test_csv_data_spec_without_path_exits_2(self, trained, tmp_path, capsys):
+        _, teachers = trained
+        spec = tmp_path / "csv.json"
+        spec.write_text(json.dumps({"kind": "csv"}))
+        assert main(["evaluate", "--model", str(teachers / "seed0" / "teacher0.json"),
+                     "--data", str(spec), "--out", str(tmp_path / "m.csv")]) == 2
+        assert "missing required key 'path'" in capsys.readouterr().err
+
+    def test_data_spec_not_an_object_exits_2(self, trained, tmp_path, capsys):
+        _, teachers = trained
+        spec = tmp_path / "list.json"
+        spec.write_text("[1, 2]")
+        assert main(["evaluate", "--model", str(teachers / "seed0" / "teacher0.json"),
+                     "--data", str(spec), "--out", str(tmp_path / "m.csv")]) == 2
+        assert "data spec must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"method": "alchemy"}, "unknown method 'alchemy'"),
+        ({"method": "be", "student_init": "gaussian"}, "unknown student_init 'gaussian'"),
+        ({"method": "latentbe", "distill": {"num_teachers": 1}},
+         "factored students need num_teachers >= 2"),
+        ({"method": "kd", "distill": {"perturbation": "tdiv_sdiv"}},
+         "tdiv_sdiv perturbation requires a factored student"),
+    ])
+    def test_method_rules_exit_2_naming_the_file(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, **doc)
+        assert main(["train-teachers", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"error: {cfg}: {message}\n" == capsys.readouterr().err
 
 
 class TestLineScan:

@@ -15,15 +15,13 @@ import pytest
 import distilab.autodiff as ad
 from distilab.autodiff import Tensor
 from distilab.data import Dataset
-from distilab.distill import (AEKDConfig, DegenerateEnsembleError, DistillConfig,
+from distilab.distill import (FACTORED, METHODS, DegenerateEnsembleError, DistillConfig,
                               ProxyDirichlet, _aekd_weights_batch, aekd_weights,
-                              dirichlet_kl, dirichlet_kl_np, distill_aekd,
-                              distill_be, distill_kd, distill_latentbe,
-                              distill_proxy_end2, kd_loss,
-                              proxy_dirichlet_target, proxy_end2_loss)
+                              dirichlet_kl, dirichlet_kl_np, kd_loss,
+                              proxy_dirichlet_target, proxy_end2_loss, train_student)
 from distilab.metrics import batched_logits, softmax_np
-from distilab.nets import MLP, ModelSpec, build_be, build_plain
-from distilab.optim import OptimConfig, one_hot
+from distilab.nets import MLP, ModelSpec, average_rank_one, build_be, build_plain
+from distilab.optim import OptimConfig, one_hot, steps_per_epoch
 from distilab.seeding import rng_stream
 from test_autodiff import check_grad
 
@@ -170,8 +168,10 @@ class TestOneToOne:
                 l.bias.data[m] = 0.1 * rng.normal(size=l.bias.data[m].shape)
         return spec, student
 
-    def test_single_step_matches_hand_oracle(self, ):
-        spec, student = self._toy()
+    def test_single_step_matches_hand_oracle(self):
+        # the be student starts from the seed's "init" stream with random signs
+        spec = ModelSpec(2, 2, (2,))
+        student = build_be(spec, rng_stream(0, "init"), "random_sign", members=2)
         x = np.array([[0.3, -1.2], [0.8, 0.5]])
         train = Dataset(x, np.array([0, 1]), 2, "train")
         tau, lr = 2.0, 0.25
@@ -184,12 +184,11 @@ class TestOneToOne:
             x, t_probs,
             [(w, r, s, b) for (w, r, s, b) in layers], tau, lr)
 
-        cfg = DistillConfig(tau=tau, num_teachers=2,
+        cfg = DistillConfig(tau=tau, num_teachers=2, method="be",
                             optim=OptimConfig(base_lr=lr, momentum=0.0,
                                               weight_decay=0.0, epochs=1,
                                               warmup_epochs=0, batch_size=4, seed=0))
-        distill_be(teachers, student, train, cfg)
-        got0, got1 = student.layers
+        got0, got1 = train_student(teachers, spec, train, cfg).layers
         np.testing.assert_allclose(got0.weight.data[0], expected["w0"], atol=1e-10)
         np.testing.assert_allclose(got1.weight.data[0], expected["w1"], atol=1e-10)
         for m in range(2):
@@ -199,14 +198,6 @@ class TestOneToOne:
             np.testing.assert_allclose(got1.s.data[m], expected[f"s1_{m}"], atol=1e-10)
             np.testing.assert_allclose(got0.bias.data[m], expected[f"b0_{m}"], atol=1e-10)
             np.testing.assert_allclose(got1.bias.data[m], expected[f"b1_{m}"], atol=1e-10)
-
-    def test_member_count_mismatch_rejected(self, tiny_task, tiny_teachers):
-        train, _, _ = tiny_task
-        spec = ModelSpec(2, 3, (16, 16))
-        student = build_be(spec, rng_stream(0, "init"), "ones", members=3)
-        cfg = DistillConfig(num_teachers=2, optim=OptimConfig(epochs=1, warmup_epochs=0))
-        with pytest.raises(ValueError, match="members"):
-            distill_be(tiny_teachers, student, train, cfg)
 
     def test_single_member_loss_is_kd_alpha_one(self):
         # with M=1 the member loss equals the temperature-scaled KD loss
@@ -218,7 +209,6 @@ class TestOneToOne:
                                              log_p)), -tau * tau)
         cfg = DistillConfig(tau=tau, alpha=1.0, num_teachers=1,
                             optim=OptimConfig(epochs=2, warmup_epochs=1))
-        from distilab.nets import average_rank_one
         plain = average_rank_one(student)  # a one-member average is that member
         kd = kd_loss(stub_logits([[0.3, 0.7]], 1, tau), plain.forward(Tensor(x)),
                      one_hot(np.array([0]), 2), cfg)
@@ -230,11 +220,12 @@ class TestLatentBE:
                                                tiny_spec):
         train, _, _ = tiny_task
         cfg = DistillConfig(num_teachers=2, rank_decay=0.0, perturbation="none",
+                            method="latentbe",
                             optim=OptimConfig(epochs=6, warmup_epochs=1,
                                               batch_size=32, seed=3))
-        _, latent_student = distill_latentbe(tiny_teachers, tiny_spec, train, cfg)
-        be_student = build_be(tiny_spec, rng_stream(3, "init"), "ones", members=2)
-        distill_be(tiny_teachers, be_student, train, cfg)
+        latent_student = train_student(tiny_teachers, tiny_spec, train, cfg)
+        be_student = train_student(tiny_teachers, tiny_spec, train,
+                                   replace(cfg, method="be", student_init="ones"))
         for la, lb in zip(latent_student.layers, be_student.layers):
             assert la.weight.data.tobytes() == lb.weight.data.tobytes()
             for m in range(2):
@@ -246,54 +237,96 @@ class TestLatentBE:
                                                   tiny_spec):
         # contraction requires lr * decay < 1, hence the tiny learning rate
         train, _, _ = tiny_task
-        cfg = DistillConfig(num_teachers=2, rank_decay=1e6,
+        cfg = DistillConfig(num_teachers=2, rank_decay=1e6, method="latentbe",
                             optim=OptimConfig(base_lr=1e-9, momentum=0.0,
                                               epochs=5, warmup_epochs=4,
                                               batch_size=16, seed=1))
-        _, student = distill_latentbe(tiny_teachers, tiny_spec, train, cfg)
+        student = train_student(tiny_teachers, tiny_spec, train, cfg)
         for l in student.layers:
             for m in range(2):
                 assert np.abs(l.r.data[m] - 1.0).max() < 1e-3
                 assert np.abs(l.s.data[m] - 1.0).max() < 1e-3
 
+    def test_be_ignores_rank_decay(self, tiny_task, tiny_teachers, tiny_spec):
+        train, _, _ = tiny_task
+        cfg = DistillConfig(num_teachers=2, method="be", student_init="ones",
+                            optim=OptimConfig(epochs=2, warmup_epochs=1,
+                                              batch_size=32, seed=2))
+        pulled = train_student(tiny_teachers, tiny_spec, train, replace(cfg, rank_decay=1e3))
+        free = train_student(tiny_teachers, tiny_spec, train, replace(cfg, rank_decay=0.0))
+        for la, lb in zip(pulled.layers, free.layers):
+            assert la.r.data.tobytes() == lb.r.data.tobytes()
+            assert la.s.data.tobytes() == lb.s.data.tobytes()
+
     def test_zero_gamma_matches_no_perturbation_bit_exactly(self, tiny_task,
                                                             tiny_teachers,
                                                             tiny_spec):
         train, _, _ = tiny_task
-        base = DistillConfig(num_teachers=2,
+        base = DistillConfig(num_teachers=2, method="latentbe",
                              optim=OptimConfig(epochs=4, warmup_epochs=1,
                                                batch_size=32, seed=5))
         cfg_none = replace(base, perturbation="none")
         cfg_zero = replace(base, perturbation="tdiv_sdiv", gamma=0.0)
-        _, s_none = distill_latentbe(tiny_teachers, tiny_spec, train, cfg_none)
-        _, s_zero = distill_latentbe(tiny_teachers, tiny_spec, train, cfg_zero)
+        s_none = train_student(tiny_teachers, tiny_spec, train, cfg_none)
+        s_zero = train_student(tiny_teachers, tiny_spec, train, cfg_zero)
         for la, lb in zip(s_none.layers, s_zero.layers):
             assert la.weight.data.tobytes() == lb.weight.data.tobytes()
 
-    def test_returns_average_and_factored_student(self, tiny_task, tiny_teachers,
-                                                  tiny_spec):
-        from distilab.nets import average_rank_one
+    def test_returns_the_factored_student(self, tiny_task, tiny_teachers, tiny_spec):
         train, _, _ = tiny_task
-        cfg = DistillConfig(num_teachers=2,
+        cfg = DistillConfig(num_teachers=2, method="latentbe",
                             optim=OptimConfig(epochs=2, warmup_epochs=1,
                                               batch_size=32, seed=0))
-        averaged, student = distill_latentbe(tiny_teachers, tiny_spec, train, cfg)
-        assert (len(averaged), averaged.factored) == (1, False)
+        student = train_student(tiny_teachers, tiny_spec, train, cfg)
         assert (len(student), student.factored) == (2, True)
-        rebuilt = average_rank_one(student)
-        x = train.x[:8]
-        np.testing.assert_array_equal(batched_logits(averaged, x), batched_logits(rebuilt, x))
+        averaged = average_rank_one(student)
+        assert (len(averaged), averaged.factored) == (1, False)
 
-    def test_plain_methods_reject_tdiv_sdiv(self, tiny_task, tiny_teachers, tiny_spec):
-        train, _, _ = tiny_task
-        cfg = DistillConfig(num_teachers=2, perturbation="tdiv_sdiv",
-                            optim=OptimConfig(epochs=1, warmup_epochs=0, seed=0))
-        with pytest.raises(ValueError, match="factored"):
-            distill_kd(tiny_teachers, tiny_spec, train, cfg)
+    def test_plain_methods_reject_tdiv_sdiv(self):
+        for method in ("kd", "aekd", "proxy_end2"):
+            with pytest.raises(ValueError, match="factored"):
+                DistillConfig(num_teachers=2, perturbation="tdiv_sdiv", method=method)
 
     def test_unknown_perturbation_kind_rejected(self):
         with pytest.raises(ValueError, match="perturbation"):
             DistillConfig(perturbation="pgd")
+
+
+class TestDistillConfig:
+    """The method rules a run config obeys, with the messages the CLI prints."""
+
+    def test_defaults(self):
+        cfg = DistillConfig()
+        assert (cfg.method, cfg.student_init, cfg.aekd_c) == ("kd", "random_sign", 0.6)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="^unknown method 'alchemy'$"):
+            DistillConfig(method="alchemy")
+
+    def test_unknown_student_init_rejected(self):
+        with pytest.raises(ValueError, match="^unknown student_init 'gaussian'$"):
+            DistillConfig(method="be", student_init="gaussian")
+
+    def test_factored_students_need_two_teachers(self):
+        for method in FACTORED:
+            with pytest.raises(ValueError,
+                               match="^factored students need num_teachers >= 2$"):
+                DistillConfig(method=method, num_teachers=1)
+            assert DistillConfig(method=method, num_teachers=2).method == method
+
+    def test_tdiv_sdiv_needs_a_factored_student(self):
+        for method in METHODS:
+            if method in FACTORED:
+                DistillConfig(method=method, perturbation="tdiv_sdiv")
+            else:
+                with pytest.raises(ValueError, match="^tdiv_sdiv perturbation requires "
+                                                     "a factored student$"):
+                    DistillConfig(method=method, perturbation="tdiv_sdiv")
+
+    def test_plain_methods_accept_one_teacher(self):
+        # proxy_end2's need for two teachers is checked when it trains
+        for method in ("kd", "aekd", "proxy_end2"):
+            assert DistillConfig(method=method, num_teachers=1).num_teachers == 1
 
 
 class TestAekdWeights:
@@ -553,22 +586,25 @@ class TestProxyEnd2Loss:
         np.testing.assert_allclose(got.data, dirichlet_kl_np(a, b), atol=1e-12)
 
 
+def method_cfg(method, epochs=3):
+    return DistillConfig(num_teachers=2, method=method,
+                         optim=OptimConfig(epochs=epochs, warmup_epochs=1,
+                                           batch_size=32, seed=0))
+
+
 class TestPlainLoops:
     def test_kd_student_learns(self, tiny_task, tiny_teachers, tiny_spec):
         train, _, test = tiny_task
         cfg = DistillConfig(num_teachers=2,
                             optim=OptimConfig(epochs=25, warmup_epochs=2,
                                               batch_size=32, seed=0))
-        student = distill_kd(tiny_teachers, tiny_spec, train, cfg)
+        student = train_student(tiny_teachers, tiny_spec, train, cfg)
         preds = softmax_np(batched_logits(student, test.x)[0]).argmax(axis=1)
         assert (preds == test.y).mean() > 0.6
 
     def test_aekd_loop_runs(self, tiny_task, tiny_teachers, tiny_spec):
         train, _, _ = tiny_task
-        cfg = DistillConfig(num_teachers=2,
-                            optim=OptimConfig(epochs=3, warmup_epochs=1,
-                                              batch_size=32, seed=0))
-        student = distill_aekd(tiny_teachers, tiny_spec, train, cfg, AEKDConfig(0.6))
+        student = train_student(tiny_teachers, tiny_spec, train, method_cfg("aekd"))
         assert student.head == "softmax"
 
     def test_aekd_step_runs_each_teacher_once(self, tiny_task, tiny_teachers, tiny_spec,
@@ -579,17 +615,64 @@ class TestPlainLoops:
         forward = MLP.forward
         monkeypatch.setattr(MLP, "forward",
                             lambda net, x: calls.append(len(net)) or forward(net, x))
-        cfg = DistillConfig(num_teachers=2,
+        cfg = DistillConfig(num_teachers=2, method="aekd",
                             optim=OptimConfig(epochs=1, warmup_epochs=0,
                                               batch_size=len(train), seed=0))
-        distill_aekd(tiny_teachers, tiny_spec, train, cfg, AEKDConfig(0.6))
+        train_student(tiny_teachers, tiny_spec, train, cfg)
         assert sorted(calls) == [1, 2]
 
     def test_proxy_loop_produces_dirichlet_head(self, tiny_task, tiny_teachers,
                                                 tiny_spec):
         train, _, _ = tiny_task
-        cfg = DistillConfig(num_teachers=2,
-                            optim=OptimConfig(epochs=3, warmup_epochs=1,
-                                              batch_size=32, seed=0))
-        student = distill_proxy_end2(tiny_teachers, tiny_spec, train, cfg)
+        student = train_student(tiny_teachers, tiny_spec, train, method_cfg("proxy_end2"))
         assert student.head == "dirichlet"
+
+    def test_proxy_needs_two_teachers(self, tiny_task, tiny_teachers, tiny_spec):
+        train, _, _ = tiny_task
+        cfg = replace(method_cfg("proxy_end2"), num_teachers=1)
+        with pytest.raises(ValueError, match="two teachers"):
+            train_student(tiny_teachers[0], tiny_spec, train, cfg)
+
+
+class TestTrainStudent:
+    def test_teacher_count_must_match_config(self, tiny_task, tiny_teachers, tiny_spec):
+        train, _, _ = tiny_task
+        for method in METHODS:
+            with pytest.raises(ValueError, match="^config expects 2 teachers, got 1$"):
+                train_student(tiny_teachers[0], tiny_spec, train, method_cfg(method))
+
+    def test_student_shape_follows_method(self, tiny_task, tiny_teachers, tiny_spec):
+        # one factored member per teacher, built from the seed's "init" stream
+        train, _, _ = tiny_task
+        expected = {"kd": (1, False), "aekd": (1, False), "proxy_end2": (1, False),
+                    "be": (2, True), "latentbe": (2, True)}
+        steps = []
+        for method in METHODS:
+            student = train_student(tiny_teachers, tiny_spec, train,
+                                    method_cfg(method, epochs=2),
+                                    step_hook=lambda step, net: steps.append(step))
+            assert (len(student), student.factored) == expected[method]
+        total = 2 * steps_per_epoch(len(train), 32)
+        assert steps == list(range(1, total + 1)) * len(METHODS)
+
+    def test_latentbe_starts_from_ones_and_be_from_student_init(self, tiny_task,
+                                                                 tiny_teachers, tiny_spec):
+        train, _, _ = tiny_task
+        first = {}
+
+        def keep_first(step, net):
+            if step == 1:
+                first["r"] = net.layers[0].r.data.copy()
+
+        # momentum 0 and a tiny rate keep the first update far below one sign flip
+        optim = OptimConfig(base_lr=1e-8, momentum=0.0, epochs=1, warmup_epochs=0,
+                            batch_size=32, seed=0)
+        signs = build_be(tiny_spec, rng_stream(0, "init"), "random_sign",
+                         members=2).layers[0].r.data
+        for method, init, start in (("latentbe", "random_sign", np.ones_like(signs)),
+                                    ("be", "random_sign", signs),
+                                    ("be", "ones", np.ones_like(signs))):
+            cfg = DistillConfig(num_teachers=2, method=method, student_init=init,
+                                rank_decay=0.0, optim=optim)
+            train_student(tiny_teachers, tiny_spec, train, cfg, step_hook=keep_first)
+            np.testing.assert_allclose(first["r"], start, atol=1e-6)

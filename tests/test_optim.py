@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import distilab.autodiff as ad
-from distilab.autodiff import ShapeError, Tensor
+from distilab.autodiff import NumericsError, ShapeError, Tensor
 from distilab.data import Dataset
 from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import build_be, build_plain, checkpoint_save
@@ -228,3 +228,23 @@ class TestStackedTeachers:
         for rows in self._recorded_rows(net, n, cfg):
             assert rows.shape == (n,)
             np.testing.assert_array_equal(rows, stream.permutation(n))
+
+
+class TestNumericsStep:
+    def test_non_finite_loss_names_its_step(self, tiny_task, tiny_spec):
+        # steps count from 1, as step_hook sees them; step 3 blows up
+        train, _, _ = tiny_task
+        net = build_plain(tiny_spec, rng_stream(0, "init"))
+        calls = []
+
+        def batch_loss(xb, yb):
+            calls.append(1)
+            logits = net.forward(Tensor(xb))
+            return ad.scale(ad.sum(logits), np.inf if len(calls) == 3 else 1.0)
+
+        hooked = []
+        cfg = OptimConfig(epochs=2, warmup_epochs=1, batch_size=32, seed=0)
+        with pytest.raises(NumericsError,
+                           match=r"^non-finite value produced by '\w+' at step 3$"):
+            fit(net, train, cfg, batch_loss, step_hook=lambda step, _: hooked.append(step))
+        assert hooked == [1, 2]

@@ -29,7 +29,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MEMBERS = (2, 3, 4)
 BARRIER_MEMBERS = (3, 4)
-FACTORED = ("be", "latentbe")
 DATA = {"kind": "mixture", "num_classes": 3, "dim": 2, "n_per_class": 20,
         "spread": 0.6, "seed": 3}
 OOD = {"shift": 6.0, "seed": 1}
@@ -44,7 +43,7 @@ def _config(method: str, perturbation: str, members: int, epochs: int = 2) -> di
 
 
 def _commands(out: Path) -> list[list[str]]:
-    from distilab.cli import METHODS
+    from distilab.distill import FACTORED, METHODS
     from distilab.perturb import KINDS
 
     inputs = out / "inputs"
