@@ -16,8 +16,7 @@ from .metrics import (MetricsReport, accuracy, calibrated_metrics, diversity,
 from .nets import (MLP, ModelSpec, average_rank_one, build_be, build_plain,
                    checkpoint_load, checkpoint_save, join)
 from .optim import OptimConfig, lr_at, train_teachers
-from .perturb import (Perturbation, conf_ods_perturb, diversity_shift,
-                      gaussian_perturb, ods_perturb, tdiv_sdiv_perturb)
+from .perturb import Perturbation, build_perturbation
 from .subspace import EndpointTrace, LineScan, interpolate, line_scan
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -290,13 +291,17 @@ def cmd_line_scan(args) -> int:
 def cmd_perturb_diag(args) -> int:
     if args.kind not in KINDS or args.kind == "none":
         raise ConfigError(f"kind must be one of {[k for k in KINDS if k != 'none']}")
+    if not 0.0 < args.tau < math.inf:
+        raise ConfigError(f"--tau must be positive and finite, got {args.tau}")
+    if args.gamma is not None and not 0.0 <= args.gamma < math.inf:
+        raise ConfigError(f"--gamma must be non-negative and finite, got {args.gamma}")
     spec = load_data_spec(args.data)
     train, _, _ = build_datasets(spec)
     teachers = _load_teachers(Path(args.teachers), int(args.seed))
     student = checkpoint_load(args.student)
     if args.kind == "tdiv_sdiv" and len(student) < 2:
         raise ConfigError("tdiv_sdiv diagnostics require a factored student checkpoint")
-    gamma = float(args.gamma) if args.gamma is not None else default_gamma(train.x)
+    gamma = args.gamma if args.gamma is not None else default_gamma(train.x)
     noise_rng = rng_stream(int(args.seed), "guidance-vectors")
     index_rng = rng_stream(int(args.seed), "pair-sampling")
     students = student if len(student) > 1 else student[[0, 0]]

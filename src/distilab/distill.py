@@ -23,6 +23,7 @@ Any method may perturb each batch's inputs first (``DistillConfig.perturbation``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Sequence
@@ -60,18 +61,23 @@ class DistillConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        # each range check is written so that NaN fails it too
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.rank_decay < 0:
-            raise ValueError("rank_decay must be non-negative")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0.0 <= self.rank_decay < math.inf:
+            raise ValueError("rank_decay must be non-negative and finite")
+        if self.gamma is not None and not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be non-negative and finite")
         if self.perturbation not in KINDS:
             raise ValueError(f"unknown perturbation kind '{self.perturbation}'")
-        if self.num_teachers < 1:
+        if not 1 <= self.num_teachers < math.inf:
             raise ValueError("num_teachers must be >= 1")
+        if (self.method == "aekd"
+                and not 1.0 / self.num_teachers - 1e-9 <= self.aekd_c <= 1.0 + 1e-9):
+            raise ValueError(f"aekd_c must lie in [1/M, 1] for M={self.num_teachers} "
+                             f"teachers, got {self.aekd_c}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'")
         if self.student_init not in RANK_INITS:
@@ -370,8 +376,8 @@ def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset
 
     def batch_loss(xb, yb):
         if cfg.perturbation != "none":
-            xb = build_perturbation(cfg.perturbation, teachers, student, xb, gamma,
-                                    cfg.tau, noise_rng, index_rng).apply(xb)
+            xb = xb + build_perturbation(cfg.perturbation, teachers, student, xb, gamma,
+                                         cfg.tau, noise_rng, index_rng).epsilon
         return loss(xb, yb)
 
     rank_decay = cfg.rank_decay if cfg.method == "latentbe" else 0.0

@@ -34,16 +34,17 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
+        # each range check is written so that NaN fails it too
+        if not 0.0 < self.base_lr < math.inf:
+            raise ValueError("base_lr must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.epochs < 1 or self.batch_size < 1:
+        if not (1 <= self.epochs < math.inf and 1 <= self.batch_size < math.inf):
             raise ValueError("epochs and batch_size must be positive")
-        if self.warmup_epochs < 0 or self.warmup_epochs >= self.epochs:
+        if not 0 <= self.warmup_epochs < self.epochs:
             raise ValueError("warmup_epochs must satisfy 0 <= warmup < epochs")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be non-negative and finite")
 
 
 def lr_at(config: OptimConfig, step: int, steps_per_epoch: int) -> float:

@@ -1,16 +1,24 @@
-"""Input-space perturbation strategies for ensemble distillation.
+"""Input-space perturbations for ensemble distillation.
+
+``build_perturbation`` is the one way to build a step: training, the
+``perturb-diag`` command and the tests all call it. It takes two generators
+and keeps them apart, so switching kinds never moves an unrelated stream:
+the teacher index of each row (ODS kinds) and each row's ordered member
+pair (pair kinds) come from ``index_rng``; the ODS guidance vectors and the
+Gaussian noise come from ``noise_rng``. ``none`` draws from neither,
+``gaussian`` only from ``noise_rng``, the ODS kinds from both, and the pair
+kinds only from ``index_rng``.
 
 All directional kinds are normalized per sample to an exact step length
-gamma (rows with a vanishing gradient stay at zero). The pair-based kinds
-draw one ordered member pair per sample, shared between the teacher and
-student divergence terms, and differentiate each pair KL through both of
-its members, so the step is a first-order ascent direction of the
-diversity gap. Each ensemble runs one forward per step, as a net of
-constants on an input leaf with one slice per member, so the backward
-forms the input gradient and no parameter gradient. Each row's gradient is
-summed in the order teacher i, teacher j, student i, student j of its
-pair: that order is kept on purpose, because it makes the step bit-equal
-to building the gap one pair at a time.
+gamma (rows with a vanishing gradient stay at zero). The pair kinds draw one
+ordered member pair per sample, shared between the teacher and student
+divergence terms, and differentiate each pair KL through both of its
+members, so the step is a first-order ascent direction of the diversity gap.
+Each ensemble runs one forward per step, as a net of constants on an input
+leaf with one slice per member, so the backward forms the input gradient and
+no parameter gradient. Each row's gradient is summed in the order teacher i,
+teacher j, student i, student j of its pair: that order is kept on purpose,
+because it makes the step bit-equal to building the gap one pair at a time.
 
 An ensemble is a net or a list of one-member plain nets (see ``nets.join``).
 """
@@ -33,14 +41,8 @@ KINDS = ("none", "gaussian", "ods", "conf_ods", "tdiv", "tdiv_sdiv")
 
 @dataclass
 class Perturbation:
-    epsilon: np.ndarray          # (B, D) additive input offsets
-    kind: str
-    gamma: float
-    members: np.ndarray | None = None   # per-sample teacher index (ods kinds)
-    pairs: np.ndarray | None = None     # per-sample ordered (i, j) draws
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x + self.epsilon
+    epsilon: np.ndarray                 # (B, D) additive input offsets
+    pairs: np.ndarray | None = None     # per-sample ordered (i, j) draws (pair kinds)
 
 
 def default_gamma(x: np.ndarray, scale: float = 0.15) -> float:
@@ -71,15 +73,6 @@ def draw_pairs(rng: np.random.Generator, members: int, n: int) -> np.ndarray:
     return np.stack([i, j], axis=1)
 
 
-def gaussian_perturb(x: np.ndarray, gamma: float,
-                     rng: np.random.Generator) -> Perturbation:
-    """Isotropic noise x + gamma * z with z ~ N(0, I); not normalized."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    eps = gamma * rng.standard_normal(x.shape)
-    return Perturbation(eps, "gaussian", gamma)
-
-
 def _ods_gradients(teachers: Sequence[MLP], x: np.ndarray, tau: float,
                    guidance: np.ndarray, members: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,51 +91,15 @@ def _ods_gradients(teachers: Sequence[MLP], x: np.ndarray, tau: float,
     return grads, conf
 
 
-def _ods_step(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float,
-              rng: np.random.Generator, members: np.ndarray | None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(normalized ODS step, teacher confidence, teacher index) per row."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    k = teachers[0].spec.num_classes
-    guidance = rng.uniform(-1.0, 1.0, size=(len(x), k))
-    if members is None:
-        members = rng.integers(0, len(teachers), size=len(x))
-    grads, conf = _ods_gradients(teachers, x, tau, guidance, members)
-    return _normalize_rows(grads, gamma), conf, members
-
-
-def ods_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float,
-                rng: np.random.Generator,
-                members: np.ndarray | None = None) -> Perturbation:
-    """Output-diversified step: follow the gradient of a random linear
-    functional of one teacher's probabilities, normalized to length gamma.
-
-    The guidance vector is uniform on [-1, 1]^K per sample; the teacher
-    index is drawn uniformly per sample when not supplied.
-    """
-    eps, _, members = _ods_step(teachers, x, tau, gamma, rng, members)
-    return Perturbation(eps, "ods", gamma, members=members)
-
-
-def conf_ods_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float,
-                     rng: np.random.Generator,
-                     members: np.ndarray | None = None) -> Perturbation:
-    """ODS step with each row scaled by the selected teacher's confidence
-    max_k p^(k)(x; tau)."""
-    eps, conf, members = _ods_step(teachers, x, tau, gamma, rng, members)
-    return Perturbation(eps * conf[:, None], "conf_ods", gamma, members=members)
-
-
 def _pair_kl(log_pi: Tensor, log_pj: Tensor) -> Tensor:
     """Per-row KL(p_i || p_j) from two (B, K) log-probability tensors."""
     return ad.sum(ad.mul(ad.exp(log_pi), ad.sub(log_pi, log_pj)), axis=-1)
 
 
-def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
-                   tau: float) -> np.ndarray:
-    """d/dx of sum_b [KL_T(i_b, j_b) - KL_S(i_b, j_b)], with the pair draw
-    shared between the teacher and student terms of each sample.
+def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """d/dx of sum_b [KL_T(i_b, j_b) - KL_S(i_b, j_b)] between untempered
+    distributions, with the pair draw shared between the teacher and student
+    terms of each sample.
 
     Each ensemble runs one forward, on an input leaf with one slice per
     member. The student runs as a copy of constants, so the tape stops at
@@ -158,7 +115,7 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
               for e in ensembles]
     gap: Tensor | None = None
     for ensemble, leaf in zip(ensembles, leaves):
-        log_p = ad.log_softmax_temp(ensemble.forward(leaf), tau)
+        log_p = ad.log_softmax_temp(ensemble.forward(leaf), 1.0)
         kl = ad.sum(_pair_kl(ad.take_members(log_p, pairs[:, 0]),
                              ad.take_members(log_p, pairs[:, 1])))
         gap = kl if gap is None else ad.sub(gap, kl)
@@ -171,53 +128,13 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
     return grad
 
 
-def tdiv_perturb(teachers: Sequence[MLP], x: np.ndarray, tau: float, gamma: float,
-                 rng: np.random.Generator, pairs: np.ndarray | None = None
-                 ) -> Perturbation:
-    """Step along the gradient of the stochastic teacher diversity alone.
-
-    The pair KL is differentiated through both members, which makes the
-    step a first-order ascent direction of the divergence value.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    if len(teachers) < 2:
-        raise ValueError("teacher diversity needs at least two teachers")
-    if pairs is None:
-        pairs = draw_pairs(rng, len(teachers), len(x))
-    grad = _pair_gap_grad(teachers, None, x, pairs, tau)
-    return Perturbation(_normalize_rows(grad, gamma), "tdiv", gamma, pairs=pairs)
-
-
-def tdiv_sdiv_perturb(teachers: Sequence[MLP], student: MLP, x: np.ndarray,
-                      tau: float, gamma: float, rng: np.random.Generator,
-                      pairs: np.ndarray | None = None) -> Perturbation:
-    """Step along the gradient of (teacher diversity - student diversity).
-
-    One ordered pair is drawn per sample and reused for both ensembles, so
-    the step seeks points where the teachers disagree but the corresponding
-    student members still agree. Each pair KL is differentiated through both
-    of its members, a first-order ascent direction of the diversity gap.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    if len(teachers) < 2 or len(student) < 2:
-        raise ValueError("diversity gap needs at least two members on both sides")
-    if len(teachers) != len(student):
-        raise ValueError("teacher count and student member count must match")
-    if pairs is None:
-        pairs = draw_pairs(rng, len(teachers), len(x))
-    grad = _pair_gap_grad(teachers, student, x, pairs, tau)
-    return Perturbation(_normalize_rows(grad, gamma), "tdiv_sdiv", gamma, pairs=pairs)
-
-
 def pair_gap_values(teachers: Sequence[MLP], student: MLP | None, x: np.ndarray,
-                    pairs: np.ndarray, tau: float = 1.0) -> np.ndarray:
+                    pairs: np.ndarray) -> np.ndarray:
     """Values (no gradients) of the per-sample stochastic diversity gap."""
     rows = np.arange(len(x))
 
     def pair_kl(ensemble) -> np.ndarray:
-        logs = np.log(member_probs(ensemble, x, tau))
+        logs = np.log(member_probs(ensemble, x))
         log_i, log_j = logs[pairs[:, 0], rows], logs[pairs[:, 1], rows]
         return np.einsum("bk,bk->b", np.exp(log_i), log_i - log_j)
 
@@ -236,45 +153,55 @@ def diversity_shift_values(teachers, students, x: np.ndarray,
     return d_t, d_s
 
 
-def diversity_shift(teachers, students, x: np.ndarray,
-                    eps: np.ndarray) -> tuple[float, float]:
-    """Mean teacher and student diversity change caused by a perturbation.
-
-    Uses the full pairwise diversity, not the stochastic pair estimate;
-    intended for diagnostics and plots.
-    """
-    d_t, d_s = diversity_shift_values(teachers, students, x, eps)
-    return float(d_t.mean()), float(d_s.mean())
-
-
 def build_perturbation(kind: str, teachers: Sequence[MLP], student: MLP | None,
                        x: np.ndarray, gamma: float, tau: float,
                        noise_rng: np.random.Generator,
                        index_rng: np.random.Generator) -> Perturbation:
-    """Dispatch used by the training loops.
+    """The step of one kind at inputs x (see KINDS).
 
-    ODS variants see the distillation temperature; the diversity-gap kinds
-    measure divergences between untempered output distributions. Guidance
-    vectors and Gaussian noise come from noise_rng, index and pair draws
-    from index_rng, so switching kinds never perturbs unrelated streams.
+    * ``none``: zeros.
+    * ``gaussian``: isotropic noise gamma * z, z ~ N(0, I); not normalized.
+    * ``ods``: follow the gradient of a random linear functional of one
+      teacher's probabilities at temperature tau; the teacher index is
+      uniform per row (index_rng), the guidance vector uniform on
+      [-1, 1]^K (noise_rng).
+    * ``conf_ods``: the ODS step scaled per row by the selected teacher's
+      confidence max_k p^(k)(x; tau).
+    * ``tdiv``: ascend the stochastic teacher diversity alone.
+    * ``tdiv_sdiv``: ascend teacher minus student diversity, one ordered
+      pair per row (index_rng) shared by both ensembles, so the step seeks
+      points where the teachers disagree but the matching student members
+      still agree. It needs a factored student with one member per teacher.
+
+    The pair kinds measure divergences between untempered distributions and
+    ignore tau; their ``pairs`` are returned with the step. Streams: ``none``
+    draws from neither generator, ``gaussian`` only from noise_rng, the ODS
+    kinds from both, the pair kinds only from index_rng.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown perturbation kind '{kind}'")
+    if not gamma >= 0:
+        raise ValueError("gamma must be non-negative")
     if kind == "none":
-        return Perturbation(np.zeros_like(x), "none", 0.0)
+        return Perturbation(np.zeros_like(x))
     if kind == "gaussian":
-        return gaussian_perturb(x, gamma, noise_rng)
-    if kind == "ods":
+        return Perturbation(gamma * noise_rng.standard_normal(x.shape))
+    if kind in ("ods", "conf_ods"):
         members = index_rng.integers(0, len(teachers), size=len(x))
-        return ods_perturb(teachers, x, tau, gamma, noise_rng, members=members)
-    if kind == "conf_ods":
-        members = index_rng.integers(0, len(teachers), size=len(x))
-        return conf_ods_perturb(teachers, x, tau, gamma, noise_rng, members=members)
+        guidance = noise_rng.uniform(-1.0, 1.0, size=(len(x), teachers[0].spec.num_classes))
+        grads, conf = _ods_gradients(teachers, x, tau, guidance, members)
+        eps = _normalize_rows(grads, gamma)
+        return Perturbation(eps * conf[:, None] if kind == "conf_ods" else eps)
     if kind == "tdiv":
-        pairs = draw_pairs(index_rng, len(teachers), len(x))
-        return tdiv_perturb(teachers, x, 1.0, gamma, index_rng, pairs=pairs)
-    if kind == "tdiv_sdiv":
-        if student is None:
-            raise ValueError("tdiv_sdiv requires a factored student")
-        pairs = draw_pairs(index_rng, len(teachers), len(x))
-        return tdiv_sdiv_perturb(teachers, student, x, 1.0, gamma, index_rng,
-                                 pairs=pairs)
-    raise ValueError(f"unknown perturbation kind '{kind}'")
+        student = None
+        if len(teachers) < 2:
+            raise ValueError("teacher diversity needs at least two teachers")
+    elif student is None:
+        raise ValueError("tdiv_sdiv requires a factored student")
+    elif len(teachers) < 2 or len(student) < 2:
+        raise ValueError("diversity gap needs at least two members on both sides")
+    elif len(teachers) != len(student):
+        raise ValueError("teacher count and student member count must match")
+    pairs = draw_pairs(index_rng, len(teachers), len(x))
+    return Perturbation(_normalize_rows(_pair_gap_grad(teachers, student, x, pairs), gamma),
+                        pairs)

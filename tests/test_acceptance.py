@@ -24,8 +24,8 @@ from distilab.metrics import (accuracy, batched_logits, diversity, diversity_fro
                               pairwise_divergence_values, softmax_np)
 from distilab.nets import ModelSpec, build_plain, checkpoint_load, checkpoint_save
 from distilab.optim import OptimConfig, train_teachers
-from distilab.perturb import (default_gamma, diversity_shift, gaussian_perturb,
-                              pair_gap_values, tdiv_sdiv_perturb)
+from distilab.perturb import (build_perturbation, default_gamma, diversity_shift_values,
+                              pair_gap_values)
 from distilab.seeding import rng_stream
 from distilab.subspace import line_scan
 from test_distill import dirichlet_kl_quadrature
@@ -37,6 +37,18 @@ SEEDS = (0, 1, 2)
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {number}: {detail}")
     assert ok, f"criterion {number}: {detail}"
+
+
+def mean_shift(teachers, students, x, eps):
+    """Mean teacher and student diversity change under x -> x + eps."""
+    d_t, d_s = diversity_shift_values(teachers, students, x, eps)
+    return float(d_t.mean()), float(d_s.mean())
+
+
+def gap_step(teachers, student, x, gamma, index_rng):
+    """The tdiv_sdiv step, its pairs drawn from index_rng; it draws no noise."""
+    return build_perturbation("tdiv_sdiv", teachers, student, x, gamma, 1.0,
+                              np.random.default_rng(0), index_rng)
 
 
 def plain_logits(net, x):
@@ -350,13 +362,11 @@ def test_criterion_8_perturbation_mechanism(bundle):
     for seed in SEEDS:
         run = bundle.runs[seed]
         mid = run.mid_snapshot
-        pert = tdiv_sdiv_perturb(run.teachers, mid, x, 1.0, gamma,
-                                 rng_stream(seed, "diag"))
-        d_t, d_s = diversity_shift(run.teachers, mid, x, pert.epsilon)
+        pert = gap_step(run.teachers, mid, x, gamma, rng_stream(seed, "diag"))
+        d_t, d_s = mean_shift(run.teachers, mid, x, pert.epsilon)
         d_ts.append(d_t)
         d_ss.append(d_s)
-        small = tdiv_sdiv_perturb(run.teachers, mid, x[:500], 1.0, 1e-4,
-                                  rng_stream(seed, "diag-small"))
+        small = gap_step(run.teachers, mid, x[:500], 1e-4, rng_stream(seed, "diag-small"))
         moved = np.linalg.norm(small.epsilon, axis=1) > 0
         before = pair_gap_values(run.teachers, mid, x[:500], small.pairs)
         after = pair_gap_values(run.teachers, mid, x[:500] + small.epsilon,
@@ -477,13 +487,14 @@ class TestSupportingEmpirics:
         for seed in SEEDS:
             run = bundle.runs[seed]
             mid = run.mid_snapshot
-            pert = tdiv_sdiv_perturb(run.teachers, mid, x, 1.0, gamma,
-                                     rng_stream(seed, "ratio"))
-            d_t, d_s = diversity_shift(run.teachers, mid, x, pert.epsilon)
+            pert = gap_step(run.teachers, mid, x, gamma, rng_stream(seed, "ratio"))
+            d_t, d_s = mean_shift(run.teachers, mid, x, pert.epsilon)
             g_ts, g_ss = [], []
             for draw in range(draws):
-                noise = gaussian_perturb(x, gamma, rng_stream(100 + draw, "ratio"))
-                g_t, g_s = diversity_shift(run.teachers, mid, x, noise.epsilon)
+                noise = build_perturbation("gaussian", run.teachers, mid, x, gamma, 1.0,
+                                           rng_stream(100 + draw, "ratio"),
+                                           np.random.default_rng(0))
+                g_t, g_s = mean_shift(run.teachers, mid, x, noise.epsilon)
                 g_ts.append(g_t)
                 g_ss.append(g_s)
             ratios_t.append(abs(np.mean(g_ts)) / abs(d_t))

@@ -435,6 +435,33 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "x")]) == 2
         assert f"error: {cfg}: {message}\n" == capsys.readouterr().err
 
+    def test_infeasible_aekd_c_exits_2_before_any_output(self, trained, tmp_path, capsys):
+        _, teachers = trained
+        cfg = write_config(tmp_path, method="aekd", aekd_c=0.2)
+        out = tmp_path / "aekd"
+        assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                     "--out", str(out)]) == 2
+        assert (f"error: {cfg}: aekd_c must lie in [1/M, 1] for M=2 teachers, got 0.2\n"
+                == capsys.readouterr().err)
+        assert not (out / "seed0").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("distill", "rank_decay", "nan"), ("distill", "tau", "nan"),
+        ("distill", "tau", "inf"), ("distill", "gamma", "nan"),
+        ("distill", "gamma", "inf"), ("optim", "base_lr", "nan"),
+        ("optim", "weight_decay", "nan"),
+    ])
+    def test_non_finite_config_number_exits_2(self, trained, tmp_path, capsys,
+                                              section, key, value):
+        _, teachers = trained
+        # json writes and reads these as the non-standard NaN / Infinity tokens
+        cfg = write_config(tmp_path, **{section: {key: float(value)}})
+        out = tmp_path / "student"
+        assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {key} must ")
+        assert not (out / "seed0").exists()
+
 
 class TestLineScan:
     def test_scan_csv_contains_anchor_rows(self, trained, tmp_path):
@@ -509,6 +536,22 @@ class TestPerturbDiag:
                      "--data", str(write_csv_spec(tmp_path)), "--kind", "gaussian",
                      "--out", str(tmp_path / "d.csv")]) == 2
         assert "mixture" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("ods", "--tau", "0"), ("tdiv", "--tau", "0"), ("ods", "--tau", "-1"),
+        ("ods", "--tau", "nan"), ("ods", "--tau", "inf"),
+        ("ods", "--gamma", "nan"), ("tdiv", "--gamma", "nan"),
+        ("gaussian", "--gamma", "-0.5"), ("ods", "--gamma", "inf"),
+    ])
+    def test_out_of_range_flag_exits_2(self, trained, tmp_path, capsys, kind, flag, value):
+        _, teachers = trained
+        out = tmp_path / "d.csv"
+        assert main(["perturb-diag", "--teachers", str(teachers),
+                     "--student", str(teachers / "seed0" / "teacher0.json"),
+                     "--data", str(write_data_spec(tmp_path)), "--kind", kind,
+                     flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+        assert not out.exists()
 
     def test_tdiv_sdiv_requires_factored_student(self, trained, tmp_path):
         _, teachers = trained

@@ -324,9 +324,32 @@ class TestDistillConfig:
                     DistillConfig(method=method, perturbation="tdiv_sdiv")
 
     def test_plain_methods_accept_one_teacher(self):
-        # proxy_end2's need for two teachers is checked when it trains
+        # proxy_end2's need for two teachers is checked when it trains; one
+        # teacher leaves AE-KD the single feasible weight cap 1
         for method in ("kd", "aekd", "proxy_end2"):
-            assert DistillConfig(method=method, num_teachers=1).num_teachers == 1
+            assert DistillConfig(method=method, num_teachers=1, aekd_c=1.0).num_teachers == 1
+
+    def test_aekd_c_range_checked_for_aekd_only(self):
+        for m, c in ((2, 0.5), (2, 1.0), (3, 1.0 / 3.0), (4, 0.25 - 5e-10)):
+            assert DistillConfig(method="aekd", num_teachers=m, aekd_c=c).aekd_c == c
+        for m, c in ((1, 0.6), (2, 0.2), (3, 0.3), (2, 1.1), (2, float("nan"))):
+            with pytest.raises(ValueError, match=f"^aekd_c must lie in \\[1/M, 1\\] "
+                                                 f"for M={m} teachers"):
+                DistillConfig(method="aekd", num_teachers=m, aekd_c=c)
+        # the default cap is infeasible at M=1, but only aekd reads it
+        assert DistillConfig(method="kd", num_teachers=1).aekd_c == 0.6
+        assert DistillConfig(method="kd", num_teachers=2, aekd_c=0.2).aekd_c == 0.2
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau", float("nan")), ("tau", float("inf")), ("tau", 0.0),
+        ("alpha", float("nan")), ("rank_decay", float("nan")),
+        ("rank_decay", float("inf")), ("gamma", float("nan")),
+        ("gamma", float("inf")), ("gamma", -1.0), ("num_teachers", float("nan")),
+        ("num_teachers", float("inf")),
+    ])
+    def test_non_finite_and_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            DistillConfig(**{field: value})
 
 
 class TestAekdWeights:

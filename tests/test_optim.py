@@ -73,6 +73,16 @@ class TestSchedule:
         with pytest.raises(ValueError):
             OptimConfig(base_lr=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("base_lr", float("nan")), ("base_lr", float("inf")), ("momentum", float("nan")),
+        ("epochs", float("nan")), ("epochs", float("inf")), ("batch_size", float("nan")),
+        ("warmup_epochs", float("nan")), ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            OptimConfig(**{field: value})
+
 
 class TestSgdUpdate:
     def test_plain_sgd_reduction(self):

@@ -1,6 +1,7 @@
-"""Perturbation strategies: normalization contracts, gradient directions
-against finite differences, pair-estimator consistency with the full
-diversity, and determinism of the draws."""
+"""Perturbation strategies, all built through ``build_perturbation``:
+normalization contracts, gradient directions against finite differences,
+pair-estimator consistency with the full diversity, and which stream each
+kind draws from."""
 
 import numpy as np
 import pytest
@@ -10,21 +11,23 @@ from distilab.autodiff import Tensor
 from distilab.metrics import diversity_from_probs, member_probs
 from distilab.nets import MLP, ModelSpec, build_be, build_plain, join
 from distilab.optim import train_teachers
-from distilab.perturb import (_normalize_rows, _pair_gap_grad, _pair_kl,
-                              conf_ods_perturb, diversity_shift, draw_pairs,
-                              gaussian_perturb, ods_perturb, pair_gap_values,
-                              tdiv_perturb, tdiv_sdiv_perturb)
+from distilab.perturb import (KINDS, _normalize_rows, _ods_gradients, _pair_gap_grad,
+                              _pair_kl, build_perturbation, diversity_shift_values,
+                              draw_pairs, pair_gap_values)
 from distilab.seeding import rng_stream
 
 
 class ZeroUniformRng:
-    """Stub generator forcing all-zero guidance vectors."""
+    """Stub noise generator forcing all-zero guidance vectors."""
 
     def uniform(self, lo, hi, size=None):
         return np.zeros(size)
 
-    def integers(self, lo, hi, size=None):
-        return np.zeros(size, dtype=np.int64)
+
+def perturb(kind, teachers, x, gamma, seed, student=None, tau=1.0):
+    """build_perturbation with both streams drawn from one seed."""
+    return build_perturbation(kind, teachers, student, x, gamma, tau,
+                              rng_stream(seed, "noise"), rng_stream(seed, "index"))
 
 
 def pair_kl(model_i, model_j, x, tau=1.0):
@@ -33,16 +36,16 @@ def pair_kl(model_i, model_j, x, tau=1.0):
                     ad.log_softmax_temp(model_j(x), tau))
 
 
-def per_pair_gap_grad(teachers, student, x, pairs, tau):
+def per_pair_gap_grad(teachers, student, x, pairs):
     """Oracle: d/dx of the masked pair gap built one ordered pair at a time,
     four forwards per pair, all on one shared input leaf."""
     xt = Tensor(x, requires_grad=True)
     total = None
     for i, j in sorted({(int(a), int(b)) for a, b in pairs}):
         mask = Tensor(((pairs[:, 0] == i) & (pairs[:, 1] == j)).astype(np.float64)[None])
-        gap = pair_kl(teachers[i].forward, teachers[j].forward, xt, tau)
+        gap = pair_kl(teachers[i].forward, teachers[j].forward, xt)
         if student is not None:
-            gap = ad.sub(gap, pair_kl(student[i].forward, student[j].forward, xt, tau))
+            gap = ad.sub(gap, pair_kl(student[i].forward, student[j].forward, xt))
         masked = ad.sum(ad.mul(mask, gap))
         total = masked if total is None else ad.add(total, masked)
     total.backward()
@@ -88,37 +91,39 @@ def student():
 class TestGaussian:
     def test_zero_gamma_is_identity(self):
         x = np.random.default_rng(0).normal(size=(5, 3))
-        pert = gaussian_perturb(x, 0.0, rng_stream(0, "g"))
-        np.testing.assert_array_equal(pert.apply(x), x)
+        pert = perturb("gaussian", [], x, 0.0, 0)
+        np.testing.assert_array_equal(x + pert.epsilon, x)
 
     def test_expected_squared_norm(self):
         gamma, dim = 0.3, 4
         x = np.zeros((10_000, dim))
-        pert = gaussian_perturb(x, gamma, rng_stream(1, "g"))
+        pert = perturb("gaussian", [], x, gamma, 1)
         got = (pert.epsilon ** 2).sum(axis=1).mean()
         assert got == pytest.approx(gamma ** 2 * dim, rel=0.03)
 
     def test_deterministic_under_seed(self):
         x = np.zeros((8, 2))
-        a = gaussian_perturb(x, 0.1, rng_stream(3, "g"))
-        b = gaussian_perturb(x, 0.1, rng_stream(3, "g"))
+        a = perturb("gaussian", [], x, 0.1, 3)
+        b = perturb("gaussian", [], x, 0.1, 3)
         assert a.epsilon.tobytes() == b.epsilon.tobytes()
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_perturb(np.zeros((2, 2)), -0.1, rng_stream(0, "g"))
+        for gamma in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="gamma must be non-negative"):
+                perturb("gaussian", [], np.zeros((2, 2)), gamma, 0)
 
 
 class TestOds:
     def test_zero_guidance_gives_zero_step(self, teachers):
         x = np.random.default_rng(4).normal(size=(6, 2))
-        pert = ods_perturb(teachers, x, 1.0, 0.5, ZeroUniformRng())
+        pert = build_perturbation("ods", teachers, None, x, 0.5, 1.0, ZeroUniformRng(),
+                                  rng_stream(4, "index"))
         assert not pert.epsilon.any()
 
     def test_norm_is_exactly_gamma(self, teachers):
         x = np.random.default_rng(5).normal(size=(40, 2))
         gamma = 0.37
-        pert = ods_perturb(teachers, x, 2.0, gamma, rng_stream(6, "w"))
+        pert = perturb("ods", teachers, x, gamma, 6, tau=2.0)
         norms = np.linalg.norm(pert.epsilon, axis=1)
         moved = norms > 0
         assert moved.any()
@@ -130,7 +135,6 @@ class TestOds:
         k = teachers[0].spec.num_classes
         guidance = rng.uniform(-1, 1, size=(3, k))
         members = np.zeros(3, dtype=np.int64)
-        from distilab.perturb import _ods_gradients
         grads, _ = _ods_gradients(teachers, x, 2.0, guidance, members)
         h = 1e-5
         for b in range(3):
@@ -145,10 +149,13 @@ class TestOds:
 
     def test_deterministic_draws(self, teachers):
         x = np.random.default_rng(8).normal(size=(10, 2))
-        a = ods_perturb(teachers, x, 1.0, 0.2, rng_stream(11, "w"))
-        b = ods_perturb(teachers, x, 1.0, 0.2, rng_stream(11, "w"))
+        a = perturb("ods", teachers, x, 0.2, 11)
+        b = perturb("ods", teachers, x, 0.2, 11)
         assert a.epsilon.tobytes() == b.epsilon.tobytes()
-        assert np.array_equal(a.members, b.members)
+        # another teacher-index stream picks other teachers for some rows
+        c = build_perturbation("ods", teachers, None, x, 0.2, 1.0,
+                               rng_stream(11, "noise"), rng_stream(12, "index"))
+        assert c.epsilon.tobytes() != a.epsilon.tobytes()
 
 
 class TestConfOds:
@@ -160,7 +167,7 @@ class TestConfOds:
             l.bias.data[0] = 0.0
         # zero network emits uniform probabilities; confidence = 1/K
         x = np.random.default_rng(13).normal(size=(5, 2))
-        pert = conf_ods_perturb([teacher], x, 1.0, 0.4, rng_stream(14, "w"))
+        pert = perturb("conf_ods", [teacher], x, 0.4, 14)
         norms = np.linalg.norm(pert.epsilon, axis=1)
         # direction may be degenerate for a constant network; only scale is
         # asserted where a direction exists
@@ -175,8 +182,8 @@ class TestConfOds:
         x = np.random.default_rng(16).normal(size=(20, 2)) * 3
         probs = member_probs(saturated, x)[0]
         assert probs.max(axis=1).min() > 1 - 1e-9
-        a = ods_perturb([saturated], x, 1.0, 0.2, rng_stream(17, "w"))
-        b = conf_ods_perturb([saturated], x, 1.0, 0.2, rng_stream(17, "w"))
+        a = perturb("ods", [saturated], x, 0.2, 17)
+        b = perturb("conf_ods", [saturated], x, 0.2, 17)
         np.testing.assert_allclose(a.epsilon, b.epsilon, atol=1e-9)
 
 
@@ -215,22 +222,20 @@ class TestPairPerturbations:
         ones_student = build_be(spec, rng_stream(21, "init"), "ones", members=2)
         same_teachers = [teachers[0], teachers[0]]
         x = np.random.default_rng(22).normal(size=(6, 2))
-        pert = tdiv_sdiv_perturb(same_teachers, ones_student, x, 1.0, 0.3,
-                                 rng_stream(23, "p"))
+        pert = perturb("tdiv_sdiv", same_teachers, x, 0.3, 23, student=ones_student)
         assert not pert.epsilon.any()
 
     def test_norms_exact(self, teachers, student):
         x = np.random.default_rng(24).normal(size=(30, 2))
-        pert = tdiv_sdiv_perturb(teachers, student, x, 1.0, 0.25, rng_stream(25, "p"))
+        pert = perturb("tdiv_sdiv", teachers, x, 0.25, 25, student=student)
         norms = np.linalg.norm(pert.epsilon, axis=1)
         moved = norms > 0
         np.testing.assert_allclose(norms[moved], 0.25, atol=1e-12)
 
     def test_direction_parallel_to_recomputed_gradient(self, teachers, student):
         x_np = np.random.default_rng(26).normal(size=(20, 2))
-        pert = tdiv_sdiv_perturb(teachers, student, x_np, 1.0, 0.1,
-                                 rng_stream(27, "p"))
-        g = per_pair_gap_grad(teachers, student, x_np, pert.pairs, 1.0)
+        pert = perturb("tdiv_sdiv", teachers, x_np, 0.1, 27, student=student)
+        g = per_pair_gap_grad(teachers, student, x_np, pert.pairs)
         for b in range(len(x_np)):
             gn = np.linalg.norm(g[b])
             en = np.linalg.norm(pert.epsilon[b])
@@ -248,18 +253,19 @@ class TestPairPerturbations:
         teachers, student = pair_ensembles(members, hidden=(64, 64))
         student = student if with_student else None
         given = join(teachers) if joined else teachers
+        kind = "tdiv" if student is None else "tdiv_sdiv"
         rng = np.random.default_rng(52)
-        for _ in range(3):
+        for trial in range(3):
             x = 2.0 * rng.normal(size=(128, 2))
-            pairs = draw_pairs(rng, members, len(x))
-            oracle = per_pair_gap_grad(teachers, student, x, pairs, 1.0)
-            got = _pair_gap_grad(given, student, x, pairs, 1.0)
+            # the oracle's pairs come from one copy of the pair stream and
+            # build_perturbation draws its own from a fresh copy
+            pairs = draw_pairs(rng_stream(trial, "pairs"), members, len(x))
+            oracle = per_pair_gap_grad(teachers, student, x, pairs)
+            got = _pair_gap_grad(given, student, x, pairs)
             assert np.array_equal(got, oracle)
-            if student is None:
-                pert = tdiv_perturb(given, x, 1.0, 0.3, rng, pairs=pairs)
-            else:
-                pert = tdiv_sdiv_perturb(given, student, x, 1.0, 0.3, rng,
-                                         pairs=pairs)
+            pert = build_perturbation(kind, given, student, x, 0.3, 1.0,
+                                      rng_stream(trial, "noise"), rng_stream(trial, "pairs"))
+            assert np.array_equal(pert.pairs, pairs)
             assert np.array_equal(pert.epsilon, _normalize_rows(oracle, 0.3))
 
     @pytest.mark.parametrize("members", [2, 4])
@@ -295,15 +301,15 @@ class TestPairPerturbations:
         monkeypatch.setattr(MLP, "forward",
                             lambda net, x: calls.append(len(net)) or forward(net, x))
         x = np.random.default_rng(53).normal(size=(64, 2))
-        tdiv_sdiv_perturb(teachers, student, x, 1.0, 0.2, rng_stream(54, "p"))
+        perturb("tdiv_sdiv", teachers, x, 0.2, 54, student=student)
         assert calls == [members, members]
         calls.clear()
-        tdiv_perturb(teachers, x, 1.0, 0.2, rng_stream(55, "p"))
+        perturb("tdiv", teachers, x, 0.2, 55, student=student)
         assert calls == [members]
 
     def test_first_order_ascent(self, teachers, student):
         x = np.random.default_rng(28).normal(size=(400, 2))
-        pert = tdiv_sdiv_perturb(teachers, student, x, 1.0, 1e-4, rng_stream(29, "p"))
+        pert = perturb("tdiv_sdiv", teachers, x, 1e-4, 29, student=student)
         moved = np.linalg.norm(pert.epsilon, axis=1) > 0
         before = pair_gap_values(teachers, student, x, pert.pairs)
         after = pair_gap_values(teachers, student, x + pert.epsilon, pert.pairs)
@@ -311,7 +317,7 @@ class TestPairPerturbations:
 
     def test_teacher_only_variant(self, teachers):
         x = np.random.default_rng(30).normal(size=(25, 2))
-        pert = tdiv_perturb(teachers, x, 1.0, 0.2, rng_stream(31, "p"))
+        pert = perturb("tdiv", teachers, x, 0.2, 31)
         before = pair_gap_values(teachers, None, x, pert.pairs)
         after = pair_gap_values(teachers, None, x + pert.epsilon, pert.pairs)
         moved = np.linalg.norm(pert.epsilon, axis=1) > 0
@@ -319,16 +325,22 @@ class TestPairPerturbations:
 
     def test_member_counts_validated(self, teachers, student):
         x = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            tdiv_sdiv_perturb(teachers[:1], student, x, 1.0, 0.1, rng_stream(0, "p"))
+        with pytest.raises(ValueError, match="at least two members on both sides"):
+            perturb("tdiv_sdiv", teachers[:1], x, 0.1, 0, student=student)
+        with pytest.raises(ValueError, match="student member count must match"):
+            perturb("tdiv_sdiv", teachers + teachers[:1], x, 0.1, 0, student=student)
+        with pytest.raises(ValueError, match="requires a factored student"):
+            perturb("tdiv_sdiv", teachers, x, 0.1, 0)
+        with pytest.raises(ValueError, match="at least two teachers"):
+            perturb("tdiv", teachers[:1], x, 0.1, 0)
 
     def test_trained_teachers_collect_no_gradient(self, tiny_task, tiny_spec, tiny_optim):
         train, _, _ = tiny_task
         teachers = train_teachers(tiny_spec, train, 2, tiny_optim)
         student = build_be(tiny_spec, rng_stream(60, "init"), "random_sign", members=2)
         x = train.x[:16]
-        tdiv_sdiv_perturb(teachers, student, x, 1.0, 0.1, rng_stream(61, "p"))
-        ods_perturb(teachers, x, 1.0, 0.1, rng_stream(62, "p"))
+        perturb("tdiv_sdiv", teachers, x, 0.1, 61, student=student)
+        perturb("ods", teachers, x, 0.1, 62)
         # a perturbation leaves no gradient on any net it reads
         assert all(t.grad is None for t in teachers.parameters())
         assert all(t.grad is None for t in student.parameters())
@@ -348,8 +360,33 @@ class TestPairPerturbations:
         assert off.min() > 1000 / 12 * 0.6
 
 
+class TestBuildPerturbation:
+    # the streams each kind draws from: (noise_rng, index_rng)
+    DRAWS = {"none": (False, False), "gaussian": (True, False), "ods": (True, True),
+             "conf_ods": (True, True), "tdiv": (False, True), "tdiv_sdiv": (False, True)}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stream_contract(self, kind, teachers, student):
+        noise_rng, index_rng = rng_stream(34, "noise"), rng_stream(34, "index")
+        before = [rng.bit_generator.state for rng in (noise_rng, index_rng)]
+        x = np.random.default_rng(35).normal(size=(8, 2))
+        build_perturbation(kind, teachers, student, x, 0.2, 1.0, noise_rng, index_rng)
+        after = [rng.bit_generator.state for rng in (noise_rng, index_rng)]
+        assert [a != b for a, b in zip(after, before)] == list(self.DRAWS[kind])
+
+    def test_unknown_kind_rejected(self, teachers):
+        with pytest.raises(ValueError, match="unknown perturbation kind 'warp'"):
+            perturb("warp", teachers, np.zeros((2, 2)), 0.1, 0)
+
+    def test_none_is_zero(self, teachers, student):
+        x = np.random.default_rng(36).normal(size=(4, 2))
+        pert = perturb("none", teachers, x, 0.3, 0, student=student)
+        assert pert.epsilon.shape == x.shape and not pert.epsilon.any()
+        assert pert.pairs is None
+
+
 class TestDiversityShift:
     def test_zero_perturbation_gives_zero_shift(self, teachers, student):
         x = np.random.default_rng(33).normal(size=(10, 2))
-        d_t, d_s = diversity_shift(teachers, student, x, np.zeros_like(x))
-        assert d_t == 0.0 and d_s == 0.0
+        d_t, d_s = diversity_shift_values(teachers, student, x, np.zeros_like(x))
+        assert not d_t.any() and not d_s.any()
