@@ -18,16 +18,17 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .autodiff import DomainError, NumericsError
 from .data import Dataset, DataFormatError, corrupt, load_csv, make_mixture, make_ood
 from .distill import DegenerateEnsembleError, DistillConfig, train_student
-from .metrics import (MetricsReport, entropy_histogram, evaluate_model,
+from .metrics import (entropy_histogram, evaluate_model,
                       _mean_probs, _model_eval_logits)
 from .nets import (MLP, CheckpointError, ModelSpec, average_rank_one,
-                   checkpoint_load, checkpoint_save, join)
+                   checkpoint_load, checkpoint_save, is_int, join)
 from .optim import OptimConfig, steps_per_epoch, train_teachers
 from .perturb import KINDS, build_perturbation, default_gamma, diversity_shift_values
 from .seeding import rng_stream
@@ -41,16 +42,11 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     data: dict
-    hidden: tuple[int, ...]
+    model_spec: ModelSpec
     optim: OptimConfig
     distill: DistillConfig
     seeds: list[int]
     raw: dict
-
-    @property
-    def model_spec(self) -> ModelSpec:
-        return ModelSpec(int(self.data["dim"]), int(self.data["num_classes"]),
-                         self.hidden)
 
 
 def _require(doc: dict, key: str, where: str):
@@ -59,14 +55,33 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def load_run_config(path: str | Path) -> RunConfig:
+def _integer(doc: dict, key: str, where: str) -> int:
+    value = _require(doc, key, where)
+    if not is_int(value):
+        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
+
+
+def _positive(doc: dict, key: str, where: str) -> float:
+    value = _require(doc, key, where)
+    if not ((is_int(value) or isinstance(value, float)) and 0.0 < value < math.inf):
+        raise ConfigError(f"{where}: {key} must be positive and finite, got {value!r}")
+    return value
+
+
+def _read_json(path: str | Path, what: str):
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+        raise ConfigError(f"{what} not found: {p}")
     try:
-        doc = json.loads(p.read_text())
+        return json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: invalid JSON: {e}") from e
+
+
+def load_run_config(path: str | Path) -> RunConfig:
+    p = Path(path)
+    doc = _read_json(p, "config file")
     data = _require(doc, "data", str(p))
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: data must be a JSON object")
@@ -75,18 +90,21 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not isinstance(model, dict):
         raise ConfigError(f"{p}: model must be a JSON object")
     try:
-        hidden = tuple(model.get("hidden", (64, 64)))
-        optim = OptimConfig(**doc.get("optim", {}))
+        spec = ModelSpec(data["dim"], data["num_classes"], tuple(model.get("hidden", (64, 64))))
+        optim_doc = doc.get("optim", {})
+        if isinstance(optim_doc, dict) and "seed" in optim_doc:
+            raise ValueError("optim.seed is not read; the run seeds are 'seeds'")
+        optim = OptimConfig(**optim_doc)
         distill_cfg = DistillConfig(optim=optim, method=doc.get("method", "kd"),
                                     student_init=doc.get("student_init", "random_sign"),
                                     aekd_c=float(doc.get("aekd_c", 0.6)),
                                     **doc.get("distill", {}))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{p}: {e}") from e
-    seeds = [int(s) for s in doc.get("seeds", [0])]
-    if not seeds:
-        raise ConfigError(f"{p}: seeds list is empty")
-    return RunConfig(data=data, hidden=hidden, optim=optim, distill=distill_cfg,
+    seeds = doc.get("seeds", [0])
+    if not (isinstance(seeds, list) and seeds and all(map(is_int, seeds))):
+        raise ConfigError(f"{p}: seeds must be a non-empty list of integers, got {seeds!r}")
+    return RunConfig(data=data, model_spec=spec, optim=optim, distill=distill_cfg,
                      seeds=seeds, raw=doc)
 
 
@@ -94,28 +112,22 @@ def _check_mixture(data: dict, where: str) -> None:
     if data.get("kind", "mixture") != "mixture":
         raise ConfigError(f"{where}: data must be a mixture generator, "
                           f"got kind '{data.get('kind')}'")
-    for key in ("num_classes", "dim", "n_per_class", "spread", "seed"):
-        _require(data, key, f"{where}: data")
+    for key in ("num_classes", "dim", "n_per_class", "seed"):
+        _integer(data, key, f"{where}: data")
+    _positive(data, "spread", f"{where}: data")
 
 
 def build_datasets(data_cfg: dict) -> tuple[Dataset, Dataset, Dataset]:
     _check_mixture(data_cfg, "data spec")
-    return make_mixture(int(data_cfg["num_classes"]), int(data_cfg["dim"]),
-                        int(data_cfg["n_per_class"]), float(data_cfg["spread"]),
-                        int(data_cfg["seed"]))
+    return make_mixture(data_cfg["num_classes"], data_cfg["dim"], data_cfg["n_per_class"],
+                        data_cfg["spread"], data_cfg["seed"])
 
 
 def load_data_spec(path: str | Path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"data spec not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{p}: invalid JSON: {e}") from e
+    doc = _read_json(path, "data spec")
     spec = doc.get("data", doc) if isinstance(doc, dict) else doc
     if not isinstance(spec, dict):
-        raise ConfigError(f"{p}: data spec must be a JSON object")
+        raise ConfigError(f"{Path(path)}: data spec must be a JSON object")
     return spec
 
 
@@ -127,9 +139,17 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
 
 
 def _fmt(v) -> str:
+    if isinstance(v, str):
+        return v
     if v is None:
         return ""
     return format(float(v), ".17g")
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One comma-separated line per row, under a header line; cells by _fmt."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
 
 
 # -- commands -----------------------------------------------------------------
@@ -154,9 +174,20 @@ def cmd_train_teachers(args) -> int:
     return 0
 
 
-def _load_teachers(teachers_dir: Path, seed: int, count: int | None = None) -> MLP:
-    """Load teacher<m>.json checkpoints, joined as one net; count defaults to
-    all present."""
+def _load_fitting(path: Path, data: Dataset) -> MLP:
+    """The checkpoint at path; a ConfigError unless it takes data's inputs
+    and predicts its classes."""
+    model = checkpoint_load(path)
+    got = (model.spec.in_dim, model.spec.num_classes)
+    if got != (data.dim, data.num_classes):
+        raise ConfigError(f"{path}: checkpoint has in_dim {got[0]} and {got[1]} classes, "
+                          f"the data has in_dim {data.dim} and {data.num_classes} classes")
+    return model
+
+
+def _load_teachers(teachers_dir: Path, seed: int, count: int | None, data: Dataset) -> MLP:
+    """Load teacher<m>.json checkpoints that fit data, joined as one net;
+    count None loads all present."""
     seed_dir = teachers_dir / f"seed{seed}"
     if count is None:
         count = len(sorted(seed_dir.glob("teacher*.json")))
@@ -165,7 +196,7 @@ def _load_teachers(teachers_dir: Path, seed: int, count: int | None = None) -> M
     teachers = []
     for m in range(count):
         path = seed_dir / f"teacher{m}.json"
-        model = checkpoint_load(path)
+        model = _load_fitting(path, data)
         if model.factored:
             raise ConfigError(f"{path}: teacher checkpoints must be plain models")
         teachers.append(model)
@@ -177,7 +208,7 @@ def cmd_distill(args) -> int:
     train, val, test = build_datasets(cfg.data)
     method = cfg.distill.method
     for seed in cfg.seeds:
-        teachers = _load_teachers(Path(args.teachers), seed, cfg.distill.num_teachers)
+        teachers = _load_teachers(Path(args.teachers), seed, cfg.distill.num_teachers, train)
         dcfg = replace(cfg.distill, optim=replace(cfg.optim, seed=seed))
         out_dir = Path(args.out) / f"seed{seed}"
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -194,7 +225,8 @@ def cmd_distill(args) -> int:
             checkpoint_save(net, out_dir / name)
         outputs = list(saved)
         if trace is not None:
-            _write_trace_csv(out_dir / "trace.csv", trace)
+            _write_csv(out_dir / "trace.csv", ("step", "div_train", "div_test", "avg_test_nll"),
+                       trace.rows)
             outputs.append("trace.csv")
         _write_manifest(out_dir, f"distill:{method}", cfg.raw, seed,
                         {"train": train.digest(), "val": val.digest(),
@@ -203,26 +235,17 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def _write_trace_csv(path: Path, trace: EndpointTrace) -> None:
-    lines = ["step,div_train,div_test,avg_test_nll"]
-    for step, div_train, div_test, avg_nll in trace.rows:
-        lines.append(f"{step},{_fmt(div_train)},{_fmt(div_test)},{_fmt(avg_nll)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _resolve_eval_data(args) -> tuple[Dataset, Dataset, str]:
     """Returns (evaluated split, validation split for temperature, split name)."""
     spec = load_data_spec(args.data)
     kind = spec.get("kind", "mixture")
     if kind == "mixture":
         train, val, test = build_datasets(spec)
-        split = getattr(args, "split", "test")
-        chosen = {"train": train, "val": val, "test": test}.get(split)
-        if chosen is None:
-            raise ConfigError(f"unknown split '{split}'")
-        return chosen, val, split
+        return {"train": train, "val": val, "test": test}[args.split], val, args.split
     if kind == "csv":
-        ds = load_csv(_require(spec, "path", "csv data spec"), spec.get("num_classes"))
+        num_classes = None if "num_classes" not in spec else \
+            _integer(spec, "num_classes", "csv data spec")
+        ds = load_csv(_require(spec, "path", "csv data spec"), num_classes)
         return ds, ds, "csv"
     raise ConfigError(f"unknown data kind '{kind}'")
 
@@ -231,46 +254,29 @@ METRIC_COLUMNS = ("run_id", "split", "acc", "nll_sum", "nll_mean", "ece",
                   "tau_star", "cnll_mean", "cece", "mean_div")
 
 
-def _metrics_row(run_id: str, split: str, report: MetricsReport) -> str:
-    vals = [run_id, split, _fmt(report.acc), _fmt(report.nll_sum),
-            _fmt(report.nll_mean), _fmt(report.ece), _fmt(report.tau_star),
-            _fmt(report.cnll_mean), _fmt(report.cece),
-            _fmt(report.mean_div) if report.mean_div is not None else ""]
-    return ",".join(vals)
-
-
 def cmd_evaluate(args) -> int:
     model = checkpoint_load(args.model)
     target, val, split_name = _resolve_eval_data(args)
     if args.corrupt is not None:
-        if args.corrupt not in (1, 2, 3, 4, 5):
-            raise ConfigError(f"corruption intensity must be in 1..5, got {args.corrupt}")
         target = corrupt(target, args.corrupt, seed=int(args.seed))
         split_name = f"{split_name}:corrupt{args.corrupt}"
     report = evaluate_model(model, target, val)
     run_id = Path(args.model).stem
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(",".join(METRIC_COLUMNS) + "\n"
-                   + _metrics_row(run_id, split_name, report) + "\n")
+    _write_csv(out, METRIC_COLUMNS, [[run_id, split_name,
+                                      *(getattr(report, c) for c in METRIC_COLUMNS[2:])]])
     print(f"{run_id} {split_name}: acc={report.acc:.4f} nll_mean={report.nll_mean:.4f} "
           f"ece={report.ece:.4f} tau*={report.tau_star:.4f}")
     if args.ood is not None:
-        ood_spec = load_data_spec(args.ood)
-        ood = make_ood(target, float(ood_spec.get("shift", 6.0)),
-                       int(ood_spec.get("seed", 0)))
-        _write_entropy_csv(Path(str(out) + ".entropy.csv"), report.probs,
-                           _mean_probs(_model_eval_logits(model, ood.x), 1.0))
+        ood_spec = {"shift": 6.0, "seed": 0, **load_data_spec(args.ood)}
+        ood = make_ood(target, _positive(ood_spec, "shift", "ood spec"),
+                       _integer(ood_spec, "seed", "ood spec"))
+        ood_probs = _mean_probs(_model_eval_logits(model, ood.x), 1.0)
+        hists = [entropy_histogram(report.probs, tag="in"), entropy_histogram(ood_probs, tag="ood")]
+        _write_csv(Path(str(out) + ".entropy.csv"), ("tag", "bin_lo", "bin_hi", "count"),
+                   [(h.tag, lo, hi, count) for h in hists
+                    for lo, hi, count in zip(h.edges[:-1], h.edges[1:], h.counts)])
     return 0
-
-
-def _write_entropy_csv(path: Path, in_probs: np.ndarray, ood_probs: np.ndarray) -> None:
-    lines = ["tag,bin_lo,bin_hi,count"]
-    for tag, probs in (("in", in_probs), ("ood", ood_probs)):
-        hist = entropy_histogram(probs, tag=tag)
-        for lo, hi, count in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-            lines.append(f"{tag},{_fmt(lo)},{_fmt(hi)},{int(count)}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_line_scan(args) -> int:
@@ -278,12 +284,8 @@ def cmd_line_scan(args) -> int:
     spec = load_data_spec(args.data)
     train, _, test = build_datasets(spec)
     scan = line_scan(model, train, test)
-    lines = ["t,train_err,test_err,test_nll"]
-    for t, tr, te, nl in zip(scan.ts, scan.train_err, scan.test_err, scan.test_nll):
-        lines.append(f"{_fmt(t)},{_fmt(tr)},{_fmt(te)},{_fmt(nl)}")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    _write_csv(Path(args.out), ("t", "train_err", "test_err", "test_nll"),
+               zip(scan.ts, scan.train_err, scan.test_err, scan.test_nll))
     print(f"barrier={scan.barrier:.6f} (train loss, floored at 0)")
     return 0
 
@@ -297,15 +299,13 @@ def cmd_perturb_diag(args) -> int:
         raise ConfigError(f"--gamma must be non-negative and finite, got {args.gamma}")
     spec = load_data_spec(args.data)
     train, _, _ = build_datasets(spec)
-    teachers = _load_teachers(Path(args.teachers), int(args.seed))
-    student = checkpoint_load(args.student)
-    if args.kind == "tdiv_sdiv" and len(student) < 2:
-        raise ConfigError("tdiv_sdiv diagnostics require a factored student checkpoint")
+    teachers = _load_teachers(Path(args.teachers), int(args.seed), None, train)
+    student = _load_fitting(Path(args.student), train)
     gamma = args.gamma if args.gamma is not None else default_gamma(train.x)
     noise_rng = rng_stream(int(args.seed), "guidance-vectors")
     index_rng = rng_stream(int(args.seed), "pair-sampling")
     students = student if len(student) > 1 else student[[0, 0]]
-    lines = ["step,kind,mean_dT,mean_dS,frac_ascent"]
+    rows = []
     batch = 128
     for step, start in enumerate(range(0, len(train), batch)):
         xb = train.x[start:start + batch]
@@ -314,11 +314,10 @@ def cmd_perturb_diag(args) -> int:
         d_t, d_s = diversity_shift_values(teachers, students, xb, pert.epsilon)
         moved = np.linalg.norm(pert.epsilon, axis=1) > 0
         frac = float(((d_t - d_s) > 0)[moved].mean()) if moved.any() else 0.0
-        lines.append(f"{step},{args.kind},{_fmt(d_t.mean())},{_fmt(d_s.mean())},{_fmt(frac)}")
+        rows.append((step, args.kind, d_t.mean(), d_s.mean(), frac))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} diagnostic rows to {out}")
+    _write_csv(out, ("step", "kind", "mean_dT", "mean_dS", "frac_ascent"), rows)
+    print(f"wrote {len(rows)} diagnostic rows to {out}")
     return 0
 
 

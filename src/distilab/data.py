@@ -188,8 +188,8 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_csv(path: str | Path, num_classes: int | None = None,
-             split: str = "test") -> Dataset:
+def load_csv(path: str | Path, num_classes: int | None = None) -> Dataset:
+    """A "test" split from a CSV file with header x0,...,x<D-1>,y."""
     p = Path(path)
     if not p.exists():
         raise DataFormatError(f"data file not found: {p}")
@@ -229,4 +229,4 @@ def load_csv(path: str | Path, num_classes: int | None = None,
     bad = np.nonzero(y >= k)[0]
     if bad.size:
         raise DataFormatError(f"{p}: line {bad[0] + 2}: label {y[bad[0]]} >= K={k}")
-    return Dataset(np.array(xs), y, k, split, {"generator": "csv", "path": str(p)})
+    return Dataset(np.array(xs), y, k, "test", {"generator": "csv", "path": str(p)})

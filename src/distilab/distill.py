@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .metrics import PROB_FLOOR, batched_logits, member_probs, softmax_np
-from .nets import RANK_INITS, MLP, ModelSpec, build_be, build_plain, join
+from .nets import RANK_INITS, MLP, ModelSpec, build_be, build_plain, is_int, join
 from .optim import OptimConfig, fit, one_hot
 from .perturb import KINDS, build_perturbation, default_gamma
 from .seeding import rng_stream
@@ -72,7 +72,9 @@ class DistillConfig:
             raise ValueError("gamma must be non-negative and finite")
         if self.perturbation not in KINDS:
             raise ValueError(f"unknown perturbation kind '{self.perturbation}'")
-        if not 1 <= self.num_teachers < math.inf:
+        if not is_int(self.num_teachers):
+            raise ValueError(f"num_teachers must be an integer, got {self.num_teachers!r}")
+        if self.num_teachers < 1:
             raise ValueError("num_teachers must be >= 1")
         if (self.method == "aekd"
                 and not 1.0 / self.num_teachers - 1e-9 <= self.aekd_c <= 1.0 + 1e-9):

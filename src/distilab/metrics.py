@@ -62,12 +62,12 @@ def softmax_np(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_probs(probs: np.ndarray, tol: float = 1e-9) -> None:
+def _check_probs(probs: np.ndarray) -> None:
     if probs.ndim != 2:
         raise ValueError(f"expected (N, K) probabilities, got shape {probs.shape}")
     if probs.shape[0] == 0:
         raise ValueError("empty dataset")
-    if np.abs(probs.sum(axis=1) - 1.0).max() > tol:
+    if np.abs(probs.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError("probability rows must sum to 1")
 
 
@@ -160,14 +160,14 @@ def _grid_nll(logits: np.ndarray, labels: np.ndarray, taus: np.ndarray) -> np.nd
     return out
 
 
-def fit_temperature(val_logits: np.ndarray, val_labels: np.ndarray,
-                    lo: float = 0.05, hi: float = 10.0) -> float:
+def fit_temperature(val_logits: np.ndarray, val_labels: np.ndarray) -> float:
     """Temperature minimizing validation NLL.
 
-    Coarse pass over 100 log-spaced points, scored in one array pass, then
-    golden-section refinement to |delta tau| < 1e-4 that scores one point at
-    a time with the same NLL. If the coarse argmin lands on a bracket edge
-    the bracket is widened (factor 2 on that side), at most three times.
+    Coarse pass over 100 log-spaced points in [0.05, 10], scored in one
+    array pass, then golden-section refinement to |delta tau| < 1e-4 that
+    scores one point at a time with the same NLL. If the coarse argmin lands
+    on a bracket edge the bracket is widened (factor 2 on that side), at
+    most three times.
     """
     if len(val_labels) == 0:
         raise ValueError("empty validation set")
@@ -175,6 +175,7 @@ def fit_temperature(val_logits: np.ndarray, val_labels: np.ndarray,
     def objective(tau: float) -> float:
         return float(_grid_nll(val_logits, val_labels, np.array([tau]))[0])
 
+    lo, hi = 0.05, 10.0
     for _ in range(4):
         grid = np.geomspace(lo, hi, 100)
         values = _grid_nll(val_logits, val_labels, grid)
@@ -242,9 +243,9 @@ def member_probs(ensemble, x: np.ndarray, tau: float = 1.0) -> np.ndarray:
     return softmax_np(batched_logits(join(ensemble), x), tau)
 
 
-def diversity(models, x: np.ndarray, tau: float = 1.0) -> float:
+def diversity(models, x: np.ndarray) -> float:
     """Functional diversity of an ensemble at inputs x."""
-    return diversity_from_probs(member_probs(models, x, tau))
+    return diversity_from_probs(member_probs(models, x))
 
 
 def entropy_values(probs: np.ndarray) -> np.ndarray:

@@ -47,6 +47,11 @@ class CheckpointError(ValueError):
     """A checkpoint file is missing, malformed, or inconsistent."""
 
 
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; False for a bool or a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description shared by teachers and students."""
@@ -57,6 +62,12 @@ class ModelSpec:
     activation: str = "relu"
 
     def __post_init__(self):
+        for name in ("in_dim", "num_classes"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if not all(is_int(h) and h >= 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be integers >= 1, got {list(self.hidden)!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.in_dim < 1:
             raise ValueError(f"in_dim must be >= 1, got {self.in_dim}")

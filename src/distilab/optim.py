@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericsError, ShapeError, Tensor
-from .nets import MLP, ModelSpec, build_plain
+from .nets import MLP, ModelSpec, build_plain, is_int
 from .seeding import rng_stream
 
 
@@ -34,12 +34,15 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "warmup_epochs", "batch_size", "seed"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # each range check is written so that NaN fails it too
         if not 0.0 < self.base_lr < math.inf:
             raise ValueError("base_lr must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if not (1 <= self.epochs < math.inf and 1 <= self.batch_size < math.inf):
+        if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ValueError("warmup_epochs must satisfy 0 <= warmup < epochs")

@@ -45,14 +45,14 @@ class Perturbation:
     pairs: np.ndarray | None = None     # per-sample ordered (i, j) draws (pair kinds)
 
 
-def default_gamma(x: np.ndarray, scale: float = 0.15) -> float:
-    """Step budget scale * sqrt(D) * mean per-dimension std of the data.
+def default_gamma(x: np.ndarray) -> float:
+    """Step budget 0.15 * sqrt(D) * mean per-dimension std of the data.
 
     Keeps a constant per-dimension budget on standardized inputs; 0.15 is
     large enough that perturbed points probe the off-manifold shell where
     ensemble members actually disagree.
     """
-    return float(scale * np.sqrt(x.shape[1]) * x.std(axis=0).mean())
+    return float(0.15 * np.sqrt(x.shape[1]) * x.std(axis=0).mean())
 
 
 def _normalize_rows(grad: np.ndarray, gamma: float) -> np.ndarray:

@@ -4,6 +4,8 @@ reruns, and the cross-command averaging equivalence."""
 import json
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,7 +19,8 @@ from distilab.autodiff import DomainError
 from distilab.cli import METRIC_COLUMNS, main
 from distilab.distill import train_student
 from distilab.metrics import batched_logits, entropy_histogram, softmax_np
-from distilab.nets import checkpoint_load
+from distilab.nets import ModelSpec, build_plain, checkpoint_load, checkpoint_save
+from distilab.seeding import rng_stream
 from distilab.subspace import EndpointTrace
 
 TINY = {
@@ -124,7 +127,7 @@ class TestDistill:
         train, _, test = cli.build_datasets(run.data)
         dcfg = replace(run.distill, optim=replace(run.optim, seed=0))
         every_step = EndpointTrace(train, test, every=1)
-        train_student(cli._load_teachers(teachers, 0, 2), run.model_spec, train, dcfg,
+        train_student(cli._load_teachers(teachers, 0, 2, train), run.model_spec, train, dcfg,
                       step_hook=every_step.hook)
         assert len(every_step.rows) == 54
         expected = [f"{step},{cli._fmt(dt)},{cli._fmt(ds)},{cli._fmt(nll)}"
@@ -164,6 +167,30 @@ class TestDistill:
         _, teachers = trained
         assert main(["distill", "--config", str(cfg3), "--teachers", str(teachers),
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("method, data", [
+        ("kd", {"num_classes": 4}), ("latentbe", {"num_classes": 4}), ("latentbe", {"dim": 3}),
+    ])
+    def test_teachers_that_do_not_fit_the_data_exit_2(self, trained, tmp_path, capsys,
+                                                      method, data):
+        _, teachers = trained
+        cfg = write_config(tmp_path, method=method, data=data)
+        out = tmp_path / "student"
+        assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                     "--out", str(out)]) == 2
+        want = {**TINY["data"], **data}
+        assert capsys.readouterr().err == (
+            f"error: {teachers / 'seed0' / 'teacher0.json'}: checkpoint has in_dim 2 and "
+            f"3 classes, the data has in_dim {want['dim']} and {want['num_classes']} classes\n")
+        assert not (out / "seed0").exists()
+
+    def test_student_hidden_widths_may_differ_from_the_teachers(self, trained, tmp_path):
+        _, teachers = trained
+        cfg = write_config(tmp_path, model={"hidden": [8]})
+        out = tmp_path / "narrow"
+        assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                     "--out", str(out)]) == 0
+        assert checkpoint_load(out / "seed0" / "student.json").spec.hidden == (8,)
 
     def test_proxy_end2_method_runs(self, trained, tmp_path):
         cfg = write_config(tmp_path, method="proxy_end2")
@@ -413,6 +440,23 @@ class TestMalformedInput:
                      "--data", str(spec), "--out", str(tmp_path / "m.csv")]) == 2
         assert "missing required key 'path'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, doc, message", [
+        ("--data", {"kind": "csv", "path": "test.csv", "num_classes": "3"},
+         "csv data spec: num_classes must be an integer, got '3'"),
+        ("--ood", {"shift": 6.0, "seed": 2.5}, "ood spec: seed must be an integer, got 2.5"),
+        ("--ood", {"shift": "6"}, "ood spec: shift must be positive and finite, got '6'"),
+    ])
+    def test_evaluate_spec_number_of_wrong_type_exits_2(self, trained, tmp_path, capsys,
+                                                        flag, doc, message):
+        _, teachers = trained
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        files = {"--data": str(write_data_spec(tmp_path)), flag: str(spec)}
+        assert main(["evaluate", "--model", str(teachers / "seed0" / "teacher0.json"),
+                     *(arg for item in files.items() for arg in item),
+                     "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_data_spec_not_an_object_exits_2(self, trained, tmp_path, capsys):
         _, teachers = trained
         spec = tmp_path / "list.json"
@@ -444,6 +488,31 @@ class TestMalformedInput:
         assert (f"error: {cfg}: aekd_c must lie in [1/M, 1] for M=2 teachers, got 0.2\n"
                 == capsys.readouterr().err)
         assert not (out / "seed0").exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        (None, "seeds", 5, "seeds must be a non-empty list of integers, got 5"),
+        (None, "seeds", [2.5], "seeds must be a non-empty list of integers, got [2.5]"),
+        (None, "seeds", [], "seeds must be a non-empty list of integers, got []"),
+        ("model", "hidden", [0], "hidden widths must be integers >= 1, got [0]"),
+        ("model", "hidden", [8.7], "hidden widths must be integers >= 1, got [8.7]"),
+        ("optim", "epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("optim", "epochs", True, "epochs must be an integer, got True"),
+        ("distill", "num_teachers", 2.5, "num_teachers must be an integer, got 2.5"),
+        ("data", "dim", 2.5, "data: dim must be an integer, got 2.5"),
+        ("data", "seed", 2.5, "data: seed must be an integer, got 2.5"),
+        ("data", "n_per_class", "20", "data: n_per_class must be an integer, got '20'"),
+        ("data", "spread", float("nan"), "data: spread must be positive and finite, got nan"),
+        ("data", "spread", float("inf"), "data: spread must be positive and finite, got inf"),
+        ("optim", "seed", 1, "optim.seed is not read; the run seeds are 'seeds'"),
+    ])
+    def test_bad_count_exits_2_before_any_output(self, tmp_path, capsys, section, key, value,
+                                                 message):
+        cfg = write_config(tmp_path, **({key: value} if section is None
+                                        else {section: {key: value}}))
+        out = tmp_path / "teachers"
+        assert main(["train-teachers", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("distill", "rank_decay", "nan"), ("distill", "tau", "nan"),
@@ -560,3 +629,39 @@ class TestPerturbDiag:
                      "--student", str(teachers / "seed0" / "teacher0.json"),
                      "--data", str(data), "--kind", "tdiv_sdiv",
                      "--out", str(tmp_path / "d.csv")]) == 2
+
+    def test_student_that_does_not_fit_the_data_exits_2(self, trained, tmp_path, capsys):
+        _, teachers = trained
+        student = tmp_path / "wide.json"
+        checkpoint_save(build_plain(ModelSpec(3, 3, (8,)), rng_stream(0, "init")), student)
+        out = tmp_path / "d.csv"
+        assert main(["perturb-diag", "--teachers", str(teachers), "--student", str(student),
+                     "--data", str(write_data_spec(tmp_path)), "--kind", "gaussian",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {student}: checkpoint has in_dim 3 and "
+                                           f"3 classes, the data has in_dim 2 and 3 classes\n")
+        assert not out.exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    """README's command-line section runs as written."""
+
+    def test_run_config_block_loads(self, tmp_path):
+        [block] = [b for b in re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+                   if '"seeds"' in b]
+        path = tmp_path / "exp.json"
+        path.write_text(block)
+        run = cli.load_run_config(path)
+        assert (run.distill.method, run.distill.perturbation) == ("latentbe", "tdiv_sdiv")
+
+    def test_shell_commands_parse(self):
+        text = "\n".join(re.findall(r"```bash\n(.*?)```", README.read_text(), re.S))
+        commands = [shlex.split(line) for line in text.replace("\\\n", " ").splitlines()
+                    if line.startswith("distilab ")]
+        assert {argv[1] for argv in commands} == {
+            name[len("cmd_"):].replace("_", "-") for name in dir(cli) if name.startswith("cmd_")}
+        for argv in commands:
+            assert cli.build_parser().parse_args(argv[1:]).command == argv[1]

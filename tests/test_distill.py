@@ -345,7 +345,7 @@ class TestDistillConfig:
         ("alpha", float("nan")), ("rank_decay", float("nan")),
         ("rank_decay", float("inf")), ("gamma", float("nan")),
         ("gamma", float("inf")), ("gamma", -1.0), ("num_teachers", float("nan")),
-        ("num_teachers", float("inf")),
+        ("num_teachers", float("inf")), ("num_teachers", 2.5), ("num_teachers", True),
     ])
     def test_non_finite_and_out_of_range_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must "):

@@ -48,6 +48,20 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             build_be(ModelSpec(2, 3, (8,)), rng_stream(0, "init"), members=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("in_dim", 2.0, "in_dim must be an integer"),
+        ("num_classes", True, "num_classes must be an integer"),
+        ("hidden", (8.7,), "hidden widths must be integers >= 1"),
+        ("hidden", (8, 0), "hidden widths must be integers >= 1"),
+    ])
+    def test_counts_must_be_integers(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            ModelSpec(**{"in_dim": 2, "num_classes": 3, "hidden": (8,), field: value})
+
+    def test_numpy_integers_become_python_integers(self):
+        spec = ModelSpec(np.int64(2), np.int32(3), (np.int64(8),))
+        assert json.dumps(spec.to_dict()) == json.dumps(ModelSpec(2, 3, (8,)).to_dict())
+
 
 class TestForwardPlain:
     def test_zero_network_gives_zero_logits(self):

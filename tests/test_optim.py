@@ -83,6 +83,19 @@ class TestSchedule:
         with pytest.raises(ValueError):
             OptimConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("epochs", True), ("warmup_epochs", 1.0), ("batch_size", 32.0),
+        ("seed", 1.5),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            OptimConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = OptimConfig(epochs=np.int64(6), warmup_epochs=np.int32(1),
+                          batch_size=np.int64(32), seed=np.int64(3))
+        assert lr_at(cfg, 0, 5) == lr_at(OptimConfig(epochs=6, warmup_epochs=1), 0, 5)
+
 
 class TestSgdUpdate:
     def test_plain_sgd_reduction(self):

@@ -20,10 +20,13 @@ def test_two_sweeps_print_identical_digests():
                     if p.startswith(f"M{m}/") and "-" in p.split("/")[1]}) == \
             (28 if m == 2 else 27)
         assert f"M{m}/latentbe-tdiv_sdiv/seed0/student.json" in paths
-        assert len([p for p in paths if p.startswith(f"M{m}/eval/")]) == 12
+        # at M=2 also --split val and a csv data spec
+        assert len([p for p in paths if p.startswith(f"M{m}/eval/")]) == \
+            (14 if m == 2 else 12)
         assert len([p for p in paths if p.startswith(f"M{m}/diag/")]) == 5
         assert f"M{m}/average.json" in paths
     assert "M2/scan.csv" in paths
     assert "M2/latentbe-tdiv_sdiv-long/seed0/trace.csv" in paths
-    assert len(paths) == 259
+    assert {"M2/eval/val.csv", "M2/eval/csv.csv"} <= paths
+    assert len(paths) == 261
     assert {"M3/barriers.json", "M4/barriers.json"} <= paths

@@ -5,14 +5,16 @@
 Runs ``train-teachers``; ``distill`` for every method and every
 perturbation the method allows, at M = 2, 3 and 4, plus one M = 2
 ``latentbe`` / ``tdiv_sdiv`` run of 54 steps, longer than the 40 rows its
-endpoint trace may hold; ``evaluate`` with
-``--ood`` and with ``--corrupt``; ``line-scan``, ``perturb-diag`` and
-``average``; and the library call ``subspace.pairwise_barriers`` on the
-M = 3 and M = 4 ``latentbe`` students. Everything runs in this process on a
-task small enough that the sweep takes seconds. It prints one
-``<sha256>  <path>`` line per output file, sorted by path, so two source
-trees that print the same lines wrote the same bytes. Without ``--out`` the
-files go to a temporary directory that is removed afterwards. The exit code is 1 when a command fails.
+endpoint trace may hold; ``evaluate`` with ``--ood`` and with
+``--corrupt``, and at M = 2 with ``--split val`` and on a
+``{"kind": "csv"}`` data spec of the test split; ``line-scan``,
+``perturb-diag`` and ``average``; and the library call
+``subspace.pairwise_barriers`` on the M = 3 and M = 4 ``latentbe``
+students. Everything runs in this process on a task small enough that the
+sweep takes seconds. It prints one ``<sha256>  <path>`` line per output
+file, sorted by path, so two source trees that print the same lines wrote
+the same bytes. Without ``--out`` the files go to a temporary directory
+that is removed afterwards. The exit code is 1 when a command fails.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ def _config(method: str, perturbation: str, members: int, epochs: int = 2) -> di
 
 
 def _commands(out: Path) -> list[list[str]]:
+    from distilab.cli import build_datasets
+    from distilab.data import save_csv
     from distilab.distill import FACTORED, METHODS
     from distilab.perturb import KINDS
 
@@ -50,6 +54,9 @@ def _commands(out: Path) -> list[list[str]]:
     inputs.mkdir()
     data = _write(inputs / "data.json", {"data": DATA})
     ood = _write(inputs / "ood.json", OOD)
+    save_csv(build_datasets(DATA)[2], inputs / "test.csv")
+    csv_data = _write(inputs / "csv.json", {"kind": "csv", "path": str(inputs / "test.csv"),
+                                            "num_classes": DATA["num_classes"]})
     commands = []
     for m in MEMBERS:
         top = out / "runs" / f"M{m}"
@@ -87,6 +94,10 @@ def _commands(out: Path) -> list[list[str]]:
                              "--out", str(top / "latentbe-tdiv_sdiv-long")])
             commands.append(["line-scan", "--model", str(latent / "student_be.json"),
                              "--data", str(data), "--out", str(top / "scan.csv")])
+            for tag, extra in (("val", ["--data", str(data), "--split", "val"]),
+                               ("csv", ["--data", str(csv_data)])):
+                commands.append(["evaluate", "--model", str(latent / "student.json"),
+                                 "--out", str(top / "eval" / f"{tag}.csv"), *extra])
     return commands
 
 
