@@ -36,7 +36,8 @@ class NumericsError(ArithmeticError):
     """An operation produced a NaN or Inf value."""
 
 
-def _ensure_finite(arr: np.ndarray, op: str) -> None:
+def ensure_finite(arr: np.ndarray, op: str) -> None:
+    """Raise ``NumericsError`` naming op unless every value of arr is finite."""
     if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite value produced by '{op}'")
 
@@ -48,7 +49,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, copy=True)
-        _ensure_finite(arr, "tensor")
+        ensure_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -134,8 +135,8 @@ class Tensor:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], op: str,
           backward: Callable[[np.ndarray], None] | None) -> Tensor:
-    if op != "dense_relu":  # dense checks a relu layer before the relu
-        _ensure_finite(data, op)
+    if op not in ("dense", "dense_relu"):  # dense_values checks before the relu
+        ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(p.requires_grad for p in parents)
@@ -167,6 +168,41 @@ def member_weights(weight: Tensor, r: Tensor | None, s: Tensor | None) -> np.nda
     return weight.data * (r.data[:, :, None] * s.data[:, None, :])
 
 
+def dense_weight_t(weight: Tensor, r: Tensor | None, s: Tensor | None) -> np.ndarray:
+    """(M, in, out) member weights for ``dense_values``: member_weights(weight,
+    r, s) transposed, built in (M, in, out) order."""
+    if r is None:
+        return np.ascontiguousarray(weight.data.transpose(0, 2, 1))
+    return weight.data.transpose(0, 2, 1) * (s.data[:, :, None] * r.data[:, None, :])
+
+
+def dense_values(x: np.ndarray, w_t: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
+    """x_m w_t[m] + b_m for every member m, (M, B, out), from a (B, in) input
+    shared by the members or an (M, B, in) one, then a relu when relu is true.
+
+    The values are checked finite as op 'dense' before the relu, which would
+    hide a -inf; the relu runs in place, so out > 0 marks pre > 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.matmul(x, w_t)
+    out += bias[:, None, :]
+    ensure_finite(out, "dense")
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def dense_pre_grad(g: np.ndarray, out: np.ndarray, relu: bool) -> np.ndarray:
+    """The gradient g of a layer's output ``out`` taken back through its relu."""
+    return g * (out > 0.0) if relu else g
+
+
+def dense_input_grad(g_pre: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """(M, B, in) gradient of each member's input, from the (M, B, out)
+    gradient of the layer before its relu."""
+    return np.matmul(g_pre, w_t.transpose(0, 2, 1))
+
+
 def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
           bias: Tensor, relu: bool) -> Tensor:
     """x_m W_m^T + b_m for every member m in one node, (M, B, out), followed
@@ -178,32 +214,19 @@ def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
     float operations as a one-member layer would, and the gradients of a
     shared weight, and of a shared input, sum the members in order 0..M-1.
     The backward forms a gradient only for the tensors that collect one, so
-    a net of constants (teachers, or the student inside a perturbation)
-    costs one input-gradient matmul per layer.
+    a net of constants (teachers) costs one input-gradient matmul per layer.
     """
     members = bias.shape[0]
     if x.data.ndim not in (2, 3) or x.shape[-1] != weight.shape[2] \
             or (x.data.ndim == 3 and x.shape[0] != members):
         raise ShapeError(f"dense layer of {members} members with weight "
                          f"{weight.shape} got input {x.shape}")
-    if r is None:
-        w_t = np.ascontiguousarray(weight.data.transpose(0, 2, 1))
-    else:
-        # member_weights(weight, r, s) transposed, built in (M, in, out) order
-        w_t = weight.data.transpose(0, 2, 1) * (s.data[:, :, None] * r.data[:, None, :])
-    with np.errstate(over="ignore", invalid="ignore"):
-        out_data = np.matmul(x.data, w_t)
-    out_data += bias.data[:, None, :]
-    if relu:
-        # checked before the relu, which would hide a -inf, and not again in
-        # _node; done in place, so the graph holds one array per layer and
-        # out > 0 marks pre > 0
-        _ensure_finite(out_data, "dense")
-        np.maximum(out_data, 0.0, out=out_data)
+    w_t = dense_weight_t(weight, r, s)
+    # the graph holds this one array per layer
+    out_data = dense_values(x.data, w_t, bias.data, relu)
 
     def backward(g: np.ndarray) -> None:
-        if relu:
-            g = g * (out_data > 0.0)
+        g = dense_pre_grad(g, out_data, relu)
         rank_grad = r is not None and (r.requires_grad or s.requires_grad)
         if weight.requires_grad or rank_grad:
             x_t = x.data.T if x.data.ndim == 2 else x.data.transpose(0, 2, 1)
@@ -220,7 +243,7 @@ def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
         if bias.requires_grad:
             _accum(bias, g.sum(axis=1))
         if x.requires_grad:
-            g_x = np.matmul(g, w_t.transpose(0, 2, 1))
+            g_x = dense_input_grad(g, w_t)
             _accum(x, g_x if x.data.ndim == 3 else g_x.sum(axis=0))
 
     parents = (x, weight, bias) if r is None else (x, weight, r, s, bias)
@@ -322,20 +345,6 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     return scale(sum(a, axis=axis), 1.0 / count)
 
 
-def take_members(a: Tensor, members: np.ndarray) -> Tensor:
-    """Row b of member members[b] of an (M, B, ...) tensor, as (B, ...); the
-    backward scatters g into zeros at the rows it picked."""
-    rows = np.arange(a.shape[1])
-    out_data = a.data[members, rows]
-
-    def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(a.data)
-        full[members, rows] = g
-        _accum(a, full)
-
-    return _node(out_data, (a,), "take_members", backward)
-
-
 # -- softmax family ----------------------------------------------------------
 
 def softmax_temp(logits: Tensor, tau: float) -> Tensor:
@@ -354,19 +363,31 @@ def softmax_temp(logits: Tensor, tau: float) -> Tensor:
     return _node(p, (logits,), "softmax_temp", backward)
 
 
-def log_softmax_temp(logits: Tensor, tau: float) -> Tensor:
-    """log of softmax_temp, computed stably via max-subtracted log-sum-exp."""
-    if tau <= 0.0:
-        raise DomainError(f"temperature must be positive, got {tau}")
-    z = logits.data / tau
+def log_softmax_values(logits: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """log softmax(logits / tau) over the last axis, computed stably via
+    max-subtracted log-sum-exp, and its exp."""
+    z = logits / tau
     zmax = z.max(axis=-1, keepdims=True)
     shifted = z - zmax
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - lse
-    p = np.exp(out_data)
+    out = shifted - lse
+    return out, np.exp(out)
+
+
+def log_softmax_grad(g: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
+    """The gradient g of log softmax(logits / tau) taken back to the logits,
+    from the probabilities p that ``log_softmax_values`` returns."""
+    return (g - p * g.sum(axis=-1, keepdims=True)) / tau
+
+
+def log_softmax_temp(logits: Tensor, tau: float) -> Tensor:
+    """log of softmax_temp (see ``log_softmax_values``)."""
+    if tau <= 0.0:
+        raise DomainError(f"temperature must be positive, got {tau}")
+    out_data, p = log_softmax_values(logits.data, tau)
 
     def backward(g: np.ndarray) -> None:
-        _accum(logits, (g - p * g.sum(axis=-1, keepdims=True)) / tau)
+        _accum(logits, log_softmax_grad(g, p, tau))
 
     return _node(out_data, (logits,), "log_softmax_temp", backward)
 

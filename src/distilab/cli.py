@@ -28,7 +28,7 @@ from .distill import DegenerateEnsembleError, DistillConfig, train_student
 from .metrics import (entropy_histogram, evaluate_model,
                       _mean_probs, _model_eval_logits)
 from .nets import (MLP, CheckpointError, ModelSpec, average_rank_one,
-                   checkpoint_load, checkpoint_save, is_int, join)
+                   checkpoint_load, checkpoint_save, is_int, is_real, join)
 from .optim import OptimConfig, steps_per_epoch, train_teachers
 from .perturb import KINDS, build_perturbation, default_gamma, diversity_shift_values
 from .seeding import rng_stream
@@ -64,7 +64,7 @@ def _integer(doc: dict, key: str, where: str) -> int:
 
 def _positive(doc: dict, key: str, where: str) -> float:
     value = _require(doc, key, where)
-    if not ((is_int(value) or isinstance(value, float)) and 0.0 < value < math.inf):
+    if not (is_real(value) and 0.0 < value < math.inf):
         raise ConfigError(f"{where}: {key} must be positive and finite, got {value!r}")
     return value
 
@@ -97,7 +97,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         optim = OptimConfig(**optim_doc)
         distill_cfg = DistillConfig(optim=optim, method=doc.get("method", "kd"),
                                     student_init=doc.get("student_init", "random_sign"),
-                                    aekd_c=float(doc.get("aekd_c", 0.6)),
+                                    aekd_c=doc.get("aekd_c", 0.6),
                                     **doc.get("distill", {}))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{p}: {e}") from e
@@ -118,16 +118,26 @@ def _check_mixture(data: dict, where: str) -> None:
 
 
 def build_datasets(data_cfg: dict) -> tuple[Dataset, Dataset, Dataset]:
-    _check_mixture(data_cfg, "data spec")
+    """The splits of a mixture spec that ``_check_mixture`` passed."""
     return make_mixture(data_cfg["num_classes"], data_cfg["dim"], data_cfg["n_per_class"],
                         data_cfg["spread"], data_cfg["seed"])
 
 
-def load_data_spec(path: str | Path) -> dict:
-    doc = _read_json(path, "data spec")
+def _read_spec(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at path, or the one under its 'data' key."""
+    doc = _read_json(path, what)
     spec = doc.get("data", doc) if isinstance(doc, dict) else doc
     if not isinstance(spec, dict):
-        raise ConfigError(f"{Path(path)}: data spec must be a JSON object")
+        raise ConfigError(f"{Path(path)}: {what} must be a JSON object")
+    return spec
+
+
+def load_data_spec(path: str | Path, csv: bool = False) -> dict:
+    """The data spec in the file at path: a mixture, whose errors name the
+    file, or when csv is true also a {"kind": "csv"} spec."""
+    spec = _read_spec(path, "data spec")
+    if not (csv and spec.get("kind") == "csv"):
+        _check_mixture(spec, str(path))
     return spec
 
 
@@ -237,17 +247,14 @@ def cmd_distill(args) -> int:
 
 def _resolve_eval_data(args) -> tuple[Dataset, Dataset, str]:
     """Returns (evaluated split, validation split for temperature, split name)."""
-    spec = load_data_spec(args.data)
-    kind = spec.get("kind", "mixture")
-    if kind == "mixture":
-        train, val, test = build_datasets(spec)
-        return {"train": train, "val": val, "test": test}[args.split], val, args.split
-    if kind == "csv":
+    spec = load_data_spec(args.data, csv=True)
+    if spec.get("kind") == "csv":
         num_classes = None if "num_classes" not in spec else \
             _integer(spec, "num_classes", "csv data spec")
         ds = load_csv(_require(spec, "path", "csv data spec"), num_classes)
         return ds, ds, "csv"
-    raise ConfigError(f"unknown data kind '{kind}'")
+    train, val, test = build_datasets(spec)
+    return {"train": train, "val": val, "test": test}[args.split], val, args.split
 
 
 METRIC_COLUMNS = ("run_id", "split", "acc", "nll_sum", "nll_mean", "ece",
@@ -257,6 +264,10 @@ METRIC_COLUMNS = ("run_id", "split", "acc", "nll_sum", "nll_mean", "ece",
 def cmd_evaluate(args) -> int:
     model = checkpoint_load(args.model)
     target, val, split_name = _resolve_eval_data(args)
+    if args.ood is not None:
+        ood_spec = {"shift": 6.0, "seed": 0, **_read_spec(args.ood, "ood spec")}
+        shift = _positive(ood_spec, "shift", "ood spec")
+        ood_seed = _integer(ood_spec, "seed", "ood spec")
     if args.corrupt is not None:
         target = corrupt(target, args.corrupt, seed=int(args.seed))
         split_name = f"{split_name}:corrupt{args.corrupt}"
@@ -268,9 +279,7 @@ def cmd_evaluate(args) -> int:
     print(f"{run_id} {split_name}: acc={report.acc:.4f} nll_mean={report.nll_mean:.4f} "
           f"ece={report.ece:.4f} tau*={report.tau_star:.4f}")
     if args.ood is not None:
-        ood_spec = {"shift": 6.0, "seed": 0, **load_data_spec(args.ood)}
-        ood = make_ood(target, _positive(ood_spec, "shift", "ood spec"),
-                       _integer(ood_spec, "seed", "ood spec"))
+        ood = make_ood(target, shift, ood_seed)
         ood_probs = _mean_probs(_model_eval_logits(model, ood.x), 1.0)
         hists = [entropy_histogram(report.probs, tag="in"), entropy_histogram(ood_probs, tag="ood")]
         _write_csv(Path(str(out) + ".entropy.csv"), ("tag", "bin_lo", "bin_hi", "count"),

@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .metrics import PROB_FLOOR, batched_logits, member_probs, softmax_np
-from .nets import RANK_INITS, MLP, ModelSpec, build_be, build_plain, is_int, join
+from .nets import RANK_INITS, MLP, ModelSpec, build_be, build_plain, is_int, is_real, join
 from .optim import OptimConfig, fit, one_hot
 from .perturb import KINDS, build_perturbation, default_gamma
 from .seeding import rng_stream
@@ -61,6 +61,10 @@ class DistillConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
 
     def __post_init__(self):
+        for name in ("tau", "alpha", "rank_decay", "gamma", "aekd_c"):
+            value = getattr(self, name)
+            if not (is_real(value) or (name == "gamma" and value is None)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         # each range check is written so that NaN fails it too
         if not 0.0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")

@@ -52,6 +52,11 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy integer or float; False for a bool or a string."""
+    return is_int(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description shared by teachers and students."""

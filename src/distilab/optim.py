@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericsError, ShapeError, Tensor
-from .nets import MLP, ModelSpec, build_plain, is_int
+from .nets import MLP, ModelSpec, build_plain, is_int, is_real
 from .seeding import rng_stream
 
 
@@ -37,6 +37,9 @@ class OptimConfig:
         for name in ("epochs", "warmup_epochs", "batch_size", "seed"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("base_lr", "momentum", "weight_decay"):
+            if not is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         # each range check is written so that NaN fails it too
         if not 0.0 < self.base_lr < math.inf:
             raise ValueError("base_lr must be positive and finite")

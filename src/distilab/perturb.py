@@ -14,11 +14,13 @@ gamma (rows with a vanishing gradient stay at zero). The pair kinds draw one
 ordered member pair per sample, shared between the teacher and student
 divergence terms, and differentiate each pair KL through both of its
 members, so the step is a first-order ascent direction of the diversity gap.
-Each ensemble runs one forward per step, as a net of constants on an input
-leaf with one slice per member, so the backward forms the input gradient and
-no parameter gradient. Each row's gradient is summed in the order teacher i,
-teacher j, student i, student j of its pair: that order is kept on purpose,
-because it makes the step bit-equal to building the gap one pair at a time.
+The teachers and the student run as one stacked net of constants, one
+forward per step with no tape: the pair-KL gradient of the logits has a
+closed form, and the input-only dense backward takes it to the input, so no
+parameter gradient is formed. Each row's gradient is summed in the order
+teacher i, teacher j, student i, student j of its pair: that order is kept on
+purpose, because it makes the step bit-equal to building the gap one pair at
+a time.
 
 An ensemble is a net or a list of one-member plain nets (see ``nets.join``).
 """
@@ -91,9 +93,32 @@ def _ods_gradients(teachers: Sequence[MLP], x: np.ndarray, tau: float,
     return grads, conf
 
 
-def _pair_kl(log_pi: Tensor, log_pj: Tensor) -> Tensor:
-    """Per-row KL(p_i || p_j) from two (B, K) log-probability tensors."""
-    return ad.sum(ad.mul(ad.exp(log_pi), ad.sub(log_pi, log_pj)), axis=-1)
+def _pair_logits_grad(logits: np.ndarray, pairs: np.ndarray, members: int) -> np.ndarray:
+    """d/d(logits) of sum_b [KL_T(i_b, j_b) - KL_S(i_b, j_b)] between the
+    untempered distributions of (n M, B, K) stacked logits: the M teacher
+    members, then for n = 2 the M student members (n = 1 drops KL_S).
+
+    The closed form keeps the float operations of differentiating the pair
+    KL sum_k e (log p_i - log p_j), e = p_i, on the tape: log p_i collects
+    e + d e and log p_j collects -e, with d = log p_i - log p_j, signs flipped
+    for the student; then the log-softmax backward, and the + 0.0 of a
+    gradient's first arrival. Its rows are bit-equal to the tape's. The
+    log-probabilities and the gradient are checked finite as op 'pair_gap'.
+    """
+    log_p, p = ad.log_softmax_values(logits, 1.0)
+    ad.ensure_finite(log_p, "pair_gap")
+    offsets = np.arange(0, len(logits), members)[:, None]
+    i, j = offsets + pairs[:, 0], offsets + pairs[:, 1]          # (n, B)
+    rows = np.arange(logits.shape[1])
+    sign = np.array([1.0, -1.0])[:len(offsets), None, None]
+    e = p[i, rows]
+    d = log_p[i, rows] - log_p[j, rows]
+    g = np.zeros_like(log_p)
+    g[i, rows] = sign * (e + d * e)
+    g[j, rows] = -sign * e
+    grad = ad.log_softmax_grad(g, p, 1.0)
+    ad.ensure_finite(grad, "pair_gap")
+    return np.add(grad, 0.0, out=grad)
 
 
 def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -101,30 +126,35 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray) -> np.nd
     distributions, with the pair draw shared between the teacher and student
     terms of each sample.
 
-    Each ensemble runs one forward, on an input leaf with one slice per
-    member. The student runs as a copy of constants, so the tape stops at
-    the input leaves and no net collects a gradient. Row b's gradient is
-    then summed as teacher i, teacher j, student i, student j for its pair
-    (i, j): the order in which one shared input leaf accumulates the
-    per-pair formulation (four forwards per ordered pair), so the result is
-    bit-equal to it.
+    The teachers' and the student's member weights stack into one net of
+    2M constant members (M without a student), which runs one forward on the
+    shared input through ``dense_values``. ``_pair_logits_grad`` gives the
+    logits gradient in closed form, and the input-only dense backward takes
+    it to each member's input. Row b's gradient is then summed as teacher i,
+    teacher j, student i, student j for its pair (i, j): the order in which
+    one shared input leaf accumulates the per-pair formulation (four
+    forwards per ordered pair), so the result is bit-equal to it.
     """
-    ensembles = [join(teachers)] + ([] if student is None else
-                                    [student[range(len(student))]])
-    leaves = [Tensor(np.broadcast_to(x, (len(e),) + x.shape), requires_grad=True)
-              for e in ensembles]
-    gap: Tensor | None = None
-    for ensemble, leaf in zip(ensembles, leaves):
-        log_p = ad.log_softmax_temp(ensemble.forward(leaf), 1.0)
-        kl = ad.sum(_pair_kl(ad.take_members(log_p, pairs[:, 0]),
-                             ad.take_members(log_p, pairs[:, 1])))
-        gap = kl if gap is None else ad.sub(gap, kl)
-    assert gap is not None
-    gap.backward()
+    nets = [join(teachers)] + ([] if student is None else [student])
+    members = len(nets[0])
+    layers = [(np.concatenate([ad.dense_weight_t(l.weight, l.r, l.s) for l in stack]),
+               np.concatenate([l.bias.data for l in stack]))
+              for stack in zip(*(net.layers for net in nets))]
+    last = len(layers) - 1
+    outs = []
+    h = x
+    for k, (w_t, bias) in enumerate(layers):
+        h = ad.dense_values(h, w_t, bias, k != last)
+        outs.append(h)
+    g = _pair_logits_grad(h, pairs, members)
+    for k in range(last, -1, -1):
+        # each output is let go once its relu is taken back
+        g = ad.dense_input_grad(ad.dense_pre_grad(g, outs.pop(), k != last), layers[k][0])
+        np.add(g, 0.0, out=g)   # the first arrival of a gradient, as on the tape
     rows = np.arange(len(x))
     grad = np.zeros_like(x)
-    for leaf in leaves:
-        grad = grad + leaf.grad[pairs[:, 0], rows] + leaf.grad[pairs[:, 1], rows]
+    for offset in range(0, len(g), members):
+        grad = grad + g[offset + pairs[:, 0], rows] + g[offset + pairs[:, 1], rows]
     return grad
 
 

@@ -457,6 +457,33 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "m.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_bad_ood_spec_exits_2_before_any_output(self, trained, tmp_path, capsys):
+        _, teachers = trained
+        ood = tmp_path / "ood.json"
+        ood.write_text(json.dumps({"shift": -1.0}))
+        out = tmp_path / "m.csv"
+        assert main(["evaluate", "--model", str(teachers / "seed0" / "teacher0.json"),
+                     "--data", str(write_data_spec(tmp_path)), "--ood", str(ood),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: ood spec: shift must be positive and finite, got -1.0\n"
+        assert not out.exists() and not list(tmp_path.glob("m.csv*"))
+
+    @pytest.mark.parametrize("command", ["evaluate", "line-scan", "perturb-diag"])
+    def test_data_spec_errors_name_the_file(self, trained, tmp_path, capsys, command):
+        _, teachers = trained
+        spec = tmp_path / "data.json"
+        spec.write_text(json.dumps({**TINY["data"], "dim": 2.5}))
+        model = str(teachers / "seed0" / "teacher0.json")
+        extra = {"evaluate": ["--model", model],
+                 "line-scan": ["--model", model],
+                 "perturb-diag": ["--teachers", str(teachers), "--student", model,
+                                  "--kind", "tdiv"]}[command]
+        assert main([command, *extra, "--data", str(spec),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {spec}: data: dim must be an integer, got 2.5\n"
+
     def test_data_spec_not_an_object_exits_2(self, trained, tmp_path, capsys):
         _, teachers = trained
         spec = tmp_path / "list.json"
@@ -512,6 +539,22 @@ class TestMalformedInput:
         out = tmp_path / "teachers"
         assert main(["train-teachers", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("distill", "tau", True), ("distill", "alpha", "1.0"), ("distill", "rank_decay", False),
+        ("distill", "gamma", "0.1"), (None, "aekd_c", "0.6"), (None, "aekd_c", True),
+        ("optim", "base_lr", True), ("optim", "momentum", "0.9"),
+        ("optim", "weight_decay", False),
+    ])
+    def test_real_config_number_of_wrong_type_exits_2(self, tmp_path, capsys, section, key,
+                                                      value):
+        cfg = write_config(tmp_path, **({key: value} if section is None
+                                        else {section: {key: value}}))
+        out = tmp_path / "teachers"
+        assert main(["train-teachers", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: {key} must be a real number, got {value!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [

@@ -351,6 +351,15 @@ class TestDistillConfig:
         with pytest.raises(ValueError, match=f"^{field} must "):
             DistillConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["tau", "alpha", "rank_decay", "gamma", "aekd_c"])
+    def test_real_fields_reject_bools_and_strings(self, field):
+        for value in (True, "0.5"):
+            with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+                DistillConfig(**{field: value})
+        # numpy scalars and integers are real numbers
+        assert getattr(DistillConfig(method="aekd", **{field: np.float64(1.0)}), field) == 1.0
+        assert getattr(DistillConfig(method="aekd", **{field: 1}), field) == 1
+
 
 class TestAekdWeights:
     def test_minimum_tolerance_forces_uniform(self):

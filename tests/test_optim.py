@@ -91,6 +91,13 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             OptimConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["base_lr", "momentum", "weight_decay"])
+    def test_real_fields_reject_bools_and_strings(self, field):
+        for value in (True, False, "0.5"):
+            with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+                OptimConfig(**{field: value})
+        assert getattr(OptimConfig(**{field: np.float64(0.5)}), field) == 0.5
+
     def test_numpy_integers_accepted(self):
         cfg = OptimConfig(epochs=np.int64(6), warmup_epochs=np.int32(1),
                           batch_size=np.int64(32), seed=np.int64(3))

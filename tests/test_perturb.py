@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import distilab.autodiff as ad
-from distilab.autodiff import Tensor
+from distilab.autodiff import NumericsError, Tensor
 from distilab.metrics import diversity_from_probs, member_probs
 from distilab.nets import MLP, ModelSpec, build_be, build_plain, join
 from distilab.optim import train_teachers
 from distilab.perturb import (KINDS, _normalize_rows, _ods_gradients, _pair_gap_grad,
-                              _pair_kl, build_perturbation, diversity_shift_values,
+                              _pair_logits_grad, build_perturbation, diversity_shift_values,
                               draw_pairs, pair_gap_values)
 from distilab.seeding import rng_stream
 
@@ -30,10 +30,17 @@ def perturb(kind, teachers, x, gamma, seed, student=None, tau=1.0):
                               rng_stream(seed, "noise"), rng_stream(seed, "index"))
 
 
+def tape_pair_kl(log_pi, log_pj):
+    """Per-row KL(p_i || p_j) on the tape, from two (B, K) log-probability
+    tensors: the formulation ``_pair_logits_grad`` differentiates in closed
+    form."""
+    return ad.sum(ad.mul(ad.exp(log_pi), ad.sub(log_pi, log_pj)), axis=-1)
+
+
 def pair_kl(model_i, model_j, x, tau=1.0):
     """Per-sample KL(p_i || p_j) between two logit functions of x."""
-    return _pair_kl(ad.log_softmax_temp(model_i(x), tau),
-                    ad.log_softmax_temp(model_j(x), tau))
+    return tape_pair_kl(ad.log_softmax_temp(model_i(x), tau),
+                        ad.log_softmax_temp(model_j(x), tau))
 
 
 def per_pair_gap_grad(teachers, student, x, pairs):
@@ -54,7 +61,7 @@ def per_pair_gap_grad(teachers, student, x, pairs):
 
 def masked_member_rows(log_p, members):
     """Row b of member members[b] of an (M, B, K) tensor, as the member sum of
-    one-hot-masked members: the form ``ad.take_members`` replaces."""
+    one-hot-masked members: a gather on the tape."""
     onehot = np.arange(log_p.shape[0])[:, None, None] == members[None, :, None]
     return ad.sum(ad.mul(Tensor(np.broadcast_to(onehot, log_p.shape)), log_p), axis=0)
 
@@ -244,7 +251,7 @@ class TestPairPerturbations:
             cos = float(g[b] @ pert.epsilon[b] / (gn * en))
             assert abs(cos - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("members", [2, 3])
+    @pytest.mark.parametrize("members", [2, 3, 4])
     @pytest.mark.parametrize("joined", [False, pytest.param(True, id="joined")])
     @pytest.mark.parametrize("with_student", [False, True])
     def test_gradient_bitwise_equals_per_pair_oracle(self, members, joined,
@@ -255,8 +262,9 @@ class TestPairPerturbations:
         given = join(teachers) if joined else teachers
         kind = "tdiv" if student is None else "tdiv_sdiv"
         rng = np.random.default_rng(52)
-        for trial in range(3):
-            x = 2.0 * rng.normal(size=(128, 2))
+        # full batches, the README task's last batch (2 mod 4 rows), one row
+        for trial, rows in enumerate((128, 26, 1)):
+            x = 2.0 * rng.normal(size=(rows, 2))
             # the oracle's pairs come from one copy of the pair stream and
             # build_perturbation draws its own from a fresh copy
             pairs = draw_pairs(rng_stream(trial, "pairs"), members, len(x))
@@ -269,43 +277,63 @@ class TestPairPerturbations:
             assert np.array_equal(pert.epsilon, _normalize_rows(oracle, 0.3))
 
     @pytest.mark.parametrize("members", [2, 4])
-    def test_member_gather_bitwise_equals_masked_sum(self, members):
-        # the pair rows, and the input-gradient rows _pair_gap_grad reads,
-        # keep their bytes when one gather node replaces the masked sum
-        teachers, student = pair_ensembles(members, hidden=(64, 64))
+    def test_logits_gradient_bitwise_equals_tape(self, members):
+        # the closed form against the pair KLs of gathered rows on the tape,
+        # at logits wide enough that some probabilities underflow to zero
         rng = np.random.default_rng(56)
-        x = 2.0 * rng.normal(size=(128, 2))
-        pairs = draw_pairs(rng, members, len(x))
-        rows = np.arange(len(x))
-        for net in (join(teachers), student[range(members)]):
-            runs = []
-            for pick in (ad.take_members, masked_member_rows):
-                leaf = Tensor(np.broadcast_to(x, (members,) + x.shape), requires_grad=True)
-                log_p = ad.log_softmax_temp(net.forward(leaf), 1.0)
-                picked = [pick(log_p, pairs[:, c]) for c in (0, 1)]
-                ad.sum(_pair_kl(*picked)).backward()
-                runs.append((log_p, picked, leaf.grad))
-            (log_p, got, got_grad), (_, want, want_grad) = runs
-            for c in (0, 1):
-                assert np.array_equal(got[c].data, log_p.data[pairs[:, c], rows])
-                assert got[c].data.tobytes() == want[c].data.tobytes()
-                assert got_grad[pairs[:, c], rows].tobytes() == \
-                    want_grad[pairs[:, c], rows].tobytes()
+        for scale in (1.0, 3.0, 800.0):
+            for ensembles in (1, 2):
+                logits = scale * rng.normal(size=(ensembles * members, 26, 5))
+                pairs = draw_pairs(rng, members, 26)
+                leaves = [Tensor(logits[k * members:(k + 1) * members], requires_grad=True)
+                          for k in range(ensembles)]
+                gap = None
+                for leaf in leaves:
+                    log_p = ad.log_softmax_temp(leaf, 1.0)
+                    kl = ad.sum(tape_pair_kl(*(masked_member_rows(log_p, pairs[:, c])
+                                               for c in (0, 1))))
+                    gap = kl if gap is None else ad.sub(gap, kl)
+                gap.backward()
+                want = np.concatenate([leaf.grad for leaf in leaves])
+                got = _pair_logits_grad(logits, pairs, members)
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("members", [2, 3, 4])
     def test_each_member_runs_once(self, members, monkeypatch):
-        # one stacked forward per ensemble runs each of its members once
+        # one stacked forward, teachers then student, runs each member once
+        # on the shared input, and no net runs a graph forward
         teachers, student = pair_ensembles(members)
-        calls = []
-        forward = MLP.forward
-        monkeypatch.setattr(MLP, "forward",
-                            lambda net, x: calls.append(len(net)) or forward(net, x))
+        calls, forwards = [], []
+        values = ad.dense_values
+        monkeypatch.setattr(ad, "dense_values",
+                            lambda x, w_t, *a: calls.append((x, w_t)) or values(x, w_t, *a))
+        monkeypatch.setattr(MLP, "forward", lambda net, x: forwards.append(net))
         x = np.random.default_rng(53).normal(size=(64, 2))
-        perturb("tdiv_sdiv", teachers, x, 0.2, 54, student=student)
-        assert calls == [members, members]
-        calls.clear()
-        perturb("tdiv", teachers, x, 0.2, 55, student=student)
-        assert calls == [members]
+        layer = join(teachers).layers[0]
+        teacher_w = ad.member_weights(layer.weight, layer.r, layer.s)
+        layer = student.layers[0]
+        student_w = ad.member_weights(layer.weight, layer.r, layer.s)
+        for kind, stacked in (("tdiv_sdiv", [teacher_w, student_w]), ("tdiv", [teacher_w])):
+            calls.clear()
+            perturb(kind, teachers, x, 0.2, 54, student=student)
+            assert len(calls) == len(student.layers)
+            assert calls[0][0] is x
+            assert all(len(w_t) == len(stacked) * members for _, w_t in calls)
+            assert np.array_equal(calls[0][1],
+                                  np.concatenate(stacked).transpose(0, 2, 1))
+        assert forwards == []
+
+    def test_overflow_raises_numerics_error(self, teachers, student):
+        x = np.random.default_rng(57).normal(size=(8, 2))
+        big = [build_plain(t.spec, rng_stream(58, "init")) for t in teachers]
+        for layer in big[1].layers:
+            layer.weight.data *= 1e200
+        with pytest.raises(NumericsError, match="'dense'"):
+            perturb("tdiv_sdiv", big, x, 0.2, 59, student=student)
+        # finite logits whose log-probabilities are not
+        logits = np.array([[[-1e308, 1e308, 0.0]], [[0.0, 1.0, 2.0]]])
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'pair_gap'"):
+            _pair_logits_grad(logits, np.array([[0, 1]]), 2)
 
     def test_first_order_ascent(self, teachers, student):
         x = np.random.default_rng(28).normal(size=(400, 2))

@@ -1,5 +1,6 @@
 """The byte-identity sweep in tools/sweep_digests.py: complete and repeatable."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,10 @@ SWEEP = Path(__file__).resolve().parent.parent / "tools" / "sweep_digests.py"
 
 
 def test_two_sweeps_print_identical_digests():
+    # the second sweep runs on one BLAS thread: the bytes hold at any thread count
     runs = [subprocess.run([sys.executable, str(SWEEP)], capture_output=True, text=True,
-                           timeout=120, check=True).stdout for _ in range(2)]
+                           timeout=120, check=True, env=env).stdout
+            for env in (None, {**os.environ, "OPENBLAS_NUM_THREADS": "1"})]
     assert runs[0] == runs[1]
     paths = {line.split("  ", 1)[1] for line in runs[0].splitlines()}
     for m in (2, 3, 4):
