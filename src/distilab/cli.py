@@ -132,12 +132,10 @@ def _read_spec(path: str | Path, what: str) -> dict:
     return spec
 
 
-def load_data_spec(path: str | Path, csv: bool = False) -> dict:
-    """The data spec in the file at path: a mixture, whose errors name the
-    file, or when csv is true also a {"kind": "csv"} spec."""
+def load_data_spec(path: str | Path) -> dict:
+    """The mixture spec in the file at path, whose errors name the file."""
     spec = _read_spec(path, "data spec")
-    if not (csv and spec.get("kind") == "csv"):
-        _check_mixture(spec, str(path))
+    _check_mixture(spec, str(path))
     return spec
 
 
@@ -247,12 +245,13 @@ def cmd_distill(args) -> int:
 
 def _resolve_eval_data(args) -> tuple[Dataset, Dataset, str]:
     """Returns (evaluated split, validation split for temperature, split name)."""
-    spec = load_data_spec(args.data, csv=True)
+    spec = _read_spec(args.data, "data spec")
     if spec.get("kind") == "csv":
         num_classes = None if "num_classes" not in spec else \
             _integer(spec, "num_classes", "csv data spec")
         ds = load_csv(_require(spec, "path", "csv data spec"), num_classes)
         return ds, ds, "csv"
+    _check_mixture(spec, str(args.data))
     train, val, test = build_datasets(spec)
     return {"train": train, "val": val, "test": test}[args.split], val, args.split
 

@@ -14,13 +14,13 @@ gamma (rows with a vanishing gradient stay at zero). The pair kinds draw one
 ordered member pair per sample, shared between the teacher and student
 divergence terms, and differentiate each pair KL through both of its
 members, so the step is a first-order ascent direction of the diversity gap.
-The teachers and the student run as one stacked net of constants, one
-forward per step with no tape: the pair-KL gradient of the logits has a
-closed form, and the input-only dense backward takes it to the input, so no
-parameter gradient is formed. Each row's gradient is summed in the order
-teacher i, teacher j, student i, student j of its pair: that order is kept on
-purpose, because it makes the step bit-equal to building the gap one pair at
-a time.
+The teachers, joined as one net of constants, and the student run one
+forward each per step with no tape: the pair-KL gradient of their stacked
+logits has a closed form, and the input-only dense backward takes it to the
+input, so no parameter gradient is formed. Each row's gradient is summed in
+the order teacher i, teacher j, student i, student j of its pair: that order
+is kept on purpose, because it makes the step bit-equal to building the gap
+one pair at a time.
 
 An ensemble is a net or a list of one-member plain nets (see ``nets.join``).
 """
@@ -126,35 +126,39 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray) -> np.nd
     distributions, with the pair draw shared between the teacher and student
     terms of each sample.
 
-    The teachers' and the student's member weights stack into one net of
-    2M constant members (M without a student), which runs one forward on the
-    shared input through ``dense_values``. ``_pair_logits_grad`` gives the
-    logits gradient in closed form, and the input-only dense backward takes
-    it to each member's input. Row b's gradient is then summed as teacher i,
-    teacher j, student i, student j for its pair (i, j): the order in which
-    one shared input leaf accumulates the per-pair formulation (four
-    forwards per ordered pair), so the result is bit-equal to it.
+    The teachers, joined into one net of M constant members, and the student
+    each run one forward on the shared input through ``dense_values``, on
+    their own layers, so their widths and depths may differ. Their logits
+    stack into (2M, B, K) (M without a student); ``_pair_logits_grad`` gives
+    the logits gradient in closed form, and each net's input-only dense
+    backward takes its share to each member's input. Row b's gradient is then
+    summed as teacher i, teacher j, student i, student j for its pair (i, j):
+    the order in which one shared input leaf accumulates the per-pair
+    formulation (four forwards per ordered pair), so the result is bit-equal
+    to it.
     """
     nets = [join(teachers)] + ([] if student is None else [student])
     members = len(nets[0])
-    layers = [(np.concatenate([ad.dense_weight_t(l.weight, l.r, l.s) for l in stack]),
-               np.concatenate([l.bias.data for l in stack]))
-              for stack in zip(*(net.layers for net in nets))]
-    last = len(layers) - 1
-    outs = []
-    h = x
-    for k, (w_t, bias) in enumerate(layers):
-        h = ad.dense_values(h, w_t, bias, k != last)
-        outs.append(h)
-    g = _pair_logits_grad(h, pairs, members)
-    for k in range(last, -1, -1):
-        # each output is let go once its relu is taken back
-        g = ad.dense_input_grad(ad.dense_pre_grad(g, outs.pop(), k != last), layers[k][0])
-        np.add(g, 0.0, out=g)   # the first arrival of a gradient, as on the tape
+    passes = []
+    for net in nets:
+        layers = [(ad.dense_weight_t(l.weight, l.r, l.s), l.bias.data) for l in net.layers]
+        outs = []
+        h = x
+        for k, (w_t, bias) in enumerate(layers):
+            h = ad.dense_values(h, w_t, bias, k != len(layers) - 1)
+            outs.append(h)
+        passes.append((layers, outs))
+    g_logits = _pair_logits_grad(np.concatenate([outs[-1] for _, outs in passes]),
+                                 pairs, members)
     rows = np.arange(len(x))
     grad = np.zeros_like(x)
-    for offset in range(0, len(g), members):
-        grad = grad + g[offset + pairs[:, 0], rows] + g[offset + pairs[:, 1], rows]
+    for (layers, outs), g in zip(passes, np.split(g_logits, len(nets))):
+        last = len(layers) - 1
+        for k in range(last, -1, -1):
+            # each output is let go once its relu is taken back
+            g = ad.dense_input_grad(ad.dense_pre_grad(g, outs.pop(), k != last), layers[k][0])
+            np.add(g, 0.0, out=g)   # the first arrival of a gradient, as on the tape
+        grad = grad + g[pairs[:, 0], rows] + g[pairs[:, 1], rows]
     return grad
 
 

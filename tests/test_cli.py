@@ -186,11 +186,17 @@ class TestDistill:
 
     def test_student_hidden_widths_may_differ_from_the_teachers(self, trained, tmp_path):
         _, teachers = trained
-        cfg = write_config(tmp_path, model={"hidden": [8]})
-        out = tmp_path / "narrow"
-        assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
-                     "--out", str(out)]) == 0
-        assert checkpoint_load(out / "seed0" / "student.json").spec.hidden == (8,)
+        for perturbation in ("none", "tdiv_sdiv"):
+            cfg = write_config(tmp_path, model={"hidden": [8]},
+                               distill={"perturbation": perturbation})
+            out = tmp_path / f"narrow_{perturbation}"
+            assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                         "--out", str(out)]) == 0
+            assert checkpoint_load(out / "seed0" / "student.json").spec.hidden == (8,)
+        assert main(["perturb-diag", "--teachers", str(teachers),
+                     "--student", str(out / "seed0" / "student_be.json"),
+                     "--data", str(write_data_spec(tmp_path)), "--kind", "tdiv_sdiv",
+                     "--out", str(tmp_path / "diag.csv")]) == 0
 
     def test_proxy_end2_method_runs(self, trained, tmp_path):
         cfg = write_config(tmp_path, method="proxy_end2")

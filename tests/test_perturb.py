@@ -66,10 +66,11 @@ def masked_member_rows(log_p, members):
     return ad.sum(ad.mul(Tensor(np.broadcast_to(onehot, log_p.shape)), log_p), axis=0)
 
 
-def pair_ensembles(members, hidden=(16,)):
+def pair_ensembles(members, hidden=(16,), student_hidden=None):
     spec = ModelSpec(2, 3, hidden)
     teachers = [build_plain(spec, rng_stream(40 + s, "init")) for s in range(members)]
-    student = build_be(spec, rng_stream(50, "init"), "random_sign", members=members)
+    student_spec = spec if student_hidden is None else ModelSpec(2, 3, student_hidden)
+    student = build_be(student_spec, rng_stream(50, "init"), "random_sign", members=members)
     rng = np.random.default_rng(51)
     for l in student.layers:
         for m in range(members):
@@ -298,29 +299,47 @@ class TestPairPerturbations:
                 got = _pair_logits_grad(logits, pairs, members)
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("hidden, student_hidden", [
+        ((16, 16), (8,)), ((3, 3), (3,)), ((8,), (16, 16, 16)),
+    ])
+    def test_student_architecture_may_differ_from_the_teachers(self, hidden,
+                                                               student_hidden):
+        # the student runs on its own layers: narrower, shallower (at widths
+        # that line up with the 3 classes) or deeper than the teachers
+        teachers, student = pair_ensembles(3, hidden, student_hidden)
+        rng = np.random.default_rng(55)
+        x = 2.0 * rng.normal(size=(26, 2))
+        pairs = draw_pairs(rng_stream(0, "pairs"), 3, len(x))
+        oracle = per_pair_gap_grad(teachers, student, x, pairs)
+        assert np.array_equal(_pair_gap_grad(teachers, student, x, pairs), oracle)
+        pert = build_perturbation("tdiv_sdiv", teachers, student, x, 0.3, 1.0,
+                                  rng_stream(0, "noise"), rng_stream(0, "pairs"))
+        assert np.array_equal(pert.epsilon, _normalize_rows(oracle, 0.3))
+
     @pytest.mark.parametrize("members", [2, 3, 4])
     def test_each_member_runs_once(self, members, monkeypatch):
-        # one stacked forward, teachers then student, runs each member once
-        # on the shared input, and no net runs a graph forward
-        teachers, student = pair_ensembles(members)
+        # the teachers, joined into one net, and then the student each run one
+        # forward on the shared input, every member once; no net runs a graph
+        # forward
+        teachers, student = pair_ensembles(members, student_hidden=(8, 8))
         calls, forwards = [], []
         values = ad.dense_values
         monkeypatch.setattr(ad, "dense_values",
                             lambda x, w_t, *a: calls.append((x, w_t)) or values(x, w_t, *a))
         monkeypatch.setattr(MLP, "forward", lambda net, x: forwards.append(net))
         x = np.random.default_rng(53).normal(size=(64, 2))
-        layer = join(teachers).layers[0]
-        teacher_w = ad.member_weights(layer.weight, layer.r, layer.s)
-        layer = student.layers[0]
-        student_w = ad.member_weights(layer.weight, layer.r, layer.s)
-        for kind, stacked in (("tdiv_sdiv", [teacher_w, student_w]), ("tdiv", [teacher_w])):
+        joined = join(teachers)
+        for kind, nets in (("tdiv_sdiv", [joined, student]), ("tdiv", [joined])):
             calls.clear()
             perturb(kind, teachers, x, 0.2, 54, student=student)
-            assert len(calls) == len(student.layers)
-            assert calls[0][0] is x
-            assert all(len(w_t) == len(stacked) * members for _, w_t in calls)
-            assert np.array_equal(calls[0][1],
-                                  np.concatenate(stacked).transpose(0, 2, 1))
+            layers = [l for net in nets for l in net.layers]
+            assert len(calls) == len(layers)
+            firsts = [0, len(joined.layers)][:len(nets)]
+            assert all(calls[k][0] is x for k in firsts)
+            for (_, w_t), l in zip(calls, layers):
+                assert len(w_t) == members
+                assert np.array_equal(
+                    w_t, ad.member_weights(l.weight, l.r, l.s).transpose(0, 2, 1))
         assert forwards == []
 
     def test_overflow_raises_numerics_error(self, teachers, student):
