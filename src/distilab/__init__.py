@@ -17,6 +17,6 @@ from .nets import (MLP, ModelSpec, average_rank_one, build_be, build_plain,
                    checkpoint_load, checkpoint_save, join)
 from .optim import OptimConfig, lr_at, train_teachers
 from .perturb import Perturbation, build_perturbation
-from .subspace import EndpointTrace, LineScan, interpolate, line_scan
+from .subspace import LineScan, interpolate, line_scan
 
 __version__ = "0.1.0"

@@ -29,10 +29,10 @@ from .metrics import (entropy_histogram, evaluate_model,
                       _mean_probs, _model_eval_logits)
 from .nets import (MLP, CheckpointError, ModelSpec, average_rank_one,
                    checkpoint_load, checkpoint_save, is_int, is_real, join)
-from .optim import OptimConfig, steps_per_epoch, train_teachers
+from .optim import OptimConfig, train_teachers
 from .perturb import KINDS, build_perturbation, default_gamma, diversity_shift_values
 from .seeding import rng_stream
-from .subspace import EndpointTrace, line_scan
+from .subspace import line_scan
 
 
 class ConfigError(ValueError):
@@ -220,12 +220,8 @@ def cmd_distill(args) -> int:
         dcfg = replace(cfg.distill, optim=replace(cfg.optim, seed=seed))
         out_dir = Path(args.out) / f"seed{seed}"
         out_dir.mkdir(parents=True, exist_ok=True)
-        trace = None
-        if method == "latentbe" and cfg.distill.num_teachers == 2:
-            total = dcfg.optim.epochs * steps_per_epoch(len(train), dcfg.optim.batch_size)
-            trace = EndpointTrace.for_run(train, test, total)
-        student = train_student(teachers, cfg.model_spec, train, dcfg,
-                                step_hook=trace.hook if trace is not None else None)
+        trace = [] if method == "latentbe" and cfg.distill.num_teachers == 2 else None
+        student = train_student(teachers, cfg.model_spec, train, dcfg, trace=trace)
         saved = {"student_be.json" if student.factored else "student.json": student}
         if method == "latentbe":
             saved["student.json"] = average_rank_one(student)
@@ -233,8 +229,8 @@ def cmd_distill(args) -> int:
             checkpoint_save(net, out_dir / name)
         outputs = list(saved)
         if trace is not None:
-            _write_csv(out_dir / "trace.csv", ("step", "div_train", "div_test", "avg_test_nll"),
-                       trace.rows)
+            _write_csv(out_dir / "trace.csv", ("step", "loss", "div_teachers", "div_student"),
+                       trace)
             outputs.append("trace.csv")
         _write_manifest(out_dir, f"distill:{method}", cfg.raw, seed,
                         {"train": train.digest(), "val": val.digest(),

@@ -33,7 +33,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
-from .metrics import PROB_FLOOR, batched_logits, member_probs, softmax_np
+from .metrics import (PROB_FLOOR, batched_logits, member_probs, pairwise_divergence_values,
+                      softmax_np)
 from .nets import RANK_INITS, MLP, ModelSpec, build_be, build_plain, is_int, is_real, join
 from .optim import OptimConfig, fit, one_hot
 from .perturb import KINDS, build_perturbation, default_gamma
@@ -328,18 +329,51 @@ def _proxy_batch_loss(teachers: MLP, student: MLP, cfg: DistillConfig):
     return loss
 
 
-def _one_to_one_batch_loss(teachers: MLP, student: MLP, cfg: DistillConfig):
+def _one_to_one_batch_loss(teachers: MLP, student: MLP, cfg: DistillConfig,
+                           held: list | None = None):
     """Member m mimics teacher m; the member losses are summed, each
     tau^2-scaled and batch-averaged, in one sum over all members whose value
-    rounds unlike a member-by-member sum but whose gradients are the same bits."""
+    rounds unlike a member-by-member sum but whose gradients are the same bits.
+    With a list ``held``, each call appends its loss value and the (M, B, K)
+    teacher and student logits it formed, before the step's update, for
+    ``_add_trace_rows``."""
     scale = -cfg.tau ** 2
 
     def loss(xb, yb):
-        probs = softmax_np(batched_logits(teachers, xb), cfg.tau)
-        log_p = ad.log_softmax_temp(student.forward(Tensor(xb)), cfg.tau)
-        return ad.scale(ad.sum(ad.mul(Tensor(probs), log_p)), scale / len(xb))
+        t_logits = batched_logits(teachers, xb)
+        logits = student.forward(Tensor(xb))
+        log_p = ad.log_softmax_temp(logits, cfg.tau)
+        out = ad.scale(ad.sum(ad.mul(Tensor(softmax_np(t_logits, cfg.tau)), log_p)),
+                       scale / len(xb))
+        if held is not None:
+            held.append((float(out.data), t_logits, logits.data))
+        return out
 
     return loss
+
+
+# Steps whose logits wait for one pass that forms their trace rows. A row
+# formed in its own step cost about twice as much, mostly numpy's per-call
+# work on a few hundred rows; at 64 steps the pass raised the process's
+# peak memory.
+_TRACE_BLOCK = 16
+
+
+def _add_trace_rows(trace: list, held: list) -> None:
+    """Append to trace one (step, loss, div_teachers, div_student) row per
+    held step of ``_one_to_one_batch_loss``, and empty held. One pass over
+    every held step's logits forms all their rows; each row's divergence,
+    and so the mean over one step's rows, has the bits of
+    ``metrics.diversity`` on that step's logits alone."""
+    div = pairwise_divergence_values(softmax_np(
+        np.concatenate([a for _, t, s in held for a in (t, s)], axis=1), 1.0))
+    start = 0
+    for loss, t_logits, _ in held:
+        n = t_logits.shape[1]
+        trace.append((len(trace) + 1, loss, float(div[start:start + n].mean()),
+                      float(div[start + n:start + 2 * n].mean())))
+        start += 2 * n
+    held.clear()
 
 
 _BATCH_LOSSES = {"kd": _kd_batch_loss, "aekd": _kd_batch_loss,
@@ -348,7 +382,7 @@ _BATCH_LOSSES = {"kd": _kd_batch_loss, "aekd": _kd_batch_loss,
 
 
 def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset,
-                  cfg: DistillConfig, step_hook=None) -> MLP:
+                  cfg: DistillConfig, step_hook=None, trace: list | None = None) -> MLP:
     """Distill the teachers into a new student by cfg.method; returns it.
 
     The student is built from the seed's "init" stream: a factored net of
@@ -358,9 +392,15 @@ def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset
     index/pair draws from their own streams; only latentbe pulls the factors
     toward ones, by cfg.rank_decay, so with perturbation "none" and
     rank_decay 0 it trains bit-identically to be from student_init "ones".
-    step_hook(step, student) runs after each update. Collapse a latentbe
-    student with ``nets.average_rank_one``.
+    step_hook(step, student) runs after each update. A trace list, which
+    needs a factored student, gets one (step, loss, div_teachers,
+    div_student) row per step: the step's batch loss and the member
+    diversities of the teacher and student logits that loss formed at the
+    step's inputs x + eps, before its update. Collapse a latentbe student
+    with ``nets.average_rank_one``.
     """
+    if trace is not None and cfg.method not in FACTORED:
+        raise ValueError(f"only a factored student is traced, not {cfg.method}")
     teachers = join(teachers)
     if len(teachers) != cfg.num_teachers:
         raise ValueError(f"config expects {cfg.num_teachers} teachers, "
@@ -375,7 +415,9 @@ def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset
         student = build_plain(spec, rng, head="dirichlet")
     else:
         student = build_plain(spec, rng)
-    loss = _BATCH_LOSSES[cfg.method](teachers, student, cfg)
+    held = None if trace is None else []
+    loss = (_BATCH_LOSSES[cfg.method](teachers, student, cfg) if held is None
+            else _one_to_one_batch_loss(teachers, student, cfg, held))
     gamma = cfg.gamma if cfg.gamma is not None else default_gamma(train.x)
     noise_rng = rng_stream(cfg.optim.seed, "guidance-vectors")
     index_rng = rng_stream(cfg.optim.seed, "pair-sampling")
@@ -384,7 +426,13 @@ def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset
         if cfg.perturbation != "none":
             xb = xb + build_perturbation(cfg.perturbation, teachers, student, xb, gamma,
                                          cfg.tau, noise_rng, index_rng).epsilon
-        return loss(xb, yb)
+        out = loss(xb, yb)
+        if held is not None and len(held) == _TRACE_BLOCK:
+            _add_trace_rows(trace, held)
+        return out
 
     rank_decay = cfg.rank_decay if cfg.method == "latentbe" else 0.0
-    return fit(student, train, cfg.optim, batch_loss, rank_decay, step_hook)
+    fit(student, train, cfg.optim, batch_loss, rank_decay, step_hook)
+    if held:
+        _add_trace_rows(trace, held)
+    return student

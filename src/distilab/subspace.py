@@ -11,16 +11,15 @@ the (unavailable post hoc) distillation objective when quantifying barriers.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
-from .metrics import accuracy, batched_logits, diversity, nll_with_stats, softmax_np
-from .nets import Layer, MLP, average_rank_one, join
+from .metrics import accuracy, batched_logits, nll_with_stats, softmax_np
+from .nets import Layer, MLP, join
 
 
 def default_grid() -> np.ndarray:
@@ -111,38 +110,3 @@ def pairwise_barriers(model: MLP, train: Dataset, test: Dataset) -> dict:
             worst = max(worst, b)
     out["max_barrier"] = worst
     return out
-
-
-@dataclass
-class EndpointTrace:
-    """Periodic record of member diversity and averaged-student test NLL.
-
-    Pass ``hook`` as the step hook of a distillation loop; rows accumulate as
-    (step, div_train, div_test, avg_test_nll) at every step that is a multiple
-    of ``every``. ``for_run`` sets ``every`` to ceil(steps / 40), so a run
-    records at most 40 rows.
-    """
-
-    train: Dataset
-    test: Dataset
-    every: int
-    rows: list[tuple[int, float, float, float]] = field(default_factory=list)
-
-    @classmethod
-    def for_run(cls, train: Dataset, test: Dataset, steps: int) -> "EndpointTrace":
-        """A trace of a run of ``steps`` steps: at most 40 rows."""
-        return cls(train, test, every=math.ceil(steps / 40))
-
-    def hook(self, step: int, student: MLP) -> None:
-        if step % self.every != 0:
-            return
-        self.record(step, student)
-
-    def record(self, step: int, student: MLP) -> None:
-        div_train = diversity(student, self.train.x)
-        div_test = diversity(student, self.test.x)
-        averaged = average_rank_one(student)
-        probs = softmax_np(batched_logits(averaged, self.test.x)[0])
-        avg_nll = nll_with_stats(probs, self.test.y)[1]
-        self.rows.append((step, div_train, div_test, avg_nll))
-

@@ -17,11 +17,11 @@ import distilab
 from distilab import cli
 from distilab.autodiff import DomainError
 from distilab.cli import METRIC_COLUMNS, main
-from distilab.distill import train_student
-from distilab.metrics import batched_logits, entropy_histogram, softmax_np
-from distilab.nets import ModelSpec, build_plain, checkpoint_load, checkpoint_save
+from distilab.distill import _one_to_one_batch_loss, train_student
+from distilab.metrics import batched_logits, diversity, entropy_histogram, softmax_np
+from distilab.nets import ModelSpec, build_be, build_plain, checkpoint_load, checkpoint_save
+from distilab.perturb import build_perturbation, default_gamma
 from distilab.seeding import rng_stream
-from distilab.subspace import EndpointTrace
 
 TINY = {
     "data": {"kind": "mixture", "num_classes": 3, "dim": 2, "n_per_class": 40,
@@ -109,30 +109,56 @@ class TestDistill:
         assert (seed_dir / "student.json").exists()
         assert (seed_dir / "student_be.json").exists()
         trace = (seed_dir / "trace.csv").read_text().splitlines()
-        assert trace[0] == "step,div_train,div_test,avg_test_nll"
+        assert trace[0] == "step,loss,div_teachers,div_student"
         assert len(trace) > 1
 
-    def test_long_latentbe_trace_keeps_every_second_library_row(self, trained, tmp_path):
-        # 84 training rows in batches of 32 over 18 epochs: 54 steps, one row
-        # every ceil(54 / 40) = 2 steps
+    # 84 training rows in batches of 32: 3 steps per epoch, so 6 and 22 epochs
+    # end inside the second and the fifth block of steps whose rows are
+    # formed in one pass
+    @pytest.mark.parametrize("perturbation, epochs", [("none", 6), ("tdiv_sdiv", 6),
+                                                      ("tdiv_sdiv", 22)])
+    def test_trace_replays_every_step_bit_for_bit(self, trained, tmp_path, perturbation,
+                                                  epochs):
         cfg, teachers = trained
-        cfg = write_config(tmp_path, optim={"epochs": 18})
-        out = tmp_path / "latent54"
+        cfg = write_config(tmp_path, distill={"perturbation": perturbation},
+                           optim={"epochs": epochs})
+        out = tmp_path / "latent"
         assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
                      "--out", str(out)]) == 0
-        lines = (out / "seed0" / "trace.csv").read_text().splitlines()[1:]
-        assert [int(line.split(",")[0]) for line in lines] == list(range(2, 55, 2))
+        lines = (out / "seed0" / "trace.csv").read_text().splitlines()
 
         run = cli.load_run_config(cfg)
-        train, _, test = cli.build_datasets(run.data)
+        train, _, _ = cli.build_datasets(run.data)
         dcfg = replace(run.distill, optim=replace(run.optim, seed=0))
-        every_step = EndpointTrace(train, test, every=1)
-        train_student(cli._load_teachers(teachers, 0, 2, train), run.model_spec, train, dcfg,
-                      step_hook=every_step.hook)
-        assert len(every_step.rows) == 54
-        expected = [f"{step},{cli._fmt(dt)},{cli._fmt(ds)},{cli._fmt(nll)}"
-                    for step, dt, ds, nll in every_step.rows[1::2]]
+        teacher_net = cli._load_teachers(teachers, 0, 2, train)
+        # the student before each step: the all-ones init, then each update's result
+        before = [build_be(run.model_spec, rng_stream(0, "init"), "ones", members=2)]
+        train_student(teacher_net, run.model_spec, train, dcfg,
+                      step_hook=lambda step, student: before.append(student[range(2)]))
+
+        shuffle = rng_stream(0, "batch-shuffle")
+        noise_rng = rng_stream(0, "guidance-vectors")
+        index_rng = rng_stream(0, "pair-sampling")
+        gamma = default_gamma(train.x)
+        expected = ["step,loss,div_teachers,div_student"]
+        for _ in range(dcfg.optim.epochs):
+            order = shuffle.permutation(len(train))
+            for start in range(0, len(train), dcfg.optim.batch_size):
+                idx = order[start:start + dcfg.optim.batch_size]
+                student = before[len(expected) - 1]
+                x = train.x[idx]
+                if perturbation != "none":
+                    x = x + build_perturbation(perturbation, teacher_net, student, x, gamma,
+                                               dcfg.tau, noise_rng, index_rng).epsilon
+                loss = _one_to_one_batch_loss(teacher_net, student, dcfg)(x, train.y[idx])
+                expected.append(",".join(map(cli._fmt, (len(expected), loss.data,
+                                                        diversity(teacher_net, x),
+                                                        diversity(student, x)))))
+        assert len(expected) == 1 + 3 * epochs == len(before)
         assert lines == expected
+        # latentbe's factors start at all ones: the members are one net at step 1
+        assert lines[1].split(",")[3] == "0"
+        assert float(lines[2].split(",")[3]) > 0.0
 
     def test_kd_manifest_records_default_temperature(self, trained, tmp_path):
         cfg_path = write_config(tmp_path, method="kd")

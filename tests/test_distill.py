@@ -291,6 +291,20 @@ class TestLatentBE:
         with pytest.raises(ValueError, match="perturbation"):
             DistillConfig(perturbation="pgd")
 
+    def test_a_trace_leaves_training_unchanged(self, tiny_task, tiny_teachers, tiny_spec):
+        train, _, _ = tiny_task
+        cfg = replace(method_cfg("be"), perturbation="tdiv_sdiv")
+        rows = []
+        traced = train_student(tiny_teachers, tiny_spec, train, cfg, trace=rows)
+        untraced = train_student(tiny_teachers, tiny_spec, train, cfg)
+        for a, b in zip(traced.parameters(), untraced.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        steps = cfg.optim.epochs * steps_per_epoch(len(train), cfg.optim.batch_size)
+        assert [row[0] for row in rows] == list(range(1, steps + 1))
+        for method in ("kd", "aekd", "proxy_end2"):
+            with pytest.raises(ValueError, match="factored"):
+                train_student(tiny_teachers, tiny_spec, train, method_cfg(method), trace=[])
+
 
 class TestDistillConfig:
     """The method rules a run config obeys, with the messages the CLI prints."""

@@ -213,6 +213,25 @@ class TestTemperature:
             assert accuracy(softmax_np(logits, tau), labels) == base
 
 
+class TestSoftmax:
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_bitwise_equals_the_reduction_form(self, k):
+        # the column-by-column row max against numpy's max over the last axis,
+        # with ties, signed zeros and rows whose other classes underflow
+        rng = np.random.default_rng(20 + k)
+        logits = rng.normal(size=(2, 300, k)) * 5
+        logits[:, :40] = np.round(logits[:, :40])
+        logits[:, 40:80] = rng.choice([0.0, -0.0, -800.0], size=(2, 40, k))
+        for tau in (0.5, 1.0, 4.0):
+            z = logits / tau
+            z = z - z.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            want = e / e.sum(axis=-1, keepdims=True)
+            got = softmax_np(logits, tau)
+            assert got.tobytes() == want.tobytes()
+            assert softmax_np(logits[0, 0], tau).tobytes() == want[0, 0].tobytes()
+
+
 def fit_temperature_loop(val_logits, val_labels, lo=0.05, hi=10.0):
     """The temperature search scoring its coarse grid one temperature at a
     time, as ``fit_temperature`` did before the grid became one array pass."""

@@ -1,5 +1,4 @@
-"""Line interpolation between subnetworks, scan/barrier mechanics, and the
-endpoint diversity trace."""
+"""Line interpolation between subnetworks and scan/barrier mechanics."""
 
 import numpy as np
 import pytest
@@ -8,8 +7,7 @@ from distilab.data import make_mixture
 from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import ModelSpec, average_rank_one, build_be
 from distilab.seeding import rng_stream
-from distilab.subspace import (EndpointTrace, default_grid, interpolate,
-                               line_scan, pairwise_barriers)
+from distilab.subspace import default_grid, interpolate, line_scan, pairwise_barriers
 
 
 @pytest.fixture(scope="module")
@@ -109,37 +107,3 @@ class TestLineScan:
         assert report["max_barrier"] == max(report["pairs"].values())
         assert "M>2" in report["note"]
 
-
-class TestEndpointTrace:
-    def test_ones_init_has_exactly_zero_diversity(self, small_task):
-        train, _, test = small_task
-        spec = ModelSpec(2, 3, (16,))
-        model = build_be(spec, rng_stream(7, "init"), "ones", members=2)
-        trace = EndpointTrace(train, test, every=1)
-        trace.record(0, model)
-        step, div_train, div_test, _ = trace.rows[0]
-        assert div_train == 0.0 and div_test == 0.0
-
-    def test_hook_records_on_schedule(self, small_task, pair_student):
-        train, _, test = small_task
-        trace = EndpointTrace(train, test, every=3)
-        for step in range(1, 10):
-            trace.hook(step, pair_student)
-        assert [r[0] for r in trace.rows] == [3, 6, 9]
-
-    @pytest.mark.parametrize("steps", [1, 40, 41, 54, 79, 80, 1800])
-    def test_a_run_records_at_most_40_rows(self, small_task, steps):
-        train, _, test = small_task
-
-        class Steps(EndpointTrace):
-            def record(self, step, student):
-                self.rows.append((step, 0.0, 0.0, 0.0))
-
-        trace = Steps.for_run(train, test, steps)
-        for step in range(1, steps + 1):
-            trace.hook(step, None)
-        assert 1 <= len(trace.rows) <= 40
-        assert [r[0] for r in trace.rows] == list(range(trace.every, steps + 1, trace.every))
-        if steps in (1, 40, 80, 1800):
-            # the old cadence where it already kept within 40 rows
-            assert trace.every == max(1, steps // 40)

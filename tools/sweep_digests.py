@@ -4,9 +4,8 @@
 
 Runs ``train-teachers``; ``distill`` for every method and every
 perturbation the method allows, at M = 2, 3 and 4, plus one M = 2
-``latentbe`` / ``tdiv_sdiv`` run of 54 steps, longer than the 40 rows its
-endpoint trace may hold; ``evaluate`` with ``--ood`` and with
-``--corrupt``, and at M = 2 with ``--split val`` and on a
+``latentbe`` / ``tdiv_sdiv`` run of 54 steps; ``evaluate`` with ``--ood``
+and with ``--corrupt``, and at M = 2 with ``--split val`` and on a
 ``{"kind": "csv"}`` data spec of the test split; ``line-scan``,
 ``perturb-diag`` and ``average``; and the library call
 ``subspace.pairwise_barriers`` on the M = 3 and M = 4 ``latentbe``
