@@ -1,25 +1,27 @@
-"""Dense float64 tensors with define-by-run reverse-mode differentiation.
+"""Float64 parameter tensors and the closed-form pieces of every gradient.
 
-The graph is rebuilt on every forward pass: each op returns a new Tensor
-holding references to its parents and a closure implementing the local
-backward rule. ``Tensor.backward()`` runs one reverse topological sweep,
-resetting the gradients of every node it reaches first, so repeated
-backward calls on the same graph are idempotent.
+A ``Tensor`` is a parameter leaf: a float64 array, the gradient the last
+backward pass stored for it, and whether it trains. There is no graph.
+``nets.MLP.forward_kept`` runs a net from ``dense_weight_t`` and
+``dense_values`` and keeps each layer's input, weights and output;
+``nets.MLP.backward`` takes a logits gradient back through them with
+``dense_pre_grad``, ``dense_param_grads`` and ``dense_input_grad``. Every
+loss forms its value and its logits gradient in closed form from
+``log_softmax_values`` / ``log_softmax_grad`` and the gamma-family kernels
+below.
 
 Design constraints honored throughout:
 
 * everything is float64; no silent downcasts,
-* any op producing NaN/Inf raises ``NumericsError`` immediately,
-* broadcasting is restricted to identical shapes or tensor-vs-scalar
-  (the dense layer adds its biases itself),
-* gradients flow to inputs as well as parameters, which the perturbation
-  strategies rely on.
+* a value that comes out NaN or Inf raises ``NumericsError`` naming the
+  op or loss that formed it,
+* gradients reach a net's inputs as well as its parameters, which the
+  perturbation strategies rely on.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,10 +44,16 @@ def ensure_finite(arr: np.ndarray, op: str) -> None:
         raise NumericsError(f"non-finite value produced by '{op}'")
 
 
-class Tensor:
-    """A dense float64 array that may participate in the autodiff graph."""
+def first_arrival(g: np.ndarray) -> np.ndarray:
+    """g + 0.0 in place: a gradient's bits as the first term of a sum that
+    starts from zero, which turns each -0.0 into 0.0."""
+    return np.add(g, 0.0, out=g)
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+
+class Tensor:
+    """A float64 parameter array, its gradient and whether it trains."""
+
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, copy=True)
@@ -53,108 +61,20 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._op = "leaf"
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
     @classmethod
     def adopt(cls, arr: np.ndarray) -> "Tensor":
-        """A constant leaf holding arr itself, with no copy and no finiteness
+        """A constant holding arr itself, with no copy and no finiteness
         check: arr must be a finite float64 array that nothing else holds."""
         out = cls.__new__(cls)
         out.data = arr
         out.requires_grad = False
         out.grad = None
-        out._parents = ()
-        out._backward = None
-        out._op = "leaf"
         return out
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __repr__(self) -> str:
-        return f"Tensor(op={self._op}, shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- graph traversal ---------------------------------------------------
-
-    def _topo(self) -> list["Tensor"]:
-        """Reverse-mode visit order: parents after children when reversed.
-
-        Iterative postorder; only nodes that require grad are collected,
-        so the constants of a frozen net (teachers) cost nothing.
-        """
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-        return order
-
-    def backward(self) -> None:
-        """Accumulate d(self)/d(node) into ``grad`` over the whole graph.
-
-        Requires a scalar output. Gradients of every node reachable from
-        here are reset first, so two backward calls after a reset produce
-        bit-identical results.
-        """
-        if self.data.size != 1:
-            raise ShapeError("backward() requires a scalar output, got shape "
-                             f"{self.shape}")
-        if not self.requires_grad:
-            raise ValueError("backward() on a tensor that does not require grad")
-        order = self._topo()
-        for node in order:
-            node.grad = None
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-
-def _node(data: np.ndarray, parents: Sequence[Tensor], op: str,
-          backward: Callable[[np.ndarray], None] | None) -> Tensor:
-    if op not in ("dense", "dense_relu"):  # dense_values checks before the relu
-        ensure_finite(data, op)
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
-    out.grad = None
-    out._parents = tuple(parents)
-    out._backward = backward if out.requires_grad else None
-    out._op = op
-    return out
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        # g + 0.0 has the bits of 0.0 + g, without filling zeros first
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
-    else:
-        t.grad += g
 
 
 # -- member-stacked dense layer ---------------------------------------------
@@ -203,165 +123,31 @@ def dense_input_grad(g_pre: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     return np.matmul(g_pre, w_t.transpose(0, 2, 1))
 
 
-def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
-          bias: Tensor, relu: bool) -> Tensor:
-    """x_m W_m^T + b_m for every member m in one node, (M, B, out), followed
-    by a relu when relu is true.
+def dense_param_grads(x: np.ndarray, g_pre: np.ndarray, weight: Tensor, r: Tensor | None,
+                      s: Tensor | None) -> tuple[np.ndarray, ...]:
+    """The gradients of a layer's weight, r, s and bias (None for the r and s
+    of a plain layer), from its (B, in) or (M, B, in) input x and the
+    (M, B, out) gradient before its relu.
 
-    W_m is ``member_weights(weight, r, s)[m]`` and b_m is row m of the
-    (M, out) bias. x is a (B, in) input shared by every member or an
-    (M, B, in) input with one slice per member. Each member runs the same
-    float operations as a one-member layer would, and the gradients of a
-    shared weight, and of a shared input, sum the members in order 0..M-1.
-    The backward forms a gradient only for the tensors that collect one, so
-    a net of constants (teachers) costs one input-gradient matmul per layer.
+    A plain weight collects each member's own x_m^T g_m; a shared weight
+    sums the members' gradients, each taken through its rank-one factors,
+    in order 0..M-1; r and s take the member gradient through the shared
+    weight. Each is a first arrival (see ``first_arrival``).
     """
-    members = bias.shape[0]
-    if x.data.ndim not in (2, 3) or x.shape[-1] != weight.shape[2] \
-            or (x.data.ndim == 3 and x.shape[0] != members):
-        raise ShapeError(f"dense layer of {members} members with weight "
-                         f"{weight.shape} got input {x.shape}")
-    w_t = dense_weight_t(weight, r, s)
-    # the graph holds this one array per layer
-    out_data = dense_values(x.data, w_t, bias.data, relu)
-
-    def backward(g: np.ndarray) -> None:
-        g = dense_pre_grad(g, out_data, relu)
-        rank_grad = r is not None and (r.requires_grad or s.requires_grad)
-        if weight.requires_grad or rank_grad:
-            x_t = x.data.T if x.data.ndim == 2 else x.data.transpose(0, 2, 1)
-            g_w = np.matmul(x_t, g).transpose(0, 2, 1)      # d/dW_m, (M, out, in)
-            if r is None:
-                _accum(weight, g_w)
-            elif weight.requires_grad:
-                rank_one = r.data[:, :, None] * s.data[:, None, :]
-                _accum(weight, (g_w * rank_one).sum(axis=0, keepdims=True))
-            if rank_grad:
-                g_rank = g_w * weight.data
-                _accum(r, np.matmul(g_rank, s.data[:, :, None])[..., 0])
-                _accum(s, np.matmul(g_rank.transpose(0, 2, 1), r.data[:, :, None])[..., 0])
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=1))
-        if x.requires_grad:
-            g_x = dense_input_grad(g, w_t)
-            _accum(x, g_x if x.data.ndim == 3 else g_x.sum(axis=0))
-
-    parents = (x, weight, bias) if r is None else (x, weight, r, s, bias)
-    return _node(out_data, parents, "dense_relu" if relu else "dense", backward)
+    x_t = x.T if x.ndim == 2 else x.transpose(0, 2, 1)
+    g_w = np.matmul(x_t, g_pre).transpose(0, 2, 1)      # d/dW_m, (M, out, in)
+    g_bias = first_arrival(g_pre.sum(axis=1))
+    if r is None:
+        return np.add(g_w, 0.0, out=np.empty_like(weight.data)), None, None, g_bias
+    rank_one = r.data[:, :, None] * s.data[:, None, :]
+    g_weight = first_arrival((g_w * rank_one).sum(axis=0, keepdims=True))
+    g_rank = g_w * weight.data
+    g_r = first_arrival(np.matmul(g_rank, s.data[:, :, None])[..., 0])
+    g_s = first_arrival(np.matmul(g_rank.transpose(0, 2, 1), r.data[:, :, None])[..., 0])
+    return g_weight, g_r, g_s, g_bias
 
 
-# -- elementwise suite -------------------------------------------------------
-
-def _elementwise_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape and a.data.size != 1 and b.data.size != 1:
-        raise ShapeError(f"{op} supports identical shapes or tensor-vs-scalar, "
-                         f"got {a.shape} and {b.shape}")
-
-
-def _unbroadcast(g: np.ndarray, t: Tensor) -> np.ndarray:
-    # only the scalar-vs-tensor case ever needs reduction here
-    if t.data.size == 1 and g.size != 1:
-        return np.array(g.sum()).reshape(t.data.shape)
-    return g
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _elementwise_shapes(a, b, "add")
-    out_data = a.data + b.data
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g, a))
-        _accum(b, _unbroadcast(g, b))
-
-    return _node(out_data, (a, b), "add", backward)
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    out_data = a.data + c
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, g)
-
-    return _node(out_data, (a,), "add_scalar", backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _elementwise_shapes(a, b, "sub")
-    out_data = a.data - b.data
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g, a))
-        _accum(b, -_unbroadcast(g, b))
-
-    return _node(out_data, (a, b), "sub", backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _elementwise_shapes(a, b, "mul")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out_data = a.data * b.data
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g * b.data, a))
-        _accum(b, _unbroadcast(g * a.data, b))
-
-    return _node(out_data, (a, b), "mul", backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out_data = a.data * c
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, g * c)
-
-    return _node(out_data, (a,), "scale", backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, g * out_data)
-
-    return _node(out_data, (a,), "exp", backward)
-
-
-def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - numpy-style name
-    out_data = np.array(a.data.sum(axis=axis))
-
-    def backward(g: np.ndarray) -> None:
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
-
-    return _node(out_data, (a,), "sum", backward)
-
-
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return scale(sum(a, axis=axis), 1.0 / count)
-
-
-# -- softmax family ----------------------------------------------------------
-
-def softmax_temp(logits: Tensor, tau: float) -> Tensor:
-    """Temperature-scaled softmax over the last axis, max-stabilized."""
-    if tau <= 0.0:
-        raise DomainError(f"temperature must be positive, got {tau}")
-    z = logits.data / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        _accum(logits, p * (g - inner) / tau)
-
-    return _node(p, (logits,), "softmax_temp", backward)
-
+# -- log-softmax ---------------------------------------------------------------
 
 def log_softmax_values(logits: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """log softmax(logits / tau) over the last axis, computed stably via
@@ -378,18 +164,6 @@ def log_softmax_grad(g: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
     """The gradient g of log softmax(logits / tau) taken back to the logits,
     from the probabilities p that ``log_softmax_values`` returns."""
     return (g - p * g.sum(axis=-1, keepdims=True)) / tau
-
-
-def log_softmax_temp(logits: Tensor, tau: float) -> Tensor:
-    """log of softmax_temp (see ``log_softmax_values``)."""
-    if tau <= 0.0:
-        raise DomainError(f"temperature must be positive, got {tau}")
-    out_data, p = log_softmax_values(logits.data, tau)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(logits, log_softmax_grad(g, p, tau))
-
-    return _node(out_data, (logits,), "log_softmax_temp", backward)
 
 
 # -- gamma-family special functions ------------------------------------------
@@ -470,27 +244,12 @@ def _trigamma_arr(x: np.ndarray) -> np.ndarray:
 
 
 def lgamma(x):
-    """Log-gamma for positive input; Tensor in, Tensor out (d lgamma = digamma)."""
-    if isinstance(x, Tensor):
-        out_data = _lgamma_arr(x.data)
-
-        def backward(g: np.ndarray) -> None:
-            _accum(x, g * _digamma_arr(x.data))
-
-        return _node(out_data, (x,), "lgamma", backward)
+    """Log-gamma of a positive float or array."""
     out = _lgamma_arr(np.asarray(x, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
 
 
 def digamma(x):
-    """Digamma for positive input; Tensor in, Tensor out (d digamma = trigamma)."""
-    if isinstance(x, Tensor):
-        out_data = _digamma_arr(x.data)
-
-        def backward(g: np.ndarray) -> None:
-            _accum(x, g * _trigamma_arr(x.data))
-
-        return _node(out_data, (x,), "digamma", backward)
+    """Digamma of a positive float or array (the derivative of ``lgamma``)."""
     out = _digamma_arr(np.asarray(x, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
-

@@ -389,8 +389,8 @@ def _fix_malloc_thresholds() -> None:
 
     A training step's temporaries sit at glibc's default 128 KiB mmap
     threshold (a (2, 128, 64) float64 array is exactly that), and glibc
-    trims the heap back to the OS once each step's graph is freed, so every
-    step page-faults the same memory in again. Fixing both thresholds at
+    trims the heap back to the OS once each step's arrays are freed, so
+    every step page-faults the same memory in again. Fixing both thresholds at
     the ceilings glibc's own dynamic rule can reach stops that. Does nothing
     where the C library has no mallopt.
     """

@@ -31,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .data import Dataset
 from .metrics import (PROB_FLOOR, batched_logits, member_probs, pairwise_divergence_values,
                       softmax_np)
@@ -116,36 +115,47 @@ class ProxyDirichlet:
 
 # -- losses -------------------------------------------------------------------
 
-def kd_loss(teacher_logits: np.ndarray, student_logits: Tensor,
+def kd_loss(teacher_logits: np.ndarray, student_logits: np.ndarray,
             y_onehot: np.ndarray, cfg: DistillConfig,
-            weights: np.ndarray | None = None) -> Tensor:
-    """(1 - alpha) H[y, p_S] + alpha tau^2 sum_m w_m H[p_Tm, p_S], batch-averaged.
+            weights: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """(1 - alpha) H[y, p_S] + alpha tau^2 sum_m w_m H[p_Tm, p_S], batch-averaged,
+    and its gradient with respect to student_logits.
 
     teacher_logits is (M, N, K) and student_logits holds the N rows of a
     plain student, (1, N, K) or (N, K). Without weights every teacher counts
     1/M (KD); (N, M) per-sample weights give AE-KD. Teacher probabilities
     are constants; both cross-entropies use the temperature-softened
-    student distribution.
+    student distribution. The gradient of log p_S sums the label term's
+    -(1 - alpha) y / N first, then each teacher's -alpha tau^2 w_m p_Tm / N in
+    order 0..M-1; the log-softmax takes it to the logits. The
+    log-probabilities and the value are checked finite as 'kd_loss'.
     """
-    log_p = ad.log_softmax_temp(student_logits, cfg.tau)
-    n = log_p.data.size // log_p.shape[-1]
-    terms: Tensor | None = None
+    log_p, p = ad.log_softmax_values(student_logits, cfg.tau)
+    ad.ensure_finite(log_p, "kd_loss")
+    n = log_p.size // log_p.shape[-1]
+    value = grad = None
+    if cfg.alpha < 1.0:
+        c = -(1.0 - cfg.alpha) / n
+        y = y_onehot.reshape(log_p.shape)
+        value = np.array((y * log_p).sum()) * c
+        grad = ad.first_arrival(c * y)
     if cfg.alpha > 0.0:
+        scale = cfg.alpha * cfg.tau ** 2
+        if weights is None:
+            scale /= len(teacher_logits)
+        terms = None
         for m, logits in enumerate(teacher_logits):
             probs = softmax_np(logits, cfg.tau)
             if weights is not None:
                 probs = probs * weights[:, m][:, None]
-            h = ad.scale(ad.sum(ad.mul(Tensor(probs.reshape(log_p.shape)), log_p)), -1.0 / n)
-            terms = h if terms is None else ad.add(terms, h)
-        scale = cfg.alpha * cfg.tau ** 2
-        if weights is None:
-            scale /= len(teacher_logits)
-        kd = ad.scale(terms, scale)
-        if cfg.alpha == 1.0:
-            return kd
-    label_ce = ad.scale(ad.sum(ad.mul(Tensor(y_onehot.reshape(log_p.shape)), log_p)),
-                        -(1.0 - cfg.alpha) / n)
-    return label_ce if cfg.alpha == 0.0 else ad.add(label_ce, kd)
+            probs = probs.reshape(log_p.shape)
+            h = np.array((probs * log_p).sum()) * (-1.0 / n)
+            terms = h if terms is None else terms + h
+            g = (scale * (-1.0 / n)) * probs
+            grad = ad.first_arrival(g) if grad is None else np.add(grad, g, out=grad)
+        value = terms * scale if value is None else value + terms * scale
+    ad.ensure_finite(value, "kd_loss")
+    return float(value), ad.first_arrival(ad.log_softmax_grad(grad, p, cfg.tau))
 
 
 def aekd_weights(teacher_probs: np.ndarray, student_probs: np.ndarray,
@@ -270,36 +280,69 @@ def dirichlet_kl_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             - ad.digamma(a0) * (a0 - b0))
 
 
-def dirichlet_kl(conc: Tensor, target_beta: np.ndarray) -> Tensor:
-    """Differentiable KL(Dir(conc) || Dir(target)) per sample.
-
-    Rearranged so the digamma of the concentration total multiplies the
-    total-vs-target gap, avoiding any broadcast against the class axis.
-    """
-    beta = np.asarray(target_beta, dtype=np.float64)
-    a0 = ad.sum(conc, axis=-1)
-    const = (np.asarray(ad.lgamma(beta)).sum(axis=-1) - ad.lgamma(beta.sum(axis=-1)))
-    out = ad.sub(ad.lgamma(a0), ad.sum(ad.lgamma(conc), axis=-1))
-    out = ad.add(out, Tensor(np.asarray(const)))
-    out = ad.add(out, ad.sum(ad.mul(ad.sub(conc, Tensor(beta)), ad.digamma(conc)),
-                             axis=-1))
-    return ad.sub(out, ad.mul(ad.digamma(a0),
-                              ad.sub(a0, Tensor(beta.sum(axis=-1)))))
-
-
-def proxy_end2_loss(student_logits: Tensor, target: ProxyDirichlet) -> Tensor:
+def proxy_end2_loss(student_logits: np.ndarray,
+                    target: ProxyDirichlet) -> tuple[float, np.ndarray]:
     """Reverse Dirichlet KL with student concentrations exp(logits) + 1,
-    divided per sample by the target concentration total, batch-averaged.
-    Samples without a defined target count as zero. student_logits holds
-    the rows of a plain student, (1, N, K) or (N, K)."""
-    conc = ad.add_scalar(ad.exp(student_logits), 1.0)
-    kl = dirichlet_kl(conc, target.beta.reshape(conc.shape))
-    weights = Tensor(np.where(target.defined, 1.0 / target.beta.sum(axis=-1),
-                              0.0).reshape(kl.shape))
-    return ad.mean(ad.mul(kl, weights))
+    divided per sample by the target concentration total, batch-averaged,
+    and its gradient with respect to student_logits. Samples without a
+    defined target count as zero. student_logits holds the rows of a plain
+    student, (1, N, K) or (N, K).
+
+    The value is ``dirichlet_kl_np``'s. The gradient is in closed form, in
+    the order of a reverse sweep over the KL's terms: each concentration a
+    collects -digamma(a) from -lgamma(a), digamma(a) and (a - beta)
+    trigamma(a) from (a - beta) digamma(a), then the gradient of the total
+    a0, which collects digamma(a0) from lgamma(a0), then -(a0 - beta0)
+    trigamma(a0) and -digamma(a0) from -digamma(a0) (a0 - beta0). Each term
+    is a first arrival. The exponentiated logits and the value are checked
+    finite as 'proxy_end2_loss'.
+    """
+    with np.errstate(over="ignore"):
+        e = np.exp(student_logits)
+    ad.ensure_finite(e, "proxy_end2_loss")
+    conc = e + 1.0
+    beta = target.beta.reshape(conc.shape)
+    kl = dirichlet_kl_np(conc, beta)
+    w = np.where(target.defined, 1.0 / target.beta.sum(axis=-1), 0.0).reshape(kl.shape)
+    c = 1.0 / kl.size
+    value = np.array((kl * w).sum()) * c
+    ad.ensure_finite(value, "proxy_end2_loss")
+    a0 = np.array(conc.sum(axis=-1))
+    dig, dig0 = ad._digamma_arr(conc), ad._digamma_arr(a0)
+    g_kl = ad.first_arrival(c * w)
+    g_neg = ad.first_arrival(-g_kl)
+    g_a0 = ad.first_arrival(g_kl * dig0)
+    g = ad.first_arrival(g_neg[..., None] * dig)
+    g += ad.first_arrival(g_kl[..., None] * dig)
+    g += ad.first_arrival(g_kl[..., None] * (conc - beta)) * ad._trigamma_arr(conc)
+    g_a0 += ad.first_arrival(g_neg * (a0 - beta.sum(axis=-1))) * ad._trigamma_arr(a0)
+    g_a0 += ad.first_arrival(g_neg * dig0)
+    g += g_a0[..., None]
+    # through conc = exp(logits) + 1
+    return float(value), ad.first_arrival(ad.first_arrival(g) * e)
 
 
 # -- training -----------------------------------------------------------------
+
+def one_to_one_loss(teacher_logits: np.ndarray, student_logits: np.ndarray,
+                    tau: float) -> tuple[float, np.ndarray]:
+    """-tau^2 sum_m mean_b sum_k p_Tm log p_Sm of (M, B, K) teacher and
+    student logits at temperature tau, member m mimicking teacher m, and its
+    gradient with respect to student_logits: -tau^2 / B times the teacher
+    probabilities, as the gradient of log p_S, through the log-softmax. The
+    sum over all members rounds unlike a member-by-member sum, but its
+    gradients are the same bits. The log-probabilities and the value are
+    checked finite as 'one_to_one'.
+    """
+    log_p, p = ad.log_softmax_values(student_logits, tau)
+    ad.ensure_finite(log_p, "one_to_one")
+    targets = softmax_np(teacher_logits, tau)
+    c = -tau ** 2 / student_logits.shape[1]
+    value = np.array((targets * log_p).sum()) * c
+    ad.ensure_finite(value, "one_to_one")
+    grad = ad.log_softmax_grad(ad.first_arrival(c * targets), p, tau)
+    return float(value), ad.first_arrival(grad)
+
 
 def _kd_batch_loss(teachers: MLP, student: MLP, cfg: DistillConfig):
     """KD against the uniform teacher mean, or, for AE-KD, against per-sample
@@ -308,13 +351,14 @@ def _kd_batch_loss(teachers: MLP, student: MLP, cfg: DistillConfig):
     k = student.spec.num_classes
 
     def loss(xb, yb):
-        logits = student.forward(Tensor(xb))
+        kept = student.forward_kept(xb)
+        logits = kept[-1][2]
         t_logits = batched_logits(teachers, xb)
         weights = None
         if cfg.method == "aekd":
             weights = _aekd_weights_batch(softmax_np(t_logits, 1.0),
-                                          softmax_np(logits.data[0], 1.0), cfg.tau, cfg.aekd_c)
-        return kd_loss(t_logits, logits, one_hot(yb, k), cfg, weights)
+                                          softmax_np(logits[0], 1.0), cfg.tau, cfg.aekd_c)
+        return kept, kd_loss(t_logits, logits, one_hot(yb, k), cfg, weights)[1]
 
     return loss
 
@@ -323,31 +367,26 @@ def _proxy_batch_loss(teachers: MLP, student: MLP, cfg: DistillConfig):
     """Dirichlet distillation against the teacher proxy target."""
 
     def loss(xb, yb):
-        logits = student.forward(Tensor(xb))
-        return proxy_end2_loss(logits, proxy_dirichlet_target(member_probs(teachers, xb)))
+        kept = student.forward_kept(xb)
+        target = proxy_dirichlet_target(member_probs(teachers, xb))
+        return kept, proxy_end2_loss(kept[-1][2], target)[1]
 
     return loss
 
 
 def _one_to_one_batch_loss(teachers: MLP, student: MLP, cfg: DistillConfig,
                            held: list | None = None):
-    """Member m mimics teacher m; the member losses are summed, each
-    tau^2-scaled and batch-averaged, in one sum over all members whose value
-    rounds unlike a member-by-member sum but whose gradients are the same bits.
-    With a list ``held``, each call appends its loss value and the (M, B, K)
-    teacher and student logits it formed, before the step's update, for
-    ``_add_trace_rows``."""
-    scale = -cfg.tau ** 2
+    """Member m mimics teacher m by ``one_to_one_loss``. With a list ``held``,
+    each call appends its loss value and the (M, B, K) teacher and student
+    logits it formed, before the step's update, for ``_add_trace_rows``."""
 
     def loss(xb, yb):
         t_logits = batched_logits(teachers, xb)
-        logits = student.forward(Tensor(xb))
-        log_p = ad.log_softmax_temp(logits, cfg.tau)
-        out = ad.scale(ad.sum(ad.mul(Tensor(softmax_np(t_logits, cfg.tau)), log_p)),
-                       scale / len(xb))
+        kept = student.forward_kept(xb)
+        value, grad = one_to_one_loss(t_logits, kept[-1][2], cfg.tau)
         if held is not None:
-            held.append((float(out.data), t_logits, logits.data))
-        return out
+            held.append((value, t_logits, kept[-1][2]))
+        return kept, grad
 
     return loss
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
 from .nets import join
 
 PROB_FLOOR = 1e-12
@@ -280,7 +279,7 @@ def batched_logits(model, x: np.ndarray) -> np.ndarray:
     same rows in a 1,350-row call), so callers keep each split in a call of
     its own."""
     chunk = max(1, 1024 // len(model))
-    return np.concatenate([model.forward(Tensor(x[s:s + chunk])).data
+    return np.concatenate([model.forward(x[s:s + chunk])
                            for s in range(0, len(x), chunk)], axis=1)
 
 

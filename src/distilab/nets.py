@@ -2,9 +2,11 @@
 
 An ``MLP`` has ``len(net)`` members, and each layer stores its parameters
 as four member-stacked tensors: a weight, a bias, and the rank-one factors
-r and s of a factored layer. ``net.forward`` runs every member at once, one
-autodiff node per layer, for training and evaluation alike. ``net[m]`` and
-``net[[i, j]]`` are copies of those members' rows, as a net of constants.
+r and s of a factored layer. ``net.forward_kept`` runs every member at once
+and keeps each layer's output, and ``net.backward`` takes a logits gradient
+back through those, for training and for input gradients alike;
+``net.forward`` returns the logits alone. ``net[m]`` and ``net[[i, j]]``
+are copies of those members' rows, as a net of constants.
 
 A plain layer holds one weight per member, an (M, out, in) weight: the
 teacher ensemble trains as one M-member net, each teacher is saved as a
@@ -157,14 +159,53 @@ class MLP:
     def factored(self) -> bool:
         return self.layers[0].r is not None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """(M, B, K) logits of every member, from a (B, in) input shared by the
         members or an (M, B, in) input with one slice per member."""
-        h = x
+        return self.forward_kept(x)[-1][2]
+
+    def forward_kept(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each layer's (input, (M, in, out) member weights, output), in
+        order, for ``backward``; the last output is the logits of ``forward``.
+        Each member runs the float operations of a one-member net."""
+        members, in_dim = len(self), self.layers[0].weight.shape[2]
+        if x.ndim not in (2, 3) or x.shape[-1] != in_dim \
+                or (x.ndim == 3 and x.shape[0] != members):
+            raise ShapeError(f"a net of {members} members on {in_dim} inputs got input "
+                             f"{x.shape}")
+        kept = []
         last = len(self.layers) - 1
         for i, l in enumerate(self.layers):
-            h = ad.dense(h, l.weight, l.r, l.s, l.bias, i != last)
-        return h
+            w_t = ad.dense_weight_t(l.weight, l.r, l.s)
+            out = ad.dense_values(x, w_t, l.bias.data, i != last)
+            kept.append((x, w_t, out))
+            x = out
+        return kept
+
+    def backward(self, kept: list, g: np.ndarray, params: bool) -> np.ndarray | None:
+        """Take the (M, B, K) logits gradient g back through the layers
+        ``forward_kept`` kept.
+
+        With params, store in each trainable tensor's grad its gradient
+        (see ``autodiff.dense_param_grads``) and return None; the net's input
+        gets no gradient. Without, form no parameter gradient and return the
+        (M, B, in) gradient of each member's input. The gradient of each
+        layer's input is a first arrival, as every other gradient is.
+        """
+        last = len(self.layers) - 1
+        for i in range(last, -1, -1):
+            x, w_t, out = kept[i]
+            l = self.layers[i]
+            g = ad.dense_pre_grad(g, out, i != last)
+            if params:
+                for t, grad in zip((l.weight, l.r, l.s, l.bias),
+                                   ad.dense_param_grads(x, g, l.weight, l.r, l.s)):
+                    if t is not None and t.requires_grad:
+                        t.grad = grad
+                if i == 0:
+                    return None
+            g = ad.first_arrival(ad.dense_input_grad(g, w_t))
+        return g
 
     def parameters(self) -> list[Tensor]:
         return self.shared_parameters() + self.rank_parameters() + self.member_bias_parameters()
@@ -319,16 +360,22 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
         raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')}")
     try:
         kind, sd, tensors = doc["kind"], doc["spec"], doc["tensors"]
-        spec = ModelSpec(int(sd["in_dim"]), int(sd["num_classes"]),
-                         tuple(sd["hidden"]), sd["activation"])
+        if not isinstance(sd, dict) or not isinstance(tensors, dict):
+            raise CheckpointError("spec and tensors must be JSON objects")
+        if not isinstance(sd["hidden"], list):
+            raise CheckpointError(f"hidden widths must be a list, got {sd['hidden']!r}")
+        spec = ModelSpec(sd["in_dim"], sd["num_classes"], tuple(sd["hidden"]),
+                         sd["activation"])
     except KeyError as e:
         raise CheckpointError(f"{p}: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{p}: {e}") from e
     if kind not in (PLAIN, BATCH_ENSEMBLE):
         raise CheckpointError(f"unknown model kind '{kind}'")
     factored = kind == BATCH_ENSEMBLE
     members = doc.get("M") if factored else 1
-    if not isinstance(members, int) or members < 1:
-        raise CheckpointError(f"factored checkpoint needs M >= 1, got {members!r}")
+    if not is_int(members) or members < 1:
+        raise CheckpointError(f"{p}: factored checkpoint needs M >= 1, got {members!r}")
     if expected_spec is not None:
         if spec.num_classes != expected_spec.num_classes:
             raise CheckpointError(
@@ -344,10 +391,16 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
             if name not in tensors:
                 raise CheckpointError(f"missing tensor '{name}'")
             rec = tensors[name]
+            if not isinstance(rec, dict):
+                raise CheckpointError(f"{p}: tensor '{name}' must be a JSON object")
             try:
                 arr = _parse_values(rec["values"], rec["shape"], name)
             except KeyError as e:
                 raise CheckpointError(f"{p}: tensor '{name}' has no {e} key") from e
+            except CheckpointError:
+                raise
+            except (AttributeError, TypeError, ValueError) as e:
+                raise CheckpointError(f"{p}: tensor '{name}' is malformed: {e}") from e
             if arr.shape != shape:
                 raise CheckpointError(f"tensor '{name}' shape {arr.shape} != expected {shape}")
             rows.append(arr)

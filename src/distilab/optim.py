@@ -121,12 +121,35 @@ def steps_per_epoch(n: int, batch_size: int) -> int:
     return (n + batch_size - 1) // batch_size
 
 
-def fit(net: MLP, data, config: OptimConfig,
-        batch_loss: Callable[[np.ndarray, np.ndarray], Tensor],
-        rank_decay: float = 0.0, step_hook=None) -> MLP:
-    """Train net in place by SGD on batch_loss(x_batch, y_batch) over shuffled
-    minibatches of data; returns net.
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """-sum_m mean_b log p_m(labels_mb | x_b) of (M, B, K) logits against (M, B)
+    or (B,) labels, and its logits gradient.
 
+    The gradient is in closed form: -1/B times the one-hot labels, as the
+    gradient of log p, taken back through the log-softmax; each step a first
+    arrival (see ``autodiff.first_arrival``). The log-probabilities and the
+    value are checked finite as 'cross_entropy'.
+    """
+    log_p, p = ad.log_softmax_values(logits, 1.0)
+    ad.ensure_finite(log_p, "cross_entropy")
+    y_hot = one_hot(labels, logits.shape[-1]).reshape(log_p.shape)
+    c = -1.0 / labels.shape[-1]
+    value = np.array((y_hot * log_p).sum()) * c
+    ad.ensure_finite(value, "cross_entropy")
+    grad = ad.log_softmax_grad(ad.first_arrival(c * y_hot), p, 1.0)
+    return float(value), ad.first_arrival(grad)
+
+
+def fit(net: MLP, data, config: OptimConfig,
+        batch_loss: Callable[[np.ndarray, np.ndarray], tuple[list, np.ndarray]],
+        rank_decay: float = 0.0, step_hook=None) -> MLP:
+    """Train net in place by SGD on batch_loss over shuffled minibatches of
+    data; returns net.
+
+    batch_loss(x_batch, y_batch) runs net on the batch, or on inputs formed
+    from it, by ``net.forward_kept``, and returns what that kept and the
+    gradient of the loss with respect to the (M, B, K) logits; ``fit`` takes
+    that gradient back with ``net.backward``.
     A plain net of M > 1 members is M independent trainings: member m draws
     its batches from the stream of seed + m, so batch_loss gets (M, B, in) and
     (M, B) arrays. Any other net draws from the seed's stream and gets (B, in).
@@ -135,7 +158,7 @@ def fit(net: MLP, data, config: OptimConfig,
     when rank_decay > 0, a pull toward ones, and never decay; biases decay
     only in a plain net.
     step_hook(step, net) runs after each update, step counting from 1; a
-    NumericsError raised by a step's loss or backward pass names that step.
+    NumericsError raised by a step's batch_loss names that step.
     """
     n = len(data)
     shuffles = [rng_stream(config.seed + m, "batch-shuffle")
@@ -153,8 +176,8 @@ def fit(net: MLP, data, config: OptimConfig,
         for start in range(0, n, config.batch_size):
             idx = order[..., start:start + config.batch_size]
             try:
-                loss = batch_loss(data.x[idx], data.y[idx])
-                loss.backward()
+                # no name holds the kept layers, so they are freed after the backward
+                net.backward(*batch_loss(data.x[idx], data.y[idx]), True)
             except NumericsError as e:
                 raise NumericsError(f"{e} at step {step + 1}") from e
             if net.factored:
@@ -178,9 +201,8 @@ def train_teachers(spec: ModelSpec, data, m: int, config: OptimConfig) -> MLP:
         raise ValueError("teacher count must be >= 1")
     net = build_plain(spec, [rng_stream(config.seed + i, "init") for i in range(m)])
 
-    def cross_entropy(xb, yb):
-        log_probs = ad.log_softmax_temp(net.forward(Tensor(xb)), 1.0)
-        y_hot = Tensor(one_hot(yb, spec.num_classes).reshape(log_probs.shape))
-        return ad.scale(ad.sum(ad.mul(y_hot, log_probs)), -1.0 / yb.shape[-1])
+    def batch_loss(xb, yb):
+        kept = net.forward_kept(xb)
+        return kept, cross_entropy(kept[-1][2], yb)[1]
 
-    return fit(net, data, config, cross_entropy)[range(m)]
+    return fit(net, data, config, batch_loss)[range(m)]

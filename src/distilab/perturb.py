@@ -15,9 +15,9 @@ ordered member pair per sample, shared between the teacher and student
 divergence terms, and differentiate each pair KL through both of its
 members, so the step is a first-order ascent direction of the diversity gap.
 The teachers, joined as one net of constants, and the student run one
-forward each per step with no tape: the pair-KL gradient of their stacked
-logits has a closed form, and the input-only dense backward takes it to the
-input, so no parameter gradient is formed. Each row's gradient is summed in
+forward each per step: the pair-KL gradient of their stacked logits has a
+closed form, and each net's input-only backward takes it to the input, so
+no parameter gradient is formed. Each row's gradient is summed in
 the order teacher i, teacher j, student i, student j of its pair: that order
 is kept on purpose, because it makes the step bit-equal to building the gap
 one pair at a time.
@@ -33,8 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .metrics import member_probs, pairwise_divergence_values
+from .metrics import member_probs, pairwise_divergence_values, softmax_np
 from .nets import MLP, join
 
 DEGENERATE_NORM = 1e-12
@@ -79,17 +78,25 @@ def _ods_gradients(teachers: Sequence[MLP], x: np.ndarray, tau: float,
                    guidance: np.ndarray, members: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """d/dx of w^T p_teacher(x; tau), and the confidence max_k p_teacher(x; tau),
-    with the rows grouped by the selected teacher."""
+    with the rows grouped by the selected teacher.
+
+    The gradient of the probabilities is the guidance w itself; the softmax
+    takes it to the logits in closed form, p (w - w^T p) / tau, and the
+    teacher's backward to its input. The probabilities are checked finite
+    as 'ods'.
+    """
     grads = np.zeros_like(x)
     conf = np.zeros(len(x))
     for m in np.unique(members):
         rows = np.nonzero(members == m)[0]
-        xt = Tensor(x[rows], requires_grad=True)
-        probs = ad.softmax_temp(teachers[int(m)].forward(xt), tau)
-        objective = ad.sum(ad.mul(Tensor(guidance[rows][None]), probs))
-        objective.backward()
-        grads[rows] = xt.grad
-        conf[rows] = probs.data[0].max(axis=1)
+        teacher = teachers[int(m)]
+        kept = teacher.forward_kept(x[rows])
+        probs = softmax_np(kept[-1][2], tau)
+        ad.ensure_finite(probs, "ods")
+        g = guidance[rows][None] + 0.0
+        g = ad.first_arrival(probs * (g - (g * probs).sum(axis=-1, keepdims=True)) / tau)
+        grads[rows] = teacher.backward(kept, g, False)[0]
+        conf[rows] = probs[0].max(axis=1)
     return grads, conf
 
 
@@ -118,7 +125,7 @@ def _pair_logits_grad(logits: np.ndarray, pairs: np.ndarray, members: int) -> np
     g[j, rows] = -sign * e
     grad = ad.log_softmax_grad(g, p, 1.0)
     ad.ensure_finite(grad, "pair_gap")
-    return np.add(grad, 0.0, out=grad)
+    return ad.first_arrival(grad)
 
 
 def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -127,53 +134,25 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray) -> np.nd
     terms of each sample.
 
     The teachers, joined into one net of M constant members, and the student
-    each run one forward on the shared input through ``dense_values``, on
-    their own layers, so their widths and depths may differ. Their logits
-    stack into (2M, B, K) (M without a student); ``_pair_logits_grad`` gives
-    the logits gradient in closed form, and each net's input-only dense
-    backward takes its share to each member's input. Row b's gradient is then
-    summed as teacher i, teacher j, student i, student j for its pair (i, j):
-    the order in which one shared input leaf accumulates the per-pair
-    formulation (four forwards per ordered pair), so the result is bit-equal
-    to it.
+    each run one forward on the shared input, on their own layers, so their
+    widths and depths may differ. Their logits stack into (2M, B, K) (M
+    without a student); ``_pair_logits_grad`` gives the logits gradient in
+    closed form, and each net's input-only backward takes its share to each
+    member's input. Row b's gradient is then summed as teacher i, teacher j,
+    student i, student j for its pair (i, j): the order in which one shared
+    input leaf accumulates the per-pair formulation (four forwards per
+    ordered pair), so the result is bit-equal to it.
     """
     nets = [join(teachers)] + ([] if student is None else [student])
-    members = len(nets[0])
-    passes = []
-    for net in nets:
-        layers = [(ad.dense_weight_t(l.weight, l.r, l.s), l.bias.data) for l in net.layers]
-        outs = []
-        h = x
-        for k, (w_t, bias) in enumerate(layers):
-            h = ad.dense_values(h, w_t, bias, k != len(layers) - 1)
-            outs.append(h)
-        passes.append((layers, outs))
-    g_logits = _pair_logits_grad(np.concatenate([outs[-1] for _, outs in passes]),
-                                 pairs, members)
+    passes = [net.forward_kept(x) for net in nets]
+    g_logits = _pair_logits_grad(np.concatenate([kept[-1][2] for kept in passes]),
+                                 pairs, len(nets[0]))
     rows = np.arange(len(x))
     grad = np.zeros_like(x)
-    for (layers, outs), g in zip(passes, np.split(g_logits, len(nets))):
-        last = len(layers) - 1
-        for k in range(last, -1, -1):
-            # each output is let go once its relu is taken back
-            g = ad.dense_input_grad(ad.dense_pre_grad(g, outs.pop(), k != last), layers[k][0])
-            np.add(g, 0.0, out=g)   # the first arrival of a gradient, as on the tape
+    for net, kept, g in zip(nets, passes, np.split(g_logits, len(nets))):
+        g = net.backward(kept, g, False)
         grad = grad + g[pairs[:, 0], rows] + g[pairs[:, 1], rows]
     return grad
-
-
-def pair_gap_values(teachers: Sequence[MLP], student: MLP | None, x: np.ndarray,
-                    pairs: np.ndarray) -> np.ndarray:
-    """Values (no gradients) of the per-sample stochastic diversity gap."""
-    rows = np.arange(len(x))
-
-    def pair_kl(ensemble) -> np.ndarray:
-        logs = np.log(member_probs(ensemble, x))
-        log_i, log_j = logs[pairs[:, 0], rows], logs[pairs[:, 1], rows]
-        return np.einsum("bk,bk->b", np.exp(log_i), log_i - log_j)
-
-    out = pair_kl(teachers)
-    return out if student is None else out - pair_kl(student)
 
 
 def diversity_shift_values(teachers, students, x: np.ndarray,

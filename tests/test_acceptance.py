@@ -17,15 +17,16 @@ import distilab.autodiff as ad
 from distilab.autodiff import Tensor
 from distilab.data import corrupt, load_csv, make_ood, save_csv
 from distilab.distill import (DistillConfig, ProxyDirichlet, aekd_weights,
-                              dirichlet_kl_np, proxy_dirichlet_target,
-                              proxy_end2_loss, train_student)
+                              dirichlet_kl_np, kd_loss, one_to_one_loss,
+                              proxy_dirichlet_target, proxy_end2_loss, train_student)
 from distilab.metrics import (accuracy, batched_logits, diversity, diversity_from_probs, ece,
-                              entropy_values, fit_temperature, nll, nll_with_stats,
-                              pairwise_divergence_values, softmax_np)
-from distilab.nets import ModelSpec, build_plain, checkpoint_load, checkpoint_save
-from distilab.optim import OptimConfig, train_teachers
-from distilab.perturb import (build_perturbation, default_gamma, diversity_shift_values,
-                              pair_gap_values)
+                              entropy_values, fit_temperature, member_probs, nll,
+                              nll_with_stats, pairwise_divergence_values, softmax_np)
+from distilab.nets import (ModelSpec, build_be, build_plain, checkpoint_load,
+                           checkpoint_save, join)
+from distilab.optim import OptimConfig, cross_entropy, one_hot, train_teachers
+from distilab.perturb import (_ods_gradients, _pair_gap_grad, build_perturbation,
+                              default_gamma, diversity_shift_values, draw_pairs)
 from distilab.seeding import rng_stream
 from distilab.subspace import line_scan
 from test_distill import dirichlet_kl_quadrature
@@ -56,147 +57,174 @@ def plain_logits(net, x):
     return batched_logits(net, x)[0]
 
 
-def _relu_pattern(out: Tensor) -> bytes:
-    """The activation pattern of every relu in the graph that produced out."""
-    masks, stack, seen = [], [out], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._op == "dense_relu":
-            masks.append(np.packbits(node.data > 0.0).tobytes())
-        stack.extend(node._parents)
-    return b"|".join(masks)
+def pair_gap_values(teachers, student, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Values (no gradients) of the per-sample stochastic diversity gap
+    KL_T(i_b, j_b) - KL_S(i_b, j_b), from member probabilities: the
+    reference the pair-gap step ascends (KL_T alone without a student)."""
+    rows = np.arange(len(x))
+
+    def pair_kl(ensemble) -> np.ndarray:
+        logs = np.log(member_probs(ensemble, x))
+        log_i, log_j = logs[pairs[:, 0], rows], logs[pairs[:, 1], rows]
+        return np.einsum("bk,bk->b", np.exp(log_i), log_i - log_j)
+
+    out = pair_kl(teachers)
+    return out if student is None else out - pair_kl(student)
 
 
-def _fd_max_rel(build, arrays, h=1e-5):
-    """Worst relative error of the autodiff gradient against finite
+def _relu_pattern(*passes) -> bytes:
+    """The activation pattern of every relu in the layers that
+    ``MLP.forward_kept`` kept: all but each net's last."""
+    return b"|".join(np.packbits(out > 0.0).tobytes()
+                     for kept in passes for _, _, out in kept[:-1])
+
+
+def _fd_max_rel(fn, arrays, h=1e-5):
+    """Worst relative error of closed-form gradients against finite
     differences, one value per argument.
 
-    A coordinate whose +h or -h step changes the relu activation pattern of
-    the graph is differenced one-sided, on the side that keeps x's pattern,
-    so the stencil does not straddle a kink; when both steps change it, the
-    central difference stands.
+    fn(*arrays) returns its value, its gradient with respect to each array,
+    and the relu activation pattern it ran through (b"" for none). A
+    coordinate whose +h or -h step changes that pattern is differenced
+    one-sided, on the side that keeps x's pattern, so the stencil does not
+    straddle a kink; when both steps change it, the central difference
+    stands.
     """
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    base = build(*tensors)
-    base.backward()
-    base_pattern = _relu_pattern(base)
+    base, grads, base_pattern = fn(*arrays)
     worst = []
-    for ti, arr in enumerate(arrays):
-        got = tensors[ti].grad
-        if got is None:
-            got = np.zeros_like(arr)
+    for ti, (arr, got) in enumerate(zip(arrays, grads)):
         worst_here = 0.0
         for idx in np.ndindex(arr.shape):
             plus = [a.copy() for a in arrays]
             minus = [a.copy() for a in arrays]
             plus[ti][idx] += h
             minus[ti][idx] -= h
-            f_plus = build(*[Tensor(a) for a in plus])
-            f_minus = build(*[Tensor(a) for a in minus])
-            keeps_plus = _relu_pattern(f_plus) == base_pattern
-            keeps_minus = _relu_pattern(f_minus) == base_pattern
+            f_plus, _, pattern_plus = fn(*plus)
+            f_minus, _, pattern_minus = fn(*minus)
+            keeps_plus = pattern_plus == base_pattern
+            keeps_minus = pattern_minus == base_pattern
             if keeps_plus and not keeps_minus:
-                fd = (f_plus.item() - base.item()) / h
+                fd = (f_plus - base) / h
             elif keeps_minus and not keeps_plus:
-                fd = (base.item() - f_minus.item()) / h
+                fd = (base - f_minus) / h
             else:
-                fd = (f_plus.item() - f_minus.item()) / (2 * h)
+                fd = (f_plus - f_minus) / (2 * h)
             rel = abs(got[idx] - fd) / max(abs(fd), 1e-6)
             worst_here = max(worst_here, rel)
         worst.append(worst_here)
     return worst
 
 
+def _dense(x, w, *rest):
+    """sum(out^2) of one relu dense layer of (w, b) or (w, r, s, b), its
+    gradients (the input's summed over the members when they share it) and
+    its relu pattern, from the kernels ``MLP`` runs."""
+    r, s, b = rest if len(rest) == 3 else (None, None, rest[0])
+    weight, r, s = (None if a is None else Tensor(a) for a in (w, r, s))
+    w_t = ad.dense_weight_t(weight, r, s)
+    out = ad.dense_values(x, w_t, b, True)
+    g = ad.dense_pre_grad(2.0 * out, out, True)
+    g_x = ad.dense_input_grad(g, w_t)
+    g_w, g_r, g_s, g_b = ad.dense_param_grads(x, g, weight, r, s)
+    grads = [g_x.sum(axis=0) if x.ndim == 2 else g_x, g_w]
+    grads += [] if r is None else [g_r, g_s]
+    return float((out * out).sum()), grads + [g_b], np.packbits(out > 0.0).tobytes()
+
+
 def test_criterion_1_autodiff_finite_differences():
-    """Every op, 100 random cases each, rel err < 1e-4; the dense layer's
-    gradients for each argument group of plain and factored layers; input
-    gradients through a 2-64-64-3 MLP; runtime under a minute."""
+    """Every closed-form gradient, 100 random cases each, rel err < 1e-4: the
+    dense layer's gradients for each argument group of plain and factored
+    layers; input gradients through a 2-64-64-3 MLP; the logits gradient of
+    each loss and the input gradients of the ODS and pair-gap steps; the
+    derivatives of the gamma-family kernels; runtime under a minute."""
     started = time.time()
     rng = np.random.default_rng(100)
     tol = 1e-4
     cases = 100
     worst_by_op = {}
 
-    def pos(shape):
-        return rng.uniform(0.3, 2.5, size=shape)
-
-    single_ops = {
-        "exp": (lambda t: ad.sum(ad.exp(t)), lambda: rng.normal(size=(3,)) * 0.5),
-        "scale": (lambda t: ad.scale(ad.sum(ad.mul(t, t)), 1.7),
-                  lambda: rng.normal(size=(3,))),
-        "sum_axis": (lambda t: ad.sum(ad.mul(ad.sum(t, axis=-1), ad.sum(t, axis=-1))),
-                     lambda: rng.normal(size=(2, 3))),
-        "mean": (lambda t: ad.mean(ad.mul(t, t)), lambda: rng.normal(size=(5,))),
-        "lgamma": (lambda t: ad.sum(ad.lgamma(t)), lambda: pos((3,))),
-        "digamma": (lambda t: ad.sum(ad.digamma(t)), lambda: pos((3,))),
-    }
-    for name, (build, draw) in single_ops.items():
-        worst_by_op[name] = max(max(_fd_max_rel(build, [draw()])) for _ in range(cases))
-
-    pair_ops = {
-        "add": (lambda a, b: ad.sum(ad.mul(ad.add(a, b), ad.add(a, b))),
-                lambda: [rng.normal(size=(3,)), rng.normal(size=(3,))]),
-        "sub": (lambda a, b: ad.sum(ad.mul(ad.sub(a, b), ad.sub(a, b))),
-                lambda: [rng.normal(size=(3,)), rng.normal(size=(3,))]),
-        "mul": (lambda a, b: ad.sum(ad.mul(a, b)),
-                lambda: [rng.normal(size=(3,)), rng.normal(size=(3,))]),
-    }
-    for name, (build, draw) in pair_ops.items():
-        worst_by_op[name] = max(max(_fd_max_rel(build, draw())) for _ in range(cases))
+    def record(name, groups, build, draw):
+        for _ in range(cases):
+            for group, err in zip(groups, _fd_max_rel(build, draw())):
+                key = name if group is None else f"{name}[{group}]"
+                worst_by_op[key] = max(worst_by_op.get(key, 0.0), err)
 
     # the two-member dense layer through its relu: a plain layer (one weight
     # per member) on a shared input, a factored one on one input per member
-    def dense_plain(x, w, b):
-        out = ad.dense(x, w, None, None, b, True)
-        return ad.sum(ad.mul(out, out))
-
-    def dense_factored(x, w, r, s, b):
-        out = ad.dense(x, w, r, s, b, True)
-        return ad.sum(ad.mul(out, out))
-
-    groups = {"dense_plain": ("input", "weight", "bias"),
-              "dense_factored": ("input", "weight", "r", "s", "bias")}
-    draws = {"dense_plain": lambda: [rng.normal(size=(3, 4)), rng.normal(size=(2, 2, 4)),
-                                     rng.normal(size=(2, 2))],
-             "dense_factored": lambda: [rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 2, 4)),
-                                        rng.normal(size=(2, 2)), rng.normal(size=(2, 4)),
-                                        rng.normal(size=(2, 2))]}
-    for name, build in (("dense_plain", dense_plain), ("dense_factored", dense_factored)):
-        for _ in range(cases):
-            for group, err in zip(groups[name], _fd_max_rel(build, draws[name]())):
-                key = f"{name}[{group}]"
-                worst_by_op[key] = max(worst_by_op.get(key, 0.0), err)
-
-    def softmax_case(tau, log_form):
-        readout = rng.normal(size=(2, 3))
-        op = ad.log_softmax_temp if log_form else ad.softmax_temp
-
-        def build(a):
-            return ad.sum(ad.mul(Tensor(readout), op(a, tau)))
-
-        return max(_fd_max_rel(build, [rng.normal(size=(2, 3))]))
-
-    worst_by_op["softmax_temp"] = max(softmax_case(2.0, False) for _ in range(cases))
-    worst_by_op["log_softmax"] = max(softmax_case(0.7, True) for _ in range(cases))
+    record("dense_plain", ("input", "weight", "bias"), _dense,
+           lambda: [rng.normal(size=(3, 4)), rng.normal(size=(2, 2, 4)),
+                    rng.normal(size=(2, 2))])
+    record("dense_factored", ("input", "weight", "r", "s", "bias"), _dense,
+           lambda: [rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 2, 4)),
+                    rng.normal(size=(2, 2)), rng.normal(size=(2, 4)), rng.normal(size=(2, 2))])
 
     # end-to-end input gradients through the default architecture
     model = build_plain(ModelSpec(2, 3, (64, 64)), rng_stream(0, "init"))
     readout = rng.normal(size=(1, 2, 3))
 
     def through_net(x):
-        return ad.sum(ad.mul(Tensor(readout), ad.softmax_temp(model.forward(x), 4.0)))
+        kept = model.forward_kept(x)
+        return ((readout * kept[-1][2]).sum(), [model.backward(kept, readout, False)[0]],
+                _relu_pattern(kept))
 
-    worst_by_op["mlp_input"] = max(
-        max(_fd_max_rel(through_net, [rng.normal(size=(2, 2))])) for _ in range(cases))
+    record("mlp_input", (None,), through_net, lambda: [rng.normal(size=(2, 2))])
+
+    # the logits gradient of each loss
+    cfg = DistillConfig(tau=3.0, alpha=0.7, num_teachers=2,
+                        optim=OptimConfig(epochs=2, warmup_epochs=1))
+    t_logits = rng.normal(size=(2, 3, 4))
+    y = rng.integers(0, 4, size=3)
+    weights = rng.dirichlet(np.ones(2), size=3)
+    target = proxy_dirichlet_target(softmax_np(rng.normal(size=(2, 3, 4))))
+    losses = {
+        "cross_entropy": ((2, 3, 4), lambda z: cross_entropy(z, np.stack([y, y[::-1]]))),
+        "kd": ((1, 3, 4), lambda z: kd_loss(t_logits, z, one_hot(y, 4), cfg)),
+        "aekd": ((1, 3, 4), lambda z: kd_loss(t_logits, z, one_hot(y, 4), cfg, weights)),
+        "one_to_one": ((2, 3, 4), lambda z: one_to_one_loss(t_logits, z, 2.0)),
+        "proxy_end2": ((1, 3, 4), lambda z: proxy_end2_loss(z, target)),
+    }
+    for name, (shape, loss) in losses.items():
+        def build(z, loss=loss):
+            value, grad = loss(z)
+            return value, [grad], b""
+
+        record(name, (None,), build, lambda shape=shape: [rng.normal(size=shape)])
+
+    # the input gradients of the ODS and pair-gap steps, through small nets
+    spec = ModelSpec(2, 3, (8,))
+    teachers = [build_plain(spec, rng_stream(s, "init")) for s in (1, 2)]
+    student = build_be(spec, rng_stream(3, "init"), "random_sign", members=2)
+    guidance = rng.uniform(-1.0, 1.0, size=(3, 3))
+    members = np.array([0, 1, 1])
+    pairs = draw_pairs(rng, 2, 3)
+
+    def ods(x):
+        value = sum((guidance[members == m] * member_probs(t, x[members == m], 2.0)[0]).sum()
+                    for m, t in enumerate(teachers))
+        return (value, [_ods_gradients(teachers, x, 2.0, guidance, members)[0]],
+                _relu_pattern(*(t.forward_kept(x) for t in teachers)))
+
+    def pair_gap(x):
+        return (pair_gap_values(teachers, student, x, pairs).sum(),
+                [_pair_gap_grad(teachers, student, x, pairs)],
+                _relu_pattern(join(teachers).forward_kept(x), student.forward_kept(x)))
+
+    record("ods", (None,), ods, lambda: [rng.normal(size=(3, 2))])
+    record("pair_gap", (None,), pair_gap, lambda: [rng.normal(size=(3, 2))])
+
+    # d lgamma = digamma and d digamma = trigamma on the array kernels
+    def pos():
+        return [rng.uniform(0.3, 2.5, size=(3,))]
+
+    record("lgamma", (None,), lambda a: (ad.lgamma(a).sum(), [ad.digamma(a)], b""), pos)
+    record("digamma", (None,), lambda a: (ad.digamma(a).sum(), [ad._trigamma_arr(a)], b""),
+           pos)
 
     elapsed = time.time() - started
     worst = max(worst_by_op.values())
     ok = worst < tol and elapsed < 60
     report(1, ok, f"max FD rel err {worst:.2e} (tol {tol}) over "
-                  f"{len(worst_by_op)} ops and argument groups x {cases} cases "
+                  f"{len(worst_by_op)} gradients and argument groups x {cases} cases "
                   f"in {elapsed:.1f}s")
 
 
@@ -299,15 +327,14 @@ def test_criterion_5_proxy_dirichlet_math():
     beta_ok = np.abs(target.beta - 1.0 - np.array([2.966776, 1.271476])).max() < 1e-5
 
     beta = np.array([[3.0, 1.5, 2.2]])
-    zero_loss = proxy_end2_loss(Tensor(np.log(beta - 1.0), requires_grad=True),
-                                ProxyDirichlet(beta)).item()
+    zero_loss = proxy_end2_loss(np.log(beta - 1.0), ProxyDirichlet(beta))[0]
     rng = np.random.default_rng(50)
     nonneg = True
     for _ in range(1000):
         k = int(rng.integers(2, 5))
         b = rng.uniform(1.05, 8.0, size=(1, k))
-        logits = Tensor(rng.normal(size=(1, k)) * 1.5, requires_grad=True)
-        nonneg &= proxy_end2_loss(logits, ProxyDirichlet(b)).item() > -1e-12
+        logits = rng.normal(size=(1, k)) * 1.5
+        nonneg &= proxy_end2_loss(logits, ProxyDirichlet(b))[0] > -1e-12
 
     closed = dirichlet_kl_np(np.array([2.0, 2.0]), np.array([3.0, 1.0]))
     quad = dirichlet_kl_quadrature((2.0, 2.0), (3.0, 1.0))

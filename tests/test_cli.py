@@ -17,7 +17,7 @@ import distilab
 from distilab import cli
 from distilab.autodiff import DomainError
 from distilab.cli import METRIC_COLUMNS, main
-from distilab.distill import _one_to_one_batch_loss, train_student
+from distilab.distill import one_to_one_loss, train_student
 from distilab.metrics import batched_logits, diversity, entropy_histogram, softmax_np
 from distilab.nets import ModelSpec, build_be, build_plain, checkpoint_load, checkpoint_save
 from distilab.perturb import build_perturbation, default_gamma
@@ -150,8 +150,9 @@ class TestDistill:
                 if perturbation != "none":
                     x = x + build_perturbation(perturbation, teacher_net, student, x, gamma,
                                                dcfg.tau, noise_rng, index_rng).epsilon
-                loss = _one_to_one_batch_loss(teacher_net, student, dcfg)(x, train.y[idx])
-                expected.append(",".join(map(cli._fmt, (len(expected), loss.data,
+                loss = one_to_one_loss(batched_logits(teacher_net, x), student.forward(x),
+                                       dcfg.tau)[0]
+                expected.append(",".join(map(cli._fmt, (len(expected), loss,
                                                         diversity(teacher_net, x),
                                                         diversity(student, x)))))
         assert len(expected) == 1 + 3 * epochs == len(before)
@@ -450,6 +451,31 @@ class TestMalformedInput:
         assert main(["evaluate", "--model", str(model), "--data", str(write_data_spec(tmp_path)),
                      "--out", str(tmp_path / "m.csv")]) == 2
         assert f"tensor 'layer0.W' has no '{drop}' key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factored, edit", [
+        (False, lambda doc: doc["spec"].update(in_dim=None)),
+        (False, lambda doc: doc["spec"].update(hidden=4)),
+        (False, lambda doc: doc.update(spec=[1])),
+        (False, lambda doc: doc["tensors"].update({"layer0.W": "x"})),
+        (False, lambda doc: doc["tensors"]["layer0.W"].update(values=5)),
+        (False, lambda doc: doc["tensors"]["layer0.W"].update(shape="x")),
+        # a bool is not a member count: true once loaded as one member
+        (True, lambda doc: doc.update(M=True)),
+    ], ids=["null-in-dim", "int-hidden", "list-spec", "string-tensor", "number-values",
+            "string-shape", "bool-M"])
+    def test_malformed_checkpoint_exits_2_naming_the_file(self, tmp_path, capsys, factored,
+                                                         edit):
+        spec = ModelSpec(2, 3, (16, 16))
+        net = (build_be(spec, rng_stream(0, "init"), members=2) if factored
+               else build_plain(spec, rng_stream(0, "init")))
+        model = tmp_path / "broken.json"
+        checkpoint_save(net, model)
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        assert main(["evaluate", "--model", str(model), "--data", str(write_data_spec(tmp_path)),
+                     "--out", str(tmp_path / "m.csv")]) == 2
+        assert str(model) in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["data", "model"])
     def test_run_config_section_not_an_object_exits_2(self, tmp_path, capsys, section):

@@ -12,18 +12,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import distilab.autodiff as ad
-from distilab.autodiff import Tensor
+import tape
 from distilab.data import Dataset
 from distilab.distill import (FACTORED, METHODS, DegenerateEnsembleError, DistillConfig,
                               ProxyDirichlet, _aekd_weights_batch, aekd_weights,
-                              dirichlet_kl, dirichlet_kl_np, kd_loss,
+                              dirichlet_kl_np, kd_loss, one_to_one_loss,
                               proxy_dirichlet_target, proxy_end2_loss, train_student)
+from distilab.autodiff import NumericsError
 from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import MLP, ModelSpec, average_rank_one, build_be, build_plain
-from distilab.optim import OptimConfig, one_hot, steps_per_epoch
+from distilab.optim import OptimConfig, cross_entropy, one_hot, steps_per_epoch
+from distilab.perturb import _ods_gradients
 from distilab.seeding import rng_stream
-from test_autodiff import check_grad
+from test_autodiff import check_value_grad
 
 
 def stub_teacher(probs, tau=1.0):
@@ -51,19 +52,19 @@ class TestKdLoss:
     def test_self_match_hits_entropy_floor(self):
         p = np.array([0.7, 0.3])
         cfg = self._cfg(tau=2.0, m=1)
-        student_logits = Tensor(2.0 * np.log(p)[None, :], requires_grad=True)
+        student_logits = 2.0 * np.log(p)[None, :]
         loss = kd_loss(stub_logits([p], 1, tau=2.0), student_logits,
-                       one_hot(np.array([0]), 2), cfg)
+                       one_hot(np.array([0]), 2), cfg)[0]
         floor = 4.0 * -(p * np.log(p)).sum()
-        assert loss.item() == pytest.approx(floor, abs=1e-12)
+        assert loss == pytest.approx(floor, abs=1e-12)
 
     def test_alpha_zero_is_plain_cross_entropy(self):
-        logits = Tensor(np.array([[2.0, 0.0, -1.0]]), requires_grad=True)
+        logits = np.array([[2.0, 0.0, -1.0]])
         cfg = self._cfg(alpha=0.0, m=1)
         loss = kd_loss(stub_logits([[0.2, 0.5, 0.3]], 1), logits,
-                       one_hot(np.array([1]), 3), cfg)
-        expected = -math.log(softmax_np(logits.data)[0, 1])
-        assert loss.item() == pytest.approx(expected, abs=1e-12)
+                       one_hot(np.array([1]), 3), cfg)[0]
+        expected = -math.log(softmax_np(logits)[0, 1])
+        assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_two_teacher_scalar_case(self):
         # direct evaluation of 0.5 * (H[p_T1, p_S] + H[p_T2, p_S])
@@ -72,10 +73,9 @@ class TestKdLoss:
         h2 = -(0.5 * math.log(0.7) + 0.5 * math.log(0.3))
         expected = 0.5 * (h1 + h2)  # = 0.610864 (also H of the mean teacher)
         cfg = self._cfg()
-        loss = kd_loss(stub_logits([[0.9, 0.1], [0.5, 0.5]], 1),
-                       Tensor(np.log(p_s)[None, :], requires_grad=True),
-                       one_hot(np.array([0]), 2), cfg)
-        assert loss.item() == pytest.approx(expected, abs=1e-9)
+        loss = kd_loss(stub_logits([[0.9, 0.1], [0.5, 0.5]], 1), np.log(p_s)[None, :],
+                       one_hot(np.array([0]), 2), cfg)[0]
+        assert loss == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.610864, abs=1e-6)
 
     def test_mean_teacher_equivalence(self):
@@ -85,11 +85,11 @@ class TestKdLoss:
         probs /= probs.sum(axis=1, keepdims=True)
         student = rng.normal(size=(5, 4))
         cfg = self._cfg(tau=1.0, m=3)
-        loss = kd_loss(stub_logits(probs, 5), Tensor(student, requires_grad=True),
-                       one_hot(np.zeros(5, dtype=int), 4), cfg)
+        loss = kd_loss(stub_logits(probs, 5), student, one_hot(np.zeros(5, dtype=int), 4),
+                       cfg)[0]
         log_q = np.log(softmax_np(student))
         expected = -(probs.mean(axis=0)[None, :] * log_q).sum(axis=1).mean()
-        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -98,19 +98,20 @@ class TestKdLoss:
         cfg = DistillConfig(tau=3.0, alpha=0.7, num_teachers=2,
                             optim=OptimConfig(epochs=2, warmup_epochs=1))
         logits = rng.normal(size=(4, 3))
-        check_grad(lambda t: kd_loss(teacher_logits, t, y, cfg), [logits], rel_tol=1e-5)
+        check_value_grad(lambda a: kd_loss(teacher_logits, a, y, cfg), logits, rel_tol=1e-5)
 
     def test_explicit_uniform_weights_match_kd(self):
         rng = np.random.default_rng(2)
         teacher_logits = rng.normal(size=(3, 6, 4))
-        student = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        student = rng.normal(size=(6, 4))
         y = one_hot(rng.integers(0, 4, size=6), 4)
         for alpha in (1.0, 0.4):
             cfg = DistillConfig(tau=2.5, alpha=alpha, num_teachers=3,
                                 optim=OptimConfig(epochs=2, warmup_epochs=1))
             uniform = kd_loss(teacher_logits, student, y, cfg, np.full((6, 3), 1.0 / 3))
             plain = kd_loss(teacher_logits, student, y, cfg)
-            assert uniform.item() == pytest.approx(plain.item(), abs=1e-12)
+            assert uniform[0] == pytest.approx(plain[0], abs=1e-12)
+            np.testing.assert_allclose(uniform[1], plain[1], atol=1e-15)
 
 
 def hand_one_to_one_step(x, teacher_probs, layers, tau, lr):
@@ -204,15 +205,14 @@ class TestOneToOne:
         spec, student = self._toy(m_count=1)
         x = np.array([[0.4, -0.2]])
         tau = 3.0
-        log_p = ad.log_softmax_temp(student[0].forward(Tensor(x)), tau)
-        member_loss = ad.scale(ad.sum(ad.mul(Tensor(np.tile([0.3, 0.7], (1, 1, 1))),
-                                             log_p)), -tau * tau)
+        t_logits = stub_logits([[0.3, 0.7]], 1, tau)
+        member_loss = one_to_one_loss(t_logits, student[0].forward(x), tau)
         cfg = DistillConfig(tau=tau, alpha=1.0, num_teachers=1,
                             optim=OptimConfig(epochs=2, warmup_epochs=1))
         plain = average_rank_one(student)  # a one-member average is that member
-        kd = kd_loss(stub_logits([[0.3, 0.7]], 1, tau), plain.forward(Tensor(x)),
-                     one_hot(np.array([0]), 2), cfg)
-        assert member_loss.item() == pytest.approx(kd.item(), rel=1e-12)
+        kd = kd_loss(t_logits, plain.forward(x), one_hot(np.array([0]), 2), cfg)
+        assert member_loss[0] == pytest.approx(kd[0], rel=1e-12)
+        np.testing.assert_allclose(member_loss[1], kd[1], rtol=1e-12)
 
 
 class TestLatentBE:
@@ -573,17 +573,16 @@ class TestProxyDirichlet:
 class TestProxyEnd2Loss:
     def test_zero_at_equality(self):
         beta = np.array([[3.0, 1.5, 2.2]])
-        logits = Tensor(np.log(beta - 1.0), requires_grad=True)
-        loss = proxy_end2_loss(logits, ProxyDirichlet(beta))
-        assert abs(loss.item()) < 1e-12
+        loss = proxy_end2_loss(np.log(beta - 1.0), ProxyDirichlet(beta))[0]
+        assert abs(loss) < 1e-12
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             k = int(rng.integers(2, 5))
             beta = rng.uniform(1.1, 6.0, size=(1, k))
-            logits = Tensor(rng.normal(size=(1, k)), requires_grad=True)
-            assert proxy_end2_loss(logits, ProxyDirichlet(beta)).item() > -1e-12
+            logits = rng.normal(size=(1, k))
+            assert proxy_end2_loss(logits, ProxyDirichlet(beta))[0] > -1e-12
 
     def test_closed_form_matches_quadrature(self):
         a = (2.0, 2.0)
@@ -598,37 +597,35 @@ class TestProxyEnd2Loss:
         logits_np = np.array([[0.4, -0.3]])
         conc = np.exp(logits_np) + 1.0
         expected = dirichlet_kl_np(conc, beta)[0] / beta.sum()
-        loss = proxy_end2_loss(Tensor(logits_np, requires_grad=True),
-                               ProxyDirichlet(beta))
-        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        loss = proxy_end2_loss(logits_np, ProxyDirichlet(beta))[0]
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_row_gets_no_weight(self):
         good = np.array([[0.9, 0.1], [0.5, 0.5]])   # two teachers that disagree
         agree = np.array([[0.4, 0.6], [0.4, 0.6]])  # two teachers that agree
         target = proxy_dirichlet_target(np.stack([good, agree], axis=1))
         assert target.defined.tolist() == [True, False]
-        logits = Tensor(np.array([[0.4, -0.3], [0.2, 0.1]]), requires_grad=True)
-        loss = proxy_end2_loss(logits, target)
-        good_loss = proxy_end2_loss(Tensor(logits.data[:1], requires_grad=True),
-                                    proxy_dirichlet_target(good[:, None, :]))
-        assert np.isfinite(loss.item())
-        assert loss.item() == pytest.approx(good_loss.item() / 2, rel=1e-12)
-        loss.backward()
-        np.testing.assert_array_equal(logits.grad[1], 0.0)
-        assert np.all(logits.grad[0] != 0.0)
+        logits = np.array([[0.4, -0.3], [0.2, 0.1]])
+        loss, grad = proxy_end2_loss(logits, target)
+        good_loss = proxy_end2_loss(logits[:1], proxy_dirichlet_target(good[:, None, :]))[0]
+        assert np.isfinite(loss)
+        assert loss == pytest.approx(good_loss / 2, rel=1e-12)
+        np.testing.assert_array_equal(grad[1], 0.0)
+        assert np.all(grad[0] != 0.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         beta = rng.uniform(1.2, 4.0, size=(3, 3))
         target = ProxyDirichlet(beta)
-        check_grad(lambda t: proxy_end2_loss(t, target),
-                   [rng.normal(size=(3, 3))], rel_tol=1e-5)
+        check_value_grad(lambda a: proxy_end2_loss(a, target), rng.normal(size=(3, 3)),
+                         rel_tol=1e-5)
 
     def test_tensor_kl_matches_numpy_kl(self):
+        # the tape's Dirichlet KL, which the closed-form gradient follows
         rng = np.random.default_rng(11)
         a = rng.uniform(1.1, 5.0, size=(4, 3))
         b = rng.uniform(1.1, 5.0, size=(4, 3))
-        got = dirichlet_kl(Tensor(a, requires_grad=True), b)
+        got = tape.dirichlet_kl(tape.Tensor(a, requires_grad=True), b)
         np.testing.assert_allclose(got.data, dirichlet_kl_np(a, b), atol=1e-12)
 
 
@@ -658,9 +655,9 @@ class TestPlainLoops:
         # one step: both teachers run in one stacked forward, the student in one
         train, _, _ = tiny_task
         calls = []
-        forward = MLP.forward
-        monkeypatch.setattr(MLP, "forward",
-                            lambda net, x: calls.append(len(net)) or forward(net, x))
+        forward_kept = MLP.forward_kept
+        monkeypatch.setattr(MLP, "forward_kept",
+                            lambda net, x: calls.append(len(net)) or forward_kept(net, x))
         cfg = DistillConfig(num_teachers=2, method="aekd",
                             optim=OptimConfig(epochs=1, warmup_epochs=0,
                                               batch_size=len(train), seed=0))
@@ -722,3 +719,115 @@ class TestTrainStudent:
                                 rank_decay=0.0, optim=optim)
             train_student(tiny_teachers, tiny_spec, train, cfg, step_hook=keep_first)
             np.testing.assert_allclose(first["r"], start, atol=1e-6)
+
+
+def _loss_case(loss, rng, scale):
+    """(program loss, tape loss, logits) for one random case of a closed-form
+    loss: the program's maps logits to (value, gradient), the tape's a leaf
+    to its value node."""
+    m, b, k = int(rng.integers(1, 4)), int(rng.integers(1, 9)), int(rng.integers(2, 6))
+    tau = float(rng.choice([1.0, 2.5, 4.0]))
+    cfg = DistillConfig(tau=tau, alpha=float(rng.choice([0.0, 0.3, 1.0])), num_teachers=m,
+                        optim=OptimConfig(epochs=2, warmup_epochs=1))
+    t_logits = scale * rng.normal(size=(m, b, k))
+    y = one_hot(rng.integers(0, k, size=b), k)
+    shape = (1, b, k) if rng.integers(0, 2) else (b, k)
+    if loss == "cross_entropy":
+        labels = rng.integers(0, k, size=(m, b) if m > 1 else b)
+        return (lambda z: cross_entropy(z, labels), lambda t: tape.cross_entropy(t, labels),
+                scale * rng.normal(size=(m, b, k)))
+    if loss in ("kd", "aekd"):
+        w = rng.dirichlet(np.ones(m), size=b) if loss == "aekd" else None
+        return (lambda z: kd_loss(t_logits, z, y, cfg, w),
+                lambda t: tape.kd_loss(t_logits, t, y, cfg, w), scale * rng.normal(size=shape))
+    if loss == "one_to_one":
+        return (lambda z: one_to_one_loss(t_logits, z, tau),
+                lambda t: tape.one_to_one_loss(t_logits, t, tau),
+                scale * rng.normal(size=(m, b, k)))
+    probs = rng.dirichlet(np.ones(k), size=(2, b))
+    probs[1, ::3] = probs[0, ::3]           # rows without a defined target
+    target = proxy_dirichlet_target(probs) if b % 3 != 1 else ProxyDirichlet(
+        rng.uniform(1.1, 6.0, size=(b, k)), np.arange(b) % 2 == 0)
+    return (lambda z: proxy_end2_loss(z, target), lambda t: tape.proxy_end2_loss(t, target),
+            scale / 30.0 * rng.normal(size=shape))
+
+
+class TestClosedForms:
+    """Each loss's closed-form logits gradient, and the ODS step's, against
+    the tape of ``tape.py``, bit for bit; and the NumericsError each raises."""
+
+    @pytest.mark.parametrize("loss", ["cross_entropy", "kd", "aekd", "one_to_one",
+                                      "proxy_end2"])
+    def test_logits_gradient_bitwise_equals_tape(self, loss):
+        # at logit scales 30 and 800 some probabilities underflow to zero,
+        # and every sixth case has a row of zeros of both signs
+        rng = np.random.default_rng(80)
+        for trial in range(120):
+            program, on_tape, logits = _loss_case(loss, rng, (1.0, 30.0, 800.0)[trial % 3])
+            if trial % 6 == 5:
+                logits[..., 0, :] = np.where(np.arange(logits.shape[-1]) % 2, 0.0, -0.0)
+            leaf = tape.Tensor(logits, requires_grad=True)
+            out = on_tape(leaf)
+            out.backward()
+            value, grad = program(logits)
+            assert grad.tobytes() == leaf.grad.tobytes()
+            if loss == "proxy_end2":   # its value is dirichlet_kl_np's
+                assert value == pytest.approx(out.item(), rel=1e-9, abs=1e-12)
+            else:
+                assert value == out.item()
+
+    @pytest.mark.parametrize("tau", [1.0, 4.0])
+    def test_ods_gradient_bitwise_equals_tape(self, tau):
+        spec = ModelSpec(2, 4, (16,))
+        teachers = [build_plain(spec, rng_stream(s, "init")) for s in (81, 82)]
+        teachers[1].layers[-1].weight.data *= 100.0      # saturated probabilities
+        rng = np.random.default_rng(83)
+        x = 2.0 * rng.normal(size=(30, 2))
+        x[0] = -0.0
+        guidance = rng.uniform(-1.0, 1.0, size=(30, 4))
+        members = rng.integers(0, 2, size=30)
+        got, conf = _ods_gradients(teachers, x, tau, guidance, members)
+        for m, teacher in enumerate(teachers):
+            rows = members == m
+            leaf = tape.Tensor(x[rows], requires_grad=True)
+            objective = tape.ods_objective(tape.forward(teacher, leaf), guidance[rows][None],
+                                           tau)
+            objective.backward()
+            assert got[rows].tobytes() == leaf.grad.tobytes()
+            assert np.array_equal(conf[rows],
+                                  tape.softmax_temp(tape.forward(teacher, x[rows]),
+                                                    tau).data[0].max(axis=1))
+
+    @pytest.mark.parametrize("op", ["cross_entropy", "kd_loss", "aekd", "one_to_one",
+                                    "proxy_end2_loss", "ods"])
+    def test_overflowing_logits_name_the_loss(self, op):
+        # finite logits whose log-probabilities (or exponentials) are not
+        wide = np.array([[-1e308, 1e308, 0.0]])
+        cfg = DistillConfig(tau=1.0, alpha=0.5, num_teachers=2,
+                            optim=OptimConfig(epochs=2, warmup_epochs=1))
+        calls = {
+            "cross_entropy": lambda: cross_entropy(wide[None], np.array([0])),
+            "kd_loss": lambda: kd_loss(np.zeros((2, 1, 3)), wide, one_hot(np.array([0]), 3),
+                                       cfg),
+            "aekd": lambda: kd_loss(np.zeros((2, 1, 3)), wide, one_hot(np.array([0]), 3),
+                                    cfg, np.full((1, 2), 0.5)),
+            "one_to_one": lambda: one_to_one_loss(np.zeros((2, 1, 3)),
+                                                  np.stack([wide, wide]), 1.0),
+            "proxy_end2_loss": lambda: proxy_end2_loss(np.array([[1000.0, 0.0]]),
+                                                       ProxyDirichlet(np.array([[2.0, 3.0]]))),
+            # logits that overflow at temperature 0.5
+            "ods": lambda: _ods_gradients([wide_teacher()], np.zeros((1, 2)), 0.5,
+                                          np.ones((1, 3)), np.zeros(1, dtype=int)),
+        }
+        name = "kd_loss" if op == "aekd" else op
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"'{name}'"):
+            calls[op]()
+
+
+def wide_teacher():
+    """A plain net whose logits are -1e308, 1e308 and 0 at any input."""
+    net = build_plain(ModelSpec(2, 3, (1,)), rng_stream(0, "init"))
+    for l in net.layers:
+        l.weight.data[:] = 0.0
+    net.layers[-1].bias.data[0] = [-1e308, 1e308, 0.0]
+    return net

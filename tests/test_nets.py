@@ -8,14 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import distilab.autodiff as ad
+import tape
 from distilab.autodiff import ShapeError, Tensor
 from distilab.metrics import batched_logits
 from distilab.nets import (CheckpointError, Layer, MLP, ModelSpec, _fmt_values,
                            average_rank_one, build_be, build_plain, checkpoint_load,
                            checkpoint_save, join)
 from distilab.seeding import rng_stream
-from test_autodiff import check_grad
+from test_autodiff import check_value_grad
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,12 +29,13 @@ def _spec(hidden=(16,)):
     return ModelSpec(2, 3, hidden)
 
 
-def member_output(net, x, m):
-    """The full (M, B, K) forward with every member but m masked to zero."""
-    out = net.forward(x)
-    mask = np.zeros(out.shape)
-    mask[m] = 1.0
-    return ad.mul(Tensor(mask), out)
+def member_grads(net, x, m):
+    """Store in net's parameters the gradients of the sum of member m's
+    logits, through the full (M, B, K) forward."""
+    kept = net.forward_kept(x)
+    upstream = np.zeros(kept[-1][2].shape)
+    upstream[m] = 1.0
+    net.backward(kept, upstream, True)
 
 
 class TestModelSpec:
@@ -69,8 +70,8 @@ class TestForwardPlain:
         for layer in model.layers:
             layer.weight.data[:] = 0.0
             layer.bias.data[0] = 0.0
-        out = model.forward(Tensor(np.ones((4, 2))))
-        assert np.array_equal(out.data, np.zeros((1, 4, 3)))
+        out = model.forward(np.ones((4, 2)))
+        assert np.array_equal(out, np.zeros((1, 4, 3)))
 
     def test_single_linear_layer_composition(self):
         # relu hidden set to identity passthrough makes the net affine:
@@ -85,27 +86,23 @@ class TestForwardPlain:
         model.layers[1].bias.data[0] = b
         x = np.abs(rng.normal(size=(5, 3)))
         expected = (x + 10.0) @ w.T + b
-        np.testing.assert_allclose(model.forward(Tensor(x)).data[0], expected, atol=1e-12)
+        np.testing.assert_allclose(model.forward(x)[0], expected, atol=1e-12)
 
     def test_input_gradient_finite_difference(self):
+        # the input-only backward of a weighted readout of the logits
         model = build_plain(ModelSpec(2, 3, (16,)), rng_stream(2, "init"))
-
-        def build(x):
-            return ad.sum(ad.softmax_temp(model.forward(x), 2.0))
-
-        # softmax rows sum to one so perturb a weighted readout instead
         w = np.random.default_rng(3).normal(size=(1, 4, 3))
 
-        def build_weighted(x):
-            return ad.sum(ad.mul(Tensor(w), ad.softmax_temp(model.forward(x), 2.0)))
+        def readout(x):
+            kept = model.forward_kept(x)
+            return (w * kept[-1][2]).sum(), model.backward(kept, w, False)[0]
 
-        check_grad(build_weighted, [np.random.default_rng(4).normal(size=(4, 2))],
-                   rel_tol=1e-4)
+        check_value_grad(readout, np.random.default_rng(4).normal(size=(4, 2)), rel_tol=1e-4)
 
     def test_input_shape_check(self):
         model = build_plain(_spec(), rng_stream(0, "init"))
         with pytest.raises(Exception):
-            model.forward(Tensor(np.ones((4, 5))))
+            model.forward(np.ones((4, 5)))
 
 
 class TestForwardMember:
@@ -158,12 +155,12 @@ class TestForwardMember:
         else:
             net = join([build_plain(spec, rng_stream(s, "init")) for s in range(4)])
         x = np.random.default_rng(10).normal(size=(5, 2))
-        full = net.forward(Tensor(x)).data
+        full = net.forward(x)
         for idx in ([2, 0], [1, 1], range(4), (3,)):
             picked = net[idx]
             assert (len(picked), picked.factored) == (len(list(idx)), factored)
-            assert picked.forward(Tensor(x)).data.tobytes() == full[list(idx)].tobytes()
-        assert net[3].forward(Tensor(x)).data.tobytes() == full[3:].tobytes()
+            assert picked.forward(x).tobytes() == full[list(idx)].tobytes()
+        assert net[3].forward(x).tobytes() == full[3:].tobytes()
         with pytest.raises(IndexError):
             net[[0, 4]]
         with pytest.raises(IndexError):
@@ -214,15 +211,15 @@ class TestForwardMember:
         else:
             net = join([build_plain(spec, rng_stream(s, "init")) for s in range(3)])
         x = np.random.default_rng(10).normal(size=(5, 2))
-        stacked = net.forward(Tensor(x)).data
+        stacked = net.forward(x)
         assert stacked.shape == (3, 5, 3)
         per_member = np.random.default_rng(11).normal(size=(3, 5, 2))
-        sliced = net.forward(Tensor(per_member)).data
+        sliced = net.forward(per_member)
         for m in range(3):
-            assert stacked[m].tobytes() == net[m].forward(Tensor(x)).data[0].tobytes()
+            assert stacked[m].tobytes() == net[m].forward(x)[0].tobytes()
             assert sliced[m].tobytes() == logits(net[m], per_member[m]).tobytes()
         with pytest.raises(ShapeError):
-            net.forward(Tensor(np.ones((2, 5, 2))))
+            net.forward(np.ones((2, 5, 2)))
 
     def test_join_concatenates_plain_nets(self, tmp_path):
         spec = _spec()
@@ -231,7 +228,7 @@ class TestForwardMember:
         assert (len(joined), joined.factored) == (2, False)
         assert not any(p.requires_grad for p in joined.parameters())
         x = np.random.default_rng(12).normal(size=(4, 2))
-        full = joined.forward(Tensor(x)).data
+        full = joined.forward(x)
         for m, plain in enumerate(plains):
             assert full[m].tobytes() == logits(plain, x).tobytes()
         be = build_be(spec, rng_stream(9, "init"), "random_sign", members=3)
@@ -243,8 +240,7 @@ class TestForwardMember:
 
     def test_member_isolation_in_backward(self):
         be = build_be(_spec(), rng_stream(10, "init"), "random_sign", members=3)
-        x = Tensor(np.random.default_rng(11).normal(size=(5, 2)))
-        ad.sum(member_output(be, x, 1)).backward()
+        member_grads(be, np.random.default_rng(11).normal(size=(5, 2)), 1)
         for l in be.layers:
             for m in (0, 2):
                 assert not l.r.grad[m].any()
@@ -256,15 +252,67 @@ class TestForwardMember:
         x_np = np.random.default_rng(13).normal(size=(4, 2))
         separate = []
         for m in range(2):
-            ad.sum(member_output(be, Tensor(x_np), m)).backward()
+            member_grads(be, x_np, m)
             separate.append([l.weight.grad.copy() for l in be.layers])
-            for p in be.parameters():
-                p.zero_grad()
-        total = ad.sum(be.forward(Tensor(x_np)))
-        total.backward()
+        kept = be.forward_kept(x_np)
+        be.backward(kept, np.ones(kept[-1][2].shape), True)
         for i, l in enumerate(be.layers):
             np.testing.assert_allclose(l.weight.grad, separate[0][i] + separate[1][i],
                                        atol=1e-12)
+
+
+class TestBackward:
+    """``MLP.backward`` against the tape of ``tape.py``, bit for bit."""
+
+    @staticmethod
+    def _net(factored, members, hidden=(16, 8)):
+        spec = ModelSpec(2, 3, hidden)
+        if factored:
+            net = build_be(spec, rng_stream(70, "init"), "random_sign", members=members)
+        else:
+            net = build_plain(spec, [rng_stream(70 + m, "init") for m in range(members)])
+        rng = np.random.default_rng(71)
+        for l in net.layers:
+            l.bias.data[:] = 0.1 * rng.normal(size=l.bias.shape)
+            if factored:
+                l.r.data[:] += 0.3 * rng.normal(size=l.r.shape)
+        return net
+
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    @pytest.mark.parametrize("factored", [False, True])
+    @pytest.mark.parametrize("shared_input", [False, True])
+    def test_parameter_gradients_bitwise_equal_tape(self, members, factored, shared_input):
+        net = self._net(factored, members)
+        rng = np.random.default_rng(72)
+        x = rng.normal(size=(26, 2) if shared_input else (members, 26, 2))
+        # an upstream with zeros of both signs, as a loss gradient may carry
+        upstream = rng.normal(size=(members, 26, 3))
+        upstream[:, ::3] = -0.0
+        upstream[:, 1::5] = 0.0
+        out = tape.forward(net, x)
+        tape.sum(tape.mul(Tensor(upstream), out)).backward()
+        want = [p.grad.copy() for p in net.parameters()]
+        for p in net.parameters():
+            p.grad = None
+        kept = net.forward_kept(x)
+        assert kept[-1][2].tobytes() == out.data.tobytes()
+        net.backward(kept, upstream + 0.0, True)
+        for got, expected in zip(net.parameters(), want):
+            assert got.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_input_gradients_bitwise_equal_tape(self, factored):
+        # member m's input gradient is that of the tape's input leaf of net[m]
+        net = self._net(factored, 3)
+        rng = np.random.default_rng(73)
+        x = rng.normal(size=(26, 2))
+        upstream = rng.normal(size=(3, 26, 3))
+        got = net.backward(net.forward_kept(x), upstream, False)
+        for m in range(3):
+            leaf = Tensor(x, requires_grad=True)
+            out = tape.forward(net[m], leaf)
+            tape.sum(tape.mul(Tensor(upstream[m:m + 1]), out)).backward()
+            assert got[m].tobytes() == leaf.grad.tobytes()
 
 
 class TestAverageRankOne:

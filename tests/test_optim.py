@@ -7,20 +7,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import distilab.autodiff as ad
-from distilab.autodiff import NumericsError, ShapeError, Tensor
+from distilab.autodiff import NumericsError, ShapeError
 from distilab.data import Dataset
 from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import build_be, build_plain, checkpoint_save
-from distilab.optim import OptimConfig, fit, lr_at, one_hot, sgd_update, train_teachers
+from distilab.optim import (OptimConfig, cross_entropy, fit, lr_at, sgd_update,
+                            train_teachers)
 from distilab.seeding import rng_stream
 
 
-def cross_entropy(model, num_classes):
+def ce_loss(model):
+    """fit's batch loss of one-member cross-entropy training."""
     def loss(xb, yb):
-        log_probs = ad.log_softmax_temp(model.forward(Tensor(xb)), 1.0)
-        return ad.scale(ad.sum(ad.mul(Tensor(one_hot(yb, num_classes)[None]), log_probs)),
-                        -1.0 / len(yb))
+        kept = model.forward_kept(xb)
+        return kept, cross_entropy(kept[-1][2], yb)[1]
+    return loss
+
+
+def zero_loss(model):
+    """A batch loss whose logits gradient is zero."""
+    def loss(xb, yb):
+        kept = model.forward_kept(xb)
+        return kept, np.zeros_like(kept[-1][2])
     return loss
 
 
@@ -150,7 +158,7 @@ class TestTraining:
         train, _, _ = tiny_task
         teachers = train_teachers(tiny_spec, train, 1, tiny_optim)
         solo = build_plain(tiny_spec, rng_stream(tiny_optim.seed, "init"))
-        fit(solo, train, tiny_optim, cross_entropy(solo, tiny_spec.num_classes))
+        fit(solo, train, tiny_optim, ce_loss(solo))
         x = train.x[:10]
         np.testing.assert_array_equal(batched_logits(teachers, x),
                                       batched_logits(solo, x))
@@ -178,7 +186,7 @@ class TestTraining:
         cfg = OptimConfig(epochs=30, warmup_epochs=2, batch_size=32, seed=1)
         model = build_plain(tiny_spec, rng_stream(1, "init"))
         ce_before, acc_before = train_ce_and_accuracy(model, train)
-        fit(model, train, cfg, cross_entropy(model, tiny_spec.num_classes))
+        fit(model, train, cfg, ce_loss(model))
         ce_after, acc_after = train_ce_and_accuracy(model, train)
         assert ce_after < ce_before
         assert acc_after > max(acc_before, 0.5)
@@ -194,10 +202,7 @@ class TestTraining:
             shared = [t.data.copy() for t in net.shared_parameters()]
             rank = [t.data.copy() for t in net.rank_parameters()]
 
-            def zero_loss(xb, yb, net=net):
-                return ad.scale(ad.sum(net.forward(Tensor(xb))), 0.0)
-
-            fit(net, train, cfg, zero_loss)
+            fit(net, train, cfg, zero_loss(net))
             for before, t in zip(shared, net.shared_parameters()):
                 assert np.linalg.norm(t.data) < np.linalg.norm(before)
             for before, t in zip(rank, net.rank_parameters()):
@@ -219,7 +224,7 @@ class TestStackedTeachers:
         for i in range(3):
             sub = replace(cfg, seed=cfg.seed + i)
             solo = build_plain(tiny_spec, rng_stream(sub.seed, "init"))
-            fit(solo, train, sub, cross_entropy(solo, tiny_spec.num_classes))
+            fit(solo, train, sub, ce_loss(solo))
             for got, want in zip(teachers[i].parameters(), solo.parameters()):
                 assert got.data.tobytes() == want.data.tobytes()
 
@@ -234,7 +239,7 @@ class TestStackedTeachers:
         def loss(xb, yb):
             assert xb.shape[:-1] == yb.shape
             seen.append(xb[..., 0].astype(int))
-            return ad.scale(ad.sum(net.forward(Tensor(xb))), 0.0)
+            return zero_loss(net)(xb, yb)
 
         fit(net, data, cfg, loss)
         per_epoch = len(seen) // cfg.epochs
@@ -269,8 +274,14 @@ class TestNumericsStep:
 
         def batch_loss(xb, yb):
             calls.append(1)
-            logits = net.forward(Tensor(xb))
-            return ad.scale(ad.sum(logits), np.inf if len(calls) == 3 else 1.0)
+            kept = net.forward_kept(xb)
+            logits = kept[-1][2]
+            if len(calls) == 3:
+                # finite logits whose log-probabilities are not
+                logits = logits.copy()
+                logits[..., 0], logits[..., 1] = 1e308, -1e308
+            with np.errstate(over="ignore"):
+                return kept, cross_entropy(logits, yb)[1]
 
         hooked = []
         cfg = OptimConfig(epochs=2, warmup_epochs=1, batch_size=32, seed=0)
