@@ -7,7 +7,12 @@ with ``optim.fit``; ``DistillConfig.method`` names one of five ways:
                      label cross-entropy term),
 * ``aekd``        -- per-sample teacher weights from a small box-constrained
                      quadratic program, solved exactly for the whole batch at
-                     any number of teachers,
+                     any number of teachers: each candidate split into free,
+                     zero and capped weights becomes least squares once the
+                     simplex constraint eliminates a free weight, solved by
+                     Gram-Schmidt and back-substitution elementwise over the
+                     batch (an affinely dependent free teacher gets weight
+                     0); the candidates, and so the work, grow as 3^M,
 * ``proxy_end2``  -- reverse KL between Dirichlet distributions whose
                      concentrations come from teacher disagreement,
 * ``be``          -- one-to-one distillation into a factored student: member
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
@@ -170,33 +176,19 @@ def aekd_weights(teacher_probs: np.ndarray, student_probs: np.ndarray,
     return _aekd_weights_batch(P[:, None, :], s[None, :], tau, c)[0]
 
 
-def _aekd_weights_batch(teacher_probs: np.ndarray, student_probs: np.ndarray,
-                        tau: float, c: float) -> np.ndarray:
-    """Exact per-sample AE-KD weights, (N, M), from (M, N, K) teacher and
-    (N, K) student probabilities, at any M.
+@lru_cache(maxsize=None)
+def _aekd_candidates(m: int, c: float) -> tuple:
+    """AE-KD's candidates at M=m weights and cap c: one (free, rest, caps,
+    budget) table per free-set size f, and the candidates' tie-break order.
 
-    At the optimum each weight is free, at 0 or at c. Every such split is
-    tried on all rows at once, one free-set size f at a time: one batched
-    SVD factors the KKT matrices of the F free sets of that size, and the S
-    zero/cap splits of the other weights whose caps fit the budget are
-    solved from those factors, with lstsq's cutoff for zero singular values.
-    Of its feasible candidates within 1e-15 of the lowest objective, each
-    row keeps the first in the order free < zero < capped, weight by weight.
-    Time and memory grow as 3^M. c = 1/M forces the uniform weighting (the
-    feasible set is a single point).
+    free (F, f) lists the free sets and rest (F, M - f) the other weights;
+    caps (S, M - f) holds their zero/cap splits that fit the budget (all of
+    it when none is free) and budget (S,) what each leaves to the free ones.
+    order reads each candidate's statuses (0 free, 1 zero, 2 capped) as
+    base-3 digits, weight 0 first, in the nesting size, free set, split.
     """
-    P = np.asarray(teacher_probs, dtype=np.float64)
-    s = np.asarray(student_probs, dtype=np.float64)
-    m, n = P.shape[:2]
-    if c < 1.0 / m - 1e-9 or c > 1.0 + 1e-9:
-        raise ValueError(f"tolerance c={c} infeasible for M={m}")
-    if c <= 1.0 / m + 1e-12:
-        return np.full((n, m), 1.0 / m)
-    rows = P.transpose(1, 0, 2)
-    weights, objective, order = [], [], []
+    tables, order = [], []
     for size in range(m + 1):
-        # every free set of this size, and the zero/cap splits of the other
-        # weights whose caps fit the budget (all of it when none is free)
         splits = list(product((0.0, c), repeat=m - size))
         caps = np.array(splits).reshape(len(splits), m - size)
         budget = 1.0 - caps.sum(axis=1)
@@ -208,37 +200,105 @@ def _aekd_weights_batch(teacher_probs: np.ndarray, student_probs: np.ndarray,
         free = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
         rest = np.array([[i for i in range(m) if i not in f] for f in subsets],
                         dtype=np.intp).reshape(len(subsets), m - size)
-        pf = rows[:, free].transpose(1, 0, 2, 3)                        # (F, N, f, K)
-        resid = s[:, None] - caps @ rows[:, rest].transpose(1, 0, 2, 3)  # (F, N, S, K)
-        kkt = np.ones((len(subsets), n, size + 1, size + 1))
-        kkt[..., :size, :size] = 2.0 * (pf @ pf.transpose(0, 1, 3, 2))
-        kkt[..., size, size] = 0.0
-        u, sv, vt = np.linalg.svd(kkt)
-        keep = sv > np.finfo(np.float64).eps * (size + 1) * sv[..., :1]
-        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
-        rhs = np.empty(resid.shape[:3] + (size + 1,))
-        rhs[..., :size] = 2.0 * (resid @ pf.transpose(0, 1, 3, 2))
-        rhs[..., size] = budget
-        # Applying the factors to each right-hand side, not forming the
-        # pseudo-inverse first, keeps nearly singular rows on the simplex.
-        sol = ((rhs @ u) * inv[:, :, None]) @ vt[..., :size]           # (F, N, S, f)
-        feasible = np.all((sol >= -1e-10) & (sol <= c + 1e-10), axis=-1)
-        sol = np.clip(sol, 0.0, c)
-        resid -= sol @ pf
-        f = np.where(feasible, (resid * resid).sum(axis=-1) / (2.0 * tau * tau), np.inf)
-        w = np.zeros(sol.shape[:3] + (m,))
-        np.put_along_axis(w, free[:, None, None], sol, axis=-1)
-        np.put_along_axis(w, rest[:, None, None], caps, axis=-1)
-        # each weight's status (0 free, 1 zero, 2 capped) as a base-3 digit
         status = np.zeros((len(subsets), len(caps), m))
         np.put_along_axis(status, rest[:, None], 1.0 + (caps > 0.0), axis=-1)
+        order.append(status.reshape(-1, m) @ 3.0 ** np.arange(m - 1, -1, -1))
+        tables.append((free, rest, caps, budget))
+    order = np.concatenate(order)
+    for a in (order, *(a for t in tables for a in t)):
+        a.flags.writeable = False
+    return tuple(tables), order
+
+
+def _aekd_weights_batch(teacher_probs: np.ndarray, student_probs: np.ndarray,
+                        tau: float, c: float) -> np.ndarray:
+    """Exact per-sample AE-KD weights, (N, M), from (M, N, K) teacher and
+    (N, K) student probabilities, at any M.
+
+    At the optimum each weight is free, at 0 or at c. Every such candidate
+    is solved on all rows at once, one free-set size at a time, from tables
+    built once per (M, c). The capped weights leave a budget b to the free
+    ones; substituting w_0 = b - sum_{k>0} w_k for the first of them turns
+    the rest into least squares on the differences p_k - p_0, which
+    ``_aekd_free_weights`` solves by Gram-Schmidt (one free weight is b).
+    Where the free teachers are affinely dependent the optimum is not
+    unique: the dependent teacher gets weight 0, one of the optimal
+    weightings. Of its feasible candidates (within 1e-10 of the box, then
+    clipped) within 1e-15 of the lowest objective, each row keeps the first
+    in the order free < zero < capped, weight by weight. Time and memory
+    grow as 3^M. c = 1/M forces the uniform weighting (the feasible set is
+    a single point).
+    """
+    P = np.asarray(teacher_probs, dtype=np.float64)
+    s = np.asarray(student_probs, dtype=np.float64)
+    m, n = P.shape[:2]
+    if c < 1.0 / m - 1e-9 or c > 1.0 + 1e-9:
+        raise ValueError(f"tolerance c={c} infeasible for M={m}")
+    if c <= 1.0 / m + 1e-12:
+        return np.full((n, m), 1.0 / m)
+    tables, order = _aekd_candidates(m, float(c))
+    weights, objective = [], []
+    for free, rest, caps, budget in tables:
+        # the student's residual after the capped weights, (F, N, S, K)
+        resid = s[None, :, None, :]
+        for j in range(rest.shape[1]):
+            resid = resid - caps[:, j, None] * P[rest[:, j]][:, :, None, :]
+        pf = P[free.T]  # (f, F, N, K)
+        sol = _aekd_free_weights(pf, resid, budget) if len(pf) else []
+        feasible = np.ones(resid.shape[:3], dtype=bool)
+        for k, w in enumerate(sol):
+            feasible &= (w >= -1e-10) & (w <= c + 1e-10)
+            sol[k] = np.clip(w, 0.0, c)
+            resid = resid - sol[k][..., None] * pf[k][:, :, None, :]
+        f = np.where(feasible, (resid * resid).sum(axis=-1) / (2.0 * tau * tau), np.inf)
+        w = np.empty(resid.shape[:3] + (m,))
+        for col, value in zip((*free.T, *rest.T), (*sol, *caps.T)):
+            w[np.arange(len(free)), :, :, col] = value
         weights.append(w.transpose(0, 2, 1, 3).reshape(-1, n, m))
         objective.append(f.transpose(0, 2, 1).reshape(-1, n))
-        order.append(status.reshape(-1, m) @ 3.0 ** np.arange(m - 1, -1, -1))
-    weights, objective, order = (np.concatenate(a) for a in (weights, objective, order))
+    weights, objective = np.concatenate(weights), np.concatenate(objective)
     near_best = objective <= objective.min(axis=0) + 1e-15
     pick = np.where(near_best, order[:, None], np.inf).argmin(axis=0)
     return weights[pick, np.arange(n)]
+
+
+def _aekd_free_weights(pf: np.ndarray, resid: np.ndarray,
+                       budget: np.ndarray) -> list[np.ndarray]:
+    """The free weights w_k, each (F, N, S), minimizing
+    ||resid - sum_k w_k p_k|| subject to sum_k w_k = budget, for (f, F, N, K)
+    free teacher probabilities pf, (F, N, S, K) residuals and (S,) budgets.
+
+    Substituting w_0 = budget - sum_{k>0} w_k leaves least squares on the
+    differences d_k = p_k - p_0 (a single free weight is the budget). Modified
+    Gram-Schmidt runs twice over the d_k, elementwise over free sets, rows
+    and classes, then back-substitution gives the w_k. A d_k that keeps
+    under 1e-10 of its norm after its projection on the earlier ones is
+    affinely dependent on them, and its teacher gets weight 0.
+    """
+    q, r, kept = [], {}, []
+    for j, d in enumerate(pf[1:] - pf[0]):
+        v = d
+        for again in (False, True):
+            for i in range(j):
+                h = (q[i] * v).sum(axis=-1)
+                v = v - h[..., None] * q[i]
+                r[i, j] = r[i, j] + h if again else h
+        norm = np.sqrt((v * v).sum(axis=-1))
+        keep = norm > 1e-10 * np.sqrt((d * d).sum(axis=-1))
+        r[j, j] = np.where(keep, norm, 1.0)
+        q.append(np.where(keep[..., None], v / r[j, j][..., None], 0.0))
+        kept.append(keep)
+    y = resid - budget[:, None] * pf[0][:, :, None, :]
+    x = [None] * len(q)
+    for j in reversed(range(len(q))):
+        acc = (y * q[j][:, :, None, :]).sum(axis=-1)
+        for i in range(j + 1, len(q)):
+            acc = acc - r[j, i][..., None] * x[i]
+        x[j] = np.where(kept[j][..., None], acc / r[j, j][..., None], 0.0)
+    w0 = np.broadcast_to(budget, resid.shape[:3])
+    for w in x:
+        w0 = w0 - w
+    return [w0, *x]
 
 
 def proxy_dirichlet_target(teacher_probs: np.ndarray) -> ProxyDirichlet:

@@ -43,6 +43,7 @@ PLAIN = "plain"
 BATCH_ENSEMBLE = "batch_ensemble"
 CHECKPOINT_VERSION = 1
 RANK_INITS = ("ones", "random_sign")
+HEADS = ("softmax", "dirichlet")
 
 
 class CheckpointError(ValueError):
@@ -126,7 +127,7 @@ class MLP:
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer], head: str = "softmax"):
-        if head not in ("softmax", "dirichlet"):
+        if head not in HEADS:
             raise ValueError(f"unknown head '{head}'")
         if len({(l.bias.shape[0], l.r is None) for l in layers}) != 1:
             raise ShapeError("layers disagree on member count or factoring")
@@ -303,11 +304,10 @@ def _fmt_values(arr: np.ndarray) -> str:
     return " ".join(map(format, arr.ravel().tolist(), itertools.repeat(".17g")))
 
 
-def _parse_values(text: str, shape: Sequence[int], name: str) -> np.ndarray:
+def _parse_values(text: str, shape: Sequence[int]) -> np.ndarray:
     vals = np.array([float(tok) for tok in text.split()], dtype=np.float64)
     if vals.size != int(np.prod(shape)):
-        raise CheckpointError(f"tensor '{name}' has {vals.size} values, "
-                              f"expected shape {tuple(shape)}")
+        raise ValueError(f"{vals.size} values for shape {tuple(shape)}")
     return vals.reshape(tuple(shape))
 
 
@@ -357,7 +357,8 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
     if not isinstance(doc, dict):
         raise CheckpointError(f"{p}: a checkpoint must be a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')}")
+        raise CheckpointError(f"{p}: unsupported checkpoint version "
+                              f"{doc.get('format_version')!r}")
     try:
         kind, sd, tensors = doc["kind"], doc["spec"], doc["tensors"]
         if not isinstance(sd, dict) or not isinstance(tensors, dict):
@@ -371,7 +372,10 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{p}: {e}") from e
     if kind not in (PLAIN, BATCH_ENSEMBLE):
-        raise CheckpointError(f"unknown model kind '{kind}'")
+        raise CheckpointError(f"{p}: unknown model kind {kind!r}")
+    head = doc.get("head", "softmax")
+    if head not in HEADS:
+        raise CheckpointError(f"{p}: unknown head {head!r}")
     factored = kind == BATCH_ENSEMBLE
     members = doc.get("M") if factored else 1
     if not is_int(members) or members < 1:
@@ -379,30 +383,29 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
     if expected_spec is not None:
         if spec.num_classes != expected_spec.num_classes:
             raise CheckpointError(
-                f"checkpoint has {spec.num_classes} classes, "
+                f"{p}: checkpoint has {spec.num_classes} classes, "
                 f"requested spec has {expected_spec.num_classes}")
         if (spec.in_dim, spec.hidden) != (expected_spec.in_dim, expected_spec.hidden):
-            raise CheckpointError("checkpoint architecture disagrees with requested spec")
+            raise CheckpointError(f"{p}: checkpoint architecture disagrees with requested spec")
 
     def load(names: list[str], shape: tuple[int, ...]) -> Tensor | None:
         """The named rows stacked on a member axis; None for no names."""
         rows = []
         for name in names:
             if name not in tensors:
-                raise CheckpointError(f"missing tensor '{name}'")
+                raise CheckpointError(f"{p}: missing tensor '{name}'")
             rec = tensors[name]
             if not isinstance(rec, dict):
                 raise CheckpointError(f"{p}: tensor '{name}' must be a JSON object")
             try:
-                arr = _parse_values(rec["values"], rec["shape"], name)
+                arr = _parse_values(rec["values"], rec["shape"])
             except KeyError as e:
                 raise CheckpointError(f"{p}: tensor '{name}' has no {e} key") from e
-            except CheckpointError:
-                raise
             except (AttributeError, TypeError, ValueError) as e:
                 raise CheckpointError(f"{p}: tensor '{name}' is malformed: {e}") from e
             if arr.shape != shape:
-                raise CheckpointError(f"tensor '{name}' shape {arr.shape} != expected {shape}")
+                raise CheckpointError(
+                    f"{p}: tensor '{name}' shape {arr.shape} != expected {shape}")
             rows.append(arr)
         return Tensor(np.stack(rows)) if rows else None
 
@@ -411,4 +414,4 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
         w, b, r, s = _tensor_names(i, factored, members)
         layers.append(Layer(load([w], (fan_out, fan_in)), load(b, (fan_out,)),
                             load(r, (fan_out,)), load(s, (fan_in,))))
-    return MLP(spec, layers, head=doc.get("head", "softmax"))
+    return MLP(spec, layers, head=head)

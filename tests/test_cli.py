@@ -461,8 +461,16 @@ class TestMalformedInput:
         (False, lambda doc: doc["tensors"]["layer0.W"].update(shape="x")),
         # a bool is not a member count: true once loaded as one member
         (True, lambda doc: doc.update(M=True)),
+        (False, lambda doc: doc.update(head=5)),
+        (False, lambda doc: doc.update(kind="tree")),
+        (False, lambda doc: doc.update(format_version=2)),
+        (False, lambda doc: doc["tensors"].pop("layer0.b")),
+        (True, lambda doc: doc["tensors"].pop("layer1.r1")),
+        (False, lambda doc: doc["tensors"]["layer0.W"].update(shape=[2, 16])),
+        (False, lambda doc: doc["tensors"]["layer0.W"].update(shape=[16, 3])),
     ], ids=["null-in-dim", "int-hidden", "list-spec", "string-tensor", "number-values",
-            "string-shape", "bool-M"])
+            "string-shape", "bool-M", "int-head", "unknown-kind", "version-2",
+            "missing-tensor", "missing-factor", "transposed-shape", "value-count"])
     def test_malformed_checkpoint_exits_2_naming_the_file(self, tmp_path, capsys, factored,
                                                          edit):
         spec = ModelSpec(2, 3, (16, 16))
@@ -475,7 +483,7 @@ class TestMalformedInput:
         model.write_text(json.dumps(doc))
         assert main(["evaluate", "--model", str(model), "--data", str(write_data_spec(tmp_path)),
                      "--out", str(tmp_path / "m.csv")]) == 2
-        assert str(model) in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {model}: ")
 
     @pytest.mark.parametrize("section", ["data", "model"])
     def test_run_config_section_not_an_object_exits_2(self, tmp_path, capsys, section):

@@ -2,8 +2,9 @@
 
 The one-to-one update is checked against an independent single-step
 reimplementation (explicit chain rule in plain numpy); the adaptive-weights
-QP against a fine grid search, its KKT conditions and scipy's SLSQP; the
-Dirichlet reverse KL against numerical integration over the simplex.
+QP against a fine grid search, its KKT conditions, scipy's SLSQP and the
+SVD/KKT solver of ``aekd_reference``; the Dirichlet reverse KL against
+numerical integration over the simplex.
 """
 
 import math
@@ -12,11 +13,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import aekd_reference
 import tape
 from distilab.data import Dataset
 from distilab.distill import (FACTORED, METHODS, DegenerateEnsembleError, DistillConfig,
-                              ProxyDirichlet, _aekd_weights_batch, aekd_weights,
-                              dirichlet_kl_np, kd_loss, one_to_one_loss,
+                              ProxyDirichlet, _aekd_candidates, _aekd_weights_batch,
+                              aekd_weights, dirichlet_kl_np, kd_loss, one_to_one_loss,
                               proxy_dirichlet_target, proxy_end2_loss, train_student)
 from distilab.autodiff import NumericsError
 from distilab.metrics import batched_logits, softmax_np
@@ -404,6 +406,23 @@ class TestAekdWeights:
         assert abs(w[0] - w_grid) < 1e-4
         np.testing.assert_allclose(w, [0.6, 0.4], atol=1e-10)
 
+    def test_nearly_collinear_teachers_matched_exactly(self):
+        # p2 - p0 is 0.33 degrees off the direction of p1 - p0: a student
+        # inside the three teachers' hull needs all three free.
+        probs = np.array([[0.2, 0.4, 0.4], [0.6, 0.2, 0.2], [0.4, 0.301, 0.299]])
+        student = np.array([0.4, 0.3, 0.3]) @ probs
+        w = aekd_weights(probs, student, tau=1.0, c=0.6)
+        np.testing.assert_allclose(w, [0.4, 0.3, 0.3], atol=1e-12)
+
+    def test_duplicate_teachers_follow_the_tie_rule(self):
+        # Every weighting of two identical teachers is optimal. The free
+        # pair gives the duplicate weight 0, which the cap 0.6 rejects;
+        # then (free, capped) comes before (capped, free).
+        p = np.array([0.7, 0.2, 0.1])
+        s = np.array([0.2, 0.5, 0.3])
+        np.testing.assert_array_equal(aekd_weights(np.stack([p, p]), s, 1.0, 0.6), [0.4, 0.6])
+        np.testing.assert_array_equal(aekd_weights(np.stack([p, p]), s, 1.0, 1.0), [1.0, 0.0])
+
     def test_infeasible_tolerance_rejected(self):
         probs = np.full((4, 3), 1 / 3.0)
         with pytest.raises(ValueError):
@@ -448,7 +467,7 @@ class TestAekdWeights:
             batch = _aekd_weights_batch(probs, student, tau=2.0, c=0.7)
             for b in range(10):
                 single = aekd_weights(probs[:, b], student[b], tau=2.0, c=0.7)
-                np.testing.assert_allclose(batch[b], single, atol=1e-8)
+                np.testing.assert_array_equal(batch[b], single)
 
     @staticmethod
     def _slsqp_best(probs, s, tau, c):
@@ -495,9 +514,9 @@ class TestAekdWeights:
                 f = resid @ resid / (2.0 * tau * tau)
                 assert f <= self._slsqp_best(probs[:, b], student[b], tau, c) + 1e-12
 
-    def test_factorizations_do_not_grow_with_rows(self, monkeypatch):
+    def test_no_linalg_call_and_tables_built_once(self, monkeypatch):
         calls = []
-        for name in ("svd", "lstsq"):
+        for name in ("svd", "lstsq", "solve", "eigh", "pinv", "qr", "inv"):
             original = getattr(np.linalg, name)
 
             def counted(*args, _original=original, **kwargs):
@@ -505,17 +524,44 @@ class TestAekdWeights:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        _aekd_candidates.cache_clear()
         rng = np.random.default_rng(10)
-        counts = []
         for n in (4, 64):
             probs = rng.uniform(0.05, 1.0, size=(3, n, 3))
             probs /= probs.sum(axis=-1, keepdims=True)
             student = rng.uniform(0.05, 1.0, size=(n, 3))
             student /= student.sum(axis=-1, keepdims=True)
-            calls.clear()
-            _aekd_weights_batch(probs, student, tau=2.0, c=0.6)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 2 ** 3
+            for c in (0.6, 0.7, 0.6):
+                _aekd_weights_batch(probs, student, tau=2.0, c=c)
+        assert calls == []
+        info = _aekd_candidates.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_never_worse_than_svd_oracle(self, m):
+        # Sharp, ill-conditioned and exactly duplicated teachers; every row
+        # must be feasible and reach the SVD/KKT solver's objective.
+        rng = np.random.default_rng(20 + m)
+        tau = 4.0
+        for trial in range(50):
+            k = int(rng.integers(2, 7))
+            if trial % 3 == 0:
+                probs = softmax_np(10.0 * rng.normal(size=(m, 32, k)), 1.0)
+            elif trial % 3 == 1:
+                base = np.concatenate([[0.0], -9.0 - 2.0 * np.arange(k - 1)])
+                probs = softmax_np(base + rng.normal(size=(m, 32, k)), 1.0)
+            else:
+                probs = softmax_np(rng.normal(size=(m, 32, k)), 1.0)
+                probs[-1] = probs[int(rng.integers(m - 1))]
+            student = softmax_np(3.0 * rng.normal(size=(32, k)), 1.0)
+            c = float(rng.uniform(1.0 / m, 1.0))
+            w = _aekd_weights_batch(probs, student, tau, c)
+            assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+            assert w.min() >= 0.0 and w.max() <= c
+            oracle = aekd_reference.aekd_weights_batch(probs, student, tau, c)
+            objective = [((student - np.einsum("nm,mnk->nk", v, probs)) ** 2).sum(axis=1)
+                         / (2.0 * tau * tau) for v in (w, oracle)]
+            assert np.all(objective[0] <= objective[1] + 1e-15)
 
 
 def dirichlet_kl_quadrature(a, b, points=100_000):

@@ -3,6 +3,7 @@ rank-one averaging against a per-element loop oracle, checkpoint round trips
 and committed format-v1 files."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -396,8 +397,11 @@ class TestCheckpoints:
         model = build_plain(_spec(), rng_stream(26, "init"))
         path = tmp_path / "m.json"
         checkpoint_save(model, path)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: checkpoint has 3 "):
             checkpoint_load(path, expected_spec=ModelSpec(2, 5, (16,)))
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: checkpoint architecture disagrees"):
+            checkpoint_load(path, expected_spec=ModelSpec(2, 3, (8,)))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
