@@ -6,7 +6,6 @@ analysis suite, all on synthetic classification tasks small enough that every
 mechanism-level claim is directly testable.
 """
 
-from .autodiff import Tensor
 from .data import Dataset, corrupt, load_csv, make_mixture, make_ood
 from .distill import (DistillConfig, aekd_weights, kd_loss, proxy_dirichlet_target,
                       proxy_end2_loss, train_student)

@@ -1,14 +1,13 @@
-"""Float64 parameter tensors and the closed-form pieces of every gradient.
+"""The closed-form pieces of every gradient.
 
-A ``Tensor`` is a parameter leaf: a float64 array, the gradient the last
-backward pass stored for it, and whether it trains. There is no graph.
+There is no graph. A net's parameters are float64 arrays.
 ``nets.MLP.forward_kept`` runs a net from ``dense_weight_t`` and
 ``dense_values`` and keeps each layer's input, weights and output;
 ``nets.MLP.backward`` takes a logits gradient back through them with
-``dense_pre_grad``, ``dense_param_grads`` and ``dense_input_grad``. Every
-loss forms its value and its logits gradient in closed form from
-``log_softmax_values`` / ``log_softmax_grad`` and the gamma-family kernels
-below.
+``dense_pre_grad``, ``dense_param_grads`` and ``dense_input_grad``, and
+returns the gradients it forms. Every loss forms its value and its logits
+gradient in closed form from ``log_softmax_values`` / ``log_softmax_grad``
+and the gamma-family kernels below.
 
 Design constraints honored throughout:
 
@@ -50,50 +49,25 @@ def first_arrival(g: np.ndarray) -> np.ndarray:
     return np.add(g, 0.0, out=g)
 
 
-class Tensor:
-    """A float64 parameter array, its gradient and whether it trains."""
-
-    __slots__ = ("data", "requires_grad", "grad")
-
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.array(data, dtype=np.float64, copy=True)
-        ensure_finite(arr, "tensor")
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @classmethod
-    def adopt(cls, arr: np.ndarray) -> "Tensor":
-        """A constant holding arr itself, with no copy and no finiteness
-        check: arr must be a finite float64 array that nothing else holds."""
-        out = cls.__new__(cls)
-        out.data = arr
-        out.requires_grad = False
-        out.grad = None
-        return out
-
-
 # -- member-stacked dense layer ---------------------------------------------
 
-def member_weights(weight: Tensor, r: Tensor | None, s: Tensor | None) -> np.ndarray:
+def member_weights(weight: np.ndarray, r: np.ndarray | None,
+                   s: np.ndarray | None) -> np.ndarray:
     """(M, out, in) member weights: the (M, out, in) weight itself, or the
     shared (1, out, in) weight Hadamard-multiplied by each member's r_m s_m^T
     from r (M, out) and s (M, in)."""
     if r is None:
-        return weight.data
-    return weight.data * (r.data[:, :, None] * s.data[:, None, :])
+        return weight
+    return weight * (r[:, :, None] * s[:, None, :])
 
 
-def dense_weight_t(weight: Tensor, r: Tensor | None, s: Tensor | None) -> np.ndarray:
+def dense_weight_t(weight: np.ndarray, r: np.ndarray | None,
+                   s: np.ndarray | None) -> np.ndarray:
     """(M, in, out) member weights for ``dense_values``: member_weights(weight,
     r, s) transposed, built in (M, in, out) order."""
     if r is None:
-        return np.ascontiguousarray(weight.data.transpose(0, 2, 1))
-    return weight.data.transpose(0, 2, 1) * (s.data[:, :, None] * r.data[:, None, :])
+        return np.ascontiguousarray(weight.transpose(0, 2, 1))
+    return weight.transpose(0, 2, 1) * (s[:, :, None] * r[:, None, :])
 
 
 def dense_values(x: np.ndarray, w_t: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
@@ -123,8 +97,8 @@ def dense_input_grad(g_pre: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     return np.matmul(g_pre, w_t.transpose(0, 2, 1))
 
 
-def dense_param_grads(x: np.ndarray, g_pre: np.ndarray, weight: Tensor, r: Tensor | None,
-                      s: Tensor | None) -> tuple[np.ndarray, ...]:
+def dense_param_grads(x: np.ndarray, g_pre: np.ndarray, weight: np.ndarray,
+                      r: np.ndarray | None, s: np.ndarray | None) -> tuple[np.ndarray, ...]:
     """The gradients of a layer's weight, r, s and bias (None for the r and s
     of a plain layer), from its (B, in) or (M, B, in) input x and the
     (M, B, out) gradient before its relu.
@@ -138,12 +112,12 @@ def dense_param_grads(x: np.ndarray, g_pre: np.ndarray, weight: Tensor, r: Tenso
     g_w = np.matmul(x_t, g_pre).transpose(0, 2, 1)      # d/dW_m, (M, out, in)
     g_bias = first_arrival(g_pre.sum(axis=1))
     if r is None:
-        return np.add(g_w, 0.0, out=np.empty_like(weight.data)), None, None, g_bias
-    rank_one = r.data[:, :, None] * s.data[:, None, :]
+        return np.add(g_w, 0.0, out=np.empty_like(weight)), None, None, g_bias
+    rank_one = r[:, :, None] * s[:, None, :]
     g_weight = first_arrival((g_w * rank_one).sum(axis=0, keepdims=True))
-    g_rank = g_w * weight.data
-    g_r = first_arrival(np.matmul(g_rank, s.data[:, :, None])[..., 0])
-    g_s = first_arrival(np.matmul(g_rank.transpose(0, 2, 1), r.data[:, :, None])[..., 0])
+    g_rank = g_w * weight
+    g_r = first_arrival(np.matmul(g_rank, s[:, :, None])[..., 0])
+    g_s = first_arrival(np.matmul(g_rank.transpose(0, 2, 1), r[:, :, None])[..., 0])
     return g_weight, g_r, g_s, g_bias
 
 

@@ -257,16 +257,25 @@ METRIC_COLUMNS = ("run_id", "split", "acc", "nll_sum", "nll_mean", "ece",
 
 
 def cmd_evaluate(args) -> int:
+    """Every output is formed before the first file is written, so a failure
+    leaves no file behind."""
     model = checkpoint_load(args.model)
     target, val, split_name = _resolve_eval_data(args)
+    if args.corrupt is not None:
+        target = corrupt(target, args.corrupt, seed=int(args.seed))
+        split_name = f"{split_name}:corrupt{args.corrupt}"
     if args.ood is not None:
         ood_spec = {"shift": 6.0, "seed": 0, **_read_spec(args.ood, "ood spec")}
         shift = _positive(ood_spec, "shift", "ood spec")
         ood_seed = _integer(ood_spec, "seed", "ood spec")
-    if args.corrupt is not None:
-        target = corrupt(target, args.corrupt, seed=int(args.seed))
-        split_name = f"{split_name}:corrupt{args.corrupt}"
+        try:
+            ood = make_ood(target, shift, ood_seed)
+        except ValueError as e:
+            raise ConfigError(f"{args.ood}: {e}") from e
     report = evaluate_model(model, target, val)
+    if args.ood is not None:
+        ood_probs = _mean_probs(_model_eval_logits(model, ood.x), 1.0)
+        hists = [entropy_histogram(report.probs, tag="in"), entropy_histogram(ood_probs, tag="ood")]
     run_id = Path(args.model).stem
     out = Path(args.out)
     _write_csv(out, METRIC_COLUMNS, [[run_id, split_name,
@@ -274,9 +283,6 @@ def cmd_evaluate(args) -> int:
     print(f"{run_id} {split_name}: acc={report.acc:.4f} nll_mean={report.nll_mean:.4f} "
           f"ece={report.ece:.4f} tau*={report.tau_star:.4f}")
     if args.ood is not None:
-        ood = make_ood(target, shift, ood_seed)
-        ood_probs = _mean_probs(_model_eval_logits(model, ood.x), 1.0)
-        hists = [entropy_histogram(report.probs, tag="in"), entropy_histogram(ood_probs, tag="ood")]
         _write_csv(Path(str(out) + ".entropy.csv"), ("tag", "bin_lo", "bin_hi", "count"),
                    [(h.tag, lo, hi, count) for h in hists
                     for lo, hi, count in zip(h.edges[:-1], h.edges[1:], h.counts)])

@@ -1,12 +1,13 @@
 """Relu MLPs with a member axis: plain nets and rank-one-factored students.
 
 An ``MLP`` has ``len(net)`` members, and each layer stores its parameters
-as four member-stacked tensors: a weight, a bias, and the rank-one factors
-r and s of a factored layer. ``net.forward_kept`` runs every member at once
-and keeps each layer's output, and ``net.backward`` takes a logits gradient
-back through those, for training and for input gradients alike;
-``net.forward`` returns the logits alone. ``net[m]`` and ``net[[i, j]]``
-are copies of those members' rows, as a net of constants.
+as member-stacked float64 arrays: a weight, a bias, and the rank-one
+factors r and s of a factored layer. ``net.forward_kept`` runs every member
+at once and keeps each layer's output, and ``net.backward`` takes a logits
+gradient back through those and returns the parameter gradients or the
+input gradients, writing nothing onto the net; ``net.forward`` returns the
+logits alone. ``net[m]`` and ``net[[i, j]]`` are copies of those members'
+rows.
 
 A plain layer holds one weight per member, an (M, out, in) weight: the
 teacher ensemble trains as one M-member net, each teacher is saved as a
@@ -16,10 +17,6 @@ r (M, out) and s (M, in); member m's effective weight is the shared matrix
 Hadamard-multiplied by the outer product r_m s_m^T. Averaging those
 rank-one products collapses the student back to a single plain network
 with ordinary inference cost.
-
-Only ``build_plain`` and ``build_be`` make trainable tensors; every derived
-net (a loaded checkpoint, a join, a member selection, an average) holds
-constants.
 
 Biases are kept per member (the factored construction is silent on biases;
 per-member keeps member expressiveness symmetric with the rank-one weights)
@@ -37,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import ShapeError
 
 PLAIN = "plain"
 BATCH_ENSEMBLE = "batch_ensemble"
@@ -100,13 +97,16 @@ class Layer:
     weight (M, out, in), one per member; a factored one has a shared weight
     (1, out, in) and rank-one factors r (M, out) and s (M, in)."""
 
-    def __init__(self, weight: Tensor, bias: Tensor, r: Tensor | None = None,
-                 s: Tensor | None = None):
-        if bias.data.ndim != 2:
+    def __init__(self, weight: np.ndarray, bias: np.ndarray, r: np.ndarray | None = None,
+                 s: np.ndarray | None = None):
+        if any(a is not None and getattr(a, "dtype", None) != np.float64
+               for a in (weight, bias, r, s)):
+            raise TypeError("a dense layer's weight, bias, r and s are float64 arrays")
+        if bias.ndim != 2:
             raise ShapeError(f"a dense layer's bias is (M, out), got {bias.shape}")
         members, out_dim = bias.shape
         in_dim = weight.shape[-1]
-        got = tuple(None if t is None else t.shape for t in (weight, r, s))
+        got = tuple(None if a is None else a.shape for a in (weight, r, s))
         want = ((members, out_dim, in_dim), None, None) if r is None else \
             ((1, out_dim, in_dim), (members, out_dim), (members, in_dim))
         if got != want:
@@ -139,17 +139,17 @@ class MLP:
         return self.layers[0].bias.shape[0]
 
     def __getitem__(self, idx: int | Iterable[int]) -> "MLP":
-        """A net of constants holding copies of member idx (an int) or of
-        members idx (a sequence), in that order."""
+        """A net holding copies of member idx (an int) or of members idx (a
+        sequence), in that order."""
         rows = [idx] if isinstance(idx, (int, np.integer)) else list(idx)
         if not rows or any(not 0 <= m < len(self) for m in rows):
             raise IndexError(f"member index {idx} out of range for M={len(self)}")
 
-        def take(t: Tensor | None) -> Tensor | None:
+        def take(a: np.ndarray | None) -> np.ndarray | None:
             # the fancy index is the one copy
-            return None if t is None else Tensor.adopt(t.data[rows])
+            return None if a is None else a[rows]
 
-        layers = [Layer(Tensor.adopt(l.weight.data.copy()) if self.factored else take(l.weight),
+        layers = [Layer(l.weight.copy() if self.factored else take(l.weight),
                         take(l.bias), take(l.r), take(l.s)) for l in self.layers]
         return MLP(self.spec, layers, self.head)
 
@@ -178,63 +178,60 @@ class MLP:
         last = len(self.layers) - 1
         for i, l in enumerate(self.layers):
             w_t = ad.dense_weight_t(l.weight, l.r, l.s)
-            out = ad.dense_values(x, w_t, l.bias.data, i != last)
+            out = ad.dense_values(x, w_t, l.bias, i != last)
             kept.append((x, w_t, out))
             x = out
         return kept
 
-    def backward(self, kept: list, g: np.ndarray, params: bool) -> np.ndarray | None:
+    def backward(self, kept: list, g: np.ndarray,
+                 params: bool) -> list[np.ndarray] | np.ndarray:
         """Take the (M, B, K) logits gradient g back through the layers
-        ``forward_kept`` kept.
+        ``forward_kept`` kept, writing nothing onto the net.
 
-        With params, store in each trainable tensor's grad its gradient
-        (see ``autodiff.dense_param_grads``) and return None; the net's input
+        With params, return the gradient of each array of ``parameters()``,
+        in that order (see ``autodiff.dense_param_grads``); the net's input
         gets no gradient. Without, form no parameter gradient and return the
         (M, B, in) gradient of each member's input. The gradient of each
         layer's input is a first arrival, as every other gradient is.
         """
         last = len(self.layers) - 1
+        grads = [None] * len(self.layers)
         for i in range(last, -1, -1):
             x, w_t, out = kept[i]
             l = self.layers[i]
             g = ad.dense_pre_grad(g, out, i != last)
             if params:
-                for t, grad in zip((l.weight, l.r, l.s, l.bias),
-                                   ad.dense_param_grads(x, g, l.weight, l.r, l.s)):
-                    if t is not None and t.requires_grad:
-                        t.grad = grad
+                grads[i] = ad.dense_param_grads(x, g, l.weight, l.r, l.s)
                 if i == 0:
-                    return None
+                    w, r, s, b = zip(*grads)
+                    return [*w, *(a for rs in zip(r, s) for a in rs if a is not None), *b]
             g = ad.first_arrival(ad.dense_input_grad(g, w_t))
         return g
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[np.ndarray]:
         return self.shared_parameters() + self.rank_parameters() + self.member_bias_parameters()
 
-    def shared_parameters(self) -> list[Tensor]:
+    def shared_parameters(self) -> list[np.ndarray]:
         return [l.weight for l in self.layers]
 
-    def rank_parameters(self) -> list[Tensor]:
-        return [t for l in self.layers if l.r is not None for t in (l.r, l.s)]
+    def rank_parameters(self) -> list[np.ndarray]:
+        return [a for l in self.layers if l.r is not None for a in (l.r, l.s)]
 
-    def member_bias_parameters(self) -> list[Tensor]:
+    def member_bias_parameters(self) -> list[np.ndarray]:
         return [l.bias for l in self.layers]
 
 
 def join(nets: "MLP | Iterable[MLP]") -> MLP:
-    """One plain net whose members are those of plain nets, in order, as
-    constants. A net is returned as it is; select members of a factored net
-    with ``net[idx]``."""
+    """One plain net whose members are copies of those of plain nets, in
+    order. A net is returned as it is; select members of a factored net with
+    ``net[idx]``."""
     if isinstance(nets, MLP):
         return nets
     nets = list(nets)
     if any(n.factored for n in nets):
         raise ValueError("only plain nets join; select factored members with net[idx]")
-
-    def cat(ts: Iterable[Tensor]) -> Tensor:
-        return Tensor(np.concatenate([t.data for t in ts]))
-
-    layers = [Layer(cat(p.weight for p in parts), cat(p.bias for p in parts))
+    layers = [Layer(np.concatenate([p.weight for p in parts]),
+                    np.concatenate([p.bias for p in parts]))
               for parts in zip(*(n.layers for n in nets))]
     return MLP(nets[0].spec, layers, nets[0].head)
 
@@ -248,8 +245,7 @@ def build_plain(spec: ModelSpec, rng: np.random.Generator | Sequence[np.random.G
     layers = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         w = np.stack([g.normal(0.0, np.sqrt(2.0 / fan_in), (fan_out, fan_in)) for g in rngs])
-        layers.append(Layer(Tensor(w, requires_grad=True),
-                            Tensor(np.zeros((len(rngs), fan_out)), requires_grad=True)))
+        layers.append(Layer(w, np.zeros((len(rngs), fan_out))))
     return MLP(spec, layers, head=head)
 
 
@@ -274,9 +270,7 @@ def build_be(spec: ModelSpec, rng: np.random.Generator,
             signs = [(rng.integers(0, 2, size=fan_out) * 2.0 - 1.0,
                       rng.integers(0, 2, size=fan_in) * 2.0 - 1.0) for _ in range(members)]
             r, s = (np.stack(f) for f in zip(*signs))
-        layers.append(Layer(Tensor(shared, requires_grad=True),
-                            Tensor(np.zeros((members, fan_out)), requires_grad=True),
-                            Tensor(r, requires_grad=True), Tensor(s, requires_grad=True)))
+        layers.append(Layer(shared, np.zeros((members, fan_out)), r, s))
     return MLP(spec, layers)
 
 
@@ -292,9 +286,9 @@ def average_rank_one(model: MLP) -> MLP:
     layers = []
     m_count = len(model)
     for l in model.layers:
-        rank_mean = (l.r.data[:, :, None] * l.s.data[:, None, :]).sum(axis=0) / m_count
-        bias = l.bias.data.sum(axis=0, keepdims=True) / m_count
-        layers.append(Layer(Tensor(l.weight.data * rank_mean), Tensor(bias)))
+        rank_mean = (l.r[:, :, None] * l.s[:, None, :]).sum(axis=0) / m_count
+        bias = l.bias.sum(axis=0, keepdims=True) / m_count
+        layers.append(Layer(l.weight * rank_mean, bias))
     return MLP(model.spec, layers)
 
 
@@ -330,9 +324,9 @@ def checkpoint_save(model: MLP, path: str | Path) -> None:
     tensors = {}
     for i, l in enumerate(model.layers):
         w, b, r, s = _tensor_names(i, model.factored, len(model))
-        rows = [l.weight.data[0], *l.bias.data]
+        rows = [l.weight[0], *l.bias]
         if model.factored:
-            rows += [*l.r.data, *l.s.data]
+            rows += [*l.r, *l.s]
         for name, arr in zip([w, *b, *r, *s], rows):
             tensors[name] = {"shape": list(arr.shape), "values": _fmt_values(arr)}
     doc = {
@@ -388,7 +382,7 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
         if (spec.in_dim, spec.hidden) != (expected_spec.in_dim, expected_spec.hidden):
             raise CheckpointError(f"{p}: checkpoint architecture disagrees with requested spec")
 
-    def load(names: list[str], shape: tuple[int, ...]) -> Tensor | None:
+    def load(names: list[str], shape: tuple[int, ...]) -> np.ndarray | None:
         """The named rows stacked on a member axis; None for no names."""
         rows = []
         for name in names:
@@ -406,8 +400,10 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
             if arr.shape != shape:
                 raise CheckpointError(
                     f"{p}: tensor '{name}' shape {arr.shape} != expected {shape}")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{p}: tensor '{name}' has a non-finite value")
             rows.append(arr)
-        return Tensor(np.stack(rows)) if rows else None
+        return np.stack(rows) if rows else None
 
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NumericsError, ShapeError, Tensor
+from .autodiff import NumericsError, ShapeError
 from .nets import MLP, ModelSpec, build_plain, is_int, is_real
 from .seeding import rng_stream
 
@@ -92,7 +92,7 @@ class SGD:
     """Holds one velocity buffer per parameter; decay_mask[i] says whether
     weight decay applies to params[i]."""
 
-    def __init__(self, params: list[Tensor], momentum: float, weight_decay: float,
+    def __init__(self, params: list[np.ndarray], momentum: float, weight_decay: float,
                  decay_mask: list[bool]):
         self.params = params
         self.momentum = momentum
@@ -100,17 +100,12 @@ class SGD:
         self.decay_mask = decay_mask
         if len(decay_mask) != len(params):
             raise ValueError("decay_mask length must match params")
-        self.velocities = [np.zeros_like(p.data) for p in params]
+        self.velocities = [np.zeros_like(p) for p in params]
 
-    def step(self, lr: float) -> None:
-        for p, v, decayed in zip(self.params, self.velocities, self.decay_mask):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            sgd_update(p.data, g, v, lr, self.momentum,
-                       self.weight_decay if decayed else 0.0)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+    def step(self, grads: list[np.ndarray], lr: float) -> None:
+        """Update each parameter in place from its gradient in grads."""
+        for p, g, v, decayed in zip(self.params, grads, self.velocities, self.decay_mask):
+            sgd_update(p, g, v, lr, self.momentum, self.weight_decay if decayed else 0.0)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -149,7 +144,8 @@ def fit(net: MLP, data, config: OptimConfig,
     batch_loss(x_batch, y_batch) runs net on the batch, or on inputs formed
     from it, by ``net.forward_kept``, and returns what that kept and the
     gradient of the loss with respect to the (M, B, K) logits; ``fit`` takes
-    that gradient back with ``net.backward``.
+    that gradient back with ``net.backward``, which returns the gradient of
+    each parameter.
     A plain net of M > 1 members is M independent trainings: member m draws
     its batches from the stream of seed + m, so batch_loss gets (M, B, in) and
     (M, B) arrays. Any other net draws from the seed's stream and gets (B, in).
@@ -163,11 +159,10 @@ def fit(net: MLP, data, config: OptimConfig,
     n = len(data)
     shuffles = [rng_stream(config.seed + m, "batch-shuffle")
                 for m in range(1 if net.factored else len(net))]
-    shared = net.shared_parameters()
-    rank = net.rank_parameters()
-    biases = net.member_bias_parameters()
-    mask = [True] * len(shared) + [False] * len(rank) + [not net.factored] * len(biases)
-    opt = SGD(shared + rank + biases, config.momentum, config.weight_decay, decay_mask=mask)
+    shared, rank = len(net.shared_parameters()), len(net.rank_parameters())
+    params = net.parameters()
+    mask = [True] * shared + [False] * rank + [not net.factored] * len(net.layers)
+    opt = SGD(params, config.momentum, config.weight_decay, decay_mask=mask)
     spe = steps_per_epoch(n, config.batch_size)
     step = 0
     for _ in range(config.epochs):
@@ -177,17 +172,17 @@ def fit(net: MLP, data, config: OptimConfig,
             idx = order[..., start:start + config.batch_size]
             try:
                 # no name holds the kept layers, so they are freed after the backward
-                net.backward(*batch_loss(data.x[idx], data.y[idx]), True)
+                grads = net.backward(*batch_loss(data.x[idx], data.y[idx]), True)
             except NumericsError as e:
                 raise NumericsError(f"{e} at step {step + 1}") from e
             if net.factored:
-                for t in shared:
-                    t.grad /= len(net)
+                for g in grads[:shared]:
+                    g /= len(net)
             if rank_decay > 0.0:
-                for t in rank:
-                    t.grad += rank_decay * (t.data - 1.0)
-            opt.step(lr_at(config, step, spe))
-            opt.zero_grad()
+                for g, p in zip(grads[shared:shared + rank], params[shared:shared + rank]):
+                    g += rank_decay * (p - 1.0)
+            opt.step(grads, lr_at(config, step, spe))
+            del grads   # freed before the next step's forward
             step += 1
             if step_hook is not None:
                 step_hook(step, net)
@@ -196,7 +191,7 @@ def fit(net: MLP, data, config: OptimConfig,
 
 def train_teachers(spec: ModelSpec, data, m: int, config: OptimConfig) -> MLP:
     """Train M cross-entropy models as one M-member plain net in one ``fit``,
-    member m's init and batches from seed + m; returns them as constants."""
+    member m's init and batches from seed + m."""
     if m < 1:
         raise ValueError("teacher count must be >= 1")
     net = build_plain(spec, [rng_stream(config.seed + i, "init") for i in range(m)])
@@ -205,4 +200,4 @@ def train_teachers(spec: ModelSpec, data, m: int, config: OptimConfig) -> MLP:
         kept = net.forward_kept(xb)
         return kept, cross_entropy(kept[-1][2], yb)[1]
 
-    return fit(net, data, config, batch_loss)[range(m)]
+    return fit(net, data, config, batch_loss)

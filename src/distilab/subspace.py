@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .data import Dataset
 from .metrics import accuracy, batched_logits, nll_with_stats, softmax_np
 from .nets import Layer, MLP, join
@@ -52,15 +51,15 @@ def _require_two_members(model) -> None:
 
 
 def interpolate(model, t: float) -> MLP:
-    """Plain network of constants at position t on the member-1 / member-2 line."""
+    """Plain network at position t on the member-1 / member-2 line."""
     _require_two_members(model)
     net = join(model)
     layers = []
     for l in net.layers:
         w = ad.member_weights(l.weight, l.r, l.s)
         w = (1.0 - t) * w[0] + t * w[1]
-        b = (1.0 - t) * l.bias.data[0] + t * l.bias.data[1]
-        layers.append(Layer(Tensor(w[None]), Tensor(b[None])))
+        b = (1.0 - t) * l.bias[0] + t * l.bias[1]
+        layers.append(Layer(w[None], b[None]))
     return MLP(net.spec, layers)
 
 

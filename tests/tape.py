@@ -8,11 +8,11 @@ resetting the gradients of every node it reaches first, so repeated
 backward calls on the same graph are idempotent. A gradient's first arrival
 is g + 0.0 and each later one is added to it, in the order of that sweep.
 
-The parameters of a distilab net (``distilab.autodiff.Tensor``) enter the
-graph as leaves, so ``forward(net, x)`` followed by ``backward()`` stores
-their gradients as ``nets.MLP.backward`` does. The losses at the end are
-the tape formulations of the closed forms in ``optim``, ``distill`` and
-``perturb``.
+``forward(net, x)`` wraps the parameter arrays of a distilab net as leaves
+and hands them back with the logits, so ``backward()`` stores in each
+leaf's ``grad`` the gradient ``nets.MLP.backward`` returns for that array.
+The losses at the end are the tape formulations of the closed forms in
+``optim``, ``distill`` and ``perturb``.
 
 Design constraints honored throughout:
 
@@ -35,16 +35,25 @@ from distilab.metrics import softmax_np
 from distilab.optim import one_hot
 
 
-class Tensor(ad.Tensor):
-    """A distilab tensor that may be a node of the graph."""
+class Tensor:
+    """A float64 array that is a node of the graph: a leaf, or the output of
+    an op; its gradient from the last backward, and whether it takes one."""
 
-    __slots__ = ("_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        super().__init__(data, requires_grad)
+        arr = np.array(data, dtype=np.float64, copy=True)
+        ensure_finite(arr, "tensor")
+        self.data = arr
+        self.requires_grad = bool(requires_grad)
+        self.grad: np.ndarray | None = None
         self._parents: tuple = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._op = "leaf"
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
 
     def item(self) -> float:
         return float(self.data)
@@ -58,7 +67,7 @@ class Tensor(ad.Tensor):
         """Reverse-mode visit order: parents after children when reversed.
 
         Iterative postorder; only nodes that require grad are collected,
-        so the constants of a frozen net (teachers) cost nothing.
+        so constants cost nothing.
         """
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -142,7 +151,8 @@ def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
             or (x.data.ndim == 3 and x.shape[0] != members):
         raise ShapeError(f"dense layer of {members} members with weight "
                          f"{weight.shape} got input {x.shape}")
-    w_t = ad.dense_weight_t(weight, r, s)
+    w_t = ad.dense_weight_t(weight.data, None if r is None else r.data,
+                            None if s is None else s.data)
     # the graph holds this one array per layer
     out_data = ad.dense_values(x.data, w_t, bias.data, relu)
 
@@ -320,14 +330,20 @@ def digamma(x: Tensor) -> Tensor:
 
 # -- nets and losses on the tape ----------------------------------------------
 
-def forward(net, x) -> Tensor:
+def forward(net, x) -> tuple[Tensor, list[Tensor]]:
     """(M, B, K) logits of every member of a distilab net, one dense node per
-    layer, from a (B, in) or (M, B, in) input array or Tensor."""
-    h = x if isinstance(x, ad.Tensor) else Tensor(x)
+    layer, from a (B, in) or (M, B, in) input array or Tensor; and the leaves
+    that hold copies of the net's arrays, in ``net.parameters()`` order."""
+    h = x if isinstance(x, Tensor) else Tensor(x)
+    leaves = {id(a): Tensor(a, requires_grad=True) for a in net.parameters()}
+
+    def leaf(a):
+        return None if a is None else leaves[id(a)]
+
     last = len(net.layers) - 1
     for i, l in enumerate(net.layers):
-        h = dense(h, l.weight, l.r, l.s, l.bias, i != last)
-    return h
+        h = dense(h, leaf(l.weight), leaf(l.r), leaf(l.s), leaf(l.bias), i != last)
+    return h, list(leaves.values())
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

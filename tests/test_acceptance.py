@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import distilab.autodiff as ad
-from distilab.autodiff import Tensor
 from distilab.data import corrupt, load_csv, make_ood, save_csv
 from distilab.distill import (DistillConfig, ProxyDirichlet, aekd_weights,
                               dirichlet_kl_np, kd_loss, one_to_one_loss,
@@ -120,12 +119,11 @@ def _dense(x, w, *rest):
     gradients (the input's summed over the members when they share it) and
     its relu pattern, from the kernels ``MLP`` runs."""
     r, s, b = rest if len(rest) == 3 else (None, None, rest[0])
-    weight, r, s = (None if a is None else Tensor(a) for a in (w, r, s))
-    w_t = ad.dense_weight_t(weight, r, s)
+    w_t = ad.dense_weight_t(w, r, s)
     out = ad.dense_values(x, w_t, b, True)
     g = ad.dense_pre_grad(2.0 * out, out, True)
     g_x = ad.dense_input_grad(g, w_t)
-    g_w, g_r, g_s, g_b = ad.dense_param_grads(x, g, weight, r, s)
+    g_w, g_r, g_s, g_b = ad.dense_param_grads(x, g, w, r, s)
     grads = [g_x.sum(axis=0) if x.ndim == 2 else g_x, g_w]
     grads += [] if r is None else [g_r, g_s]
     return float((out * out).sum()), grads + [g_b], np.packbits(out > 0.0).tobytes()
@@ -294,10 +292,10 @@ def test_criterion_4_algorithm_reductions(tiny_task, tiny_teachers, tiny_spec):
     be = train_student(tiny_teachers, tiny_spec, train,
                        replace(cfg, method="be", student_init="ones"))
     bit_identical = all(
-        la.weight.data.tobytes() == lb.weight.data.tobytes()
-        and all(la.r.data[m].tobytes() == lb.r.data[m].tobytes() for m in range(2))
-        and all(la.s.data[m].tobytes() == lb.s.data[m].tobytes() for m in range(2))
-        and all(la.bias.data[m].tobytes() == lb.bias.data[m].tobytes() for m in range(2))
+        la.weight.tobytes() == lb.weight.tobytes()
+        and all(la.r[m].tobytes() == lb.r[m].tobytes() for m in range(2))
+        and all(la.s[m].tobytes() == lb.s[m].tobytes() for m in range(2))
+        and all(la.bias[m].tobytes() == lb.bias[m].tobytes() for m in range(2))
         for la, lb in zip(latent.layers, be.layers))
 
     rng = np.random.default_rng(40)

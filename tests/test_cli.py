@@ -52,6 +52,11 @@ def write_data_spec(tmp_path):
     return path
 
 
+def _set_first_value(rec, token):
+    """Replace the first value of a checkpoint tensor record by token."""
+    rec["values"] = " ".join([token, *rec["values"].split()[1:]])
+
+
 def write_csv_spec(tmp_path):
     path = tmp_path / "csv.json"
     path.write_text(json.dumps({"kind": "csv", "path": str(tmp_path / "test.csv")}))
@@ -468,9 +473,12 @@ class TestMalformedInput:
         (True, lambda doc: doc["tensors"].pop("layer1.r1")),
         (False, lambda doc: doc["tensors"]["layer0.W"].update(shape=[2, 16])),
         (False, lambda doc: doc["tensors"]["layer0.W"].update(shape=[16, 3])),
+        (False, lambda doc: _set_first_value(doc["tensors"]["layer0.W"], "nan")),
+        (True, lambda doc: _set_first_value(doc["tensors"]["layer1.s0"], "1e309")),
     ], ids=["null-in-dim", "int-hidden", "list-spec", "string-tensor", "number-values",
             "string-shape", "bool-M", "int-head", "unknown-kind", "version-2",
-            "missing-tensor", "missing-factor", "transposed-shape", "value-count"])
+            "missing-tensor", "missing-factor", "transposed-shape", "value-count",
+            "nan-value", "overflowing-value"])
     def test_malformed_checkpoint_exits_2_naming_the_file(self, tmp_path, capsys, factored,
                                                          edit):
         spec = ModelSpec(2, 3, (16, 16))
@@ -522,6 +530,20 @@ class TestMalformedInput:
                      *(arg for item in files.items() for arg in item),
                      "--out", str(tmp_path / "m.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unplaceable_ood_set_exits_2_naming_the_spec_before_any_output(self, tmp_path,
+                                                                           capsys):
+        # a shift this small cannot clear the class means
+        model = tmp_path / "plain.json"
+        checkpoint_save(build_plain(ModelSpec(2, 3, (16, 16)), rng_stream(0, "init")), model)
+        ood = tmp_path / "ood.json"
+        ood.write_text(json.dumps({"shift": 0.01, "seed": 0}))
+        out = tmp_path / "m.csv"
+        assert main(["evaluate", "--model", str(model), "--data", str(write_data_spec(tmp_path)),
+                     "--ood", str(ood), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {ood}: could not place OOD cluster away from class means\n"
+        assert not out.exists() and not list(tmp_path.glob("m.csv*"))
 
     def test_bad_ood_spec_exits_2_before_any_output(self, trained, tmp_path, capsys):
         _, teachers = trained

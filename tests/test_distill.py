@@ -35,8 +35,8 @@ def stub_teacher(probs, tau=1.0):
     logits = tau * np.log(np.asarray(probs, dtype=np.float64))
     net = build_plain(ModelSpec(2, len(logits), (1,)), rng_stream(0, "init"))
     for l in net.layers:
-        l.weight.data[:] = 0.0
-    net.layers[-1].bias.data[0] = logits
+        l.weight[:] = 0.0
+    net.layers[-1].bias[0] = logits
     return net
 
 
@@ -166,9 +166,9 @@ class TestOneToOne:
         rng = np.random.default_rng(3)
         for l in student.layers:
             for m in range(m_count):
-                l.r.data[m] += 0.2 * rng.normal(size=l.r.data[m].shape)
-                l.s.data[m] += 0.2 * rng.normal(size=l.s.data[m].shape)
-                l.bias.data[m] = 0.1 * rng.normal(size=l.bias.data[m].shape)
+                l.r[m] += 0.2 * rng.normal(size=l.r[m].shape)
+                l.s[m] += 0.2 * rng.normal(size=l.s[m].shape)
+                l.bias[m] = 0.1 * rng.normal(size=l.bias[m].shape)
         return spec, student
 
     def test_single_step_matches_hand_oracle(self):
@@ -180,8 +180,8 @@ class TestOneToOne:
         tau, lr = 2.0, 0.25
         t_probs = [np.tile([0.8, 0.2], (2, 1)), np.tile([0.35, 0.65], (2, 1))]
         teachers = [stub_teacher([0.8, 0.2], tau), stub_teacher([0.35, 0.65], tau)]
-        layers = [(l.weight.data[0].copy(), list(l.r.data.copy()),
-                   list(l.s.data.copy()), list(l.bias.data.copy()))
+        layers = [(l.weight[0].copy(), list(l.r.copy()),
+                   list(l.s.copy()), list(l.bias.copy()))
                   for l in student.layers]
         expected = hand_one_to_one_step(
             x, t_probs,
@@ -192,15 +192,15 @@ class TestOneToOne:
                                               weight_decay=0.0, epochs=1,
                                               warmup_epochs=0, batch_size=4, seed=0))
         got0, got1 = train_student(teachers, spec, train, cfg).layers
-        np.testing.assert_allclose(got0.weight.data[0], expected["w0"], atol=1e-10)
-        np.testing.assert_allclose(got1.weight.data[0], expected["w1"], atol=1e-10)
+        np.testing.assert_allclose(got0.weight[0], expected["w0"], atol=1e-10)
+        np.testing.assert_allclose(got1.weight[0], expected["w1"], atol=1e-10)
         for m in range(2):
-            np.testing.assert_allclose(got0.r.data[m], expected[f"r0_{m}"], atol=1e-10)
-            np.testing.assert_allclose(got0.s.data[m], expected[f"s0_{m}"], atol=1e-10)
-            np.testing.assert_allclose(got1.r.data[m], expected[f"r1_{m}"], atol=1e-10)
-            np.testing.assert_allclose(got1.s.data[m], expected[f"s1_{m}"], atol=1e-10)
-            np.testing.assert_allclose(got0.bias.data[m], expected[f"b0_{m}"], atol=1e-10)
-            np.testing.assert_allclose(got1.bias.data[m], expected[f"b1_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got0.r[m], expected[f"r0_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got0.s[m], expected[f"s0_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got1.r[m], expected[f"r1_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got1.s[m], expected[f"s1_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got0.bias[m], expected[f"b0_{m}"], atol=1e-10)
+            np.testing.assert_allclose(got1.bias[m], expected[f"b1_{m}"], atol=1e-10)
 
     def test_single_member_loss_is_kd_alpha_one(self):
         # with M=1 the member loss equals the temperature-scaled KD loss
@@ -229,11 +229,11 @@ class TestLatentBE:
         be_student = train_student(tiny_teachers, tiny_spec, train,
                                    replace(cfg, method="be", student_init="ones"))
         for la, lb in zip(latent_student.layers, be_student.layers):
-            assert la.weight.data.tobytes() == lb.weight.data.tobytes()
+            assert la.weight.tobytes() == lb.weight.tobytes()
             for m in range(2):
-                assert la.r.data[m].tobytes() == lb.r.data[m].tobytes()
-                assert la.s.data[m].tobytes() == lb.s.data[m].tobytes()
-                assert la.bias.data[m].tobytes() == lb.bias.data[m].tobytes()
+                assert la.r[m].tobytes() == lb.r[m].tobytes()
+                assert la.s[m].tobytes() == lb.s[m].tobytes()
+                assert la.bias[m].tobytes() == lb.bias[m].tobytes()
 
     def test_huge_rank_decay_pins_factors_at_ones(self, tiny_task, tiny_teachers,
                                                   tiny_spec):
@@ -246,8 +246,8 @@ class TestLatentBE:
         student = train_student(tiny_teachers, tiny_spec, train, cfg)
         for l in student.layers:
             for m in range(2):
-                assert np.abs(l.r.data[m] - 1.0).max() < 1e-3
-                assert np.abs(l.s.data[m] - 1.0).max() < 1e-3
+                assert np.abs(l.r[m] - 1.0).max() < 1e-3
+                assert np.abs(l.s[m] - 1.0).max() < 1e-3
 
     def test_be_ignores_rank_decay(self, tiny_task, tiny_teachers, tiny_spec):
         train, _, _ = tiny_task
@@ -257,8 +257,8 @@ class TestLatentBE:
         pulled = train_student(tiny_teachers, tiny_spec, train, replace(cfg, rank_decay=1e3))
         free = train_student(tiny_teachers, tiny_spec, train, replace(cfg, rank_decay=0.0))
         for la, lb in zip(pulled.layers, free.layers):
-            assert la.r.data.tobytes() == lb.r.data.tobytes()
-            assert la.s.data.tobytes() == lb.s.data.tobytes()
+            assert la.r.tobytes() == lb.r.tobytes()
+            assert la.s.tobytes() == lb.s.tobytes()
 
     def test_zero_gamma_matches_no_perturbation_bit_exactly(self, tiny_task,
                                                             tiny_teachers,
@@ -272,7 +272,7 @@ class TestLatentBE:
         s_none = train_student(tiny_teachers, tiny_spec, train, cfg_none)
         s_zero = train_student(tiny_teachers, tiny_spec, train, cfg_zero)
         for la, lb in zip(s_none.layers, s_zero.layers):
-            assert la.weight.data.tobytes() == lb.weight.data.tobytes()
+            assert la.weight.tobytes() == lb.weight.tobytes()
 
     def test_returns_the_factored_student(self, tiny_task, tiny_teachers, tiny_spec):
         train, _, _ = tiny_task
@@ -300,7 +300,7 @@ class TestLatentBE:
         traced = train_student(tiny_teachers, tiny_spec, train, cfg, trace=rows)
         untraced = train_student(tiny_teachers, tiny_spec, train, cfg)
         for a, b in zip(traced.parameters(), untraced.parameters()):
-            assert a.data.tobytes() == b.data.tobytes()
+            assert a.tobytes() == b.tobytes()
         steps = cfg.optim.epochs * steps_per_epoch(len(train), cfg.optim.batch_size)
         assert [row[0] for row in rows] == list(range(1, steps + 1))
         for method in ("kd", "aekd", "proxy_end2"):
@@ -751,13 +751,13 @@ class TestTrainStudent:
 
         def keep_first(step, net):
             if step == 1:
-                first["r"] = net.layers[0].r.data.copy()
+                first["r"] = net.layers[0].r.copy()
 
         # momentum 0 and a tiny rate keep the first update far below one sign flip
         optim = OptimConfig(base_lr=1e-8, momentum=0.0, epochs=1, warmup_epochs=0,
                             batch_size=32, seed=0)
         signs = build_be(tiny_spec, rng_stream(0, "init"), "random_sign",
-                         members=2).layers[0].r.data
+                         members=2).layers[0].r
         for method, init, start in (("latentbe", "random_sign", np.ones_like(signs)),
                                     ("be", "random_sign", signs),
                                     ("be", "ones", np.ones_like(signs))):
@@ -826,7 +826,7 @@ class TestClosedForms:
     def test_ods_gradient_bitwise_equals_tape(self, tau):
         spec = ModelSpec(2, 4, (16,))
         teachers = [build_plain(spec, rng_stream(s, "init")) for s in (81, 82)]
-        teachers[1].layers[-1].weight.data *= 100.0      # saturated probabilities
+        teachers[1].layers[-1].weight *= 100.0      # saturated probabilities
         rng = np.random.default_rng(83)
         x = 2.0 * rng.normal(size=(30, 2))
         x[0] = -0.0
@@ -836,12 +836,12 @@ class TestClosedForms:
         for m, teacher in enumerate(teachers):
             rows = members == m
             leaf = tape.Tensor(x[rows], requires_grad=True)
-            objective = tape.ods_objective(tape.forward(teacher, leaf), guidance[rows][None],
-                                           tau)
+            objective = tape.ods_objective(tape.forward(teacher, leaf)[0],
+                                           guidance[rows][None], tau)
             objective.backward()
             assert got[rows].tobytes() == leaf.grad.tobytes()
             assert np.array_equal(conf[rows],
-                                  tape.softmax_temp(tape.forward(teacher, x[rows]),
+                                  tape.softmax_temp(tape.forward(teacher, x[rows])[0],
                                                     tau).data[0].max(axis=1))
 
     @pytest.mark.parametrize("op", ["cross_entropy", "kd_loss", "aekd", "one_to_one",
@@ -874,6 +874,6 @@ def wide_teacher():
     """A plain net whose logits are -1e308, 1e308 and 0 at any input."""
     net = build_plain(ModelSpec(2, 3, (1,)), rng_stream(0, "init"))
     for l in net.layers:
-        l.weight.data[:] = 0.0
-    net.layers[-1].bias.data[0] = [-1e308, 1e308, 0.0]
+        l.weight[:] = 0.0
+    net.layers[-1].bias[0] = [-1e308, 1e308, 0.0]
     return net

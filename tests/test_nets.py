@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tape
-from distilab.autodiff import ShapeError, Tensor
+from distilab.autodiff import ShapeError
 from distilab.metrics import batched_logits
 from distilab.nets import (CheckpointError, Layer, MLP, ModelSpec, _fmt_values,
                            average_rank_one, build_be, build_plain, checkpoint_load,
@@ -31,12 +31,12 @@ def _spec(hidden=(16,)):
 
 
 def member_grads(net, x, m):
-    """Store in net's parameters the gradients of the sum of member m's
-    logits, through the full (M, B, K) forward."""
+    """The gradients of the sum of member m's logits, through the full
+    (M, B, K) forward, keyed by the id of each parameter array."""
     kept = net.forward_kept(x)
     upstream = np.zeros(kept[-1][2].shape)
     upstream[m] = 1.0
-    net.backward(kept, upstream, True)
+    return {id(p): g for p, g in zip(net.parameters(), net.backward(kept, upstream, True))}
 
 
 class TestModelSpec:
@@ -69,8 +69,8 @@ class TestForwardPlain:
     def test_zero_network_gives_zero_logits(self):
         model = build_plain(_spec(), rng_stream(0, "init"))
         for layer in model.layers:
-            layer.weight.data[:] = 0.0
-            layer.bias.data[0] = 0.0
+            layer.weight[:] = 0.0
+            layer.bias[0] = 0.0
         out = model.forward(np.ones((4, 2)))
         assert np.array_equal(out, np.zeros((1, 4, 3)))
 
@@ -79,12 +79,12 @@ class TestForwardPlain:
         # fix hidden weight to the (padded) identity, zero bias
         rng = np.random.default_rng(0)
         model = build_plain(ModelSpec(3, 2, (3,)), rng_stream(1, "init"))
-        model.layers[0].weight.data[:] = np.eye(3)
-        model.layers[0].bias.data[0] = 10.0  # keep relu inactive region away
+        model.layers[0].weight[:] = np.eye(3)
+        model.layers[0].bias[0] = 10.0  # keep relu inactive region away
         w = rng.normal(size=(2, 3))
         b = rng.normal(size=2)
-        model.layers[1].weight.data[:] = w
-        model.layers[1].bias.data[0] = b
+        model.layers[1].weight[:] = w
+        model.layers[1].bias[0] = b
         x = np.abs(rng.normal(size=(5, 3)))
         expected = (x + 10.0) @ w.T + b
         np.testing.assert_allclose(model.forward(x)[0], expected, atol=1e-12)
@@ -100,6 +100,19 @@ class TestForwardPlain:
 
         check_value_grad(readout, np.random.default_rng(4).normal(size=(4, 2)), rel_tol=1e-4)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("weight", np.ones((1, 3, 2), dtype=np.float32)),
+        ("bias", np.zeros((2, 3), dtype=np.int64)),
+        ("r", np.ones((2, 3), dtype=np.float32)),
+        ("s", np.ones((2, 2)).tolist()),
+    ])
+    def test_layer_rejects_non_float64_arrays(self, name, bad):
+        arrays = {"weight": np.ones((1, 3, 2)), "bias": np.zeros((2, 3)),
+                  "r": np.ones((2, 3)), "s": np.ones((2, 2))}
+        Layer(**arrays)
+        with pytest.raises(TypeError, match="float64 arrays"):
+            Layer(**{**arrays, name: bad})
+
     def test_input_shape_check(self):
         model = build_plain(_spec(), rng_stream(0, "init"))
         with pytest.raises(Exception):
@@ -110,9 +123,7 @@ class TestForwardMember:
     def test_ones_factors_match_shared_network(self):
         spec = _spec()
         be = build_be(spec, rng_stream(3, "init"), "ones", members=3)
-        plain = MLP(spec, [Layer(Tensor(l.weight.data, requires_grad=True),
-                                 Tensor(l.bias.data[:1], requires_grad=True))
-                           for l in be.layers])
+        plain = MLP(spec, [Layer(l.weight, l.bias[:1]) for l in be.layers])
         x = np.random.default_rng(5).normal(size=(6, 2))
         ref = logits(plain, x)
         for m in range(3):
@@ -121,8 +132,8 @@ class TestForwardMember:
     def test_zero_r_leaves_only_biases(self):
         be = build_be(_spec(), rng_stream(4, "init"), "ones", members=2)
         for l in be.layers:
-            l.r.data[0] = 0.0
-            l.bias.data[0] = np.arange(l.bias.data[0].shape[0], dtype=float)
+            l.r[0] = 0.0
+            l.bias[0] = np.arange(l.bias[0].shape[0], dtype=float)
         x = np.random.default_rng(6).normal(size=(4, 2))
         out = logits(be[0], x)
         # every row identical: input influence is annihilated
@@ -132,13 +143,13 @@ class TestForwardMember:
         be = build_be(_spec((8, 8)), rng_stream(7, "init"), "random_sign", members=2)
         for l in be.layers:
             for m in range(2):
-                l.r.data[m] += np.random.default_rng(m).normal(size=l.r.data[m].shape) * 0.1
+                l.r[m] += np.random.default_rng(m).normal(size=l.r[m].shape) * 0.1
         x = np.random.default_rng(8).normal(size=(10, 2))
         for m in range(2):
             direct = logits(be[m], x)
             materialized = MLP(be.spec, [
-                Layer(Tensor(l.weight.data * np.outer(l.r.data[m], l.s.data[m])),
-                      Tensor(l.bias.data[m][None])) for l in be.layers])
+                Layer(l.weight * np.outer(l.r[m], l.s[m]), l.bias[m][None])
+                for l in be.layers])
             assert np.abs(direct - logits(materialized, x)).max() < 1e-12
 
     def test_member_index_range(self):
@@ -174,13 +185,12 @@ class TestForwardMember:
             net = build_be(spec, rng_stream(9, "init"), "random_sign", members=3)
         else:
             net = join([build_plain(spec, rng_stream(s, "init")) for s in range(3)])
-        before = [p.data.copy() for p in net.parameters()]
+        before = [p.copy() for p in net.parameters()]
         for idx in ([2, 1], 0):
             for p in net[idx].parameters():
-                assert not p.requires_grad
-                p.data[:] = 7.0
+                p[:] = 7.0
         for p, b in zip(net.parameters(), before):
-            assert p.data.tobytes() == b.tobytes()
+            assert p.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("factored", [False, True])
     def test_selected_parameters_are_bit_equal_to_the_source_rows(self, factored):
@@ -194,15 +204,15 @@ class TestForwardMember:
             picked = net[idx]
             for src, got in zip(net.layers, picked.layers):
                 # a factored net's one weight is shared by every member
-                weight = src.weight.data if factored else src.weight.data[rows]
-                assert got.weight.data.tobytes() == weight.tobytes()
-                assert got.weight.data is not src.weight.data
+                weight = src.weight if factored else src.weight[rows]
+                assert got.weight.tobytes() == weight.tobytes()
+                assert got.weight is not src.weight
                 for name in ("bias", "r", "s"):
                     a, b = getattr(src, name), getattr(got, name)
                     assert (a is None) == (b is None)
                     if a is not None:
-                        assert b.data.tobytes() == a.data[rows].tobytes()
-                        assert b.data.flags.c_contiguous and b.data is not a.data
+                        assert b.tobytes() == a[rows].tobytes()
+                        assert b.flags.c_contiguous and b is not a
 
     @pytest.mark.parametrize("factored", [False, True])
     def test_multi_member_forward_stacks_the_members(self, factored):
@@ -227,7 +237,8 @@ class TestForwardMember:
         plains = [build_plain(spec, rng_stream(s, "init")) for s in range(2)]
         joined = join(plains)
         assert (len(joined), joined.factored) == (2, False)
-        assert not any(p.requires_grad for p in joined.parameters())
+        assert not any(np.shares_memory(a, b) for a in joined.parameters()
+                       for plain in plains for b in plain.parameters())
         x = np.random.default_rng(12).normal(size=(4, 2))
         full = joined.forward(x)
         for m, plain in enumerate(plains):
@@ -241,24 +252,21 @@ class TestForwardMember:
 
     def test_member_isolation_in_backward(self):
         be = build_be(_spec(), rng_stream(10, "init"), "random_sign", members=3)
-        member_grads(be, np.random.default_rng(11).normal(size=(5, 2)), 1)
+        grads = member_grads(be, np.random.default_rng(11).normal(size=(5, 2)), 1)
         for l in be.layers:
             for m in (0, 2):
-                assert not l.r.grad[m].any()
-                assert not l.s.grad[m].any()
-            assert l.r.grad[1].any()
+                assert not grads[id(l.r)][m].any()
+                assert not grads[id(l.s)][m].any()
+            assert grads[id(l.r)][1].any()
 
     def test_shared_accumulation_equals_sum_of_member_grads(self):
         be = build_be(_spec(), rng_stream(12, "init"), "random_sign", members=2)
         x_np = np.random.default_rng(13).normal(size=(4, 2))
-        separate = []
-        for m in range(2):
-            member_grads(be, x_np, m)
-            separate.append([l.weight.grad.copy() for l in be.layers])
+        separate = [member_grads(be, x_np, m) for m in range(2)]
         kept = be.forward_kept(x_np)
-        be.backward(kept, np.ones(kept[-1][2].shape), True)
-        for i, l in enumerate(be.layers):
-            np.testing.assert_allclose(l.weight.grad, separate[0][i] + separate[1][i],
+        both = be.backward(kept, np.ones(kept[-1][2].shape), True)
+        for l, g in zip(be.layers, both):
+            np.testing.assert_allclose(g, separate[0][id(l.weight)] + separate[1][id(l.weight)],
                                        atol=1e-12)
 
 
@@ -274,9 +282,9 @@ class TestBackward:
             net = build_plain(spec, [rng_stream(70 + m, "init") for m in range(members)])
         rng = np.random.default_rng(71)
         for l in net.layers:
-            l.bias.data[:] = 0.1 * rng.normal(size=l.bias.shape)
+            l.bias[:] = 0.1 * rng.normal(size=l.bias.shape)
             if factored:
-                l.r.data[:] += 0.3 * rng.normal(size=l.r.shape)
+                l.r[:] += 0.3 * rng.normal(size=l.r.shape)
         return net
 
     @pytest.mark.parametrize("members", [1, 2, 3])
@@ -290,16 +298,19 @@ class TestBackward:
         upstream = rng.normal(size=(members, 26, 3))
         upstream[:, ::3] = -0.0
         upstream[:, 1::5] = 0.0
-        out = tape.forward(net, x)
-        tape.sum(tape.mul(Tensor(upstream), out)).backward()
-        want = [p.grad.copy() for p in net.parameters()]
-        for p in net.parameters():
-            p.grad = None
+        out, leaves = tape.forward(net, x)
+        tape.sum(tape.mul(tape.Tensor(upstream), out)).backward()
+        params = net.parameters()
+        before = [p.copy() for p in params]
         kept = net.forward_kept(x)
         assert kept[-1][2].tobytes() == out.data.tobytes()
-        net.backward(kept, upstream + 0.0, True)
-        for got, expected in zip(net.parameters(), want):
-            assert got.grad.tobytes() == expected.tobytes()
+        grads = net.backward(kept, upstream + 0.0, True)
+        # one gradient per array of parameters(), in its order and shape
+        assert len(grads) == len(params) == len(leaves)
+        for p, b, got, leaf in zip(params, before, grads, leaves):
+            assert leaf.data.tobytes() == p.tobytes() == b.tobytes()
+            assert got.shape == p.shape
+            assert got.tobytes() == leaf.grad.tobytes()
 
     @pytest.mark.parametrize("factored", [False, True])
     def test_input_gradients_bitwise_equal_tape(self, factored):
@@ -310,9 +321,9 @@ class TestBackward:
         upstream = rng.normal(size=(3, 26, 3))
         got = net.backward(net.forward_kept(x), upstream, False)
         for m in range(3):
-            leaf = Tensor(x, requires_grad=True)
-            out = tape.forward(net[m], leaf)
-            tape.sum(tape.mul(Tensor(upstream[m:m + 1]), out)).backward()
+            leaf = tape.Tensor(x, requires_grad=True)
+            out, _ = tape.forward(net[m], leaf)
+            tape.sum(tape.mul(tape.Tensor(upstream[m:m + 1]), out)).backward()
             assert got[m].tobytes() == leaf.grad.tobytes()
 
 
@@ -321,11 +332,11 @@ class TestAverageRankOne:
         be = build_be(_spec(), rng_stream(14, "init"), "ones", members=4)
         rng = np.random.default_rng(15)
         for l in be.layers:
-            rv = rng.normal(size=l.r.data[0].shape)
-            sv = rng.normal(size=l.s.data[0].shape)
+            rv = rng.normal(size=l.r[0].shape)
+            sv = rng.normal(size=l.s[0].shape)
             for m in range(4):
-                l.r.data[m] = rv
-                l.s.data[m] = sv
+                l.r[m] = rv
+                l.s[m] = sv
         x = rng.normal(size=(5, 2))
         np.testing.assert_allclose(logits(average_rank_one(be), x), logits(be[0], x),
                                    atol=1e-12)
@@ -334,26 +345,26 @@ class TestAverageRankOne:
         be = build_be(_spec(), rng_stream(16, "init"), "ones", members=3)
         avg = average_rank_one(be)
         for l_avg, l_be in zip(avg.layers, be.layers):
-            np.testing.assert_array_equal(l_avg.weight.data, l_be.weight.data)
+            np.testing.assert_array_equal(l_avg.weight, l_be.weight)
 
     def test_elementwise_loop_oracle(self):
         be = build_be(_spec((8,)), rng_stream(17, "init"), "random_sign", members=3)
         rng = np.random.default_rng(18)
         for l in be.layers:
             for m in range(3):
-                l.r.data[m] += 0.3 * rng.normal(size=l.r.data[m].shape)
-                l.s.data[m] += 0.3 * rng.normal(size=l.s.data[m].shape)
+                l.r[m] += 0.3 * rng.normal(size=l.r[m].shape)
+                l.s[m] += 0.3 * rng.normal(size=l.s[m].shape)
         avg = average_rank_one(be)
         for l_avg, l_be in zip(avg.layers, be.layers):
-            out_dim, in_dim = l_be.weight.data[0].shape
+            out_dim, in_dim = l_be.weight[0].shape
             expect = np.zeros((out_dim, in_dim))
             for i in range(out_dim):
                 for j in range(in_dim):
                     acc = 0.0
                     for m in range(3):
-                        acc += l_be.r.data[m][i] * l_be.s.data[m][j]
-                    expect[i, j] = l_be.weight.data[0][i, j] * acc / 3
-            np.testing.assert_allclose(l_avg.weight.data[0], expect, atol=1e-15)
+                        acc += l_be.r[m][i] * l_be.s[m][j]
+                    expect[i, j] = l_be.weight[0][i, j] * acc / 3
+            np.testing.assert_allclose(l_avg.weight[0], expect, atol=1e-15)
 
     def test_single_member_average_is_that_member(self):
         be = build_be(_spec(), rng_stream(19, "init"), "random_sign", members=1)
@@ -367,6 +378,18 @@ class TestAverageRankOne:
 
 
 class TestCheckpoints:
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e309"])
+    def test_non_finite_value_names_the_file_and_tensor(self, tmp_path, token):
+        path = tmp_path / "net.json"
+        checkpoint_save(build_plain(_spec(), rng_stream(0, "init")), path)
+        doc = json.loads(path.read_text())
+        rec = doc["tensors"]["layer1.b"]
+        rec["values"] = " ".join([*rec["values"].split()[:-1], token])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: tensor 'layer1.b' has a non-finite value")):
+            checkpoint_load(path)
+
     def test_round_trip_is_byte_identical(self, tmp_path):
         model = build_plain(_spec((8, 8)), rng_stream(21, "init"))
         p1 = tmp_path / "a.json"

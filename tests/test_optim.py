@@ -11,7 +11,7 @@ from distilab.autodiff import NumericsError, ShapeError
 from distilab.data import Dataset
 from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import build_be, build_plain, checkpoint_save
-from distilab.optim import (OptimConfig, cross_entropy, fit, lr_at, sgd_update,
+from distilab.optim import (SGD, OptimConfig, cross_entropy, fit, lr_at, sgd_update,
                             train_teachers)
 from distilab.seeding import rng_stream
 
@@ -151,6 +151,19 @@ class TestSgdUpdate:
         with pytest.raises(ShapeError):
             sgd_update(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9, 0.0)
 
+    def test_step_updates_each_parameter_from_its_gradient(self):
+        # SGD.step is sgd_update of each parameter in place, decayed by the mask
+        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        grads = [np.array([0.5, 0.25]), np.array([[-1.0]])]
+        want, velocities = [p.copy() for p in params], [np.zeros(2), np.zeros((1, 1))]
+        opt = SGD(params, 0.9, 0.1, decay_mask=[True, False])
+        for _ in range(2):
+            opt.step(grads, 0.05)
+            for p, g, v, wd in zip(want, grads, velocities, (0.1, 0.0)):
+                sgd_update(p, g, v, 0.05, 0.9, wd)
+        for got, w in zip(params, want):
+            assert got.tobytes() == w.tobytes()
+
 
 class TestTraining:
     def test_single_teacher_reduces_to_single_training(self, tiny_task, tiny_spec,
@@ -198,16 +211,16 @@ class TestTraining:
         factored = build_be(tiny_spec, rng_stream(0, "init"), "random_sign", members=2)
         for net in (plain, factored):
             for b in net.member_bias_parameters():
-                b.data[:] = 1.0
-            shared = [t.data.copy() for t in net.shared_parameters()]
-            rank = [t.data.copy() for t in net.rank_parameters()]
+                b[:] = 1.0
+            shared = [t.copy() for t in net.shared_parameters()]
+            rank = [t.copy() for t in net.rank_parameters()]
 
             fit(net, train, cfg, zero_loss(net))
             for before, t in zip(shared, net.shared_parameters()):
-                assert np.linalg.norm(t.data) < np.linalg.norm(before)
+                assert np.linalg.norm(t) < np.linalg.norm(before)
             for before, t in zip(rank, net.rank_parameters()):
-                np.testing.assert_array_equal(t.data, before)
-            biases = np.concatenate([b.data.ravel() for b in net.member_bias_parameters()])
+                np.testing.assert_array_equal(t, before)
+            biases = np.concatenate([b.ravel() for b in net.member_bias_parameters()])
             if net.factored:
                 np.testing.assert_array_equal(biases, 1.0)
             else:
@@ -220,13 +233,12 @@ class TestStackedTeachers:
         cfg = OptimConfig(epochs=3, warmup_epochs=1, batch_size=32, seed=4)
         assert len(train) % cfg.batch_size != 0    # the short last batch is covered
         teachers = train_teachers(tiny_spec, train, 3, cfg)
-        assert not any(p.requires_grad for p in teachers.parameters())
         for i in range(3):
             sub = replace(cfg, seed=cfg.seed + i)
             solo = build_plain(tiny_spec, rng_stream(sub.seed, "init"))
             fit(solo, train, sub, ce_loss(solo))
             for got, want in zip(teachers[i].parameters(), solo.parameters()):
-                assert got.data.tobytes() == want.data.tobytes()
+                assert got.tobytes() == want.tobytes()
 
     @staticmethod
     def _recorded_rows(net, n, cfg):

@@ -48,7 +48,7 @@ def pair_kl(model_i, model_j, x, tau=1.0):
 
 def logits_of(net):
     """net's logits as a function of a tape input."""
-    return lambda x: tape.forward(net, x)
+    return lambda x: tape.forward(net, x)[0]
 
 
 def per_pair_gap_grad(teachers, student, x, pairs):
@@ -82,7 +82,7 @@ def pair_ensembles(members, hidden=(16,), student_hidden=None):
     rng = np.random.default_rng(51)
     for l in student.layers:
         for m in range(members):
-            l.r.data[m] += 0.3 * rng.normal(size=l.r.data[m].shape)
+            l.r[m] += 0.3 * rng.normal(size=l.r[m].shape)
     return teachers, student
 
 
@@ -99,8 +99,8 @@ def student():
     rng = np.random.default_rng(10)
     for l in model.layers:
         for m in range(2):
-            l.r.data[m] += 0.3 * rng.normal(size=l.r.data[m].shape)
-            l.s.data[m] += 0.3 * rng.normal(size=l.s.data[m].shape)
+            l.r[m] += 0.3 * rng.normal(size=l.r[m].shape)
+            l.s[m] += 0.3 * rng.normal(size=l.s[m].shape)
     return model
 
 
@@ -179,8 +179,8 @@ class TestConfOds:
         spec = ModelSpec(2, 4, (8,))
         teacher = build_plain(spec, rng_stream(12, "init"))
         for l in teacher.layers:
-            l.weight.data[:] = 0.0
-            l.bias.data[0] = 0.0
+            l.weight[:] = 0.0
+            l.bias[0] = 0.0
         # zero network emits uniform probabilities; confidence = 1/K
         x = np.random.default_rng(13).normal(size=(5, 2))
         pert = perturb("conf_ods", [teacher], x, 0.4, 14)
@@ -194,7 +194,7 @@ class TestConfOds:
     def test_saturated_teacher_recovers_plain_ods(self, teachers):
         saturated = build_plain(ModelSpec(2, 3, (16,)), rng_stream(15, "init"))
         for l in saturated.layers:
-            l.weight.data[:] *= 50.0  # confidence pinned at 1 almost everywhere
+            l.weight[:] *= 50.0  # confidence pinned at 1 almost everywhere
         x = np.random.default_rng(16).normal(size=(20, 2)) * 3
         probs = member_probs(saturated, x)[0]
         assert probs.max(axis=1).min() > 1 - 1e-9
@@ -354,7 +354,7 @@ class TestPairPerturbations:
         x = np.random.default_rng(57).normal(size=(8, 2))
         big = [build_plain(t.spec, rng_stream(58, "init")) for t in teachers]
         for layer in big[1].layers:
-            layer.weight.data *= 1e200
+            layer.weight *= 1e200
         with pytest.raises(NumericsError, match="'dense'"):
             perturb("tdiv_sdiv", big, x, 0.2, 59, student=student)
         # finite logits whose log-probabilities are not
@@ -389,16 +389,18 @@ class TestPairPerturbations:
         with pytest.raises(ValueError, match="at least two teachers"):
             perturb("tdiv", teachers[:1], x, 0.1, 0)
 
-    def test_trained_teachers_collect_no_gradient(self, tiny_task, tiny_spec, tiny_optim):
+    def test_builds_leave_every_array_unchanged(self, tiny_task, tiny_spec, tiny_optim):
         train, _, _ = tiny_task
         teachers = train_teachers(tiny_spec, train, 2, tiny_optim)
         student = build_be(tiny_spec, rng_stream(60, "init"), "random_sign", members=2)
+        before = [p.copy() for net in (teachers, student) for p in net.parameters()]
         x = train.x[:16]
         perturb("tdiv_sdiv", teachers, x, 0.1, 61, student=student)
         perturb("ods", teachers, x, 0.1, 62)
-        # a perturbation leaves no gradient on any net it reads
-        assert all(t.grad is None for t in teachers.parameters())
-        assert all(t.grad is None for t in student.parameters())
+        # a perturbation writes nothing onto any net it reads
+        after = [p for net in (teachers, student) for p in net.parameters()]
+        assert len(after) == len(before)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
     def test_pair_draws_deterministic_and_offdiagonal(self):
         rng_a = rng_stream(32, "pairs")

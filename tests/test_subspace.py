@@ -17,9 +17,9 @@ def pair_student():
     rng = np.random.default_rng(2)
     for l in model.layers:
         for m in range(2):
-            l.r.data[m] += 0.4 * rng.normal(size=l.r.data[m].shape)
-            l.s.data[m] += 0.4 * rng.normal(size=l.s.data[m].shape)
-            l.bias.data[m] = 0.2 * rng.normal(size=l.bias.data[m].shape)
+            l.r[m] += 0.4 * rng.normal(size=l.r[m].shape)
+            l.s[m] += 0.4 * rng.normal(size=l.s[m].shape)
+            l.bias[m] = 0.2 * rng.normal(size=l.bias[m].shape)
     return model
 
 
@@ -50,8 +50,8 @@ class TestInterpolate:
         mid = interpolate(pair_student, 0.5)
         avg = average_rank_one(pair_student)
         for la, lb in zip(mid.layers, avg.layers):
-            assert np.abs(la.weight.data - lb.weight.data).max() < 1e-12
-            assert np.abs(la.bias.data[0] - lb.bias.data[0]).max() < 1e-12
+            assert np.abs(la.weight - lb.weight).max() < 1e-12
+            assert np.abs(la.bias[0] - lb.bias[0]).max() < 1e-12
 
     def test_affine_in_t(self, pair_student):
         a, b = 0.15, 0.85
@@ -59,8 +59,8 @@ class TestInterpolate:
         wa = interpolate(pair_student, a)
         wb = interpolate(pair_student, b)
         for lm, la, lb in zip(mid.layers, wa.layers, wb.layers):
-            np.testing.assert_allclose(lm.weight.data,
-                                       (la.weight.data + lb.weight.data) / 2,
+            np.testing.assert_allclose(lm.weight,
+                                       (la.weight + lb.weight) / 2,
                                        atol=1e-15)
 
     def test_requires_two_members(self):
