@@ -277,7 +277,8 @@ def batched_logits(model, x: np.ndarray) -> np.ndarray:
     the rows it shares a chunk with: BLAS handles the last rows of a chunk of
     2 mod 4 rows apart (rows 1048-1049 of a 1,050-row call differ from the
     same rows in a 1,350-row call), so callers keep each split in a call of
-    its own."""
+    its own; ``distill.train_student``'s one-pass teacher table for an
+    unperturbed plain student is one call over the training split."""
     chunk = max(1, 1024 // len(model))
     return np.concatenate([model.forward(x[s:s + chunk])
                            for s in range(0, len(x), chunk)], axis=1)

@@ -136,19 +136,20 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 
 
 def fit(net: MLP, data, config: OptimConfig,
-        batch_loss: Callable[[np.ndarray, np.ndarray], tuple[list, np.ndarray]],
+        batch_loss: Callable[[np.ndarray], tuple[list, np.ndarray]],
         rank_decay: float = 0.0, step_hook=None) -> MLP:
     """Train net in place by SGD on batch_loss over shuffled minibatches of
-    data; returns net.
+    the rows of data; returns net.
 
-    batch_loss(x_batch, y_batch) runs net on the batch, or on inputs formed
-    from it, by ``net.forward_kept``, and returns what that kept and the
-    gradient of the loss with respect to the (M, B, K) logits; ``fit`` takes
-    that gradient back with ``net.backward``, which returns the gradient of
-    each parameter.
+    batch_loss(rows) gets the batch's row indices into data, reads the rows
+    itself (data.x[rows], data.y[rows], or anything else kept per row), runs
+    net on them, or on inputs formed from them, by ``net.forward_kept``, and
+    returns what that kept and the gradient of the loss with respect to the
+    (M, B, K) logits; ``fit`` takes that gradient back with ``net.backward``,
+    which returns the gradient of each parameter.
     A plain net of M > 1 members is M independent trainings: member m draws
-    its batches from the stream of seed + m, so batch_loss gets (M, B, in) and
-    (M, B) arrays. Any other net draws from the seed's stream and gets (B, in).
+    its batches from the stream of seed + m, so rows is (M, B). Any other net
+    draws from the seed's stream and rows is (B,).
     Weights take weight decay, and a factored net's shared weight follows
     the member-mean gradient; rank factors follow their own gradient plus,
     when rank_decay > 0, a pull toward ones, and never decay; biases decay
@@ -169,10 +170,10 @@ def fit(net: MLP, data, config: OptimConfig,
         orders = [s.permutation(n) for s in shuffles]
         order = orders[0] if len(orders) == 1 else np.stack(orders)
         for start in range(0, n, config.batch_size):
-            idx = order[..., start:start + config.batch_size]
+            rows = order[..., start:start + config.batch_size]
             try:
                 # no name holds the kept layers, so they are freed after the backward
-                grads = net.backward(*batch_loss(data.x[idx], data.y[idx]), True)
+                grads = net.backward(*batch_loss(rows), True)
             except NumericsError as e:
                 raise NumericsError(f"{e} at step {step + 1}") from e
             if net.factored:
@@ -196,8 +197,8 @@ def train_teachers(spec: ModelSpec, data, m: int, config: OptimConfig) -> MLP:
         raise ValueError("teacher count must be >= 1")
     net = build_plain(spec, [rng_stream(config.seed + i, "init") for i in range(m)])
 
-    def batch_loss(xb, yb):
-        kept = net.forward_kept(xb)
-        return kept, cross_entropy(kept[-1][2], yb)[1]
+    def batch_loss(rows):
+        kept = net.forward_kept(data.x[rows])
+        return kept, cross_entropy(kept[-1][2], data.y[rows])[1]
 
     return fit(net, data, config, batch_loss)

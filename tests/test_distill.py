@@ -15,6 +15,7 @@ import pytest
 
 import aekd_reference
 import tape
+from distilab import distill
 from distilab.data import Dataset
 from distilab.distill import (FACTORED, METHODS, DegenerateEnsembleError, DistillConfig,
                               ProxyDirichlet, _aekd_candidates, _aekd_weights_batch,
@@ -22,7 +23,7 @@ from distilab.distill import (FACTORED, METHODS, DegenerateEnsembleError, Distil
                               proxy_dirichlet_target, proxy_end2_loss, train_student)
 from distilab.autodiff import NumericsError
 from distilab.metrics import batched_logits, softmax_np
-from distilab.nets import MLP, ModelSpec, average_rank_one, build_be, build_plain
+from distilab.nets import MLP, ModelSpec, average_rank_one, build_be, build_plain, join
 from distilab.optim import OptimConfig, cross_entropy, one_hot, steps_per_epoch
 from distilab.perturb import _ods_gradients
 from distilab.seeding import rng_stream
@@ -675,6 +676,9 @@ class TestProxyEnd2Loss:
         np.testing.assert_allclose(got.data, dirichlet_kl_np(a, b), atol=1e-12)
 
 
+PLAIN = ("kd", "aekd", "proxy_end2")
+
+
 def method_cfg(method, epochs=3):
     return DistillConfig(num_teachers=2, method=method,
                          optim=OptimConfig(epochs=epochs, warmup_epochs=1,
@@ -696,19 +700,89 @@ class TestPlainLoops:
         student = train_student(tiny_teachers, tiny_spec, train, method_cfg("aekd"))
         assert student.head == "softmax"
 
-    def test_aekd_step_runs_each_teacher_once(self, tiny_task, tiny_teachers, tiny_spec,
-                                              monkeypatch):
-        # one step: both teachers run in one stacked forward, the student in one
-        train, _, _ = tiny_task
+    @staticmethod
+    def _forwards(monkeypatch):
+        """(net, rows) of every ``MLP.forward_kept`` call from now on, net
+        being "teachers" for a plain net of several members, else "student"."""
         calls = []
         forward_kept = MLP.forward_kept
-        monkeypatch.setattr(MLP, "forward_kept",
-                            lambda net, x: calls.append(len(net)) or forward_kept(net, x))
-        cfg = DistillConfig(num_teachers=2, method="aekd",
-                            optim=OptimConfig(epochs=1, warmup_epochs=0,
-                                              batch_size=len(train), seed=0))
+
+        def record(net, x):
+            teachers = len(net) > 1 and not net.factored
+            calls.append(("teachers" if teachers else "student", x.shape[-2]))
+            return forward_kept(net, x)
+
+        monkeypatch.setattr(MLP, "forward_kept", record)
+        return calls
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("method", PLAIN)
+    def test_unperturbed_teachers_run_once(self, tiny_task, tiny_teachers, tiny_spec,
+                                           monkeypatch, method, epochs):
+        # the stacked teachers see the training split once, in one forward of
+        # its 126 rows, and the student every batch
+        train, _, _ = tiny_task
+        calls = self._forwards(monkeypatch)
+        cfg = replace(method_cfg(method), optim=OptimConfig(
+            epochs=epochs, warmup_epochs=epochs // 3, batch_size=32, seed=0))
         train_student(tiny_teachers, tiny_spec, train, cfg)
-        assert sorted(calls) == [1, 2]
+        assert [rows for net, rows in calls if net == "teachers"] == [len(train)]
+        student = [rows for net, rows in calls if net == "student"]
+        assert len(student) == epochs * steps_per_epoch(len(train), 32)
+        assert sum(student) == epochs * len(train)
+
+    @pytest.mark.parametrize("method,perturbation",
+                             [(m, "gaussian") for m in PLAIN] + [(m, "none") for m in FACTORED])
+    def test_teachers_run_every_step_otherwise(self, tiny_task, tiny_teachers, tiny_spec,
+                                               monkeypatch, method, perturbation):
+        # perturbed plain students, and factored students even unperturbed
+        train, _, _ = tiny_task
+        calls = self._forwards(monkeypatch)
+        cfg = replace(method_cfg(method, epochs=2), perturbation=perturbation)
+        train_student(tiny_teachers, tiny_spec, train, cfg)
+        teachers = [rows for net, rows in calls if net == "teachers"]
+        student = [rows for net, rows in calls if net == "student"]
+        assert len(teachers) == 2 * steps_per_epoch(len(train), 32)
+        assert teachers == student
+
+    @pytest.mark.parametrize("method", PLAIN)
+    def test_each_step_reads_its_rows_of_one_teacher_pass(self, tiny_task, tiny_teachers,
+                                                          tiny_spec, monkeypatch, method):
+        # each step's teacher logits are the one-pass table's rows of the
+        # step's batch, bit for bit, the batches drawn from "batch-shuffle"
+        train, _, _ = tiny_task
+        cfg = method_cfg(method, epochs=2)
+        seen = []
+        if method == "proxy_end2":
+            target = distill.proxy_dirichlet_target
+            monkeypatch.setattr(distill, "proxy_dirichlet_target",
+                                lambda probs: seen.append(probs) or target(probs))
+        else:
+            loss = distill.kd_loss
+            monkeypatch.setattr(distill, "kd_loss",
+                                lambda t, *rest: seen.append(t) or loss(t, *rest))
+        train_student(tiny_teachers, tiny_spec, train, cfg)
+        table = batched_logits(join(tiny_teachers), train.x)
+        stream, n = rng_stream(cfg.optim.seed, "batch-shuffle"), len(train)
+        want = []
+        for _ in range(cfg.optim.epochs):
+            order = stream.permutation(n)
+            for start in range(0, n, cfg.optim.batch_size):
+                t = table[:, order[start:start + cfg.optim.batch_size]]
+                want.append(softmax_np(t, 1.0) if method == "proxy_end2" else t)
+        assert len(seen) == len(want)
+        for got, w in zip(seen, want):
+            assert got.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("perturbation", ["none", "gaussian"])
+    def test_proxy_rejects_identical_teachers_in_training(self, tiny_task, tiny_teachers,
+                                                          tiny_spec, perturbation):
+        # with the one-pass table (none) and with a forward per step (gaussian)
+        train, _, _ = tiny_task
+        cfg = replace(method_cfg("proxy_end2"), perturbation=perturbation)
+        twins = [tiny_teachers[0], tiny_teachers[0]]
+        with pytest.raises(DegenerateEnsembleError, match="teachers numerically identical"):
+            train_student(twins, tiny_spec, train, cfg)
 
     def test_proxy_loop_produces_dirichlet_head(self, tiny_task, tiny_teachers,
                                                 tiny_spec):

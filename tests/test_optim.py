@@ -16,18 +16,18 @@ from distilab.optim import (SGD, OptimConfig, cross_entropy, fit, lr_at, sgd_upd
 from distilab.seeding import rng_stream
 
 
-def ce_loss(model):
-    """fit's batch loss of one-member cross-entropy training."""
-    def loss(xb, yb):
-        kept = model.forward_kept(xb)
-        return kept, cross_entropy(kept[-1][2], yb)[1]
+def ce_loss(model, data):
+    """fit's batch loss of one-member cross-entropy training on data."""
+    def loss(rows):
+        kept = model.forward_kept(data.x[rows])
+        return kept, cross_entropy(kept[-1][2], data.y[rows])[1]
     return loss
 
 
-def zero_loss(model):
-    """A batch loss whose logits gradient is zero."""
-    def loss(xb, yb):
-        kept = model.forward_kept(xb)
+def zero_loss(model, data):
+    """A batch loss on data whose logits gradient is zero."""
+    def loss(rows):
+        kept = model.forward_kept(data.x[rows])
         return kept, np.zeros_like(kept[-1][2])
     return loss
 
@@ -171,7 +171,7 @@ class TestTraining:
         train, _, _ = tiny_task
         teachers = train_teachers(tiny_spec, train, 1, tiny_optim)
         solo = build_plain(tiny_spec, rng_stream(tiny_optim.seed, "init"))
-        fit(solo, train, tiny_optim, ce_loss(solo))
+        fit(solo, train, tiny_optim, ce_loss(solo, train))
         x = train.x[:10]
         np.testing.assert_array_equal(batched_logits(teachers, x),
                                       batched_logits(solo, x))
@@ -199,7 +199,7 @@ class TestTraining:
         cfg = OptimConfig(epochs=30, warmup_epochs=2, batch_size=32, seed=1)
         model = build_plain(tiny_spec, rng_stream(1, "init"))
         ce_before, acc_before = train_ce_and_accuracy(model, train)
-        fit(model, train, cfg, ce_loss(model))
+        fit(model, train, cfg, ce_loss(model, train))
         ce_after, acc_after = train_ce_and_accuracy(model, train)
         assert ce_after < ce_before
         assert acc_after > max(acc_before, 0.5)
@@ -215,7 +215,7 @@ class TestTraining:
             shared = [t.copy() for t in net.shared_parameters()]
             rank = [t.copy() for t in net.rank_parameters()]
 
-            fit(net, train, cfg, zero_loss(net))
+            fit(net, train, cfg, zero_loss(net, train))
             for before, t in zip(shared, net.shared_parameters()):
                 assert np.linalg.norm(t) < np.linalg.norm(before)
             for before, t in zip(rank, net.rank_parameters()):
@@ -236,22 +236,21 @@ class TestStackedTeachers:
         for i in range(3):
             sub = replace(cfg, seed=cfg.seed + i)
             solo = build_plain(tiny_spec, rng_stream(sub.seed, "init"))
-            fit(solo, train, sub, ce_loss(solo))
+            fit(solo, train, sub, ce_loss(solo, train))
             for got, want in zip(teachers[i].parameters(), solo.parameters()):
                 assert got.tobytes() == want.tobytes()
 
     @staticmethod
     def _recorded_rows(net, n, cfg):
-        """The row indices batch_loss receives in fit, one array per epoch:
-        feature 0 of row i is i."""
-        data = Dataset(np.stack([np.arange(n), np.zeros(n)], axis=1).astype(float),
-                       np.zeros(n, dtype=int), 3, "train")
+        """The row indices batch_loss receives in fit, one array per epoch."""
+        data = Dataset(np.zeros((n, 2)), np.zeros(n, dtype=int), 3, "train")
         seen = []
 
-        def loss(xb, yb):
+        def loss(rows):
+            xb, yb = data.x[rows], data.y[rows]
             assert xb.shape[:-1] == yb.shape
-            seen.append(xb[..., 0].astype(int))
-            return zero_loss(net)(xb, yb)
+            seen.append(rows)
+            return zero_loss(net, data)(rows)
 
         fit(net, data, cfg, loss)
         per_epoch = len(seen) // cfg.epochs
@@ -284,16 +283,16 @@ class TestNumericsStep:
         net = build_plain(tiny_spec, rng_stream(0, "init"))
         calls = []
 
-        def batch_loss(xb, yb):
+        def batch_loss(rows):
             calls.append(1)
-            kept = net.forward_kept(xb)
+            kept = net.forward_kept(train.x[rows])
             logits = kept[-1][2]
             if len(calls) == 3:
                 # finite logits whose log-probabilities are not
                 logits = logits.copy()
                 logits[..., 0], logits[..., 1] = 1e308, -1e308
             with np.errstate(over="ignore"):
-                return kept, cross_entropy(logits, yb)[1]
+                return kept, cross_entropy(logits, train.y[rows])[1]
 
         hooked = []
         cfg = OptimConfig(epochs=2, warmup_epochs=1, batch_size=32, seed=0)
