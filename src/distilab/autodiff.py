@@ -87,8 +87,12 @@ def dense_values(x: np.ndarray, w_t: np.ndarray, bias: np.ndarray, relu: bool) -
 
 
 def dense_pre_grad(g: np.ndarray, out: np.ndarray, relu: bool) -> np.ndarray:
-    """The gradient g of a layer's output ``out`` taken back through its relu."""
-    return g * (out > 0.0) if relu else g
+    """The gradient g of a layer's output ``out`` taken back through its relu,
+    by a float mask (a boolean one would be cast inside the multiply, slower)."""
+    if not relu:
+        return g
+    mask = (out > 0.0).astype(np.float64)
+    return np.multiply(g, mask, out=mask)
 
 
 def dense_input_grad(g_pre: np.ndarray, w_t: np.ndarray) -> np.ndarray:

@@ -194,8 +194,8 @@ def _load_fitting(path: Path, data: Dataset) -> MLP:
 
 
 def _load_teachers(teachers_dir: Path, seed: int, count: int | None, data: Dataset) -> MLP:
-    """Load teacher<m>.json checkpoints that fit data, joined as one net;
-    count None loads all present."""
+    """Load teacher<m>.json checkpoints that fit data and teacher0.json's spec
+    and head, joined as one net; count None loads all present."""
     seed_dir = teachers_dir / f"seed{seed}"
     if count is None:
         count = len(sorted(seed_dir.glob("teacher*.json")))
@@ -207,6 +207,10 @@ def _load_teachers(teachers_dir: Path, seed: int, count: int | None, data: Datas
         model = _load_fitting(path, data)
         if model.factored:
             raise ConfigError(f"{path}: teacher checkpoints must be plain models")
+        if teachers and (model.spec, model.head) != (teachers[0].spec, teachers[0].head):
+            raise ConfigError(f"{path}: hidden widths {list(model.spec.hidden)} and head "
+                              f"{model.head!r} differ from teacher0.json's "
+                              f"{list(teachers[0].spec.hidden)} and {teachers[0].head!r}")
         teachers.append(model)
     return join(teachers)
 

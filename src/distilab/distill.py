@@ -24,7 +24,7 @@ with ``optim.fit``; ``DistillConfig.method`` names one of five ways:
 
 Any method may perturb each batch's inputs first (``DistillConfig.perturbation``);
 ``tdiv_sdiv`` needs a factored student. Unperturbed, a plain student's
-teachers run once, over the whole training split.
+teachers run once over the training split; else with the student as one pass.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset
 from .metrics import PROB_FLOOR, batched_logits, pairwise_divergence_values, softmax_np
-from .nets import RANK_INITS, MLP, ModelSpec, build_be, build_plain, is_int, is_real, join
+from .nets import (RANK_INITS, MLP, ModelSpec, build_be, build_plain, is_int, is_real, join,
+                   restack, stack)
 from .optim import OptimConfig, fit, one_hot
 from .perturb import KINDS, build_perturbation, default_gamma
 from .seeding import rng_stream
@@ -404,43 +405,39 @@ def one_to_one_loss(teacher_logits: np.ndarray, student_logits: np.ndarray,
     return float(value), ad.first_arrival(grad)
 
 
-def _kd_batch_loss(student: MLP, cfg: DistillConfig):
+def _kd_batch_loss(cfg: DistillConfig):
     """KD against the uniform teacher mean, or, for AE-KD, against per-sample
     teacher weights that solve the box-constrained matching problem on
     untempered probabilities and are constants in ``kd_loss``."""
-    k = student.spec.num_classes
 
-    def loss(xb, yb, t_logits):
-        kept = student.forward_kept(xb)
+    def loss(kept, yb, t_logits):
         logits = kept[-1][2]
         weights = None
         if cfg.method == "aekd":
             weights = _aekd_weights_batch(softmax_np(t_logits, 1.0),
                                           softmax_np(logits[0], 1.0), cfg.tau, cfg.aekd_c)
-        return kept, kd_loss(t_logits, logits, one_hot(yb, k), cfg, weights)[1]
+        return kept, kd_loss(t_logits, logits, one_hot(yb, logits.shape[-1]), cfg, weights)[1]
 
     return loss
 
 
-def _proxy_batch_loss(student: MLP, cfg: DistillConfig):
+def _proxy_batch_loss(cfg: DistillConfig):
     """Dirichlet distillation against the teacher proxy target, formed (and
     checked for degenerate teachers) batch by batch."""
 
-    def loss(xb, yb, t_logits):
-        kept = student.forward_kept(xb)
+    def loss(kept, yb, t_logits):
         target = proxy_dirichlet_target(softmax_np(t_logits, 1.0))
         return kept, proxy_end2_loss(kept[-1][2], target)[1]
 
     return loss
 
 
-def _one_to_one_batch_loss(student: MLP, cfg: DistillConfig, held: list | None = None):
+def _one_to_one_batch_loss(cfg: DistillConfig, held: list | None = None):
     """Member m mimics teacher m by ``one_to_one_loss``. With a list ``held``,
     each call appends its loss value and the (M, B, K) teacher and student
     logits it formed, before the step's update, for ``_add_trace_rows``."""
 
-    def loss(xb, yb, t_logits):
-        kept = student.forward_kept(xb)
+    def loss(kept, yb, t_logits):
         value, grad = one_to_one_loss(t_logits, kept[-1][2], cfg.tau)
         if held is not None:
             held.append((value, t_logits, kept[-1][2]))
@@ -492,9 +489,9 @@ def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset
     A plain student (kd, aekd, proxy_end2) with perturbation "none" sees the
     teachers' own inputs at every epoch, so the teachers run once, in one
     ``batched_logits`` call over train.x, and each step reads its rows of
-    that (M, N, K) table. Every other run forwards the teachers at each
-    step's inputs x + eps; a factored student does so even unperturbed, so
-    its bytes stay those of one forward per batch.
+    that (M, N, K) table. Every other run (a factored student even
+    unperturbed) runs them with the student as one ``nets.stack`` pass at
+    x + eps, and forms the student's weights once per step, also for tdiv_sdiv.
     step_hook(step, student) runs after each update. A trace list, which
     needs a factored student, gets one (step, loss, div_teachers,
     div_student) row per step: the step's batch loss and the member
@@ -519,21 +516,29 @@ def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset
     else:
         student = build_plain(spec, rng)
     held = None if trace is None else []
-    loss = (_BATCH_LOSSES[cfg.method](student, cfg) if held is None
-            else _one_to_one_batch_loss(student, cfg, held))
+    loss = _BATCH_LOSSES[cfg.method](cfg) if held is None else _one_to_one_batch_loss(cfg, held)
     table = (batched_logits(teachers, train.x)
              if cfg.perturbation == "none" and cfg.method not in FACTORED else None)
     gamma = cfg.gamma if cfg.gamma is not None else default_gamma(train.x)
     noise_rng = rng_stream(cfg.optim.seed, "guidance-vectors")
     index_rng = rng_stream(cfg.optim.seed, "pair-sampling")
 
+    frozen = stack([teachers])
+    nets = stack([student] if table is not None else [*frozen, student])
+    start = len(nets[-1]) - len(student)
+
     def batch_loss(rows):
         xb = train.x[rows]
+        restack(nets, student)
         if cfg.perturbation != "none":
+            pair = nets if cfg.perturbation == "tdiv_sdiv" else frozen
             xb = xb + build_perturbation(cfg.perturbation, teachers, student, xb, gamma,
-                                         cfg.tau, noise_rng, index_rng).epsilon
-        t_logits = batched_logits(teachers, xb) if table is None else table[:, rows]
-        out = loss(xb, train.y[rows], t_logits)
+                                         cfg.tau, noise_rng, index_rng, pair).epsilon
+        passes = [net.forward_kept(xb) for net in nets]
+        kept = [(x if x.ndim == 2 else x[start:], w_t[start:], out[start:])
+                for x, w_t, out in passes[-1]]
+        t_logits = passes[0][-1][2][:len(teachers)] if table is None else table[:, rows]
+        out = loss(kept, train.y[rows], t_logits)
         if held is not None and len(held) == _TRACE_BLOCK:
             _add_trace_rows(trace, held)
         return out

@@ -236,6 +236,30 @@ def join(nets: "MLP | Iterable[MLP]") -> MLP:
     return MLP(nets[0].spec, layers, nets[0].head)
 
 
+def stack(nets: Sequence[MLP]) -> list[MLP]:
+    """The members of nets, in order, as plain nets that run them in one pass,
+    one per run of nets whose layers share shapes; each weight is a view of
+    their stacked ``dense_weight_t`` weights, so ``forward_kept`` forms none.
+    numpy's stacked matmul runs one gemm per member: each keeps its bits."""
+    groups = []
+    for net in nets:
+        layers = [(ad.dense_weight_t(l.weight, l.r, l.s), l.bias) for l in net.layers]
+        if groups and [w.shape[1:] for w, _ in groups[-1][1]] == [w.shape[1:] for w, _ in layers]:
+            groups[-1][1] = [(np.concatenate([v, w]), np.concatenate([c, b]))
+                             for (v, c), (w, b) in zip(groups[-1][1], layers)]
+        else:
+            groups.append([net.spec, layers])
+    return [MLP(spec, [Layer(w.transpose(0, 2, 1), b) for w, b in layers])
+            for spec, layers in groups]
+
+
+def restack(stacked: list[MLP], net: MLP) -> None:
+    """Write net's member weights and biases over its rows of ``stack([..., net])``."""
+    for s, l in zip(stacked[-1].layers, net.layers):
+        s.weight.transpose(0, 2, 1)[-len(net):] = ad.dense_weight_t(l.weight, l.r, l.s)
+        s.bias[-len(net):] = l.bias
+
+
 # -- construction -------------------------------------------------------------
 
 def build_plain(spec: ModelSpec, rng: np.random.Generator | Sequence[np.random.Generator],

@@ -14,10 +14,10 @@ gamma (rows with a vanishing gradient stay at zero). The pair kinds draw one
 ordered member pair per sample, shared between the teacher and student
 divergence terms, and differentiate each pair KL through both of its
 members, so the step is a first-order ascent direction of the diversity gap.
-The teachers, joined as one net of constants, and the student run one
-forward each per step: the pair-KL gradient of their stacked logits has a
-closed form, and each net's input-only backward takes it to the input, so
-no parameter gradient is formed. Each row's gradient is summed in
+The teachers' and the student's members run as one member-stacked pass
+(``nets.stack``): the pair-KL gradient of their stacked logits has a closed
+form, and the pass's input-only backward takes it to the input, so no
+parameter gradient is formed. Each row's gradient is summed in
 the order teacher i, teacher j, student i, student j of its pair: that order
 is kept on purpose, because it makes the step bit-equal to building the gap
 one pair at a time.
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .metrics import member_probs, pairwise_divergence_values, softmax_np
-from .nets import MLP, join
+from .nets import MLP, join, stack
 
 DEGENERATE_NORM = 1e-12
 KINDS = ("none", "gaussian", "ods", "conf_ods", "tdiv", "tdiv_sdiv")
@@ -128,31 +128,31 @@ def _pair_logits_grad(logits: np.ndarray, pairs: np.ndarray, members: int) -> np
     return ad.first_arrival(grad)
 
 
-def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
+                   nets: list[MLP] | None = None) -> np.ndarray:
     """d/dx of sum_b [KL_T(i_b, j_b) - KL_S(i_b, j_b)] between untempered
     distributions, with the pair draw shared between the teacher and student
     terms of each sample.
 
-    The teachers, joined into one net of M constant members, and the student
-    each run one forward on the shared input, on their own layers, so their
-    widths and depths may differ. Their logits stack into (2M, B, K) (M
-    without a student); ``_pair_logits_grad`` gives the logits gradient in
-    closed form, and each net's input-only backward takes its share to each
+    The teachers' M members, then the student's, run one pass on the shared
+    input as ``nets``, by default ``nets.stack`` of the joined teachers and
+    the student (the teachers alone without one). Their logits stack into
+    (2M, B, K) (M without a student); ``_pair_logits_grad`` gives the logits
+    gradient in closed form, and the input-only backward takes it to each
     member's input. Row b's gradient is then summed as teacher i, teacher j,
     student i, student j for its pair (i, j): the order in which one shared
     input leaf accumulates the per-pair formulation (four forwards per
     ordered pair), so the result is bit-equal to it.
     """
-    nets = [join(teachers)] + ([] if student is None else [student])
+    if nets is None:
+        nets = stack([join(teachers)] + ([] if student is None else [student]))
     passes = [net.forward_kept(x) for net in nets]
     g_logits = _pair_logits_grad(np.concatenate([kept[-1][2] for kept in passes]),
-                                 pairs, len(nets[0]))
-    rows = np.arange(len(x))
-    grad = np.zeros_like(x)
-    for net, kept, g in zip(nets, passes, np.split(g_logits, len(nets))):
-        g = net.backward(kept, g, False)
-        grad = grad + g[pairs[:, 0], rows] + g[pairs[:, 1], rows]
-    return grad
+                                 pairs, len(teachers))
+    g = np.concatenate([net.backward(kept, g_logits[end - len(net):end], False) for net, kept, end
+                        in zip(nets, passes, np.cumsum([len(net) for net in nets]))])
+    members = (np.arange(0, len(g), len(teachers))[:, None, None] + pairs.T).reshape(-1, len(x))
+    return sum(g[members, np.arange(len(x))], np.zeros_like(x))
 
 
 def diversity_shift_values(teachers, students, x: np.ndarray,
@@ -169,7 +169,8 @@ def diversity_shift_values(teachers, students, x: np.ndarray,
 def build_perturbation(kind: str, teachers: Sequence[MLP], student: MLP | None,
                        x: np.ndarray, gamma: float, tau: float,
                        noise_rng: np.random.Generator,
-                       index_rng: np.random.Generator) -> Perturbation:
+                       index_rng: np.random.Generator,
+                       nets: list[MLP] | None = None) -> Perturbation:
     """The step of one kind at inputs x (see KINDS).
 
     * ``none``: zeros.
@@ -189,7 +190,8 @@ def build_perturbation(kind: str, teachers: Sequence[MLP], student: MLP | None,
     The pair kinds measure divergences between untempered distributions and
     ignore tau; their ``pairs`` are returned with the step. Streams: ``none``
     draws from neither generator, ``gaussian`` only from noise_rng, the ODS
-    kinds from both, the pair kinds only from index_rng.
+    kinds from both, the pair kinds only from index_rng. The pair kinds run
+    nets, a caller's ``nets.stack`` of the teachers and the student, if given.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown perturbation kind '{kind}'")
@@ -216,5 +218,5 @@ def build_perturbation(kind: str, teachers: Sequence[MLP], student: MLP | None,
     elif len(teachers) != len(student):
         raise ValueError("teacher count and student member count must match")
     pairs = draw_pairs(index_rng, len(teachers), len(x))
-    return Perturbation(_normalize_rows(_pair_gap_grad(teachers, student, x, pairs), gamma),
-                        pairs)
+    grad = _pair_gap_grad(teachers, student, x, pairs, nets)
+    return Perturbation(_normalize_rows(grad, gamma), pairs)

@@ -71,6 +71,17 @@ def trained(tmp_path):
     return cfg, out
 
 
+def mixed_teachers(tmp_path, teachers, head="softmax"):
+    """A copy of the seed0 teachers whose teacher1.json has hidden widths [6, 6]."""
+    mixed = tmp_path / "mixed"
+    (mixed / "seed0").mkdir(parents=True)
+    (mixed / "seed0" / "teacher0.json").write_bytes(
+        (teachers / "seed0" / "teacher0.json").read_bytes())
+    odd = mixed / "seed0" / "teacher1.json"
+    checkpoint_save(build_plain(ModelSpec(2, 3, (6, 6)), rng_stream(1, "init"), head=head), odd)
+    return mixed, odd
+
+
 class TestTrainTeachers:
     def test_writes_checkpoints_and_manifest(self, trained, tmp_path):
         _, out = trained
@@ -215,6 +226,18 @@ class TestDistill:
             f"error: {teachers / 'seed0' / 'teacher0.json'}: checkpoint has in_dim 2 and "
             f"3 classes, the data has in_dim {want['dim']} and {want['num_classes']} classes\n")
         assert not (out / "seed0").exists()
+
+    def test_teachers_that_disagree_exit_2_naming_the_file(self, trained, tmp_path, capsys):
+        # a [6, 6] teacher1.json beside the [16, 16] teacher0.json
+        cfg, teachers = trained
+        mixed, odd = mixed_teachers(tmp_path, teachers)
+        out = tmp_path / "student"
+        assert main(["distill", "--config", str(cfg), "--teachers", str(mixed),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {odd}: hidden widths [6, 6] and head 'softmax' differ from "
+            f"teacher0.json's [16, 16] and 'softmax'\n")
+        assert not out.exists()
 
     def test_student_hidden_widths_may_differ_from_the_teachers(self, trained, tmp_path):
         _, teachers = trained
@@ -751,6 +774,25 @@ class TestPerturbDiag:
                      "--data", str(write_data_spec(tmp_path)), "--kind", kind,
                      flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("head", ["softmax", "dirichlet"])
+    def test_teachers_that_disagree_exit_2_naming_the_file(self, trained, tmp_path, capsys,
+                                                           head):
+        # widths, or widths and head, differ from teacher0.json's
+        cfg, teachers = trained
+        out_l = tmp_path / "latent"
+        assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                     "--out", str(out_l)]) == 0
+        mixed, odd = mixed_teachers(tmp_path, teachers, head)
+        out = tmp_path / "d.csv"
+        assert main(["perturb-diag", "--teachers", str(mixed),
+                     "--student", str(out_l / "seed0" / "student_be.json"),
+                     "--data", str(write_data_spec(tmp_path)), "--kind", "tdiv_sdiv",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {odd}: hidden widths [6, 6] and head '{head}' differ from "
+            f"teacher0.json's [16, 16] and 'softmax'\n")
         assert not out.exists()
 
     def test_tdiv_sdiv_requires_factored_student(self, trained, tmp_path):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import aekd_reference
+import per_net
 import tape
 from distilab import distill
 from distilab.data import Dataset
@@ -25,7 +26,7 @@ from distilab.autodiff import NumericsError
 from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import MLP, ModelSpec, average_rank_one, build_be, build_plain, join
 from distilab.optim import OptimConfig, cross_entropy, one_hot, steps_per_epoch
-from distilab.perturb import _ods_gradients
+from distilab.perturb import Perturbation, _ods_gradients
 from distilab.seeding import rng_stream
 from test_autodiff import check_value_grad
 
@@ -732,18 +733,45 @@ class TestPlainLoops:
         assert sum(student) == epochs * len(train)
 
     @pytest.mark.parametrize("method,perturbation",
-                             [(m, "gaussian") for m in PLAIN] + [(m, "none") for m in FACTORED])
+                             [(m, "gaussian") for m in PLAIN] + [(m, "none") for m in FACTORED]
+                             + [("kd", "tdiv"), ("be", "tdiv"), ("be", "tdiv_sdiv"),
+                                ("latentbe", "tdiv_sdiv")])
     def test_teachers_run_every_step_otherwise(self, tiny_task, tiny_teachers, tiny_spec,
                                                monkeypatch, method, perturbation):
-        # perturbed plain students, and factored students even unperturbed
+        # perturbed plain students, and factored students even unperturbed: at
+        # each step the teachers and the student run one joint pass at x + eps,
+        # and for the pair kinds one more at x before it (the teachers alone
+        # for tdiv); the teachers' weights are formed once per distill, the
+        # student's once when the pass is built and then once per step
         train, _, _ = tiny_task
-        calls = self._forwards(monkeypatch)
+        calls, formed = [], []
+        forward_kept, weight_t = MLP.forward_kept, distill.ad.dense_weight_t
+
+        def record(net, x):
+            calls.append((len(net), x.shape[-2]))
+            return forward_kept(net, x)
+
+        def form(weight, r, s):
+            w_t = weight_t(weight, r, s)
+            if not np.shares_memory(w_t, weight):
+                formed.append(weight)
+            return w_t
+
+        monkeypatch.setattr(MLP, "forward_kept", record)
+        monkeypatch.setattr(distill.ad, "dense_weight_t", form)
         cfg = replace(method_cfg(method, epochs=2), perturbation=perturbation)
-        train_student(tiny_teachers, tiny_spec, train, cfg)
-        teachers = [rows for net, rows in calls if net == "teachers"]
-        student = [rows for net, rows in calls if net == "student"]
-        assert len(teachers) == 2 * steps_per_epoch(len(train), 32)
-        assert teachers == student
+        seen = []
+        student = train_student(tiny_teachers, tiny_spec, train, cfg,
+                                step_hook=lambda step, net: seen.append(net))
+        assert all(net is student for net in seen)
+        joint = len(tiny_teachers) + len(student)
+        batches = [32, 32, 32, 30] * 2
+        at_x = {"tdiv": [len(tiny_teachers)], "tdiv_sdiv": [joint]}.get(perturbation, [])
+        assert calls == [(members, rows) for rows in batches for members in [*at_x, joint]]
+        for net, times in ((tiny_teachers, 1), (student, 1 + len(batches))):
+            for l in net.layers:
+                assert sum(w is l.weight for w in formed) == times
+        assert len(formed) == (2 + len(batches)) * len(tiny_spec.widths[1:])
 
     @pytest.mark.parametrize("method", PLAIN)
     def test_each_step_reads_its_rows_of_one_teacher_pass(self, tiny_task, tiny_teachers,
@@ -795,6 +823,70 @@ class TestPlainLoops:
         cfg = replace(method_cfg("proxy_end2"), num_teachers=1)
         with pytest.raises(ValueError, match="two teachers"):
             train_student(tiny_teachers[0], tiny_spec, train, cfg)
+
+
+class TestJointPass:
+    """The teachers and the student at one input run as one member-stacked
+    pass, bit-equal to each net run on its own layers (``per_net``)."""
+
+    @staticmethod
+    def _last_step(teachers, spec, train, cfg, batches, update, monkeypatch):
+        """(eps, teacher logits, student logits, parameter gradients) that
+        train_student forms in the last of its steps on the row arrays
+        batches, update(student) standing in for each earlier step's update."""
+        got = {}
+        build = distill.build_perturbation
+
+        def perturbation(*args):
+            got["eps"] = build(*args).epsilon
+            return Perturbation(got["eps"])
+
+        def loss(name):
+            inner = getattr(distill, name)
+            return lambda t, s, *rest: got.update(t=t, s=s) or inner(t, s, *rest)
+
+        def steps(net, data, config, batch_loss, *rest):
+            for step, rows in enumerate(batches):
+                if step:
+                    update(net)
+                kept, g = batch_loss(rows)
+            got["grads"] = net.backward(kept, g, True)
+            return net
+
+        monkeypatch.setattr(distill, "build_perturbation", perturbation)
+        for name in ("kd_loss", "one_to_one_loss"):
+            monkeypatch.setattr(distill, name, loss(name))
+        monkeypatch.setattr(distill, "fit", steps)
+        train_student(teachers, spec, train, cfg)
+        return got["eps"], got["t"], got["s"], got["grads"]
+
+    @pytest.mark.parametrize("method,hidden,perturbation", [
+        (method, hidden, kind)
+        for method, hidden in [("kd", None), ("latentbe", None), ("be", None), ("latentbe", (8,))]
+        for kind in ["tdiv_sdiv", "tdiv", "gaussian", "ods"]
+        if not (kind == "tdiv_sdiv" and method == "kd")])
+    def test_steps_bitwise_equal_per_net_passes(self, tiny_task, tiny_teachers, tiny_spec,
+                                                monkeypatch, method, hidden, perturbation):
+        # two steps, the student's parameters moved in between: the second
+        # step's pass must see the moved student. (8,) is a student narrower
+        # and shallower than the (16, 16) teachers, run in a pass of its own
+        train, _, _ = tiny_task
+        spec = tiny_spec if hidden is None else replace(tiny_spec, hidden=hidden)
+        cfg = replace(method_cfg(method), perturbation=perturbation)
+        order = rng_stream(cfg.optim.seed, "batch-shuffle").permutation(len(train))
+        batches = [order[:32], order[32:62]]
+
+        def update(student):
+            for k, a in enumerate(student.parameters()):
+                a += 0.01 * (k + 1) * np.cos(np.arange(a.size)).reshape(a.shape)
+
+        got = self._last_step(tiny_teachers, spec, train, cfg, batches, update, monkeypatch)
+        want = per_net.last_step(tiny_teachers, spec, train, cfg, batches, update)
+        assert len(got[3]) == len(want[3])
+        for g, w in zip([*got[:3], *got[3]], [*want[:3], *want[3]]):
+            np.testing.assert_array_equal(g, w)
+            assert g.tobytes() == w.tobytes()
+        assert np.any(got[0])
 
 
 class TestTrainStudent:

@@ -18,10 +18,10 @@ def test_two_sweeps_print_identical_digests():
     for m in (2, 3, 4):
         assert f"M{m}/teachers/seed0/teacher{m - 1}.json" in paths
         # 3 plain methods x 5 perturbations, 2 factored methods x 6, and at
-        # M=2 one long latentbe run
+        # M=2 one long latentbe run and one with a narrower student
         assert len({p.split("/")[1] for p in paths
                     if p.startswith(f"M{m}/") and "-" in p.split("/")[1]}) == \
-            (28 if m == 2 else 27)
+            (29 if m == 2 else 27)
         assert f"M{m}/latentbe-tdiv_sdiv/seed0/student.json" in paths
         # at M=2 also --split val and a csv data spec
         assert len([p for p in paths if p.startswith(f"M{m}/eval/")]) == \
@@ -30,6 +30,7 @@ def test_two_sweeps_print_identical_digests():
         assert f"M{m}/average.json" in paths
     assert "M2/scan.csv" in paths
     assert "M2/latentbe-tdiv_sdiv-long/seed0/trace.csv" in paths
+    assert "M2/latentbe-tdiv_sdiv-narrow/seed0/student_be.json" in paths
     assert {"M2/eval/val.csv", "M2/eval/csv.csv"} <= paths
-    assert len(paths) == 261
+    assert len(paths) == 265
     assert {"M3/barriers.json", "M4/barriers.json"} <= paths

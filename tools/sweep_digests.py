@@ -3,8 +3,9 @@
     python3 tools/sweep_digests.py [--out DIR]
 
 Runs ``train-teachers``; ``distill`` for every method and every
-perturbation the method allows, at M = 2, 3 and 4, plus one M = 2
-``latentbe`` / ``tdiv_sdiv`` run of 54 steps; ``evaluate`` with ``--ood``
+perturbation the method allows, at M = 2, 3 and 4, plus two M = 2
+``latentbe`` / ``tdiv_sdiv`` runs, one of 54 steps and one whose student has
+hidden widths [6] against the teachers' [8, 8]; ``evaluate`` with ``--ood``
 and with ``--corrupt``, and at M = 2 with ``--split val`` and on a
 ``{"kind": "csv"}`` data spec of the test split; ``line-scan``,
 ``perturb-diag`` and ``average``; and the library call
@@ -35,9 +36,10 @@ DATA = {"kind": "mixture", "num_classes": 3, "dim": 2, "n_per_class": 20,
 OOD = {"shift": 6.0, "seed": 1}
 
 
-def _config(method: str, perturbation: str, members: int, epochs: int = 2) -> dict:
+def _config(method: str, perturbation: str, members: int, epochs: int = 2,
+            hidden: tuple[int, ...] = (8, 8)) -> dict:
     # DATA has 42 training rows: 3 steps per epoch
-    return {"data": DATA, "model": {"hidden": [8, 8]},
+    return {"data": DATA, "model": {"hidden": list(hidden)},
             "optim": {"epochs": epochs, "warmup_epochs": 1, "batch_size": 16},
             "distill": {"num_teachers": members, "perturbation": perturbation},
             "method": method, "seeds": [0]}
@@ -91,6 +93,10 @@ def _commands(out: Path) -> list[list[str]]:
                          _config("latentbe", "tdiv_sdiv", m, epochs=18))
             commands.append(["distill", "--config", str(cfg), "--teachers", str(teachers),
                              "--out", str(top / "latentbe-tdiv_sdiv-long")])
+            cfg = _write(inputs / "M2-latentbe-tdiv_sdiv-narrow.json",
+                         _config("latentbe", "tdiv_sdiv", m, hidden=(6,)))
+            commands.append(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                             "--out", str(top / "latentbe-tdiv_sdiv-narrow")])
             commands.append(["line-scan", "--model", str(latent / "student_be.json"),
                              "--data", str(data), "--out", str(top / "scan.csv")])
             for tag, extra in (("val", ["--data", str(data), "--split", "val"]),
