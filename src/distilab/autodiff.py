@@ -1,7 +1,7 @@
 """The closed-form pieces of every gradient.
 
 There is no graph. A net's parameters are float64 arrays.
-``nets.MLP.forward_kept`` runs a net from ``dense_weight_t`` and
+``nets.MLP.forward_kept`` runs a net from ``member_weights`` and
 ``dense_values`` and keeps each layer's input, weights and output;
 ``nets.MLP.backward`` takes a logits gradient back through them with
 ``dense_pre_grad``, ``dense_param_grads`` and ``dense_input_grad``, and
@@ -53,32 +53,24 @@ def first_arrival(g: np.ndarray) -> np.ndarray:
 
 def member_weights(weight: np.ndarray, r: np.ndarray | None,
                    s: np.ndarray | None) -> np.ndarray:
-    """(M, out, in) member weights: the (M, out, in) weight itself, or the
-    shared (1, out, in) weight Hadamard-multiplied by each member's r_m s_m^T
-    from r (M, out) and s (M, in)."""
+    """(M, in, out) member weights for ``dense_values``: a plain layer's
+    (M, in, out) weight itself, or the shared (1, in, out) weight
+    Hadamard-multiplied by each member's s_m r_m^T from r (M, out) and
+    s (M, in)."""
     if r is None:
         return weight
-    return weight * (r[:, :, None] * s[:, None, :])
+    return weight * (s[:, :, None] * r[:, None, :])
 
 
-def dense_weight_t(weight: np.ndarray, r: np.ndarray | None,
-                   s: np.ndarray | None) -> np.ndarray:
-    """(M, in, out) member weights for ``dense_values``: member_weights(weight,
-    r, s) transposed, built in (M, in, out) order."""
-    if r is None:
-        return np.ascontiguousarray(weight.transpose(0, 2, 1))
-    return weight.transpose(0, 2, 1) * (s[:, :, None] * r[:, None, :])
-
-
-def dense_values(x: np.ndarray, w_t: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
-    """x_m w_t[m] + b_m for every member m, (M, B, out), from a (B, in) input
+def dense_values(x: np.ndarray, w: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
+    """x_m w[m] + b_m for every member m, (M, B, out), from a (B, in) input
     shared by the members or an (M, B, in) one, then a relu when relu is true.
 
     The values are checked finite as op 'dense' before the relu, which would
     hide a -inf; the relu runs in place, so out > 0 marks pre > 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.matmul(x, w_t)
+        out = np.matmul(x, w)
     out += bias[:, None, :]
     ensure_finite(out, "dense")
     if relu:
@@ -95,10 +87,10 @@ def dense_pre_grad(g: np.ndarray, out: np.ndarray, relu: bool) -> np.ndarray:
     return np.multiply(g, mask, out=mask)
 
 
-def dense_input_grad(g_pre: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+def dense_input_grad(g_pre: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(M, B, in) gradient of each member's input, from the (M, B, out)
-    gradient of the layer before its relu."""
-    return np.matmul(g_pre, w_t.transpose(0, 2, 1))
+    gradient of the layer before its relu and the (M, in, out) member weights."""
+    return np.matmul(g_pre, w.transpose(0, 2, 1))
 
 
 def dense_param_grads(x: np.ndarray, g_pre: np.ndarray, weight: np.ndarray,
@@ -113,13 +105,14 @@ def dense_param_grads(x: np.ndarray, g_pre: np.ndarray, weight: np.ndarray,
     weight. Each is a first arrival (see ``first_arrival``).
     """
     x_t = x.T if x.ndim == 2 else x.transpose(0, 2, 1)
-    g_w = np.matmul(x_t, g_pre).transpose(0, 2, 1)      # d/dW_m, (M, out, in)
+    g_w = np.matmul(x_t, g_pre)                         # d/dW_m, (M, in, out)
     g_bias = first_arrival(g_pre.sum(axis=1))
     if r is None:
-        return np.add(g_w, 0.0, out=np.empty_like(weight)), None, None, g_bias
-    rank_one = r[:, :, None] * s[:, None, :]
-    g_weight = first_arrival((g_w * rank_one).sum(axis=0, keepdims=True))
-    g_rank = g_w * weight
+        return first_arrival(g_w), None, None, g_bias
+    g_weight = first_arrival((g_w * (s[:, :, None] * r[:, None, :])).sum(axis=0, keepdims=True))
+    # (M, out, in) in C order: the r and s matmuls then sum each row in the
+    # order that keeps a factored student's bits
+    g_rank = np.multiply(g_w.transpose(0, 2, 1), weight.transpose(0, 2, 1), order="C")
     g_r = first_arrival(np.matmul(g_rank, s[:, :, None])[..., 0])
     g_s = first_arrival(np.matmul(g_rank.transpose(0, 2, 1), r[:, :, None])[..., 0])
     return g_weight, g_r, g_s, g_bias

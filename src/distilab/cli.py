@@ -86,19 +86,18 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: data must be a JSON object")
     _check_mixture(data, str(p))
-    model = doc.get("model", {})
-    if not isinstance(model, dict):
-        raise ConfigError(f"{p}: model must be a JSON object")
+    model, optim_doc, distill_doc = (doc.get(k, {}) for k in ("model", "optim", "distill"))
+    for key, section in (("model", model), ("optim", optim_doc), ("distill", distill_doc)):
+        if not isinstance(section, dict):
+            raise ConfigError(f"{p}: {key} must be a JSON object")
     try:
-        spec = ModelSpec(data["dim"], data["num_classes"], tuple(model.get("hidden", (64, 64))))
-        optim_doc = doc.get("optim", {})
-        if isinstance(optim_doc, dict) and "seed" in optim_doc:
+        spec = ModelSpec(data["dim"], data["num_classes"], model.get("hidden", [64, 64]))
+        if "seed" in optim_doc:
             raise ValueError("optim.seed is not read; the run seeds are 'seeds'")
         optim = OptimConfig(**optim_doc)
         distill_cfg = DistillConfig(optim=optim, method=doc.get("method", "kd"),
                                     student_init=doc.get("student_init", "random_sign"),
-                                    aekd_c=doc.get("aekd_c", 0.6),
-                                    **doc.get("distill", {}))
+                                    aekd_c=doc.get("aekd_c", 0.6), **distill_doc)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{p}: {e}") from e
     seeds = doc.get("seeds", [0])

@@ -33,15 +33,14 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset
 from .metrics import PROB_FLOOR, batched_logits, pairwise_divergence_values, softmax_np
-from .nets import (RANK_INITS, MLP, ModelSpec, build_be, build_plain, is_int, is_real, join,
-                   restack, stack)
+from .nets import (RANK_INITS, MLP, ModelSpec, build_be, build_plain, is_int, is_real, restack,
+                   stack)
 from .optim import OptimConfig, fit, one_hot
 from .perturb import KINDS, build_perturbation, default_gamma
 from .seeding import rng_stream
@@ -475,7 +474,7 @@ _BATCH_LOSSES = {"kd": _kd_batch_loss, "aekd": _kd_batch_loss,
                  "be": _one_to_one_batch_loss, "latentbe": _one_to_one_batch_loss}
 
 
-def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset,
+def train_student(teachers: MLP, spec: ModelSpec, train: Dataset,
                   cfg: DistillConfig, step_hook=None, trace: list | None = None) -> MLP:
     """Distill the teachers into a new student by cfg.method; returns it.
 
@@ -501,7 +500,6 @@ def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset
     """
     if trace is not None and cfg.method not in FACTORED:
         raise ValueError(f"only a factored student is traced, not {cfg.method}")
-    teachers = join(teachers)
     if len(teachers) != cfg.num_teachers:
         raise ValueError(f"config expects {cfg.num_teachers} teachers, "
                          f"got {len(teachers)}")
@@ -535,8 +533,8 @@ def train_student(teachers: MLP | Sequence[MLP], spec: ModelSpec, train: Dataset
             xb = xb + build_perturbation(cfg.perturbation, teachers, student, xb, gamma,
                                          cfg.tau, noise_rng, index_rng, pair).epsilon
         passes = [net.forward_kept(xb) for net in nets]
-        kept = [(x if x.ndim == 2 else x[start:], w_t[start:], out[start:])
-                for x, w_t, out in passes[-1]]
+        kept = [(x if x.ndim == 2 else x[start:], w[start:], out[start:])
+                for x, w, out in passes[-1]]
         t_logits = passes[0][-1][2][:len(teachers)] if table is None else table[:, rows]
         out = loss(kept, train.y[rows], t_logits)
         if held is not None and len(held) == _TRACE_BLOCK:

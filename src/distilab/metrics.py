@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nets import join
+from .nets import MLP
 
 PROB_FLOOR = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -244,15 +244,14 @@ def diversity_from_probs(probs: np.ndarray) -> float:
     return float(pairwise_divergence_values(probs).mean())
 
 
-def member_probs(ensemble, x: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """(M, N, K) member probabilities of an ensemble at inputs x: a net or a
-    list of one-member plain nets."""
-    return softmax_np(batched_logits(join(ensemble), x), tau)
+def member_probs(ensemble: MLP, x: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    """(M, N, K) member probabilities of an ensemble net at inputs x."""
+    return softmax_np(batched_logits(ensemble, x), tau)
 
 
-def diversity(models, x: np.ndarray) -> float:
-    """Functional diversity of an ensemble at inputs x."""
-    return diversity_from_probs(member_probs(models, x))
+def diversity(ensemble: MLP, x: np.ndarray) -> float:
+    """Functional diversity of an ensemble net at inputs x."""
+    return diversity_from_probs(member_probs(ensemble, x))
 
 
 def entropy_values(probs: np.ndarray) -> np.ndarray:

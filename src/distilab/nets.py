@@ -9,12 +9,13 @@ input gradients, writing nothing onto the net; ``net.forward`` returns the
 logits alone. ``net[m]`` and ``net[[i, j]]`` are copies of those members'
 rows.
 
-A plain layer holds one weight per member, an (M, out, in) weight: the
-teacher ensemble trains as one M-member net, each teacher is saved as a
-one-member net, and ``join`` concatenates loaded ones. A factored ("batch
-ensemble") layer holds one shared (1, out, in) weight plus rank-one factors
-r (M, out) and s (M, in); member m's effective weight is the shared matrix
-Hadamard-multiplied by the outer product r_m s_m^T. Averaging those
+A plain layer holds one weight per member, an (M, in, out) weight, the
+layout its matmul reads: the teacher ensemble trains as one M-member net,
+each teacher is saved as a one-member net, and ``join`` concatenates loaded
+ones. A factored ("batch ensemble") layer holds one shared (1, in, out)
+weight plus rank-one factors r (M, out) and s (M, in); member m's effective
+weight is the shared matrix Hadamard-multiplied by the outer product
+s_m r_m^T (``autodiff.member_weights``). Averaging those
 rank-one products collapses the student back to a single plain network
 with ordinary inference cost.
 
@@ -71,6 +72,8 @@ class ModelSpec:
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
             object.__setattr__(self, name, int(getattr(self, name)))
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ValueError(f"hidden widths must be a list, got {self.hidden!r}")
         if not all(is_int(h) and h >= 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be integers >= 1, got {list(self.hidden)!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
@@ -94,8 +97,8 @@ class ModelSpec:
 
 class Layer:
     """Dense layer of M members with a bias (M, out). A plain layer has a
-    weight (M, out, in), one per member; a factored one has a shared weight
-    (1, out, in) and rank-one factors r (M, out) and s (M, in)."""
+    weight (M, in, out), one per member; a factored one has a shared weight
+    (1, in, out) and rank-one factors r (M, out) and s (M, in)."""
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, r: np.ndarray | None = None,
                  s: np.ndarray | None = None):
@@ -105,10 +108,10 @@ class Layer:
         if bias.ndim != 2:
             raise ShapeError(f"a dense layer's bias is (M, out), got {bias.shape}")
         members, out_dim = bias.shape
-        in_dim = weight.shape[-1]
+        in_dim = weight.shape[1] if weight.ndim == 3 else None
         got = tuple(None if a is None else a.shape for a in (weight, r, s))
-        want = ((members, out_dim, in_dim), None, None) if r is None else \
-            ((1, out_dim, in_dim), (members, out_dim), (members, in_dim))
+        want = ((members, in_dim, out_dim), None, None) if r is None else \
+            ((1, in_dim, out_dim), (members, out_dim), (members, in_dim))
         if got != want:
             raise ShapeError(f"weight, r and s shapes {got} do not fit bias {bias.shape}; "
                              f"expected {want}")
@@ -169,7 +172,7 @@ class MLP:
         """Each layer's (input, (M, in, out) member weights, output), in
         order, for ``backward``; the last output is the logits of ``forward``.
         Each member runs the float operations of a one-member net."""
-        members, in_dim = len(self), self.layers[0].weight.shape[2]
+        members, in_dim = len(self), self.layers[0].weight.shape[1]
         if x.ndim not in (2, 3) or x.shape[-1] != in_dim \
                 or (x.ndim == 3 and x.shape[0] != members):
             raise ShapeError(f"a net of {members} members on {in_dim} inputs got input "
@@ -177,9 +180,9 @@ class MLP:
         kept = []
         last = len(self.layers) - 1
         for i, l in enumerate(self.layers):
-            w_t = ad.dense_weight_t(l.weight, l.r, l.s)
-            out = ad.dense_values(x, w_t, l.bias, i != last)
-            kept.append((x, w_t, out))
+            w = ad.member_weights(l.weight, l.r, l.s)
+            out = ad.dense_values(x, w, l.bias, i != last)
+            kept.append((x, w, out))
             x = out
         return kept
 
@@ -197,15 +200,15 @@ class MLP:
         last = len(self.layers) - 1
         grads = [None] * len(self.layers)
         for i in range(last, -1, -1):
-            x, w_t, out = kept[i]
+            x, w, out = kept[i]
             l = self.layers[i]
             g = ad.dense_pre_grad(g, out, i != last)
             if params:
                 grads[i] = ad.dense_param_grads(x, g, l.weight, l.r, l.s)
                 if i == 0:
-                    w, r, s, b = zip(*grads)
-                    return [*w, *(a for rs in zip(r, s) for a in rs if a is not None), *b]
-            g = ad.first_arrival(ad.dense_input_grad(g, w_t))
+                    weights, r, s, b = zip(*grads)
+                    return [*weights, *(a for rs in zip(r, s) for a in rs if a is not None), *b]
+            g = ad.first_arrival(ad.dense_input_grad(g, w))
         return g
 
     def parameters(self) -> list[np.ndarray]:
@@ -221,42 +224,28 @@ class MLP:
         return [l.bias for l in self.layers]
 
 
-def join(nets: "MLP | Iterable[MLP]") -> MLP:
-    """One plain net whose members are copies of those of plain nets, in
-    order. A net is returned as it is; select members of a factored net with
-    ``net[idx]``."""
-    if isinstance(nets, MLP):
-        return nets
+def join(nets: Iterable[MLP]) -> MLP:
+    """One plain net whose members are copies of the member weights and
+    biases of nets, plain or factored, in order."""
     nets = list(nets)
-    if any(n.factored for n in nets):
-        raise ValueError("only plain nets join; select factored members with net[idx]")
-    layers = [Layer(np.concatenate([p.weight for p in parts]),
-                    np.concatenate([p.bias for p in parts]))
+    layers = [Layer(np.concatenate([ad.member_weights(l.weight, l.r, l.s) for l in parts]),
+                    np.concatenate([l.bias for l in parts]))
               for parts in zip(*(n.layers for n in nets))]
     return MLP(nets[0].spec, layers, nets[0].head)
 
 
 def stack(nets: Sequence[MLP]) -> list[MLP]:
-    """The members of nets, in order, as plain nets that run them in one pass,
-    one per run of nets whose layers share shapes; each weight is a view of
-    their stacked ``dense_weight_t`` weights, so ``forward_kept`` forms none.
-    numpy's stacked matmul runs one gemm per member: each keeps its bits."""
-    groups = []
-    for net in nets:
-        layers = [(ad.dense_weight_t(l.weight, l.r, l.s), l.bias) for l in net.layers]
-        if groups and [w.shape[1:] for w, _ in groups[-1][1]] == [w.shape[1:] for w, _ in layers]:
-            groups[-1][1] = [(np.concatenate([v, w]), np.concatenate([c, b]))
-                             for (v, c), (w, b) in zip(groups[-1][1], layers)]
-        else:
-            groups.append([net.spec, layers])
-    return [MLP(spec, [Layer(w.transpose(0, 2, 1), b) for w, b in layers])
-            for spec, layers in groups]
+    """The members of nets, in order, as plain nets that run them in one pass:
+    ``join`` of each run of nets with equal widths, so ``forward_kept`` forms
+    no member weight. numpy's stacked matmul runs one gemm per member: each
+    keeps its bits."""
+    return [join(run) for _, run in itertools.groupby(nets, lambda n: n.spec.widths)]
 
 
 def restack(stacked: list[MLP], net: MLP) -> None:
     """Write net's member weights and biases over its rows of ``stack([..., net])``."""
     for s, l in zip(stacked[-1].layers, net.layers):
-        s.weight.transpose(0, 2, 1)[-len(net):] = ad.dense_weight_t(l.weight, l.r, l.s)
+        s.weight[-len(net):] = ad.member_weights(l.weight, l.r, l.s)
         s.bias[-len(net):] = l.bias
 
 
@@ -264,12 +253,17 @@ def restack(stacked: list[MLP], net: MLP) -> None:
 
 def build_plain(spec: ModelSpec, rng: np.random.Generator | Sequence[np.random.Generator],
                 head: str = "softmax") -> MLP:
-    """He-normal weights, zero biases; one member per generator of a sequence."""
+    """He-normal weights, zero biases; one member per generator of a sequence.
+
+    Each weight is drawn as (out, in) rows, which fixes which value each draw
+    lands on, then stored (in, out) in C order: a strided weight slows every
+    update of it."""
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     layers = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         w = np.stack([g.normal(0.0, np.sqrt(2.0 / fan_in), (fan_out, fan_in)) for g in rngs])
-        layers.append(Layer(w, np.zeros((len(rngs), fan_out))))
+        layers.append(Layer(np.ascontiguousarray(w.transpose(0, 2, 1)),
+                            np.zeros((len(rngs), fan_out))))
     return MLP(spec, layers, head=head)
 
 
@@ -279,6 +273,7 @@ def build_be(spec: ModelSpec, rng: np.random.Generator,
 
     Ones initialization makes every member identical to the shared network;
     random signs start the members in genuinely different weight patterns.
+    The shared weight is drawn and stored as ``build_plain``'s are.
     """
     if rank_init not in RANK_INITS:
         raise ValueError(f"unknown rank_init '{rank_init}'")
@@ -287,6 +282,7 @@ def build_be(spec: ModelSpec, rng: np.random.Generator,
     layers = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         shared = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(1, fan_out, fan_in))
+        shared = np.ascontiguousarray(shared.transpose(0, 2, 1))
         if rank_init == "ones":
             r, s = np.ones((members, fan_out)), np.ones((members, fan_in))
         else:
@@ -301,7 +297,7 @@ def build_be(spec: ModelSpec, rng: np.random.Generator,
 def average_rank_one(model: MLP) -> MLP:
     """Collapse a factored student into one plain network.
 
-    Per layer the plain weight is shared ∘ (mean over members of r_m s_m^T)
+    Per layer the plain weight is shared ∘ (mean over members of s_m r_m^T)
     and the bias is the member mean, so inference afterwards costs exactly
     one forward pass.
     """
@@ -310,7 +306,7 @@ def average_rank_one(model: MLP) -> MLP:
     layers = []
     m_count = len(model)
     for l in model.layers:
-        rank_mean = (l.r[:, :, None] * l.s[:, None, :]).sum(axis=0) / m_count
+        rank_mean = (l.s[:, :, None] * l.r[:, None, :]).sum(axis=0) / m_count
         bias = l.bias.sum(axis=0, keepdims=True) / m_count
         layers.append(Layer(l.weight * rank_mean, bias))
     return MLP(model.spec, layers)
@@ -340,15 +336,17 @@ def _tensor_names(i: int, factored: bool, members: int) -> tuple[str, list, list
 
 def checkpoint_save(model: MLP, path: str | Path) -> None:
     """Serialize to deterministic JSON, one format-v1 tensor per member row;
-    values carry 17 significant digits. Format v1 stores plain nets of one
-    member, so save a joined teacher ensemble one member at a time."""
+    values carry 17 significant digits and a weight is saved as (out, in)
+    rows. Format v1 stores plain nets of one member, so save a joined teacher
+    ensemble one member at a time."""
     if not model.factored and len(model) > 1:
         raise ValueError(f"format v1 holds one-member plain nets; save each of the "
                          f"{len(model)} members on its own")
     tensors = {}
     for i, l in enumerate(model.layers):
         w, b, r, s = _tensor_names(i, model.factored, len(model))
-        rows = [l.weight[0], *l.bias]
+        # format v1 holds a weight as (out, in) rows
+        rows = [l.weight[0].T, *l.bias]
         if model.factored:
             rows += [*l.r, *l.s]
         for name, arr in zip([w, *b, *r, *s], rows):
@@ -381,10 +379,7 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
         kind, sd, tensors = doc["kind"], doc["spec"], doc["tensors"]
         if not isinstance(sd, dict) or not isinstance(tensors, dict):
             raise CheckpointError("spec and tensors must be JSON objects")
-        if not isinstance(sd["hidden"], list):
-            raise CheckpointError(f"hidden widths must be a list, got {sd['hidden']!r}")
-        spec = ModelSpec(sd["in_dim"], sd["num_classes"], tuple(sd["hidden"]),
-                         sd["activation"])
+        spec = ModelSpec(sd["in_dim"], sd["num_classes"], sd["hidden"], sd["activation"])
     except KeyError as e:
         raise CheckpointError(f"{p}: missing key {e}") from e
     except (TypeError, ValueError) as e:
@@ -432,6 +427,7 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):
         w, b, r, s = _tensor_names(i, factored, members)
-        layers.append(Layer(load([w], (fan_out, fan_in)), load(b, (fan_out,)),
-                            load(r, (fan_out,)), load(s, (fan_in,))))
+        # format v1 holds a weight as (out, in) rows
+        weight = np.ascontiguousarray(load([w], (fan_out, fan_in)).transpose(0, 2, 1))
+        layers.append(Layer(weight, load(b, (fan_out,)), load(r, (fan_out,)), load(s, (fan_in,))))
     return MLP(spec, layers, head=head)

@@ -22,7 +22,8 @@ the order teacher i, teacher j, student i, student j of its pair: that order
 is kept on purpose, because it makes the step bit-equal to building the gap
 one pair at a time.
 
-An ensemble is a net or a list of one-member plain nets (see ``nets.join``).
+An ensemble is one net with a member axis (``nets.join`` makes one of a list
+of nets); ``build_perturbation`` alone still joins a list of teachers.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def draw_pairs(rng: np.random.Generator, members: int, n: int) -> np.ndarray:
     return np.stack([i, j], axis=1)
 
 
-def _ods_gradients(teachers: Sequence[MLP], x: np.ndarray, tau: float,
+def _ods_gradients(teachers: MLP, x: np.ndarray, tau: float,
                    guidance: np.ndarray, members: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """d/dx of w^T p_teacher(x; tau), and the confidence max_k p_teacher(x; tau),
@@ -128,15 +129,15 @@ def _pair_logits_grad(logits: np.ndarray, pairs: np.ndarray, members: int) -> np
     return ad.first_arrival(grad)
 
 
-def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
+def _pair_gap_grad(teachers: MLP, student: MLP | None, x: np.ndarray, pairs: np.ndarray,
                    nets: list[MLP] | None = None) -> np.ndarray:
     """d/dx of sum_b [KL_T(i_b, j_b) - KL_S(i_b, j_b)] between untempered
     distributions, with the pair draw shared between the teacher and student
     terms of each sample.
 
     The teachers' M members, then the student's, run one pass on the shared
-    input as ``nets``, by default ``nets.stack`` of the joined teachers and
-    the student (the teachers alone without one). Their logits stack into
+    input as ``nets``, by default ``nets.stack`` of the teachers and the
+    student (the teachers alone without one). Their logits stack into
     (2M, B, K) (M without a student); ``_pair_logits_grad`` gives the logits
     gradient in closed form, and the input-only backward takes it to each
     member's input. Row b's gradient is then summed as teacher i, teacher j,
@@ -145,7 +146,7 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
     ordered pair), so the result is bit-equal to it.
     """
     if nets is None:
-        nets = stack([join(teachers)] + ([] if student is None else [student]))
+        nets = stack([teachers] + ([] if student is None else [student]))
     passes = [net.forward_kept(x) for net in nets]
     g_logits = _pair_logits_grad(np.concatenate([kept[-1][2] for kept in passes]),
                                  pairs, len(teachers))
@@ -155,7 +156,7 @@ def _pair_gap_grad(teachers, student, x: np.ndarray, pairs: np.ndarray,
     return sum(g[members, np.arange(len(x))], np.zeros_like(x))
 
 
-def diversity_shift_values(teachers, students, x: np.ndarray,
+def diversity_shift_values(teachers: MLP, students: MLP, x: np.ndarray,
                            eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample change of the full pairwise diversity under x -> x + eps."""
     x_new = x + eps
@@ -166,7 +167,7 @@ def diversity_shift_values(teachers, students, x: np.ndarray,
     return d_t, d_s
 
 
-def build_perturbation(kind: str, teachers: Sequence[MLP], student: MLP | None,
+def build_perturbation(kind: str, teachers: MLP | Sequence[MLP], student: MLP | None,
                        x: np.ndarray, gamma: float, tau: float,
                        noise_rng: np.random.Generator,
                        index_rng: np.random.Generator,
@@ -192,6 +193,8 @@ def build_perturbation(kind: str, teachers: Sequence[MLP], student: MLP | None,
     draws from neither generator, ``gaussian`` only from noise_rng, the ODS
     kinds from both, the pair kinds only from index_rng. The pair kinds run
     nets, a caller's ``nets.stack`` of the teachers and the student, if given.
+    The teachers are one net; a list of loaded teachers is joined first, the
+    one place an ensemble may still be a list.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown perturbation kind '{kind}'")
@@ -201,9 +204,11 @@ def build_perturbation(kind: str, teachers: Sequence[MLP], student: MLP | None,
         return Perturbation(np.zeros_like(x))
     if kind == "gaussian":
         return Perturbation(gamma * noise_rng.standard_normal(x.shape))
+    if not isinstance(teachers, MLP):
+        teachers = join(teachers)
     if kind in ("ods", "conf_ods"):
         members = index_rng.integers(0, len(teachers), size=len(x))
-        guidance = noise_rng.uniform(-1.0, 1.0, size=(len(x), teachers[0].spec.num_classes))
+        guidance = noise_rng.uniform(-1.0, 1.0, size=(len(x), teachers.spec.num_classes))
         grads, conf = _ods_gradients(teachers, x, tau, guidance, members)
         eps = _normalize_rows(grads, gamma)
         return Perturbation(eps * conf[:, None] if kind == "conf_ods" else eps)

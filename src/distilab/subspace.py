@@ -1,8 +1,8 @@
 """Loss-landscape analysis along the line through two subnetwork parameters.
 
-For a two-member ensemble (a two-member net or a list of two plain nets) the
-line is theta_t = (1-t) theta_1 + t theta_2 over the members' effective
-weights, e.g. (1-t) (shared ∘ r1 s1^T) + t (shared ∘ r2 s2^T), biases likewise.
+For a two-member net the line is theta_t = (1-t) theta_1 + t theta_2 over
+the members' effective weights, e.g. (1-t) (shared ∘ s1 r1^T) +
+t (shared ∘ s2 r2^T), biases likewise.
 The scan reports train/test error and test NLL over a t grid and the train
 loss barrier: the worst excess of the interpolated train cross-entropy over
 the endpoint losses, floored at zero. Cross-entropy to labels stands in for
@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset
 from .metrics import accuracy, batched_logits, nll_with_stats, softmax_np
-from .nets import Layer, MLP, join
+from .nets import Layer, MLP
 
 
 def default_grid() -> np.ndarray:
@@ -45,22 +45,21 @@ class LineScan:
     barrier: float
 
 
-def _require_two_members(model) -> None:
+def _require_two_members(model: MLP) -> None:
     if len(model) != 2:
         raise ValueError(f"line analysis requires exactly two members, got {len(model)}")
 
 
-def interpolate(model, t: float) -> MLP:
+def interpolate(model: MLP, t: float) -> MLP:
     """Plain network at position t on the member-1 / member-2 line."""
     _require_two_members(model)
-    net = join(model)
     layers = []
-    for l in net.layers:
+    for l in model.layers:
         w = ad.member_weights(l.weight, l.r, l.s)
         w = (1.0 - t) * w[0] + t * w[1]
         b = (1.0 - t) * l.bias[0] + t * l.bias[1]
         layers.append(Layer(w[None], b[None]))
-    return MLP(net.spec, layers)
+    return MLP(model.spec, layers)
 
 
 def _eval_point(net: MLP, train: Dataset, test: Dataset) -> tuple[float, float, float, float]:
@@ -73,7 +72,7 @@ def _eval_point(net: MLP, train: Dataset, test: Dataset) -> tuple[float, float, 
     return train_err, test_err, test_nll_mean, train_loss
 
 
-def line_scan(model, train: Dataset, test: Dataset,
+def line_scan(model: MLP, train: Dataset, test: Dataset,
               grid: np.ndarray | None = None) -> LineScan:
     """Evaluate the member line on a t grid and quantify the train barrier."""
     _require_two_members(model)

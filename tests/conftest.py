@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import pytest
 
+from distilab.cli import _fix_malloc_thresholds
 from distilab.data import Dataset, make_mixture
 from distilab.distill import DistillConfig, train_student
 from distilab.nets import MLP, ModelSpec, average_rank_one
@@ -18,6 +19,13 @@ from distilab.optim import OptimConfig, steps_per_epoch, train_teachers
 
 DEFAULT_TASK = dict(num_classes=3, dim=2, n_per_class=500, spread=0.6, seed=7)
 ACCEPT_SEEDS = (0, 1, 2)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def malloc_thresholds():
+    """The heap settings ``cli.main`` makes, so training called from the tests
+    reuses its freed temporaries instead of page-faulting them in again."""
+    _fix_malloc_thresholds()
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,15 @@
 """A distill step with every net run on its own layers: the reference for the
 member-stacked joint pass of ``distill.train_student``.
 
-Here the teachers, joined into one net, and the student each run their own
-forward, and form their own member weights, at x for the pair-gap gradient
-and again at x + eps for the loss, as separate passes.
+Here the teachers' net and the student each run their own forward, and form
+their own member weights, at x for the pair-gap gradient and again at
+x + eps for the loss, as separate passes.
 """
 
 import numpy as np
 
 from distilab.distill import FACTORED, kd_loss, one_to_one_loss
-from distilab.nets import build_be, build_plain, join
+from distilab.nets import build_be, build_plain
 from distilab.optim import one_hot
 from distilab.perturb import _normalize_rows, _pair_logits_grad, build_perturbation, \
     default_gamma, draw_pairs
@@ -20,7 +20,7 @@ def pair_gap_grad(teachers, student, x, pairs):
     """d/dx of the pair gap (the teachers' term alone without a student),
     each net forward and backward on its own; each row's gradient summed as
     teacher i, teacher j, student i, student j."""
-    nets = [join(teachers)] + ([] if student is None else [student])
+    nets = [teachers] + ([] if student is None else [student])
     passes = [net.forward_kept(x) for net in nets]
     g_logits = _pair_logits_grad(np.concatenate([kept[-1][2] for kept in passes]),
                                  pairs, len(nets[0]))
@@ -38,7 +38,6 @@ def last_step(teachers, spec, train, cfg, batches, update):
     arrays batches, for a kd or factored student, with update(student)
     applied in place of each earlier step's update: the student built as
     train_student builds it, each perturbation drawn from the same streams."""
-    teachers = join(teachers)
     rng = rng_stream(cfg.optim.seed, "init")
     if cfg.method in FACTORED:
         init = "ones" if cfg.method == "latentbe" else cfg.student_init

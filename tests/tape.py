@@ -135,7 +135,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
           bias: Tensor, relu: bool) -> Tensor:
-    """x_m W_m^T + b_m for every member m in one node, (M, B, out), followed
+    """x_m W_m + b_m for every member m in one node, (M, B, out), followed
     by a relu when relu is true.
 
     W_m is ``member_weights(weight, r, s)[m]`` and b_m is row m of the
@@ -147,34 +147,36 @@ def dense(x: Tensor, weight: Tensor, r: Tensor | None, s: Tensor | None,
     a net of constants (teachers) costs one input-gradient matmul per layer.
     """
     members = bias.shape[0]
-    if x.data.ndim not in (2, 3) or x.shape[-1] != weight.shape[2] \
+    if x.data.ndim not in (2, 3) or x.shape[-1] != weight.shape[1] \
             or (x.data.ndim == 3 and x.shape[0] != members):
         raise ShapeError(f"dense layer of {members} members with weight "
                          f"{weight.shape} got input {x.shape}")
-    w_t = ad.dense_weight_t(weight.data, None if r is None else r.data,
-                            None if s is None else s.data)
+    w = ad.member_weights(weight.data, None if r is None else r.data,
+                          None if s is None else s.data)
     # the graph holds this one array per layer
-    out_data = ad.dense_values(x.data, w_t, bias.data, relu)
+    out_data = ad.dense_values(x.data, w, bias.data, relu)
 
     def backward(g: np.ndarray) -> None:
         g = ad.dense_pre_grad(g, out_data, relu)
         rank_grad = r is not None and (r.requires_grad or s.requires_grad)
         if weight.requires_grad or rank_grad:
             x_t = x.data.T if x.data.ndim == 2 else x.data.transpose(0, 2, 1)
-            g_w = np.matmul(x_t, g).transpose(0, 2, 1)      # d/dW_m, (M, out, in)
+            g_w = np.matmul(x_t, g)                         # d/dW_m, (M, in, out)
             if r is None:
                 _accum(weight, g_w)
             elif weight.requires_grad:
-                rank_one = r.data[:, :, None] * s.data[:, None, :]
+                rank_one = s.data[:, :, None] * r.data[:, None, :]
                 _accum(weight, (g_w * rank_one).sum(axis=0, keepdims=True))
             if rank_grad:
-                g_rank = g_w * weight.data
+                # (M, out, in) rows, as the closed form sums them
+                g_rank = np.multiply(g_w.transpose(0, 2, 1), weight.data.transpose(0, 2, 1),
+                                     order="C")
                 _accum(r, np.matmul(g_rank, s.data[:, :, None])[..., 0])
                 _accum(s, np.matmul(g_rank.transpose(0, 2, 1), r.data[:, :, None])[..., 0])
         if bias.requires_grad:
             _accum(bias, g.sum(axis=1))
         if x.requires_grad:
-            g_x = ad.dense_input_grad(g, w_t)
+            g_x = ad.dense_input_grad(g, w)
             _accum(x, g_x if x.data.ndim == 3 else g_x.sum(axis=0))
 
     parents = (x, weight, bias) if r is None else (x, weight, r, s, bias)

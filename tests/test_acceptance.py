@@ -119,10 +119,10 @@ def _dense(x, w, *rest):
     gradients (the input's summed over the members when they share it) and
     its relu pattern, from the kernels ``MLP`` runs."""
     r, s, b = rest if len(rest) == 3 else (None, None, rest[0])
-    w_t = ad.dense_weight_t(w, r, s)
-    out = ad.dense_values(x, w_t, b, True)
+    w_members = ad.member_weights(w, r, s)
+    out = ad.dense_values(x, w_members, b, True)
     g = ad.dense_pre_grad(2.0 * out, out, True)
-    g_x = ad.dense_input_grad(g, w_t)
+    g_x = ad.dense_input_grad(g, w_members)
     g_w, g_r, g_s, g_b = ad.dense_param_grads(x, g, w, r, s)
     grads = [g_x.sum(axis=0) if x.ndim == 2 else g_x, g_w]
     grads += [] if r is None else [g_r, g_s]
@@ -148,12 +148,15 @@ def test_criterion_1_autodiff_finite_differences():
                 worst_by_op[key] = max(worst_by_op.get(key, 0.0), err)
 
     # the two-member dense layer through its relu: a plain layer (one weight
-    # per member) on a shared input, a factored one on one input per member
+    # per member) on a shared input, a factored one on one input per member;
+    # each weight drawn as (out, in) rows and stored (in, out)
+    def weight(shape):
+        return np.ascontiguousarray(rng.normal(size=shape).transpose(0, 2, 1))
+
     record("dense_plain", ("input", "weight", "bias"), _dense,
-           lambda: [rng.normal(size=(3, 4)), rng.normal(size=(2, 2, 4)),
-                    rng.normal(size=(2, 2))])
+           lambda: [rng.normal(size=(3, 4)), weight((2, 2, 4)), rng.normal(size=(2, 2))])
     record("dense_factored", ("input", "weight", "r", "s", "bias"), _dense,
-           lambda: [rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 2, 4)),
+           lambda: [rng.normal(size=(2, 3, 4)), weight((1, 2, 4)),
                     rng.normal(size=(2, 2)), rng.normal(size=(2, 4)), rng.normal(size=(2, 2))])
 
     # end-to-end input gradients through the default architecture
@@ -190,7 +193,7 @@ def test_criterion_1_autodiff_finite_differences():
 
     # the input gradients of the ODS and pair-gap steps, through small nets
     spec = ModelSpec(2, 3, (8,))
-    teachers = [build_plain(spec, rng_stream(s, "init")) for s in (1, 2)]
+    teachers = join([build_plain(spec, rng_stream(s, "init")) for s in (1, 2)])
     student = build_be(spec, rng_stream(3, "init"), "random_sign", members=2)
     guidance = rng.uniform(-1.0, 1.0, size=(3, 3))
     members = np.array([0, 1, 1])
@@ -205,7 +208,7 @@ def test_criterion_1_autodiff_finite_differences():
     def pair_gap(x):
         return (pair_gap_values(teachers, student, x, pairs).sum(),
                 [_pair_gap_grad(teachers, student, x, pairs)],
-                _relu_pattern(join(teachers).forward_kept(x), student.forward_kept(x)))
+                _relu_pattern(teachers.forward_kept(x), student.forward_kept(x)))
 
     record("ods", (None,), ods, lambda: [rng.normal(size=(3, 2))])
     record("pair_gap", (None,), pair_gap, lambda: [rng.normal(size=(3, 2))])

@@ -59,45 +59,45 @@ def dense_grads(x, weight, r, s, bias, relu, upstream):
     """Output, per-member input gradient and the weight, r, s and bias
     gradients of one dense layer under the readout sum(upstream * out), from
     the shared kernels: the layer ``nets.MLP`` runs forward and backward."""
-    w_t = ad.dense_weight_t(weight, r, s)
-    out = ad.dense_values(x, w_t, bias, relu)
+    w = ad.member_weights(weight, r, s)
+    out = ad.dense_values(x, w, bias, relu)
     g = ad.dense_pre_grad(upstream, out, relu)
-    g_x = ad.first_arrival(ad.dense_input_grad(g, w_t))
+    g_x = ad.first_arrival(ad.dense_input_grad(g, w))
     return (out, g_x, *ad.dense_param_grads(x, g, weight, r, s))
 
 
 def dense_reference(x, weights, r, s, bias, relu, upstream):
     """Per-member numpy reference of the dense kernels: each member runs the float
-    operations of the one-member op chain (W ∘ r s^T, contiguous transpose,
+    operations of the one-member op chain (W ∘ s r^T of an (in, out) W,
     matmul, bias, relu) and the gradients accumulate as that chain's graph
-    did, from zeros and in member order. Returns (output, each member's input
+    did, from zeros and in member order; the r and s gradients take the
+    (out, in) rows of the rank gradient. Returns (output, each member's input
     gradient, weight gradients, r, s and bias gradients)."""
     members = len(bias)
     outs, g_x, g_w = [], [], [np.zeros_like(w) for w in weights]
     g_r, g_s, g_b = [], [], []
     for m in range(members):
         x_m = x if x.ndim == 2 else x[m]
-        w = weights[0] * np.outer(r[m], s[m]) if r else weights[m]
-        w_t = np.ascontiguousarray(w.T)
-        pre = x_m @ w_t + bias[m]
+        w = weights[0] * np.outer(s[m], r[m]) if r else weights[m]
+        pre = x_m @ w + bias[m]
         outs.append(np.maximum(pre, 0.0) if relu else pre)
         g = upstream[m] * (pre > 0.0) if relu else upstream[m]
-        g_eff = np.zeros_like(w) + (x_m.T @ g).T
+        g_eff = np.zeros_like(w) + x_m.T @ g
         if r:
-            g_w[0] += g_eff * np.outer(r[m], s[m])
-            g_rank = np.zeros_like(w) + g_eff * weights[0]
+            g_w[0] += g_eff * np.outer(s[m], r[m])
+            g_rank = np.zeros(w.T.shape) + (g_eff * weights[0]).T
             g_r.append(np.zeros_like(r[m]) + g_rank @ s[m])
             g_s.append(np.zeros_like(s[m]) + g_rank.T @ r[m])
         else:
             g_w[m] += g_eff
         g_b.append(np.zeros_like(bias[m]) + g.sum(axis=0))
-        g_x.append(np.zeros_like(x_m) + g @ w_t.T)
+        g_x.append(np.zeros_like(x_m) + g @ w.T)
     return np.stack(outs), np.stack(g_x), g_w, g_r, g_s, g_b
 
 
 def dense_case(rng, members, factored, shared_input, batch=5, in_dim=4, out_dim=3):
     x = rng.normal(size=(batch, in_dim) if shared_input else (members, batch, in_dim))
-    weights = [rng.normal(size=(out_dim, in_dim)) for _ in range(1 if factored else members)]
+    weights = [rng.normal(size=(in_dim, out_dim)) for _ in range(1 if factored else members)]
     r = [rng.normal(size=out_dim) for _ in range(members)] if factored else []
     s = [rng.normal(size=in_dim) for _ in range(members)] if factored else []
     bias = [rng.normal(size=out_dim) for _ in range(members)]
@@ -111,27 +111,27 @@ def stacked(group):
 
 def one_layer_net(weight, bias, r=None, s=None):
     """A net of the one dense layer with these arrays and no relu."""
-    spec = ModelSpec(weight.shape[2], bias.shape[1], (1,))
+    spec = ModelSpec(weight.shape[1], bias.shape[1], (1,))
     return MLP(spec, [Layer(weight, bias, r, s)])
 
 
 class TestDense:
     def test_identity(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.dense_values(x, ad.dense_weight_t(np.eye(2)[None], None, None),
+        out = ad.dense_values(x, ad.member_weights(np.eye(2)[None], None, None),
                               np.zeros((1, 2)), False)
         assert np.array_equal(out, [[[1.0, 2.0], [3.0, 4.0]]])
 
     def test_projector(self):
-        # rows of x times the transposed projector keep the first coordinate
+        # rows of x times the projector keep the first coordinate
         x = np.array([[5.0, 6.0], [7.0, 8.0]])
         p = np.array([[[1.0, 0.0], [0.0, 0.0]]])
-        out = ad.dense_values(x, ad.dense_weight_t(p, None, None), np.zeros((1, 2)), False)
+        out = ad.dense_values(x, ad.member_weights(p, None, None), np.zeros((1, 2)), False)
         assert np.array_equal(out, [[[5.0, 0.0], [7.0, 0.0]]])
 
     def test_relu_values(self):
         out = ad.dense_values(np.array([[-1.0, 0.0, 2.0]]),
-                              ad.dense_weight_t(np.eye(3)[None], None, None),
+                              ad.member_weights(np.eye(3)[None], None, None),
                               np.zeros((1, 3)), True)
         assert np.array_equal(out, [[[0.0, 0.0, 2.0]]])
 
@@ -151,7 +151,7 @@ class TestDense:
             assert np.abs(g - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
 
     def test_shape_mismatch(self):
-        net = one_layer_net(np.ones((1, 2, 3)), np.zeros((1, 2)))
+        net = one_layer_net(np.ones((1, 3, 2)), np.zeros((1, 2)))
         with pytest.raises(ShapeError):
             net.forward_kept(np.ones((4, 2)))
         with pytest.raises(ShapeError):
@@ -184,8 +184,10 @@ class TestDense:
     @pytest.mark.parametrize("poisoned", ["", "w", "rs", "b", "w rs b"])
     def test_constant_tensors_collect_no_gradient(self, factored, poisoned, monkeypatch):
         # a net used as constants (teachers in a perturbation) passes g to its
-        # input alone: params=False forms no parameter gradient, reads no array
-        # of the net after the forward, and gives the full backward's bytes
+        # input alone: params=False forms no parameter gradient, reads only
+        # what the forward kept (a plain layer keeps its own weight as its
+        # member weights), not the net's arrays, and gives the full backward's
+        # bytes
         rng = np.random.default_rng(21)
         arrays = dense_case(rng, 3, factored, False, batch=33, in_dim=17, out_dim=9)
         x, arrays = arrays[0], list(map(stacked, arrays[1:]))
@@ -195,9 +197,11 @@ class TestDense:
         net = one_layer_net(w, b, r, s)
         kept = net.forward_kept(x)
         names = poisoned.split()
-        for a, name in zip((w, r, s, b), ("w", "rs", "rs", "b")):
+        layer = net.layers[0]
+        for attr, name in (("weight", "w"), ("r", "rs"), ("s", "rs"), ("bias", "b")):
+            a = getattr(layer, attr)
             if a is not None and name in names:
-                a[...] = np.nan
+                setattr(layer, attr, np.full_like(a, np.nan))
 
         def no_param_grads(*args):
             raise AssertionError("params=False formed a parameter gradient")
@@ -209,23 +213,24 @@ class TestDense:
     # finite operands whose products overflow: -inf, inf - inf = NaN, +inf
     @pytest.mark.parametrize("relu,x,w", [
         (True, [[1e300]], [[[-1e300]]]),
-        (True, [[1e300, 1e300]], [[[1e300, -1e300]]]),
+        (True, [[1e300, 1e300]], [[[1e300], [-1e300]]]),
         (False, [[1e300]], [[[1e300]]]),
     ], ids=["relu-neg-inf", "relu-nan", "linear-pos-inf"])
     def test_non_finite_output_names_dense(self, relu, x, w):
         # a relu would turn the -inf into 0, so a relu layer is checked before it
         with pytest.raises(NumericsError, match="'dense'"):
-            ad.dense_values(np.array(x), ad.dense_weight_t(np.array(w), None, None),
+            ad.dense_values(np.array(x), ad.member_weights(np.array(w), None, None),
                             np.zeros((1, 1)), relu)
 
     def test_member_weights(self):
         rng = np.random.default_rng(12)
         _, weights, r, s, _ = dense_case(rng, 3, True, True)
         got = ad.member_weights(*(stacked(g) for g in (weights, r, s)))
+        assert got.shape == (3, 4, 3) and got.flags.c_contiguous
         for m in range(3):
-            assert got[m].tobytes() == (weights[0] * np.outer(r[m], s[m])).tobytes()
+            assert got[m].tobytes() == (weights[0] * np.outer(s[m], r[m])).tobytes()
         plain = stacked(dense_case(rng, 3, False, True)[1])
-        assert np.array_equal(ad.member_weights(plain, None, None), plain)
+        assert ad.member_weights(plain, None, None) is plain
 
 
 class TestElementwise:

@@ -516,7 +516,7 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "m.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {model}: ")
 
-    @pytest.mark.parametrize("section", ["data", "model"])
+    @pytest.mark.parametrize("section", ["data", "model", "optim", "distill"])
     def test_run_config_section_not_an_object_exits_2(self, tmp_path, capsys, section):
         cfg = write_config(tmp_path, **{section: [1, 2, 3]})
         assert main(["train-teachers", "--config", str(cfg),
@@ -633,6 +633,9 @@ class TestMalformedInput:
         (None, "seeds", [], "seeds must be a non-empty list of integers, got []"),
         ("model", "hidden", [0], "hidden widths must be integers >= 1, got [0]"),
         ("model", "hidden", [8.7], "hidden widths must be integers >= 1, got [8.7]"),
+        ("model", "hidden", 64, "hidden widths must be a list, got 64"),
+        ("model", "hidden", "64", "hidden widths must be a list, got '64'"),
+        ("model", "hidden", None, "hidden widths must be a list, got None"),
         ("optim", "epochs", 2.5, "epochs must be an integer, got 2.5"),
         ("optim", "epochs", True, "epochs must be an integer, got True"),
         ("distill", "num_teachers", 2.5, "num_teachers must be an integer, got 2.5"),

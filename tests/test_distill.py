@@ -181,8 +181,9 @@ class TestOneToOne:
         train = Dataset(x, np.array([0, 1]), 2, "train")
         tau, lr = 2.0, 0.25
         t_probs = [np.tile([0.8, 0.2], (2, 1)), np.tile([0.35, 0.65], (2, 1))]
-        teachers = [stub_teacher([0.8, 0.2], tau), stub_teacher([0.35, 0.65], tau)]
-        layers = [(l.weight[0].copy(), list(l.r.copy()),
+        teachers = join([stub_teacher([0.8, 0.2], tau), stub_teacher([0.35, 0.65], tau)])
+        # the oracle takes (out, in) weights
+        layers = [(l.weight[0].T.copy(), list(l.r.copy()),
                    list(l.s.copy()), list(l.bias.copy()))
                   for l in student.layers]
         expected = hand_one_to_one_step(
@@ -194,8 +195,8 @@ class TestOneToOne:
                                               weight_decay=0.0, epochs=1,
                                               warmup_epochs=0, batch_size=4, seed=0))
         got0, got1 = train_student(teachers, spec, train, cfg).layers
-        np.testing.assert_allclose(got0.weight[0], expected["w0"], atol=1e-10)
-        np.testing.assert_allclose(got1.weight[0], expected["w1"], atol=1e-10)
+        np.testing.assert_allclose(got0.weight[0].T, expected["w0"], atol=1e-10)
+        np.testing.assert_allclose(got1.weight[0].T, expected["w1"], atol=1e-10)
         for m in range(2):
             np.testing.assert_allclose(got0.r[m], expected[f"r0_{m}"], atol=1e-10)
             np.testing.assert_allclose(got0.s[m], expected[f"s0_{m}"], atol=1e-10)
@@ -741,24 +742,26 @@ class TestPlainLoops:
         # perturbed plain students, and factored students even unperturbed: at
         # each step the teachers and the student run one joint pass at x + eps,
         # and for the pair kinds one more at x before it (the teachers alone
-        # for tdiv); the teachers' weights are formed once per distill, the
-        # student's once when the pass is built and then once per step
+        # for tdiv); the teachers' member weights are formed once per distill,
+        # the student's once when the pass is built and then once per step,
+        # and a joint pass's forward forms none
         train, _, _ = tiny_task
-        calls, formed = [], []
-        forward_kept, weight_t = MLP.forward_kept, distill.ad.dense_weight_t
+        calls, formed, copied = [], [], []
+        forward_kept, member_weights = MLP.forward_kept, distill.ad.member_weights
 
         def record(net, x):
             calls.append((len(net), x.shape[-2]))
             return forward_kept(net, x)
 
         def form(weight, r, s):
-            w_t = weight_t(weight, r, s)
-            if not np.shares_memory(w_t, weight):
-                formed.append(weight)
-            return w_t
+            w = member_weights(weight, r, s)
+            formed.append(weight)
+            if not np.shares_memory(w, weight):
+                copied.append(weight)
+            return w
 
         monkeypatch.setattr(MLP, "forward_kept", record)
-        monkeypatch.setattr(distill.ad, "dense_weight_t", form)
+        monkeypatch.setattr(distill.ad, "member_weights", form)
         cfg = replace(method_cfg(method, epochs=2), perturbation=perturbation)
         seen = []
         student = train_student(tiny_teachers, tiny_spec, train, cfg,
@@ -771,7 +774,9 @@ class TestPlainLoops:
         for net, times in ((tiny_teachers, 1), (student, 1 + len(batches))):
             for l in net.layers:
                 assert sum(w is l.weight for w in formed) == times
-        assert len(formed) == (2 + len(batches)) * len(tiny_spec.widths[1:])
+        own = {id(l.weight) for net in (tiny_teachers, student) for l in net.layers}
+        assert sum(id(w) in own for w in formed) == (2 + len(batches)) * len(tiny_spec.widths[1:])
+        assert all(id(w) in own for w in copied)
 
     @pytest.mark.parametrize("method", PLAIN)
     def test_each_step_reads_its_rows_of_one_teacher_pass(self, tiny_task, tiny_teachers,
@@ -790,7 +795,7 @@ class TestPlainLoops:
             monkeypatch.setattr(distill, "kd_loss",
                                 lambda t, *rest: seen.append(t) or loss(t, *rest))
         train_student(tiny_teachers, tiny_spec, train, cfg)
-        table = batched_logits(join(tiny_teachers), train.x)
+        table = batched_logits(tiny_teachers, train.x)
         stream, n = rng_stream(cfg.optim.seed, "batch-shuffle"), len(train)
         want = []
         for _ in range(cfg.optim.epochs):
@@ -808,7 +813,7 @@ class TestPlainLoops:
         # with the one-pass table (none) and with a forward per step (gaussian)
         train, _, _ = tiny_task
         cfg = replace(method_cfg("proxy_end2"), perturbation=perturbation)
-        twins = [tiny_teachers[0], tiny_teachers[0]]
+        twins = tiny_teachers[[0, 0]]
         with pytest.raises(DegenerateEnsembleError, match="teachers numerically identical"):
             train_student(twins, tiny_spec, train, cfg)
 

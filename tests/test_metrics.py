@@ -354,16 +354,16 @@ class TestDiversity:
 
     def test_model_level_diversity(self):
         from distilab.metrics import diversity
-        from distilab.nets import ModelSpec, build_plain
+        from distilab.nets import ModelSpec, build_plain, join
         from distilab.seeding import rng_stream
         models = [build_plain(ModelSpec(2, 3, (8,)), rng_stream(s, "init"))
                   for s in (0, 1)]
         x = np.random.default_rng(15).normal(size=(12, 2))
-        assert diversity([models[0], models[0]], x) == pytest.approx(0.0, abs=1e-15)
+        assert diversity(join([models[0], models[0]]), x) == pytest.approx(0.0, abs=1e-15)
         from distilab.metrics import batched_logits
         probs = np.stack([softmax_np(batched_logits(m, x)[0]) for m in models])
-        assert diversity(models, x) == pytest.approx(diversity_from_probs(probs),
-                                                     abs=1e-15)
+        assert diversity(join(models), x) == pytest.approx(diversity_from_probs(probs),
+                                                           abs=1e-15)
 
 
 class TestEntropyHistogram:

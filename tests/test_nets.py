@@ -14,8 +14,9 @@ from distilab.autodiff import ShapeError
 from distilab.metrics import batched_logits
 from distilab.nets import (CheckpointError, Layer, MLP, ModelSpec, _fmt_values,
                            average_rank_one, build_be, build_plain, checkpoint_load,
-                           checkpoint_save, join)
+                           checkpoint_save, join, restack, stack)
 from distilab.seeding import rng_stream
+from distilab.subspace import interpolate
 from test_autodiff import check_value_grad
 
 DATA = Path(__file__).parent / "data"
@@ -55,6 +56,8 @@ class TestModelSpec:
         ("num_classes", True, "num_classes must be an integer"),
         ("hidden", (8.7,), "hidden widths must be integers >= 1"),
         ("hidden", (8, 0), "hidden widths must be integers >= 1"),
+        ("hidden", 64, "hidden widths must be a list"),
+        ("hidden", "64", "hidden widths must be a list"),
     ])
     def test_counts_must_be_integers(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}, got "):
@@ -83,7 +86,7 @@ class TestForwardPlain:
         model.layers[0].bias[0] = 10.0  # keep relu inactive region away
         w = rng.normal(size=(2, 3))
         b = rng.normal(size=2)
-        model.layers[1].weight[:] = w
+        model.layers[1].weight[:] = w.T
         model.layers[1].bias[0] = b
         x = np.abs(rng.normal(size=(5, 3)))
         expected = (x + 10.0) @ w.T + b
@@ -101,13 +104,13 @@ class TestForwardPlain:
         check_value_grad(readout, np.random.default_rng(4).normal(size=(4, 2)), rel_tol=1e-4)
 
     @pytest.mark.parametrize("name, bad", [
-        ("weight", np.ones((1, 3, 2), dtype=np.float32)),
+        ("weight", np.ones((1, 2, 3), dtype=np.float32)),
         ("bias", np.zeros((2, 3), dtype=np.int64)),
         ("r", np.ones((2, 3), dtype=np.float32)),
         ("s", np.ones((2, 2)).tolist()),
     ])
     def test_layer_rejects_non_float64_arrays(self, name, bad):
-        arrays = {"weight": np.ones((1, 3, 2)), "bias": np.zeros((2, 3)),
+        arrays = {"weight": np.ones((1, 2, 3)), "bias": np.zeros((2, 3)),
                   "r": np.ones((2, 3)), "s": np.ones((2, 2))}
         Layer(**arrays)
         with pytest.raises(TypeError, match="float64 arrays"):
@@ -117,6 +120,40 @@ class TestForwardPlain:
         model = build_plain(_spec(), rng_stream(0, "init"))
         with pytest.raises(Exception):
             model.forward(np.ones((4, 5)))
+
+
+class TestLayout:
+    """Every weight is the C-ordered (M, in, out) array its matmul reads, or a
+    factored net's shared (1, in, out) one: a strided weight would slow each
+    update of it."""
+
+    def test_every_weight_is_c_ordered_in_out(self, tmp_path):
+        spec = _spec((8, 5))
+        plain = build_plain(spec, [rng_stream(s, "init") for s in range(3)])
+        be = build_be(spec, rng_stream(1, "init"), "random_sign", members=2)
+        checkpoint_save(plain[0], tmp_path / "plain.json")
+        checkpoint_save(be, tmp_path / "be.json")
+        stacked = stack([plain, be, build_plain(_spec((4,)), rng_stream(2, "init")), be])
+        assert [len(net) for net in stacked] == [5, 1, 2]
+        for l in be.layers:
+            l.r += 0.5
+        restack(stacked, be)
+        nets = [plain, be, checkpoint_load(tmp_path / "plain.json"),
+                checkpoint_load(tmp_path / "be.json"), join([plain[1], be]), *stacked,
+                average_rank_one(be), interpolate(be, 0.3)]
+        for net in nets:
+            for l, fan_in, fan_out in zip(net.layers, net.spec.widths, net.spec.widths[1:]):
+                rows = 1 if net.factored else len(net)
+                assert l.weight.shape == (rows, fan_in, fan_out)
+                assert l.weight.dtype == np.float64 and l.weight.flags.c_contiguous
+        x = np.random.default_rng(2).normal(size=(4, 2))
+        assert stacked[-1].forward(x).tobytes() == be.forward(x).tobytes()
+
+    def test_layer_rejects_out_in_weights(self):
+        with pytest.raises(ShapeError):
+            Layer(np.ones((2, 3, 4)), np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            Layer(np.ones((1, 3, 2)), np.zeros((2, 3)), np.ones((2, 3)), np.ones((2, 2)))
 
 
 class TestForwardMember:
@@ -148,7 +185,7 @@ class TestForwardMember:
         for m in range(2):
             direct = logits(be[m], x)
             materialized = MLP(be.spec, [
-                Layer(l.weight * np.outer(l.r[m], l.s[m]), l.bias[m][None])
+                Layer(l.weight * np.outer(l.s[m], l.r[m]), l.bias[m][None])
                 for l in be.layers])
             assert np.abs(direct - logits(materialized, x)).max() < 1e-12
 
@@ -243,10 +280,11 @@ class TestForwardMember:
         full = joined.forward(x)
         for m, plain in enumerate(plains):
             assert full[m].tobytes() == logits(plain, x).tobytes()
+        # a factored net joins as plain members of its member weights
         be = build_be(spec, rng_stream(9, "init"), "random_sign", members=3)
-        assert join(be) is be
-        with pytest.raises(ValueError):
-            join([be[2], be[0]])
+        picked = join([be[2], be[0]])
+        assert (len(picked), picked.factored) == (2, False)
+        assert picked.forward(x).tobytes() == be.forward(x)[[2, 0]].tobytes()
         with pytest.raises(ValueError):
             checkpoint_save(joined, tmp_path / "joined.json")
 
@@ -356,14 +394,14 @@ class TestAverageRankOne:
                 l.s[m] += 0.3 * rng.normal(size=l.s[m].shape)
         avg = average_rank_one(be)
         for l_avg, l_be in zip(avg.layers, be.layers):
-            out_dim, in_dim = l_be.weight[0].shape
-            expect = np.zeros((out_dim, in_dim))
+            in_dim, out_dim = l_be.weight[0].shape
+            expect = np.zeros((in_dim, out_dim))
             for i in range(out_dim):
                 for j in range(in_dim):
                     acc = 0.0
                     for m in range(3):
                         acc += l_be.r[m][i] * l_be.s[m][j]
-                    expect[i, j] = l_be.weight[0][i, j] * acc / 3
+                    expect[j, i] = l_be.weight[0][j, i] * acc / 3
             np.testing.assert_allclose(l_avg.weight[0], expect, atol=1e-15)
 
     def test_single_member_average_is_that_member(self):

@@ -89,7 +89,7 @@ def pair_ensembles(members, hidden=(16,), student_hidden=None):
 @pytest.fixture(scope="module")
 def teachers():
     spec = ModelSpec(2, 3, (16,))
-    return [build_plain(spec, rng_stream(s, "init")) for s in (1, 2)]
+    return join([build_plain(spec, rng_stream(s, "init")) for s in (1, 2)])
 
 
 @pytest.fixture(scope="module")
@@ -158,8 +158,8 @@ class TestOds:
                 xp, xm = x.copy(), x.copy()
                 xp[b, d] += h
                 xm[b, d] -= h
-                fp = (guidance[b] * member_probs(teachers[:1], xp[b:b + 1], 2.0)).sum()
-                fm = (guidance[b] * member_probs(teachers[:1], xm[b:b + 1], 2.0)).sum()
+                fp = (guidance[b] * member_probs(teachers[0], xp[b:b + 1], 2.0)).sum()
+                fm = (guidance[b] * member_probs(teachers[0], xm[b:b + 1], 2.0)).sum()
                 fd = (fp - fm) / (2 * h)
                 assert abs(grads[b, d] - fd) / max(abs(fd), 1e-6) < 1e-4
 
@@ -236,7 +236,7 @@ class TestPairPerturbations:
     def test_identical_ensembles_give_zero_step(self, teachers):
         spec = ModelSpec(2, 3, (16,))
         ones_student = build_be(spec, rng_stream(21, "init"), "ones", members=2)
-        same_teachers = [teachers[0], teachers[0]]
+        same_teachers = teachers[[0, 0]]
         x = np.random.default_rng(22).normal(size=(6, 2))
         pert = perturb("tdiv_sdiv", same_teachers, x, 0.3, 23, student=ones_student)
         assert not pert.epsilon.any()
@@ -265,7 +265,8 @@ class TestPairPerturbations:
     @pytest.mark.parametrize("with_student", [False, True])
     def test_gradient_bitwise_equals_per_pair_oracle(self, members, joined,
                                                      with_student):
-        # the teachers go in as a list of nets, or joined into one net
+        # the teachers go to build_perturbation as a list of nets, or joined
+        # into one net
         teachers, student = pair_ensembles(members, hidden=(64, 64))
         student = student if with_student else None
         given = join(teachers) if joined else teachers
@@ -278,7 +279,7 @@ class TestPairPerturbations:
             # build_perturbation draws its own from a fresh copy
             pairs = draw_pairs(rng_stream(trial, "pairs"), members, len(x))
             oracle = per_pair_gap_grad(teachers, student, x, pairs)
-            got = _pair_gap_grad(given, student, x, pairs)
+            got = _pair_gap_grad(join(teachers), student, x, pairs)
             assert np.array_equal(got, oracle)
             pert = build_perturbation(kind, given, student, x, 0.3, 1.0,
                                       rng_stream(trial, "noise"), rng_stream(trial, "pairs"))
@@ -319,7 +320,7 @@ class TestPairPerturbations:
         x = 2.0 * rng.normal(size=(26, 2))
         pairs = draw_pairs(rng_stream(0, "pairs"), 3, len(x))
         oracle = per_pair_gap_grad(teachers, student, x, pairs)
-        assert np.array_equal(_pair_gap_grad(teachers, student, x, pairs), oracle)
+        assert np.array_equal(_pair_gap_grad(join(teachers), student, x, pairs), oracle)
         pert = build_perturbation("tdiv_sdiv", teachers, student, x, 0.3, 1.0,
                                   rng_stream(0, "noise"), rng_stream(0, "pairs"))
         assert np.array_equal(pert.epsilon, _normalize_rows(oracle, 0.3))
@@ -333,7 +334,7 @@ class TestPairPerturbations:
         calls, forwards = [], []
         values = ad.dense_values
         monkeypatch.setattr(ad, "dense_values",
-                            lambda x, w_t, *a: calls.append((x, w_t)) or values(x, w_t, *a))
+                            lambda x, w, *a: calls.append((x, w)) or values(x, w, *a))
         monkeypatch.setattr(MLP, "forward", lambda net, x: forwards.append(net))
         x = np.random.default_rng(53).normal(size=(64, 2))
         joined = join(teachers)
@@ -344,10 +345,9 @@ class TestPairPerturbations:
             assert len(calls) == len(layers)
             firsts = [0, len(joined.layers)][:len(nets)]
             assert all(calls[k][0] is x for k in firsts)
-            for (_, w_t), l in zip(calls, layers):
-                assert len(w_t) == members
-                assert np.array_equal(
-                    w_t, ad.member_weights(l.weight, l.r, l.s).transpose(0, 2, 1))
+            for (_, w), l in zip(calls, layers):
+                assert len(w) == members
+                assert np.array_equal(w, ad.member_weights(l.weight, l.r, l.s))
         assert forwards == []
 
     def test_overflow_raises_numerics_error(self, teachers, student):
@@ -381,13 +381,13 @@ class TestPairPerturbations:
     def test_member_counts_validated(self, teachers, student):
         x = np.zeros((3, 2))
         with pytest.raises(ValueError, match="at least two members on both sides"):
-            perturb("tdiv_sdiv", teachers[:1], x, 0.1, 0, student=student)
+            perturb("tdiv_sdiv", teachers[0], x, 0.1, 0, student=student)
         with pytest.raises(ValueError, match="student member count must match"):
-            perturb("tdiv_sdiv", teachers + teachers[:1], x, 0.1, 0, student=student)
+            perturb("tdiv_sdiv", teachers[[0, 1, 0]], x, 0.1, 0, student=student)
         with pytest.raises(ValueError, match="requires a factored student"):
             perturb("tdiv_sdiv", teachers, x, 0.1, 0)
         with pytest.raises(ValueError, match="at least two teachers"):
-            perturb("tdiv", teachers[:1], x, 0.1, 0)
+            perturb("tdiv", teachers[0], x, 0.1, 0)
 
     def test_builds_leave_every_array_unchanged(self, tiny_task, tiny_spec, tiny_optim):
         train, _, _ = tiny_task
