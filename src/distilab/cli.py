@@ -181,10 +181,10 @@ def cmd_train_teachers(args) -> int:
     return 0
 
 
-def _load_fitting(path: Path, data: Dataset) -> MLP:
-    """The checkpoint at path; a ConfigError unless it takes data's inputs
-    and predicts its classes."""
-    model = checkpoint_load(path)
+def _load_fitting(path: Path, data: Dataset, model: MLP | None = None) -> MLP:
+    """The checkpoint at path, or model if already loaded from it; a
+    ConfigError unless it takes data's inputs and predicts its classes."""
+    model = checkpoint_load(path) if model is None else model
     got = (model.spec.in_dim, model.spec.num_classes)
     if got != (data.dim, data.num_classes):
         raise ConfigError(f"{path}: checkpoint has in_dim {got[0]} and {got[1]} classes, "
@@ -242,12 +242,13 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def _resolve_eval_data(args) -> tuple[Dataset, Dataset, str]:
-    """Returns (evaluated split, validation split for temperature, split name)."""
+def _resolve_eval_data(args, num_classes: int) -> tuple[Dataset, Dataset, str]:
+    """Returns (evaluated split, validation split for temperature, split name);
+    a CSV spec without num_classes has num_classes classes."""
     spec = _read_spec(args.data, "data spec")
     if spec.get("kind") == "csv":
-        num_classes = None if "num_classes" not in spec else \
-            _integer(spec, "num_classes", "csv data spec")
+        if "num_classes" in spec:
+            num_classes = _integer(spec, "num_classes", "csv data spec")
         ds = load_csv(_require(spec, "path", "csv data spec"), num_classes)
         return ds, ds, "csv"
     _check_mixture(spec, str(args.data))
@@ -263,7 +264,8 @@ def cmd_evaluate(args) -> int:
     """Every output is formed before the first file is written, so a failure
     leaves no file behind."""
     model = checkpoint_load(args.model)
-    target, val, split_name = _resolve_eval_data(args)
+    target, val, split_name = _resolve_eval_data(args, model.spec.num_classes)
+    _load_fitting(Path(args.model), target, model)
     if args.corrupt is not None:
         target = corrupt(target, args.corrupt, seed=int(args.seed))
         split_name = f"{split_name}:corrupt{args.corrupt}"
@@ -293,9 +295,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_line_scan(args) -> int:
-    model = checkpoint_load(args.model)
     spec = load_data_spec(args.data)
     train, _, test = build_datasets(spec)
+    model = _load_fitting(Path(args.model), train)
+    if len(model) != 2:
+        raise ConfigError(f"{args.model}: line analysis requires exactly two members, "
+                          f"got {len(model)}")
     scan = line_scan(model, train, test)
     _write_csv(Path(args.out), ("t", "train_err", "test_err", "test_nll"),
                zip(scan.ts, scan.train_err, scan.test_err, scan.test_nll))
@@ -335,7 +340,10 @@ def cmd_perturb_diag(args) -> int:
 
 
 def cmd_average(args) -> int:
-    averaged = average_rank_one(checkpoint_load(args.model))
+    model = checkpoint_load(args.model)
+    if not model.factored:
+        raise ConfigError(f"{args.model}: rank-one averaging needs a factored net")
+    averaged = average_rank_one(model)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     checkpoint_save(averaged, out)

@@ -404,45 +404,22 @@ def one_to_one_loss(teacher_logits: np.ndarray, student_logits: np.ndarray,
     return float(value), ad.first_arrival(grad)
 
 
-def _kd_batch_loss(cfg: DistillConfig):
-    """KD against the uniform teacher mean, or, for AE-KD, against per-sample
-    teacher weights that solve the box-constrained matching problem on
-    untempered probabilities and are constants in ``kd_loss``."""
-
-    def loss(kept, yb, t_logits):
-        logits = kept[-1][2]
-        weights = None
-        if cfg.method == "aekd":
-            weights = _aekd_weights_batch(softmax_np(t_logits, 1.0),
-                                          softmax_np(logits[0], 1.0), cfg.tau, cfg.aekd_c)
-        return kept, kd_loss(t_logits, logits, one_hot(yb, logits.shape[-1]), cfg, weights)[1]
-
-    return loss
-
-
-def _proxy_batch_loss(cfg: DistillConfig):
-    """Dirichlet distillation against the teacher proxy target, formed (and
-    checked for degenerate teachers) batch by batch."""
-
-    def loss(kept, yb, t_logits):
-        target = proxy_dirichlet_target(softmax_np(t_logits, 1.0))
-        return kept, proxy_end2_loss(kept[-1][2], target)[1]
-
-    return loss
-
-
-def _one_to_one_batch_loss(cfg: DistillConfig, held: list | None = None):
-    """Member m mimics teacher m by ``one_to_one_loss``. With a list ``held``,
-    each call appends its loss value and the (M, B, K) teacher and student
-    logits it formed, before the step's update, for ``_add_trace_rows``."""
-
-    def loss(kept, yb, t_logits):
-        value, grad = one_to_one_loss(t_logits, kept[-1][2], cfg.tau)
-        if held is not None:
-            held.append((value, t_logits, kept[-1][2]))
-        return kept, grad
-
-    return loss
+def _student_loss(cfg: DistillConfig, logits: np.ndarray, yb: np.ndarray,
+                  t_logits: np.ndarray) -> tuple[float, np.ndarray]:
+    """cfg.method's loss of the student logits against the (M, B, K) teacher
+    logits, and its logits gradient. AE-KD's per-sample teacher weights
+    solve the box-constrained matching problem on untempered probabilities
+    and are constants in ``kd_loss``; proxy_end2's target, checked for
+    degenerate teachers, is formed batch by batch."""
+    if cfg.method in FACTORED:
+        return one_to_one_loss(t_logits, logits, cfg.tau)
+    if cfg.method == "proxy_end2":
+        return proxy_end2_loss(logits, proxy_dirichlet_target(softmax_np(t_logits, 1.0)))
+    weights = None
+    if cfg.method == "aekd":
+        weights = _aekd_weights_batch(softmax_np(t_logits, 1.0),
+                                      softmax_np(logits[0], 1.0), cfg.tau, cfg.aekd_c)
+    return kd_loss(t_logits, logits, one_hot(yb, logits.shape[-1]), cfg, weights)
 
 
 # Steps whose logits wait for one pass that forms their trace rows. A row
@@ -454,10 +431,10 @@ _TRACE_BLOCK = 16
 
 def _add_trace_rows(trace: list, held: list) -> None:
     """Append to trace one (step, loss, div_teachers, div_student) row per
-    held step of ``_one_to_one_batch_loss``, and empty held. One pass over
-    every held step's logits forms all their rows; each row's divergence,
-    and so the mean over one step's rows, has the bits of
-    ``metrics.diversity`` on that step's logits alone."""
+    held (loss, teacher logits, student logits) step of ``train_student``,
+    and empty held. One pass over every held step's logits forms all their
+    rows; each row's divergence, and so the mean over one step's rows, has
+    the bits of ``metrics.diversity`` on that step's logits alone."""
     div = pairwise_divergence_values(softmax_np(
         np.concatenate([a for _, t, s in held for a in (t, s)], axis=1), 1.0))
     start = 0
@@ -467,11 +444,6 @@ def _add_trace_rows(trace: list, held: list) -> None:
                       float(div[start + n:start + 2 * n].mean())))
         start += 2 * n
     held.clear()
-
-
-_BATCH_LOSSES = {"kd": _kd_batch_loss, "aekd": _kd_batch_loss,
-                 "proxy_end2": _proxy_batch_loss,
-                 "be": _one_to_one_batch_loss, "latentbe": _one_to_one_batch_loss}
 
 
 def train_student(teachers: MLP, spec: ModelSpec, train: Dataset,
@@ -490,11 +462,12 @@ def train_student(teachers: MLP, spec: ModelSpec, train: Dataset,
     ``batched_logits`` call over train.x, and each step reads its rows of
     that (M, N, K) table. Every other run (a factored student even
     unperturbed) runs them with the student as one ``nets.stack`` pass at
-    x + eps, and forms the student's weights once per step, also for tdiv_sdiv.
+    x + eps, forms the student's weights once per step, also for tdiv_sdiv,
+    and makes one ``_student_loss`` call for the value and logits gradient.
     step_hook(step, student) runs after each update. A trace list, which
     needs a factored student, gets one (step, loss, div_teachers,
     div_student) row per step: the step's batch loss and the member
-    diversities of the teacher and student logits that loss formed at the
+    diversities of the teacher and student logits that loss read at the
     step's inputs x + eps, before its update. Collapse a latentbe student
     with ``nets.average_rank_one``.
     """
@@ -514,7 +487,6 @@ def train_student(teachers: MLP, spec: ModelSpec, train: Dataset,
     else:
         student = build_plain(spec, rng)
     held = None if trace is None else []
-    loss = _BATCH_LOSSES[cfg.method](cfg) if held is None else _one_to_one_batch_loss(cfg, held)
     table = (batched_logits(teachers, train.x)
              if cfg.perturbation == "none" and cfg.method not in FACTORED else None)
     gamma = cfg.gamma if cfg.gamma is not None else default_gamma(train.x)
@@ -523,7 +495,6 @@ def train_student(teachers: MLP, spec: ModelSpec, train: Dataset,
 
     frozen = stack([teachers])
     nets = stack([student] if table is not None else [*frozen, student])
-    start = len(nets[-1]) - len(student)
 
     def batch_loss(rows):
         xb = train.x[rows]
@@ -533,13 +504,16 @@ def train_student(teachers: MLP, spec: ModelSpec, train: Dataset,
             xb = xb + build_perturbation(cfg.perturbation, teachers, student, xb, gamma,
                                          cfg.tau, noise_rng, index_rng, pair).epsilon
         passes = [net.forward_kept(xb) for net in nets]
-        kept = [(x if x.ndim == 2 else x[start:], w[start:], out[start:])
-                for x, w, out in passes[-1]]
+        kept = [(x if x.ndim == 2 else x[-len(student):], w[-len(student):],
+                 out[-len(student):]) for x, w, out in passes[-1]]
+        logits = kept[-1][2]
         t_logits = passes[0][-1][2][:len(teachers)] if table is None else table[:, rows]
-        out = loss(kept, train.y[rows], t_logits)
-        if held is not None and len(held) == _TRACE_BLOCK:
-            _add_trace_rows(trace, held)
-        return out
+        value, grad = _student_loss(cfg, logits, train.y[rows], t_logits)
+        if held is not None:
+            held.append((value, t_logits, logits))
+            if len(held) == _TRACE_BLOCK:
+                _add_trace_rows(trace, held)
+        return kept, grad
 
     rank_decay = cfg.rank_decay if cfg.method == "latentbe" else 0.0
     fit(student, train, cfg.optim, batch_loss, rank_decay, step_hook)

@@ -56,7 +56,7 @@ def tiny_teachers(tiny_task, tiny_spec, tiny_optim):
 
 @dataclass
 class SeedRun:
-    teachers: list[MLP]
+    teachers: MLP
     be_student: MLP
     latent_avg_none: MLP
     latent_be_none: MLP

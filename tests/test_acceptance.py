@@ -6,7 +6,6 @@ run on fully trained desk-scale models shared through the session bundle
 (three seeds, default settings). All tolerances are pinned here.
 """
 
-import math
 import time
 from dataclasses import replace
 
@@ -20,7 +19,7 @@ from distilab.distill import (DistillConfig, ProxyDirichlet, aekd_weights,
                               proxy_dirichlet_target, proxy_end2_loss, train_student)
 from distilab.metrics import (accuracy, batched_logits, diversity, diversity_from_probs, ece,
                               entropy_values, fit_temperature, member_probs, nll,
-                              nll_with_stats, pairwise_divergence_values, softmax_np)
+                              nll_with_stats, softmax_np)
 from distilab.nets import (ModelSpec, build_be, build_plain, checkpoint_load,
                            checkpoint_save, join)
 from distilab.optim import OptimConfig, cross_entropy, one_hot, train_teachers

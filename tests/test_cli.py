@@ -46,9 +46,10 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-def write_data_spec(tmp_path):
+def write_data_spec(tmp_path, **data):
+    """TINY's data spec with the given keys replaced."""
     path = tmp_path / "data.json"
-    path.write_text(json.dumps(TINY["data"]))
+    path.write_text(json.dumps({**TINY["data"], **data}))
     return path
 
 
@@ -57,9 +58,19 @@ def _set_first_value(rec, token):
     rec["values"] = " ".join([token, *rec["values"].split()[1:]])
 
 
-def write_csv_spec(tmp_path):
+def write_csv_spec(tmp_path, **spec):
     path = tmp_path / "csv.json"
-    path.write_text(json.dumps({"kind": "csv", "path": str(tmp_path / "test.csv")}))
+    path.write_text(json.dumps({"kind": "csv", "path": str(tmp_path / "test.csv"), **spec}))
+    return path
+
+
+def write_net(tmp_path, members=0):
+    """An untrained checkpoint for TINY's task: plain with members 0, else a
+    factored net of that many members."""
+    spec, rng = ModelSpec(2, 3, (16, 16)), rng_stream(0, "init")
+    path = tmp_path / ("student_be.json" if members else "teacher0.json")
+    checkpoint_save(build_be(spec, rng, members=members) if members else build_plain(spec, rng),
+                    path)
     return path
 
 
@@ -350,6 +361,26 @@ class TestEvaluate:
         assert main(["evaluate", "--model", str(tmp_path / "none.json"),
                      "--data", str(data), "--out", str(tmp_path / "m.csv")]) == 2
 
+    def test_csv_data_that_does_not_fit_exits_2(self, tmp_path, capsys):
+        model, out = write_net(tmp_path), tmp_path / "m.csv"
+        (tmp_path / "test.csv").write_text("x0,x1,y\n0.5,1.0,0\n1.0,0.3,2\n")
+        assert main(["evaluate", "--model", str(model), "--out", str(out),
+                     "--data", str(write_csv_spec(tmp_path, num_classes=4))]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: checkpoint has in_dim 2 and 3 classes, "
+            f"the data has in_dim 2 and 4 classes\n")
+        assert not out.exists()
+
+    def test_csv_label_beyond_the_models_classes_names_its_line(self, tmp_path, capsys):
+        # without num_classes the CSV takes the checkpoint's three classes
+        model, out = write_net(tmp_path), tmp_path / "m.csv"
+        (tmp_path / "test.csv").write_text("x0,x1,y\n0.5,1.0,0\n0.1,0.2,3\n1.0,0.3,2\n")
+        assert main(["evaluate", "--model", str(model), "--data", str(write_csv_spec(tmp_path)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'test.csv'}: line 3: label 3 >= K=3\n")
+        assert not out.exists()
+
     def test_rerun_writes_byte_identical_csv(self, trained, tmp_path):
         _, teachers = trained
         data = write_data_spec(tmp_path)
@@ -595,6 +626,19 @@ class TestMalformedInput:
         assert capsys.readouterr().err == \
             f"error: {spec}: data: dim must be an integer, got 2.5\n"
 
+    @pytest.mark.parametrize("num_classes", [2, 4])
+    @pytest.mark.parametrize("command", ["evaluate", "line-scan"])
+    def test_checkpoint_that_does_not_fit_the_data_exits_2(self, tmp_path, capsys, command,
+                                                            num_classes):
+        # a two-member student of a 3-class task, which both commands take
+        model, out = write_net(tmp_path, members=2), tmp_path / "out.csv"
+        assert main([command, "--model", str(model), "--out", str(out),
+                     "--data", str(write_data_spec(tmp_path, num_classes=num_classes))]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: checkpoint has in_dim 2 and 3 classes, "
+            f"the data has in_dim 2 and {num_classes} classes\n")
+        assert not out.exists()
+
     def test_data_spec_not_an_object_exits_2(self, trained, tmp_path, capsys):
         _, teachers = trained
         spec = tmp_path / "list.json"
@@ -704,6 +748,14 @@ class TestLineScan:
         ts = {float(line.split(",")[0]) for line in lines[1:]}
         assert {0.0, 0.5, 1.0} <= ts
 
+    def test_one_member_checkpoint_exits_2_naming_the_file(self, tmp_path, capsys):
+        model, out = write_net(tmp_path), tmp_path / "s.csv"
+        assert main(["line-scan", "--model", str(model), "--data", str(write_data_spec(tmp_path)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: line analysis requires exactly two members, got 1\n")
+        assert not out.exists()
+
     def test_plain_checkpoint_exits_2(self, trained, tmp_path):
         _, teachers = trained
         data = write_data_spec(tmp_path)
@@ -719,6 +771,15 @@ class TestLineScan:
                      "--data", str(write_csv_spec(tmp_path)),
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert "mixture" in capsys.readouterr().err
+
+
+class TestAverage:
+    def test_plain_checkpoint_exits_2_naming_the_file(self, tmp_path, capsys):
+        model, out = write_net(tmp_path), tmp_path / "avg.json"
+        assert main(["average", "--model", str(model), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: rank-one averaging needs a factored net\n")
+        assert not out.exists()
 
 
 class TestPerturbDiag:

@@ -4,8 +4,8 @@ determinism, corruption and OOD contracts, CSV round trips."""
 import numpy as np
 import pytest
 
-from distilab.data import (DataFormatError, Dataset, _split_sizes, corrupt,
-                           load_csv, make_mixture, make_ood, save_csv)
+from distilab.data import (DataFormatError, _split_sizes, corrupt, load_csv, make_mixture,
+                           make_ood, save_csv)
 
 
 class TestMixture:
