@@ -118,15 +118,62 @@ def dense_param_grads(x: np.ndarray, g_pre: np.ndarray, weight: np.ndarray,
     return g_weight, g_r, g_s, g_bias
 
 
+# -- reductions over a short last axis -------------------------------------------
+#
+# numpy reduces the last axis row by row, which costs far more than the
+# arithmetic when a row holds a few classes; a pass per class column costs
+# one elementwise call each. Both helpers keep numpy's bits for a C-contiguous
+# input: the max meets the columns in numpy's order, and the sum adds them in
+# numpy's pairwise order.
+
+def row_max(z: np.ndarray) -> np.ndarray:
+    """z.max(axis=-1, keepdims=True), taken one column at a time."""
+    top = z[..., :1].copy()
+    for k in range(1, z.shape[-1]):
+        np.maximum(top, z[..., k:k + 1], out=top)
+    return top
+
+
+def _pairwise_columns(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Columns lo..hi-1 of a summed in numpy's pairwise order: in turn below
+    8 columns; up to 128, 8 running sums of every eighth column, their tree,
+    then the columns left over; above, the two halves split at a multiple
+    of 8."""
+    n = hi - lo
+    if n < 8:
+        out = a[..., lo:lo + 1].copy()
+        for k in range(lo + 1, hi):
+            out += a[..., k:k + 1]
+        return out
+    if n <= 128:
+        acc = a[..., lo:lo + 8].copy()
+        end = hi - n % 8
+        for k in range(lo + 8, end, 8):
+            acc += a[..., k:k + 8]
+        pairs = acc[..., 0::2] + acc[..., 1::2]
+        quads = pairs[..., 0::2] + pairs[..., 1::2]
+        out = quads[..., :1] + quads[..., 1:]
+        for k in range(end, hi):
+            out += a[..., k:k + 1]
+        return out
+    half = n // 2 - n // 2 % 8
+    return _pairwise_columns(a, lo, lo + half) + _pairwise_columns(a, lo + half, hi)
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True), added a column at a time."""
+    # numpy's sum starts from 0.0, which turns a -0.0 total into 0.0
+    return first_arrival(_pairwise_columns(a, 0, a.shape[-1]))
+
+
 # -- log-softmax ---------------------------------------------------------------
 
 def log_softmax_values(logits: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """log softmax(logits / tau) over the last axis, computed stably via
     max-subtracted log-sum-exp, and its exp."""
     z = logits / tau
-    zmax = z.max(axis=-1, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = z - row_max(z)
+    lse = np.log(row_sum(np.exp(shifted)))
     out = shifted - lse
     return out, np.exp(out)
 
@@ -134,7 +181,7 @@ def log_softmax_values(logits: np.ndarray, tau: float) -> tuple[np.ndarray, np.n
 def log_softmax_grad(g: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
     """The gradient g of log softmax(logits / tau) taken back to the logits,
     from the probabilities p that ``log_softmax_values`` returns."""
-    return (g - p * g.sum(axis=-1, keepdims=True)) / tau
+    return (g - p * row_sum(g)) / tau
 
 
 # -- gamma-family special functions ------------------------------------------

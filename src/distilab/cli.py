@@ -15,6 +15,7 @@ import ctypes
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,7 +29,7 @@ from .distill import DegenerateEnsembleError, DistillConfig, train_student
 from .metrics import (entropy_histogram, evaluate_model,
                       _mean_probs, _model_eval_logits)
 from .nets import (MLP, CheckpointError, ModelSpec, average_rank_one,
-                   checkpoint_load, checkpoint_save, is_int, is_real, join)
+                   checkpoint_load, checkpoint_save, is_int, is_real, join, stack)
 from .optim import OptimConfig, train_teachers
 from .perturb import KINDS, build_perturbation, default_gamma, diversity_shift_values
 from .seeding import rng_stream
@@ -323,12 +324,14 @@ def cmd_perturb_diag(args) -> int:
     noise_rng = rng_stream(int(args.seed), "guidance-vectors")
     index_rng = rng_stream(int(args.seed), "pair-sampling")
     students = student if len(student) > 1 else student[[0, 0]]
+    # the pair kinds' one pass, built once for every batch
+    nets = stack([teachers] + ([student] if args.kind == "tdiv_sdiv" else []))
     rows = []
     batch = 128
     for step, start in enumerate(range(0, len(train), batch)):
         xb = train.x[start:start + batch]
         pert = build_perturbation(args.kind, teachers, student, xb, gamma, args.tau,
-                                  noise_rng, index_rng)
+                                  noise_rng, index_rng, nets)
         d_t, d_s = diversity_shift_values(teachers, students, xb, pert.epsilon)
         moved = np.linalg.norm(pert.epsilon, axis=1) > 0
         frac = float(((d_t - d_s) > 0)[moved].mean()) if moved.any() else 0.0
@@ -421,8 +424,42 @@ def _fix_malloc_thresholds() -> None:
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
+@functools.cache
+def _pin_blas_threads() -> None:
+    """Run the loaded OpenBLAS on one thread, unless the environment sets its
+    thread count.
+
+    A training step here is a few hundred small products, which a second
+    BLAS thread only slows: it waits on the first, and on a two-vCPU machine
+    a two-thread gemm can stall for a scheduler tick. The bytes are the same
+    at any thread count. The library is found in /proc/self/maps; does
+    nothing where there is no such file, library or setter.
+    """
+    if any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                     "OMP_NUM_THREADS")):
+        return
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return
+    for lib in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads"):
+            setter = getattr(handle, sym, None)
+            if setter is not None:
+                setter.argtypes = (ctypes.c_int,)
+                setter.restype = None
+                setter(1)
+                break
+
+
 def main(argv=None) -> int:
     _fix_malloc_thresholds()
+    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     # looked up by name at call time, so a replaced cmd_* function is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import row_max, row_sum
 from .nets import MLP
 
 PROB_FLOOR = 1e-12
@@ -52,21 +53,13 @@ class EntropyHistogram:
 
 
 def softmax_np(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Temperature-scaled softmax over the last axis, max-stabilized.
-
-    The row max is taken a class column at a time, about 10x faster than
-    numpy's row-by-row reduction of a short last axis; it has the same bits,
-    and a tie of 0.0 and -0.0 leaves exp(z - max) unchanged.
-    """
+    """Temperature-scaled softmax over the last axis, max-stabilized."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     z = logits / tau
-    top = z[..., :1].copy()
-    for k in range(1, z.shape[-1]):
-        np.maximum(top, z[..., k:k + 1], out=top)
-    z -= top
+    z -= row_max(z)
     e = np.exp(z, out=z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / row_sum(e)
 
 
 def _check_probs(probs: np.ndarray) -> None:
@@ -74,7 +67,7 @@ def _check_probs(probs: np.ndarray) -> None:
         raise ValueError(f"expected (N, K) probabilities, got shape {probs.shape}")
     if probs.shape[0] == 0:
         raise ValueError("empty dataset")
-    if np.abs(probs.sum(axis=1) - 1.0).max() > 1e-9:
+    if np.abs(row_sum(probs) - 1.0).max() > 1e-9:
         raise ValueError("probability rows must sum to 1")
 
 
@@ -150,7 +143,7 @@ def _grid_nll(logits: np.ndarray, labels: np.ndarray, taus: np.ndarray) -> np.nd
     rows = np.arange(len(labels))
     # division by a positive tau is monotone under rounding, so the row max
     # of logits / tau is exactly the row max of the logits divided by tau
-    top = logits.max(axis=-1, keepdims=True)
+    top = row_max(logits)
     step = max(1, _GRID_BLOCK // logits.size)
     out = np.empty(len(taus))
     for s in range(0, len(taus), step):
@@ -158,7 +151,7 @@ def _grid_nll(logits: np.ndarray, labels: np.ndarray, taus: np.ndarray) -> np.nd
         z = logits / t
         z -= top / t
         np.exp(z, out=z)
-        z /= z.sum(axis=-1, keepdims=True)
+        z /= row_sum(z)
         if logits.ndim == 3:
             z = z[:, 0] if len(logits) == 1 else z.mean(axis=1)
         # C order, so each temperature's row sums in the order nll's 1-D sum does
@@ -228,12 +221,11 @@ def pairwise_divergence_values(probs: np.ndarray) -> np.ndarray:
     if m < 2:
         raise ValueError("need at least two members for diversity")
     logs = np.log(np.maximum(probs, PROB_FLOOR))
+    # every ordered pair at once, i-major; their KLs are added in that order
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
     out = np.zeros(probs.shape[1])
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            out += (probs[i] * (logs[i] - logs[j])).sum(axis=-1)
+    for kl in row_sum(probs[i] * (logs[i] - logs[j]))[..., 0]:
+        out += kl
     return out / (m * (m - 1))
 
 
@@ -256,7 +248,7 @@ def diversity(ensemble: MLP, x: np.ndarray) -> float:
 
 def entropy_values(probs: np.ndarray) -> np.ndarray:
     p = np.maximum(probs, PROB_FLOOR)
-    return -(probs * np.log(p)).sum(axis=-1)
+    return -row_sum(probs * np.log(p))[..., 0]
 
 
 def entropy_histogram(probs: np.ndarray, bins: int = 30, tag: str = "in") -> EntropyHistogram:

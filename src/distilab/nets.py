@@ -2,7 +2,8 @@
 
 An ``MLP`` has ``len(net)`` members, and each layer stores its parameters
 as member-stacked float64 arrays: a weight, a bias, and the rank-one
-factors r and s of a factored layer. ``net.forward_kept`` runs every member
+factors r and s of a factored layer. All of them are views of one buffer,
+``net.flat``, in ``parameters()`` order. ``net.forward_kept`` runs every member
 at once and keeps each layer's output, and ``net.backward`` takes a logits
 gradient back through those and returns the parameter gradients or the
 input gradients, writing nothing onto the net; ``net.forward`` returns the
@@ -135,8 +136,18 @@ class MLP:
         if len({(l.bias.shape[0], l.r is None) for l in layers}) != 1:
             raise ShapeError("layers disagree on member count or factoring")
         self.spec = spec
-        self.layers = layers
         self.head = head
+        # one copy of every array into one buffer, in parameters() order; the
+        # net's layers hold views of it, so the optimizer steps it in one piece
+        self.layers = layers
+        arrays = self.parameters()
+        self.flat = np.concatenate(arrays, axis=None)
+        ends = np.cumsum([a.size for a in arrays])
+        views = iter([self.flat[e - a.size:e].reshape(a.shape) for a, e in zip(arrays, ends)])
+        weights = [next(views) for _ in layers]
+        factors = [(next(views), next(views)) if l.r is not None else (None, None)
+                   for l in layers]
+        self.layers = [Layer(w, next(views), r, s) for w, (r, s) in zip(weights, factors)]
 
     def __len__(self) -> int:
         return self.layers[0].bias.shape[0]
@@ -149,10 +160,10 @@ class MLP:
             raise IndexError(f"member index {idx} out of range for M={len(self)}")
 
         def take(a: np.ndarray | None) -> np.ndarray | None:
-            # the fancy index is the one copy
             return None if a is None else a[rows]
 
-        layers = [Layer(l.weight.copy() if self.factored else take(l.weight),
+        # the new net copies every array into its own buffer
+        layers = [Layer(l.weight if self.factored else take(l.weight),
                         take(l.bias), take(l.r), take(l.s)) for l in self.layers]
         return MLP(self.spec, layers, self.head)
 
@@ -315,11 +326,14 @@ def average_rank_one(model: MLP) -> MLP:
 # -- checkpoint round trip -----------------------------------------------------
 
 def _fmt_values(arr: np.ndarray) -> str:
-    return " ".join(map(format, arr.ravel().tolist(), itertools.repeat(".17g")))
+    """The values of arr as ``format(v, ".17g")`` each, space-separated, by one
+    printf-style format of the whole tensor."""
+    return " ".join(["%.17g"] * arr.size) % tuple(arr.ravel().tolist())
 
 
 def _parse_values(text: str, shape: Sequence[int]) -> np.ndarray:
-    vals = np.array([float(tok) for tok in text.split()], dtype=np.float64)
+    # numpy converts each token as float() does, in one call
+    vals = np.array(text.split(), dtype=np.float64)
     if vals.size != int(np.prod(shape)):
         raise ValueError(f"{vals.size} values for shape {tuple(shape)}")
     return vals.reshape(tuple(shape))

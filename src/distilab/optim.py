@@ -146,7 +146,8 @@ def fit(net: MLP, data, config: OptimConfig,
     net on them, or on inputs formed from them, by ``net.forward_kept``, and
     returns what that kept and the gradient of the loss with respect to the
     (M, B, K) logits; ``fit`` takes that gradient back with ``net.backward``,
-    which returns the gradient of each parameter.
+    which returns the gradient of each parameter, and steps ``net.flat``, the
+    buffer every parameter is a view of, in at most two pieces.
     A plain net of M > 1 members is M independent trainings: member m draws
     its batches from the stream of seed + m, so rows is (M, B). Any other net
     draws from the seed's stream and rows is (B,).
@@ -160,10 +161,13 @@ def fit(net: MLP, data, config: OptimConfig,
     n = len(data)
     shuffles = [rng_stream(config.seed + m, "batch-shuffle")
                 for m in range(1 if net.factored else len(net))]
-    shared, rank = len(net.shared_parameters()), len(net.rank_parameters())
-    params = net.parameters()
-    mask = [True] * shared + [False] * rank + [not net.factored] * len(net.layers)
-    opt = SGD(params, config.momentum, config.weight_decay, decay_mask=mask)
+    # net.flat holds the shared weights, then the rank factors, then the
+    # biases: a plain net decays all of it, a factored one its shared weights
+    shared = sum(p.size for p in net.shared_parameters())
+    rank = slice(shared, shared + sum(p.size for p in net.rank_parameters()))
+    cut = [shared] if net.factored else []
+    opt = SGD(np.split(net.flat, cut), config.momentum, config.weight_decay,
+              decay_mask=[True, False][:len(cut) + 1])
     spe = steps_per_epoch(n, config.batch_size)
     step = 0
     for _ in range(config.epochs):
@@ -173,17 +177,15 @@ def fit(net: MLP, data, config: OptimConfig,
             rows = order[..., start:start + config.batch_size]
             try:
                 # no name holds the kept layers, so they are freed after the backward
-                grads = net.backward(*batch_loss(rows), True)
+                grad = np.concatenate(net.backward(*batch_loss(rows), True), axis=None)
             except NumericsError as e:
                 raise NumericsError(f"{e} at step {step + 1}") from e
             if net.factored:
-                for g in grads[:shared]:
-                    g /= len(net)
+                grad[:shared] /= len(net)
             if rank_decay > 0.0:
-                for g, p in zip(grads[shared:shared + rank], params[shared:shared + rank]):
-                    g += rank_decay * (p - 1.0)
-            opt.step(grads, lr_at(config, step, spe))
-            del grads   # freed before the next step's forward
+                grad[rank] += rank_decay * (net.flat[rank] - 1.0)
+            opt.step(np.split(grad, cut), lr_at(config, step, spe))
+            del grad   # freed before the next step's forward
             step += 1
             if step_hook is not None:
                 step_hook(step, net)

@@ -58,7 +58,7 @@ def default_gamma(x: np.ndarray) -> float:
 
 
 def _normalize_rows(grad: np.ndarray, gamma: float) -> np.ndarray:
-    norms = np.linalg.norm(grad, axis=1, keepdims=True)
+    norms = np.sqrt(ad.row_sum(grad * grad))      # np.linalg.norm(grad, axis=1), bit for bit
     out = np.zeros_like(grad)
     ok = norms[:, 0] >= DEGENERATE_NORM
     out[ok] = gamma * grad[ok] / norms[ok]
@@ -95,7 +95,7 @@ def _ods_gradients(teachers: MLP, x: np.ndarray, tau: float,
         probs = softmax_np(kept[-1][2], tau)
         ad.ensure_finite(probs, "ods")
         g = guidance[rows][None] + 0.0
-        g = ad.first_arrival(probs * (g - (g * probs).sum(axis=-1, keepdims=True)) / tau)
+        g = ad.first_arrival(probs * (g - ad.row_sum(g * probs)) / tau)
         grads[rows] = teacher.backward(kept, g, False)[0]
         conf[rows] = probs[0].max(axis=1)
     return grads, conf

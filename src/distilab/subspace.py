@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset
 from .metrics import accuracy, batched_logits, nll_with_stats, softmax_np
-from .nets import Layer, MLP
+from .nets import Layer, MLP, join
 
 
 def default_grid() -> np.ndarray:
@@ -82,7 +82,8 @@ def line_scan(model: MLP, train: Dataset, test: Dataset,
     for anchor in (0.0, 0.5, 1.0):
         if not np.any(ts == anchor):
             raise ValueError(f"grid must contain t={anchor} exactly")
-    rows = [_eval_point(interpolate(model, float(t)), train, test) for t in ts]
+    plain = join([model])   # the two members' weights, formed once for every point
+    rows = [_eval_point(interpolate(plain, float(t)), train, test) for t in ts]
     arr = np.array(rows)
     train_loss = arr[:, 3]
     inside = (ts >= 0.0) & (ts <= 1.0)

@@ -19,7 +19,8 @@ from distilab.autodiff import DomainError
 from distilab.cli import METRIC_COLUMNS, main
 from distilab.distill import one_to_one_loss, train_student
 from distilab.metrics import batched_logits, diversity, entropy_histogram, softmax_np
-from distilab.nets import ModelSpec, build_be, build_plain, checkpoint_load, checkpoint_save
+from distilab.nets import (ModelSpec, build_be, build_plain, checkpoint_load,
+                           checkpoint_save, stack)
 from distilab.perturb import build_perturbation, default_gamma
 from distilab.seeding import rng_stream
 
@@ -804,6 +805,24 @@ class TestPerturbDiag:
         assert lines[0] == "step,kind,mean_dT,mean_dS,frac_ascent"
         for line in lines[1:]:
             assert float(line.split(",")[2]) == 0.0  # dT identically zero
+
+    @pytest.mark.parametrize("kind", ["tdiv", "tdiv_sdiv"])
+    def test_pair_kinds_stack_the_nets_once(self, trained, tmp_path, monkeypatch, kind):
+        # one nets.stack per command, none per batch
+        cfg, teachers = trained
+        out_l = tmp_path / "latent"
+        assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                     "--out", str(out_l)]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "stack", lambda nets: calls.append(len(nets)) or stack(nets))
+        monkeypatch.setattr("distilab.perturb.stack", lambda nets: calls.append(None))
+        out = tmp_path / "diag.csv"
+        assert main(["perturb-diag", "--teachers", str(teachers),
+                     "--student", str(out_l / "seed0" / "student_be.json"),
+                     "--data", str(write_data_spec(tmp_path)), "--kind", kind,
+                     "--out", str(out)]) == 0
+        assert calls == [2 if kind == "tdiv_sdiv" else 1]
+        assert len(out.read_text().splitlines()) == 1 + 1  # the header, one batch of rows
 
     def test_unknown_kind_exits_2(self, trained, tmp_path):
         cfg, teachers = trained

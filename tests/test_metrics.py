@@ -345,6 +345,20 @@ class TestDiversity:
         assert diversity_from_probs(probs) == pytest.approx(
             diversity_loop(probs), abs=1e-12)
 
+    @pytest.mark.parametrize("members", [2, 3, 4])
+    def test_bitwise_equals_pair_loop(self, members):
+        # each ordered pair's KL is numpy's row sum, added in i-major order
+        rng = np.random.default_rng(13)
+        probs = np.stack([random_probs(rng, 50, 3) for _ in range(members)])
+        logs = np.log(np.maximum(probs, 1e-12))
+        want = np.zeros(50)
+        for i in range(members):
+            for j in range(members):
+                if i != j:
+                    want += (probs[i] * (logs[i] - logs[j])).sum(axis=-1)
+        want = want / (members * (members - 1))
+        assert pairwise_divergence_values(probs).tobytes() == want.tobytes()
+
     def test_nonnegative_and_needs_two_members(self):
         rng = np.random.default_rng(12)
         probs = np.stack([random_probs(rng, 6, 4) for _ in range(2)])

@@ -12,7 +12,7 @@ import pytest
 import tape
 from distilab.autodiff import ShapeError
 from distilab.metrics import batched_logits
-from distilab.nets import (CheckpointError, Layer, MLP, ModelSpec, _fmt_values,
+from distilab.nets import (CheckpointError, Layer, MLP, ModelSpec, _fmt_values, _parse_values,
                            average_rank_one, build_be, build_plain, checkpoint_load,
                            checkpoint_save, join, restack, stack)
 from distilab.seeding import rng_stream
@@ -20,6 +20,10 @@ from distilab.subspace import interpolate
 from test_autodiff import check_value_grad
 
 DATA = Path(__file__).parent / "data"
+# the finite float64s among 100,000 random bit patterns: every exponent,
+# subnormals included, at random mantissas
+_BITS = np.random.default_rng(32).integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+RANDOM_BITS = _BITS.view(np.float64)[np.isfinite(_BITS.view(np.float64))]
 
 
 def logits(net, x):
@@ -148,6 +152,23 @@ class TestLayout:
                 assert l.weight.dtype == np.float64 and l.weight.flags.c_contiguous
         x = np.random.default_rng(2).normal(size=(4, 2))
         assert stacked[-1].forward(x).tobytes() == be.forward(x).tobytes()
+
+    def test_every_parameter_is_a_view_of_one_buffer(self, tmp_path):
+        # net.flat holds parameters() end to end; each layer array is a view
+        spec = _spec((8, 5))
+        plain = build_plain(spec, [rng_stream(s, "init") for s in range(3)])
+        be = build_be(spec, rng_stream(1, "init"), "random_sign", members=2)
+        checkpoint_save(be, tmp_path / "be.json")
+        nets = [plain, be, plain[[2, 0]], be[1], checkpoint_load(tmp_path / "be.json"),
+                join([plain[1], be]), *stack([plain, be]), average_rank_one(be),
+                interpolate(be, 0.3)]
+        for net in nets:
+            params = net.parameters()
+            assert net.flat.dtype == np.float64 and net.flat.ndim == 1
+            assert net.flat.tobytes() == b"".join(p.tobytes() for p in params)
+            assert all(p.base is net.flat and p.flags.c_contiguous for p in params)
+            net.flat[:] = 0.5
+            assert all((p == 0.5).all() for p in params)
 
     def test_layer_rejects_out_in_weights(self):
         with pytest.raises(ShapeError):
@@ -478,12 +499,40 @@ class TestCheckpoints:
             checkpoint_load(path)
 
     @pytest.mark.parametrize("values", [
-        np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, 0.1, 1.0 / 3.0, -2.5]),
+        np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, 0.1, 1.0 / 3.0, -2.5,
+                  2.2250738585072014e-308, np.finfo(np.float64).max,
+                  -np.finfo(np.float64).max]),
         np.random.default_rng(30).normal(size=(64, 64)) * 10.0 ** np.arange(-8, 8, 0.25),
+        RANDOM_BITS,
     ])
     def test_value_format_matches_numpy_scalar_format(self, values):
         # the reference formats one numpy scalar per value, as format v1 was written
         assert _fmt_values(values) == " ".join(format(v, ".17g") for v in values.reshape(-1))
+
+    @pytest.mark.parametrize("text", [
+        " ".join(tok for f in sorted(DATA.glob("v1_*.json"))
+                 for rec in json.loads(f.read_text())["tensors"].values()
+                 for tok in rec["values"].split()),
+        " ".join(format(v, ".17g") for v in RANDOM_BITS.tolist()),
+        "-0 0 5e-324 -5e-324 2.2250738585072014e-308 1.7976931348623157e+308 "
+        "-1.7976931348623157e+308 1e-400 +5 .5 5. 1_0 nan -inf 1e309",
+    ], ids=["v1-files", "random-bits", "edge-tokens"])
+    def test_value_parse_matches_float_bit_for_bit(self, text):
+        # one call per tensor reads what float() of each token reads
+        want = np.array([float(tok) for tok in text.split()])
+        assert _parse_values(text, want.shape).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("token", ["abc", "1,5", "0x1p3", "--1", "1e", "True"])
+    def test_malformed_value_names_the_tensor(self, tmp_path, token):
+        path = tmp_path / "net.json"
+        checkpoint_save(build_be(_spec(), rng_stream(0, "init"), members=2), path)
+        doc = json.loads(path.read_text())
+        rec = doc["tensors"]["layer1.s1"]
+        rec["values"] = " ".join([token, *rec["values"].split()[1:]])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: tensor 'layer1.s1' is malformed: ")):
+            checkpoint_load(path)
 
     def test_dirichlet_head_round_trips(self, tmp_path):
         model = build_plain(_spec(), rng_stream(28, "init"), head="dirichlet")

@@ -227,6 +227,71 @@ class TestTraining:
                 assert biases.max() < 1.0
 
 
+def member_ce_grad(kept, labels):
+    """The logits gradient of every member's cross-entropy to labels."""
+    logits = kept[-1][2]
+    return cross_entropy(logits, np.broadcast_to(labels, logits.shape[:-1]))[1]
+
+
+def per_array_fit(net, data, config, rank_decay):
+    """``fit`` with one batch per epoch, as one ``sgd_update`` per parameter
+    array: the member-mean shared gradient, the rank pull and the decay mask
+    applied array by array."""
+    shuffles = [rng_stream(config.seed + m, "batch-shuffle")
+                for m in range(1 if net.factored else len(net))]
+    params = net.parameters()
+    shared, rank = len(net.shared_parameters()), len(net.rank_parameters())
+    decayed = [True] * shared + [False] * rank + [not net.factored] * len(net.layers)
+    velocities = [np.zeros_like(p) for p in params]
+    for step in range(config.epochs):
+        orders = [s.permutation(len(data)) for s in shuffles]
+        rows = orders[0] if len(orders) == 1 else np.stack(orders)
+        kept = net.forward_kept(data.x[rows])
+        grads = net.backward(kept, member_ce_grad(kept, data.y[rows]), True)
+        for i, (p, g, v) in enumerate(zip(params, grads, velocities)):
+            if i < shared and net.factored:
+                g = g / len(net)
+            if shared <= i < shared + rank:
+                g = g + rank_decay * (p - 1.0)
+            sgd_update(p, g, v, lr_at(config, step, 1), config.momentum,
+                       config.weight_decay if decayed[i] else 0.0)
+
+
+class TestFlatStep:
+    """fit steps the net's one parameter buffer: the same bits as a step per
+    array, at most two updates a step, the layer arrays updated in place."""
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_bitwise_equals_per_array_steps(self, tiny_task, tiny_spec, factored,
+                                            monkeypatch):
+        train, _, _ = tiny_task
+        cfg = OptimConfig(epochs=3, warmup_epochs=1, batch_size=len(train), seed=4)
+
+        def build():
+            if factored:
+                return build_be(tiny_spec, rng_stream(4, "init"), "random_sign", members=2)
+            return build_plain(tiny_spec, [rng_stream(s, "init") for s in (4, 5)])
+
+        net, ref = build(), build()
+        arrays = [id(p) for p in net.parameters()]
+        updates = []
+        monkeypatch.setattr("distilab.optim.sgd_update",
+                            lambda p, *a: updates.append(p.size) or sgd_update(p, *a))
+
+        def batch_loss(rows):
+            kept = net.forward_kept(train.x[rows])
+            return kept, member_ce_grad(kept, train.y[rows])
+
+        fit(net, train, cfg, batch_loss, 0.01)
+        monkeypatch.undo()
+        per_array_fit(ref, train, cfg, 0.01)
+        assert [id(p) for p in net.parameters()] == arrays
+        assert all(p.base is net.flat for p in net.parameters())
+        assert net.flat.tobytes() == ref.flat.tobytes()
+        assert len(updates) == (2 if factored else 1) * cfg.epochs
+        assert sum(updates) == net.flat.size * cfg.epochs
+
+
 class TestStackedTeachers:
     def test_members_are_bit_equal_to_one_member_runs(self, tiny_task, tiny_spec):
         train, _, _ = tiny_task

@@ -248,6 +248,17 @@ class TestPairPerturbations:
         moved = norms > 0
         np.testing.assert_allclose(norms[moved], 0.25, atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 7, 16, 64, 200])
+    def test_normalization_keeps_linalg_norm_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        grad = rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-6, 6, size=(40, 1))
+        grad[0] = 0.0
+        norms = np.linalg.norm(grad, axis=1, keepdims=True)
+        want = np.zeros_like(grad)
+        ok = norms[:, 0] >= 1e-12
+        want[ok] = 0.3 * grad[ok] / norms[ok]
+        assert _normalize_rows(grad, 0.3).tobytes() == want.tobytes()
+
     def test_direction_parallel_to_recomputed_gradient(self, teachers, student):
         x_np = np.random.default_rng(26).normal(size=(20, 2))
         pert = perturb("tdiv_sdiv", teachers, x_np, 0.1, 27, student=student)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import distilab.autodiff as ad
 from distilab.data import make_mixture
 from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import ModelSpec, average_rank_one, build_be
@@ -88,6 +89,19 @@ class TestLineScan:
         probs = softmax_np(batched_logits(member0, test.x)[0])
         err0 = 1.0 - (probs.argmax(axis=1) == test.y).mean()
         assert scan.test_err[scan.ts == 0.0][0] == err0
+
+    def test_member_weights_are_formed_once_per_scan(self, pair_student, small_task,
+                                                      monkeypatch):
+        formed, real = [], ad.member_weights
+
+        def member_weights(weight, r, s):
+            formed.append(r is not None)
+            return real(weight, r, s)
+
+        monkeypatch.setattr(ad, "member_weights", member_weights)
+        train, _, test = small_task
+        line_scan(pair_student, train, test)
+        assert sum(formed) == len(pair_student.layers)
 
     def test_barrier_nonnegative_and_grid_validated(self, pair_student, small_task):
         train, _, test = small_task
