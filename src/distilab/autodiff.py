@@ -123,8 +123,8 @@ def dense_param_grads(x: np.ndarray, g_pre: np.ndarray, weight: np.ndarray,
 # numpy reduces the last axis row by row, which costs far more than the
 # arithmetic when a row holds a few classes; a pass per class column costs
 # one elementwise call each. Both helpers keep numpy's bits for a C-contiguous
-# input: the max meets the columns in numpy's order, and the sum adds them in
-# numpy's pairwise order.
+# input: the max meets the columns in numpy's order, and a sum of fewer than
+# 8 columns adds them in turn, as numpy's pairwise sum does below its block.
 
 def row_max(z: np.ndarray) -> np.ndarray:
     """z.max(axis=-1, keepdims=True), taken one column at a time."""
@@ -134,36 +134,16 @@ def row_max(z: np.ndarray) -> np.ndarray:
     return top
 
 
-def _pairwise_columns(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Columns lo..hi-1 of a summed in numpy's pairwise order: in turn below
-    8 columns; up to 128, 8 running sums of every eighth column, their tree,
-    then the columns left over; above, the two halves split at a multiple
-    of 8."""
-    n = hi - lo
-    if n < 8:
-        out = a[..., lo:lo + 1].copy()
-        for k in range(lo + 1, hi):
-            out += a[..., k:k + 1]
-        return out
-    if n <= 128:
-        acc = a[..., lo:lo + 8].copy()
-        end = hi - n % 8
-        for k in range(lo + 8, end, 8):
-            acc += a[..., k:k + 8]
-        pairs = acc[..., 0::2] + acc[..., 1::2]
-        quads = pairs[..., 0::2] + pairs[..., 1::2]
-        out = quads[..., :1] + quads[..., 1:]
-        for k in range(end, hi):
-            out += a[..., k:k + 1]
-        return out
-    half = n // 2 - n // 2 % 8
-    return _pairwise_columns(a, lo, lo + half) + _pairwise_columns(a, lo + half, hi)
-
-
 def row_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1, keepdims=True), added a column at a time."""
+    """a.sum(axis=-1, keepdims=True), added a column at a time below 8
+    columns; numpy's own sum from 8 on, where its order is blocked."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1, keepdims=True)
+    out = a[..., :1].copy()
+    for k in range(1, a.shape[-1]):
+        out += a[..., k:k + 1]
     # numpy's sum starts from 0.0, which turns a -0.0 total into 0.0
-    return first_arrival(_pairwise_columns(a, 0, a.shape[-1]))
+    return first_arrival(out)
 
 
 # -- log-softmax ---------------------------------------------------------------

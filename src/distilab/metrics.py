@@ -221,11 +221,12 @@ def pairwise_divergence_values(probs: np.ndarray) -> np.ndarray:
     if m < 2:
         raise ValueError("need at least two members for diversity")
     logs = np.log(np.maximum(probs, PROB_FLOOR))
-    # every ordered pair at once, i-major; their KLs are added in that order
-    i, j = np.nonzero(~np.eye(m, dtype=bool))
     out = np.zeros(probs.shape[1])
-    for kl in row_sum(probs[i] * (logs[i] - logs[j]))[..., 0]:
-        out += kl
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            out += row_sum(probs[i] * (logs[i] - logs[j]))[:, 0]
     return out / (m * (m - 1))
 
 

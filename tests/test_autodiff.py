@@ -235,8 +235,8 @@ class TestDense:
 
 class TestRowReductions:
     """``row_max`` and ``row_sum`` against numpy's own last-axis reductions,
-    byte for byte, at every class count from 1 to 300: through numpy's
-    sequential, blocked and halving sum orders."""
+    byte for byte, at every class count from 1 to 300: the column loop below
+    8 classes and numpy's own blocked and halving sums above."""
 
     SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 5e-324, -5e-324,
                          np.finfo(np.float64).max, -np.finfo(np.float64).max])

@@ -806,9 +806,10 @@ class TestPerturbDiag:
         for line in lines[1:]:
             assert float(line.split(",")[2]) == 0.0  # dT identically zero
 
-    @pytest.mark.parametrize("kind", ["tdiv", "tdiv_sdiv"])
+    @pytest.mark.parametrize("kind", ["tdiv", "tdiv_sdiv", "ods"])
     def test_pair_kinds_stack_the_nets_once(self, trained, tmp_path, monkeypatch, kind):
-        # one nets.stack per command, none per batch
+        # one nets.stack per command, none per batch; none at all for a kind
+        # that reads no stack
         cfg, teachers = trained
         out_l = tmp_path / "latent"
         assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
@@ -821,7 +822,7 @@ class TestPerturbDiag:
                      "--student", str(out_l / "seed0" / "student_be.json"),
                      "--data", str(write_data_spec(tmp_path)), "--kind", kind,
                      "--out", str(out)]) == 0
-        assert calls == [2 if kind == "tdiv_sdiv" else 1]
+        assert calls == {"tdiv": [1], "tdiv_sdiv": [2], "ods": []}[kind]
         assert len(out.read_text().splitlines()) == 1 + 1  # the header, one batch of rows
 
     def test_unknown_kind_exits_2(self, trained, tmp_path):
