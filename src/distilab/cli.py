@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import itertools
 import json
 import math
 import os
@@ -34,6 +35,10 @@ from .optim import OptimConfig, train_teachers
 from .perturb import KINDS, build_perturbation, default_gamma, diversity_shift_values
 from .seeding import rng_stream
 from .subspace import line_scan
+
+
+# the top-level keys of a run config
+RUN_KEYS = ("data", "model", "optim", "distill", "method", "student_init", "aekd_c", "seeds")
 
 
 class ConfigError(ValueError):
@@ -91,6 +96,10 @@ def load_run_config(path: str | Path) -> RunConfig:
     for key, section in (("model", model), ("optim", optim_doc), ("distill", distill_doc)):
         if not isinstance(section, dict):
             raise ConfigError(f"{p}: {key} must be a JSON object")
+    unknown = [k for k in doc if k not in RUN_KEYS] + [f"model.{k}" for k in model
+                                                       if k != "hidden"]
+    if unknown:
+        raise ConfigError(f"{p}: unknown key '{unknown[0]}'")
     try:
         spec = ModelSpec(data["dim"], data["num_classes"], model.get("hidden", [64, 64]))
         if "seed" in optim_doc:
@@ -195,10 +204,12 @@ def _load_fitting(path: Path, data: Dataset, model: MLP | None = None) -> MLP:
 
 def _load_teachers(teachers_dir: Path, seed: int, count: int | None, data: Dataset) -> MLP:
     """Load teacher<m>.json checkpoints that fit data and teacher0.json's spec
-    and head, joined as one net; count None loads all present."""
+    and head, joined as one net; count None loads teacher0.json, teacher1.json,
+    ... up to the first missing index."""
     seed_dir = teachers_dir / f"seed{seed}"
     if count is None:
-        count = len(sorted(seed_dir.glob("teacher*.json")))
+        count = next(m for m in itertools.count()
+                     if not (seed_dir / f"teacher{m}.json").exists())
         if count == 0:
             raise ConfigError(f"no teacher checkpoints under {seed_dir}")
     teachers = []

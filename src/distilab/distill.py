@@ -41,7 +41,7 @@ from .data import Dataset
 from .metrics import PROB_FLOOR, batched_logits, pairwise_divergence_values, softmax_np
 from .nets import (RANK_INITS, MLP, ModelSpec, build_be, build_plain, is_int, is_real, restack,
                    stack)
-from .optim import OptimConfig, fit, one_hot
+from .optim import OptimConfig, fit, one_hot, soft_cross_entropy
 from .perturb import KINDS, build_perturbation, default_gamma
 from .seeding import rng_stream
 
@@ -388,20 +388,12 @@ def one_to_one_loss(teacher_logits: np.ndarray, student_logits: np.ndarray,
                     tau: float) -> tuple[float, np.ndarray]:
     """-tau^2 sum_m mean_b sum_k p_Tm log p_Sm of (M, B, K) teacher and
     student logits at temperature tau, member m mimicking teacher m, and its
-    gradient with respect to student_logits: -tau^2 / B times the teacher
-    probabilities, as the gradient of log p_S, through the log-softmax. The
-    sum over all members rounds unlike a member-by-member sum, but its
-    gradients are the same bits. The log-probabilities and the value are
-    checked finite as 'one_to_one'.
+    student logits gradient: ``soft_cross_entropy`` of the teacher
+    probabilities, as 'one_to_one'. The sum over all members rounds unlike a
+    member-by-member sum, but its gradients are the same bits.
     """
-    log_p, p = ad.log_softmax_values(student_logits, tau)
-    ad.ensure_finite(log_p, "one_to_one")
-    targets = softmax_np(teacher_logits, tau)
-    c = -tau ** 2 / student_logits.shape[1]
-    value = np.array((targets * log_p).sum()) * c
-    ad.ensure_finite(value, "one_to_one")
-    grad = ad.log_softmax_grad(ad.first_arrival(c * targets), p, tau)
-    return float(value), ad.first_arrival(grad)
+    return soft_cross_entropy(student_logits, softmax_np(teacher_logits, tau), tau,
+                              "one_to_one")
 
 
 def _student_loss(cfg: DistillConfig, logits: np.ndarray, yb: np.ndarray,

@@ -3,7 +3,8 @@
 An ``MLP`` has ``len(net)`` members, and each layer stores its parameters
 as member-stacked float64 arrays: a weight, a bias, and the rank-one
 factors r and s of a factored layer. All of them are views of one buffer,
-``net.flat``, in ``parameters()`` order. ``net.forward_kept`` runs every member
+``net.flat``, in ``parameters()`` order; ``net.groups`` names its weight,
+rank-factor and bias slices. ``net.forward_kept`` runs every member
 at once and keeps each layer's output, and ``net.backward`` takes a logits
 gradient back through those and returns the parameter gradients or the
 input gradients, writing nothing onto the net; ``net.forward`` returns the
@@ -138,7 +139,7 @@ class MLP:
         self.spec = spec
         self.head = head
         # one copy of every array into one buffer, in parameters() order; the
-        # net's layers hold views of it, so the optimizer steps it in one piece
+        # net's layers hold views of it, so fit steps it by net.groups
         self.layers = layers
         arrays = self.parameters()
         self.flat = np.concatenate(arrays, axis=None)
@@ -223,16 +224,17 @@ class MLP:
         return g
 
     def parameters(self) -> list[np.ndarray]:
-        return self.shared_parameters() + self.rank_parameters() + self.member_bias_parameters()
+        """Each layer's weight, then each layer's r and s, then each layer's bias."""
+        return [*(l.weight for l in self.layers),
+                *(a for l in self.layers if l.r is not None for a in (l.r, l.s)),
+                *(l.bias for l in self.layers)]
 
-    def shared_parameters(self) -> list[np.ndarray]:
-        return [l.weight for l in self.layers]
-
-    def rank_parameters(self) -> list[np.ndarray]:
-        return [a for l in self.layers if l.r is not None for a in (l.r, l.s)]
-
-    def member_bias_parameters(self) -> list[np.ndarray]:
-        return [l.bias for l in self.layers]
+    @property
+    def groups(self) -> tuple[slice, slice, slice]:
+        """The weight, rank-factor (empty if plain) and bias slices of ``net.flat``."""
+        rank = sum(l.weight.size for l in self.layers)
+        bias = self.flat.size - sum(l.bias.size for l in self.layers)
+        return slice(0, rank), slice(rank, bias), slice(bias, self.flat.size)
 
 
 def join(nets: Iterable[MLP]) -> MLP:

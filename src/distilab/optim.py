@@ -4,9 +4,11 @@ The schedule ramps linearly from 0.01 * base_lr to base_lr over the warmup
 epochs and then follows a single cosine half-cycle down over the remaining
 epochs. Weight decay is folded into the gradient before the momentum update.
 ``fit`` is the one training loop: every student, and all M teachers at once
-as one M-member plain net. Training is bit-reproducible given a seed: weight
-init, batch shuffling and any perturbation randomness each consume their own
-labeled RNG stream; a plain net's member m shuffles by the stream of seed + m.
+as one M-member plain net; it holds one velocity shaped as ``net.flat`` and
+steps the net's groups (``MLP.groups``) by ``sgd_update``. Training is
+bit-reproducible given a seed: weight init, batch shuffling and any
+perturbation randomness each consume their own labeled RNG stream; a plain
+net's member m shuffles by the stream of seed + m.
 """
 
 from __future__ import annotations
@@ -88,26 +90,6 @@ def sgd_update(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     param += momentum * velocity - lr * g_eff
 
 
-class SGD:
-    """Holds one velocity buffer per parameter; decay_mask[i] says whether
-    weight decay applies to params[i]."""
-
-    def __init__(self, params: list[np.ndarray], momentum: float, weight_decay: float,
-                 decay_mask: list[bool]):
-        self.params = params
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.decay_mask = decay_mask
-        if len(decay_mask) != len(params):
-            raise ValueError("decay_mask length must match params")
-        self.velocities = [np.zeros_like(p) for p in params]
-
-    def step(self, grads: list[np.ndarray], lr: float) -> None:
-        """Update each parameter in place from its gradient in grads."""
-        for p, g, v, decayed in zip(self.params, grads, self.velocities, self.decay_mask):
-            sgd_update(p, g, v, lr, self.momentum, self.weight_decay if decayed else 0.0)
-
-
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.eye(num_classes)[labels]
 
@@ -116,23 +98,28 @@ def steps_per_epoch(n: int, batch_size: int) -> int:
     return (n + batch_size - 1) // batch_size
 
 
+def soft_cross_entropy(logits: np.ndarray, targets: np.ndarray, tau: float,
+                       op: str) -> tuple[float, np.ndarray]:
+    """-tau^2 sum_m mean_b sum_k targets log p of (M, B, K) logits at
+    temperature tau, and its logits gradient in closed form: -tau^2 / B times
+    the targets, as the gradient of log p, taken back through the
+    log-softmax; each step a first arrival (see ``autodiff.first_arrival``).
+    The log-probabilities and the value are checked finite as op."""
+    log_p, p = ad.log_softmax_values(logits, tau)
+    ad.ensure_finite(log_p, op)
+    c = -tau ** 2 / logits.shape[-2]
+    value = np.array((targets * log_p).sum()) * c
+    ad.ensure_finite(value, op)
+    grad = ad.log_softmax_grad(ad.first_arrival(c * targets), p, tau)
+    return float(value), ad.first_arrival(grad)
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """-sum_m mean_b log p_m(labels_mb | x_b) of (M, B, K) logits against (M, B)
-    or (B,) labels, and its logits gradient.
-
-    The gradient is in closed form: -1/B times the one-hot labels, as the
-    gradient of log p, taken back through the log-softmax; each step a first
-    arrival (see ``autodiff.first_arrival``). The log-probabilities and the
-    value are checked finite as 'cross_entropy'.
-    """
-    log_p, p = ad.log_softmax_values(logits, 1.0)
-    ad.ensure_finite(log_p, "cross_entropy")
-    y_hot = one_hot(labels, logits.shape[-1]).reshape(log_p.shape)
-    c = -1.0 / labels.shape[-1]
-    value = np.array((y_hot * log_p).sum()) * c
-    ad.ensure_finite(value, "cross_entropy")
-    grad = ad.log_softmax_grad(ad.first_arrival(c * y_hot), p, 1.0)
-    return float(value), ad.first_arrival(grad)
+    or (B,) labels, and its logits gradient: ``soft_cross_entropy`` of the
+    one-hot labels at tau 1, as 'cross_entropy'."""
+    y_hot = one_hot(labels, logits.shape[-1]).reshape(logits.shape)
+    return soft_cross_entropy(logits, y_hot, 1.0, "cross_entropy")
 
 
 def fit(net: MLP, data, config: OptimConfig,
@@ -161,13 +148,11 @@ def fit(net: MLP, data, config: OptimConfig,
     n = len(data)
     shuffles = [rng_stream(config.seed + m, "batch-shuffle")
                 for m in range(1 if net.factored else len(net))]
-    # net.flat holds the shared weights, then the rank factors, then the
-    # biases: a plain net decays all of it, a factored one its shared weights
-    shared = sum(p.size for p in net.shared_parameters())
-    rank = slice(shared, shared + sum(p.size for p in net.rank_parameters()))
-    cut = [shared] if net.factored else []
-    opt = SGD(np.split(net.flat, cut), config.momentum, config.weight_decay,
-              decay_mask=[True, False][:len(cut) + 1])
+    weights, rank, _ = net.groups
+    # a plain net decays all of net.flat, a factored one its shared weights
+    pieces = [(weights, config.weight_decay), (slice(weights.stop, None), 0.0)] \
+        if net.factored else [(slice(None), config.weight_decay)]
+    velocity = np.zeros_like(net.flat)
     spe = steps_per_epoch(n, config.batch_size)
     step = 0
     for _ in range(config.epochs):
@@ -181,10 +166,13 @@ def fit(net: MLP, data, config: OptimConfig,
             except NumericsError as e:
                 raise NumericsError(f"{e} at step {step + 1}") from e
             if net.factored:
-                grad[:shared] /= len(net)
+                grad[weights] /= len(net)
             if rank_decay > 0.0:
                 grad[rank] += rank_decay * (net.flat[rank] - 1.0)
-            opt.step(np.split(grad, cut), lr_at(config, step, spe))
+            lr = lr_at(config, step, spe)
+            for piece, decay in pieces:
+                sgd_update(net.flat[piece], grad[piece], velocity[piece], lr,
+                           config.momentum, decay)
             del grad   # freed before the next step's forward
             step += 1
             if step_hook is not None:

@@ -690,6 +690,8 @@ class TestMalformedInput:
         ("data", "spread", float("nan"), "data: spread must be positive and finite, got nan"),
         ("data", "spread", float("inf"), "data: spread must be positive and finite, got inf"),
         ("optim", "seed", 1, "optim.seed is not read; the run seeds are 'seeds'"),
+        (None, "methd", "latentbe", "unknown key 'methd'"),
+        ("model", "depth", 3, "unknown key 'model.depth'"),
     ])
     def test_bad_count_exits_2_before_any_output(self, tmp_path, capsys, section, key, value,
                                                  message):
@@ -805,6 +807,21 @@ class TestPerturbDiag:
         assert lines[0] == "step,kind,mean_dT,mean_dS,frac_ascent"
         for line in lines[1:]:
             assert float(line.split(",")[2]) == 0.0  # dT identically zero
+
+    def test_stray_teacher_file_is_not_counted(self, trained, tmp_path):
+        # teachers are counted from teacher0.json up to the first missing index
+        cfg, teachers = trained
+        out_l = tmp_path / "latent"
+        assert main(["distill", "--config", str(cfg), "--teachers", str(teachers),
+                     "--out", str(out_l)]) == 0
+        seed_dir = teachers / "seed0"
+        (seed_dir / "teacher_old.json").write_bytes((seed_dir / "teacher0.json").read_bytes())
+        out = tmp_path / "diag.csv"
+        assert main(["perturb-diag", "--teachers", str(teachers),
+                     "--student", str(out_l / "seed0" / "student_be.json"),
+                     "--data", str(write_data_spec(tmp_path)), "--kind", "tdiv_sdiv",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 1  # the header, one batch of rows
 
     @pytest.mark.parametrize("kind", ["tdiv", "tdiv_sdiv", "ods"])
     def test_pair_kinds_stack_the_nets_once(self, trained, tmp_path, monkeypatch, kind):

@@ -167,6 +167,13 @@ class TestLayout:
             assert net.flat.dtype == np.float64 and net.flat.ndim == 1
             assert net.flat.tobytes() == b"".join(p.tobytes() for p in params)
             assert all(p.base is net.flat and p.flags.c_contiguous for p in params)
+            # groups: the weights, the r and s factors and the biases, tiling flat
+            w, rs, b = net.groups
+            assert (w.start, w.stop, rs.stop, b.stop) == (0, rs.start, b.start, net.flat.size)
+            factors = [a for l in net.layers if l.r is not None for a in (l.r, l.s)]
+            for group, arrays in ((w, [l.weight for l in net.layers]), (rs, factors),
+                                  (b, [l.bias for l in net.layers])):
+                assert net.flat[group].tobytes() == b"".join(a.tobytes() for a in arrays)
             net.flat[:] = 0.5
             assert all((p == 0.5).all() for p in params)
 

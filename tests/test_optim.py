@@ -11,8 +11,7 @@ from distilab.autodiff import NumericsError, ShapeError
 from distilab.data import Dataset
 from distilab.metrics import batched_logits, softmax_np
 from distilab.nets import build_be, build_plain, checkpoint_save
-from distilab.optim import (SGD, OptimConfig, cross_entropy, fit, lr_at, sgd_update,
-                            train_teachers)
+from distilab.optim import OptimConfig, cross_entropy, fit, lr_at, sgd_update, train_teachers
 from distilab.seeding import rng_stream
 
 
@@ -151,19 +150,6 @@ class TestSgdUpdate:
         with pytest.raises(ShapeError):
             sgd_update(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9, 0.0)
 
-    def test_step_updates_each_parameter_from_its_gradient(self):
-        # SGD.step is sgd_update of each parameter in place, decayed by the mask
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        grads = [np.array([0.5, 0.25]), np.array([[-1.0]])]
-        want, velocities = [p.copy() for p in params], [np.zeros(2), np.zeros((1, 1))]
-        opt = SGD(params, 0.9, 0.1, decay_mask=[True, False])
-        for _ in range(2):
-            opt.step(grads, 0.05)
-            for p, g, v, wd in zip(want, grads, velocities, (0.1, 0.0)):
-                sgd_update(p, g, v, 0.05, 0.9, wd)
-        for got, w in zip(params, want):
-            assert got.tobytes() == w.tobytes()
-
 
 class TestTraining:
     def test_single_teacher_reduces_to_single_training(self, tiny_task, tiny_spec,
@@ -210,17 +196,16 @@ class TestTraining:
         plain = build_plain(tiny_spec, rng_stream(0, "init"))
         factored = build_be(tiny_spec, rng_stream(0, "init"), "random_sign", members=2)
         for net in (plain, factored):
-            for b in net.member_bias_parameters():
-                b[:] = 1.0
-            shared = [t.copy() for t in net.shared_parameters()]
-            rank = [t.copy() for t in net.rank_parameters()]
+            _, rank, bias = net.groups
+            net.flat[bias] = 1.0
+            shared = [l.weight.copy() for l in net.layers]
+            factors = net.flat[rank].copy()
 
             fit(net, train, cfg, zero_loss(net, train))
-            for before, t in zip(shared, net.shared_parameters()):
-                assert np.linalg.norm(t) < np.linalg.norm(before)
-            for before, t in zip(rank, net.rank_parameters()):
-                np.testing.assert_array_equal(t, before)
-            biases = np.concatenate([b.ravel() for b in net.member_bias_parameters()])
+            for before, l in zip(shared, net.layers):
+                assert np.linalg.norm(l.weight) < np.linalg.norm(before)
+            np.testing.assert_array_equal(net.flat[rank], factors)
+            biases = net.flat[bias]
             if net.factored:
                 np.testing.assert_array_equal(biases, 1.0)
             else:
@@ -240,7 +225,8 @@ def per_array_fit(net, data, config, rank_decay):
     shuffles = [rng_stream(config.seed + m, "batch-shuffle")
                 for m in range(1 if net.factored else len(net))]
     params = net.parameters()
-    shared, rank = len(net.shared_parameters()), len(net.rank_parameters())
+    shared = len(net.layers)
+    rank = 2 * shared if net.factored else 0
     decayed = [True] * shared + [False] * rank + [not net.factored] * len(net.layers)
     velocities = [np.zeros_like(p) for p in params]
     for step in range(config.epochs):
